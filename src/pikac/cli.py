@@ -5,8 +5,10 @@ Subcommands: ``compile`` (emit predicates per directive), ``stages``
 (evaluate a core expression on the abstract machine), and ``soundness``
 (run the machine-vs-translation property suite).
 
-Exit codes are a stable contract: 0 success, 1 semantic failure,
-2 usage or I/O error.
+Exit codes are a stable contract: 0 success, 1 semantic failure
+(including input nested too deeply, and a soundness counterexample),
+2 usage or I/O error, 3 a soundness instance the checker gave up on
+(*Unknown*).
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import PikaError
+from .errors import ParseError, PikaError
 from .interp import Model, eval_expr
 from .modelcheck import (
-    CoreSignature, Sat, check_soundness, gen_core_expr, shrink_core_expr,
+    CoreSignature, Sat, Unknown, Unsat, check_soundness, gen_core_expr,
+    shrink_core_expr,
 )
 from .syntax import parse_expr_text, parse_source, render_expr
 from .translate import compile_directive, dump_stages
@@ -137,6 +140,10 @@ def cmd_soundness(args) -> int:
         for i in range(args.count):
             expr = gen_core_expr(sig, args.seed + i, args.budget)
             report = check_soundness(genv, expr, depth=args.depth)
+            if isinstance(report.result, Unknown):
+                print(f"unknown (seed {args.seed + i}): "
+                      f"{report.result.reason}")
+                return 3
             if not isinstance(report.result, Sat):
                 expr = _shrink_failure(genv, expr, args.depth)
                 report = check_soundness(genv, expr, depth=args.depth)
@@ -153,11 +160,13 @@ def cmd_soundness(args) -> int:
 
 
 def _shrink_failure(genv, expr, depth):
+    """Shrink a counterexample to a smaller one; a candidate the checker
+    gives up on is no counterexample."""
     while True:
         for cand in shrink_core_expr(expr):
             try:
-                if not isinstance(check_soundness(genv, cand, depth).result,
-                                  Sat):
+                if isinstance(check_soundness(genv, cand, depth).result,
+                              Unsat):
                     expr = cand
                     break
             except PikaError:
@@ -207,7 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except RecursionError:
+        # the front end and the translation recurse on the syntax tree
+        limit = sys.getrecursionlimit()
+        exc = ParseError(
+            f"input nested too deeply: nesting is bounded by the "
+            f"interpreter's recursion limit of {limit} frames (about "
+            f"{limit // 8} levels of parenthesised expressions)",
+            rule="P-NESTING")
+        print(_diagnostic(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

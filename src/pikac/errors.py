@@ -45,8 +45,8 @@ class LexError(PikaError):
 
 
 class ParseError(PikaError):
-    def __init__(self, message, span=None, expected=frozenset()):
-        super().__init__(message, span)
+    def __init__(self, message, span=None, expected=frozenset(), rule=None):
+        super().__init__(message, span, rule)
         self.expected = frozenset(expected)
 
 

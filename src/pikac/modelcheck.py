@@ -8,10 +8,25 @@ branches for existentially quantified roots), and the whole heap must be
 consumed.  Existential variables introduced by unfolding are solved by
 unification against cells and by propagating pure equalities.
 
+The search is incremental.  Each pure constraint carries its free
+variables, computed once when it is conjoined.  A search state keeps the
+constraints that still have unbound variables apart from the ground ones;
+bindings only grow along a search path, so a ground constraint stays ground
+and is checked once the heap is used up.  Equalities are propagated by one
+worklist, ``_propagate``, that re-examines only those just conjoined or
+mentioning a just-bound variable.
+
+The verdict is *Sat* when some path consumes the heap and makes every pure
+conjunct true, *Unknown* when none does but some path stopped at a resource
+bound (the unfolding depth, more than six residual existentials, or a
+witness domain without a witness), and *Unsat* otherwise.
+
 ``check_soundness`` ties the machine to the translation: it evaluates an
 expression from the empty state, translates the same expression targeting
 the machine's result variable, and checks the final machine model against
-the translated assertion.
+the translated assertion.  ``build_predicate_env`` translates each layout
+predicate and each function instantiation once per ``GlobalEnv`` (and per
+translator), on first use, and hands every caller a fresh environment.
 """
 
 from __future__ import annotations
@@ -137,64 +152,106 @@ def eval_pure_bool(binding: dict, t: ssl.PureTerm) -> bool:
     return v.value
 
 
-def _term_unknowns(t: ssl.PureTerm, binding: dict) -> set:
-    return {v for v in ssl._pure_vars(t) if v not in binding}
+class _Pure:
+    """A pure constraint of the search with its free variables, computed
+    once when the constraint is created.  An equality also keeps the
+    variables of each side, which is what solving it needs."""
+
+    __slots__ = ("term", "vars", "lhs_vars", "rhs_vars")
+
+    def __init__(self, term: ssl.PureTerm):
+        self.term = term
+        if isinstance(term, ssl.PEq):
+            self.lhs_vars = ssl._pure_vars(term.lhs)
+            self.rhs_vars = ssl._pure_vars(term.rhs)
+            self.vars = self.lhs_vars | self.rhs_vars
+        else:
+            self.lhs_vars = self.rhs_vars = None
+            self.vars = ssl._pure_vars(term)
 
 
-def _try_ground(binding: dict, t: ssl.PureTerm) -> Optional[Val]:
-    if _term_unknowns(t, binding):
+def _solve_eq(binding: dict, rec: _Pure) -> Optional[str]:
+    """Bind the single unknown of an equality when it occurs on one side
+    only and the other side is ground, inverting +/- chains down to it.
+    Returns the name bound, or None."""
+    unknowns = [v for v in rec.vars if v not in binding]
+    if len(unknowns) != 1:
         return None
-    return eval_pure(binding, t)
+    (u,) = unknowns
+    if u not in rec.rhs_vars:
+        term, other = rec.term.lhs, rec.term.rhs
+    elif u not in rec.lhs_vars:
+        term, other = rec.term.rhs, rec.term.lhs
+    else:
+        return None
+    target = eval_pure(binding, other)
+    while not isinstance(term, ssl.PVar):
+        if not isinstance(term, (ssl.PAdd, ssl.PSub)):
+            return None
+        a, b = term.lhs, term.rhs
+        if u in ssl._pure_vars(a):
+            if u in ssl._pure_vars(b):
+                return None
+            n, m = _num(target), _num(eval_pure(binding, b))
+            target = IntVal(n - m if isinstance(term, ssl.PAdd) else n + m)
+            term = a
+        else:
+            n, m = _num(target), _num(eval_pure(binding, a))
+            target = IntVal(n - m if isinstance(term, ssl.PAdd) else m - n)
+            term = b
+    binding[u] = target
+    return u
 
 
-def _solve_eq(binding: dict, eq: ssl.PEq) -> bool:
-    """Bind a single unknown from an equality when the other side and all
-    other leaves are ground.  Returns True when a binding was added."""
-    for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-        rv = _try_ground(binding, rhs)
-        if rv is None:
-            continue
-        unknowns = _term_unknowns(lhs, binding)
-        if len(unknowns) != 1:
-            continue
-        (u,) = unknowns
-        if isinstance(lhs, ssl.PVar):
-            binding[u] = rv
-            return True
-        # invert a single-occurrence unknown through +/- chains
-        target = rv
-        term = lhs
-        ok = True
-        while not isinstance(term, ssl.PVar):
-            if isinstance(term, ssl.PAdd):
-                a, b = term.lhs, term.rhs
-            elif isinstance(term, ssl.PSub):
-                a, b = term.lhs, term.rhs
-            else:
-                ok = False
-                break
-            if u in _term_unknowns(a, binding):
-                other = _try_ground(binding, b)
-                if other is None:
-                    ok = False
-                    break
-                n = _num(target)
-                m = _num(other)
-                target = IntVal(n - m if isinstance(term, ssl.PAdd) else n + m)
-                term = a
-            else:
-                other = _try_ground(binding, a)
-                if other is None:
-                    ok = False
-                    break
-                n = _num(target)
-                m = _num(other)
-                target = IntVal(n - m if isinstance(term, ssl.PAdd) else m - n)
-                term = b
-        if ok and isinstance(term, ssl.PVar):
-            binding[u] = target
-            return True
-    return False
+def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
+    """Extend ``binding`` with what the pending equalities determine, after
+    the caller conjoined the constraints ``new`` and bound the names
+    ``bound``.
+
+    Equalities are examined in passes, in the order they were conjoined, so
+    that the first to determine a variable binds it.  A pass looks only at
+    the dirty ones: those just conjoined or mentioning a variable bound
+    since they were last examined; any other would fail again.  Returns the
+    constraints still pending and the terms that became ground.  Bindings
+    only grow along a search path, so a ground term stays ground."""
+    if new:
+        pending = pending + new
+    bound = set(bound)
+    dirty = {r for r in new if r.lhs_vars is not None}
+    if bound:
+        dirty.update(r for r in pending
+                     if r.lhs_vars is not None and not r.vars.isdisjoint(bound))
+    while dirty:
+        for r in pending:
+            if r in dirty:
+                dirty.discard(r)
+                u = _solve_eq(binding, r)
+                if u is not None:
+                    bound.add(u)
+                    dirty.update(q for q in pending
+                                 if q.lhs_vars is not None and u in q.vars)
+    if not bound and not new:
+        return pending, ()
+    keys = binding.keys()
+    still = []
+    now_ground = []
+    for r in pending:
+        if keys >= r.vars:
+            now_ground.append(r.term)
+        else:
+            still.append(r)
+    return still, tuple(now_ground)
+
+
+def _item(h: ssl.Heaplet, depth: int) -> tuple:
+    """A spatial obligation: the heaplet, the unfolding depth left to it,
+    and the variables of its pure terms (a points-to value, or the
+    arguments of a predicate application)."""
+    if isinstance(h, ssl.PointsTo):
+        return h, depth, ssl._pure_vars(h.value)
+    if isinstance(h, (ssl.PredApply, ssl.RoApply)):
+        return h, depth, set().union(*map(ssl._pure_vars, h.args))
+    return h, depth, frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +259,21 @@ def _solve_eq(binding: dict, eq: ssl.PEq) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Checker:
+    """A depth-first search for a partition of the heap across the spatial
+    obligations.  A search state is the obligations left, the pending pure
+    constraints (with unbound variables), the ground ones (checked once the
+    heap is used up), the consumed cells and the binding.  Each call owns
+    the binding it is given and copies it where the search branches."""
+
     def __init__(self, model: Model, env: PredicateEnv, depth: int):
         self.cells = dict(model.heap)
+        self.locs = sorted(self.cells)
         self.env = env
         self.depth = depth
-        self.hit_depth = False
+        self.gave_up = None     # why some path stopped short of a verdict
         self.failure = "no failure recorded"
         self._fresh = 0
+        self._consumers = None  # names of predicates that can consume cells
 
     def rename_fresh(self, names) -> dict:
         out = {}
@@ -217,78 +282,73 @@ class _Checker:
             out[n] = f"{n}?{self._fresh}"
         return out
 
+    def _give_up(self, reason: str):
+        if self.gave_up is None:
+            self.gave_up = reason
+
     def check(self, assertion: ssl.SslAssertion, binding: dict) -> SatResult:
-        items = [(h, self.depth) for h in assertion.spatial]
-        ok = self._search(items, list(assertion.pure), frozenset(), dict(binding))
-        if ok:
+        items = [_item(h, self.depth) for h in assertion.spatial]
+        binding = dict(binding)
+        pending, ground = _propagate([], binding,
+                                     [_Pure(p) for p in assertion.pure])
+        if self._search(items, pending, ground, frozenset(), binding):
             return Sat()
-        if self.hit_depth:
-            return Unknown("unfolding depth bound exhausted")
+        if self.gave_up:
+            return Unknown(self.gave_up)
         return Unsat(self.failure)
 
     # the search returns True on the first completed path
 
-    def _search(self, items, pures, consumed, binding) -> bool:
-        binding = dict(binding)
-        pures = list(pures)
-        # propagate solvable equalities
-        changed = True
-        while changed:
-            changed = False
-            for p in pures:
-                if isinstance(p, ssl.PEq) and _term_unknowns(p, binding):
-                    if _solve_eq(binding, p):
-                        changed = True
-        items = list(items)
+    def _search(self, items, pending, ground, consumed, binding) -> bool:
         if not items:
-            return self._finish(pures, consumed, binding)
+            return self._finish(pending, ground, consumed, binding)
 
         # ground points-to first
-        for i, (h, d) in enumerate(items):
+        for i, (h, d, hvars) in enumerate(items):
             if isinstance(h, ssl.PointsTo) and h.base in binding:
-                return self._match_points_to(h, i, items, pures, consumed,
-                                             binding)
+                return self._match_points_to(h, hvars, items[:i] + items[i + 1:],
+                                             pending, ground, consumed, binding)
         # ground predicate applications next
-        for i, (h, d) in enumerate(items):
-            if isinstance(h, (ssl.PredApply, ssl.RoApply)):
-                args_ground = all(not _term_unknowns(a, binding)
-                                  for a in h.args)
-                if args_ground:
-                    return self._unfold(h, d, i, items, pures, consumed,
-                                        binding, ground=True)
+        keys = binding.keys()
+        for i, (h, d, hvars) in enumerate(items):
+            if isinstance(h, (ssl.PredApply, ssl.RoApply)) and keys >= hvars:
+                return self._unfold(h, d, i, items, pending, ground, consumed,
+                                    binding, ground_args=True)
         # blocks are bookkeeping: defer until only blocks remain nonground?
-        non_block = [(i, h, d) for i, (h, d) in enumerate(items)
+        non_block = [(i, h, d) for i, (h, d, _) in enumerate(items)
                      if not isinstance(h, (ssl.Block, ssl.HeapEmp))]
         if not non_block:
-            return self._finish_blocks(items, pures, consumed, binding)
+            return self._finish_blocks(items, pending, ground, consumed,
+                                       binding)
         # backtracking: nonground points-to against candidate cells
         for i, h, d in non_block:
             if isinstance(h, ssl.PointsTo):
-                unknown_base = h.base not in binding
-                if unknown_base:
-                    for loc in sorted(set(self.cells) - set(consumed)):
-                        trial = dict(binding)
-                        trial[h.base] = LocVal(loc - h.offset)
-                        rest = items[:i] + items[i + 1:]
-                        if self._match_points_to(h, 0, [(h, d)] + rest, pures,
-                                                 consumed, trial):
-                            return True
-                    self.failure = (f"no cell matches "
-                                    f"{ssl.render_heaplet(h)}")
-                    return False
+                rest = items[:i] + items[i + 1:]
+                for loc in self.locs:
+                    if loc in consumed:
+                        continue
+                    trial = dict(binding)
+                    trial[h.base] = LocVal(loc - h.offset)
+                    if self._match_points_to(h, items[i][2], rest, pending,
+                                             ground, consumed, trial,
+                                             bound=(h.base,)):
+                        return True
+                self.failure = f"no cell matches {ssl.render_heaplet(h)}"
+                return False
         # nonground predicate application: try all branches
         for i, h, d in non_block:
             if isinstance(h, (ssl.PredApply, ssl.RoApply)):
-                return self._unfold(h, d, i, items, pures, consumed, binding,
-                                    ground=False)
+                return self._unfold(h, d, i, items, pending, ground, consumed,
+                                    binding, ground_args=False)
         for i, h, d in non_block:
             if isinstance(h, (ssl.FuncApply, ssl.TempLoc)):
                 self.failure = (f"{ssl.render_heaplet(h)} has no concrete "
                                 "model semantics")
                 return False
-        return self._finish_blocks(items, pures, consumed, binding)
+        return self._finish_blocks(items, pending, ground, consumed, binding)
 
-    def _match_points_to(self, h, i, items, pures, consumed, binding) -> bool:
+    def _match_points_to(self, h, hvars, rest, pending, ground, consumed,
+                         binding, bound=()) -> bool:
         base = binding[h.base]
         if not isinstance(base, (LocVal, IntVal)):
             self.failure = f"{h.base} is not a location"
@@ -301,12 +361,10 @@ class _Checker:
             self.failure = f"cell {loc} claimed twice"
             return False
         actual = self.cells[loc]
-        unknowns = _term_unknowns(h.value, binding)
-        new_pures = list(pures)
-        trial = dict(binding)
-        if not unknowns:
+        new = []
+        if binding.keys() >= hvars:
             try:
-                expected = eval_pure(trial, h.value)
+                expected = eval_pure(binding, h.value)
             except (SortMismatch, UnboundVariable) as exc:
                 self.failure = str(exc)
                 return False
@@ -323,29 +381,56 @@ class _Checker:
                                 f"{expected}")
                 return False
         elif isinstance(h.value, ssl.PVar):
-            trial[h.value.name] = actual
+            binding[h.value.name] = actual
+            bound += (h.value.name,)
         else:
             lit = (ssl.PBool(actual.value) if isinstance(actual, BoolVal)
                    else ssl.PInt(_num(actual)))
-            new_pures.append(ssl.PEq(h.value, lit))
-        rest = items[:i] + items[i + 1:]
-        return self._search(rest, new_pures, consumed | {loc}, trial)
+            new.append(_Pure(ssl.PEq(h.value, lit)))
+        pending, now_ground = _propagate(pending, binding, new, bound)
+        return self._search(rest, pending, ground + now_ground,
+                            consumed | {loc}, binding)
 
-    def _unfold(self, h, d, i, items, pures, consumed, binding,
-                ground: bool) -> bool:
+    def _consumes(self, h) -> bool:
+        """Whether ``h`` is, or can unfold to, a points-to heaplet."""
+        if self._consumers is None:
+            # least fixpoint over the environment's predicates; the calls
+            # below read the set as it grows
+            self._consumers = set()
+            changed = True
+            while changed:
+                changed = False
+                for name, pred in self.env.preds.items():
+                    if name not in self._consumers and any(
+                            self._consumes(bh) for b in pred.branches
+                            for bh in b.body.spatial):
+                        self._consumers.add(name)
+                        changed = True
+        return isinstance(h, ssl.PointsTo) or (
+            isinstance(h, (ssl.PredApply, ssl.RoApply))
+            and h.name in self._consumers)
+
+    def _unfold(self, h, d, i, items, pending, ground, consumed, binding,
+                ground_args: bool) -> bool:
         pred = self.env.preds.get(h.name)
         if pred is None:
             self.failure = f"unknown predicate {h.name}"
             return False
         if d <= 0:
-            self.hit_depth = True
+            leftover = sorted(set(self.cells) - consumed)
+            if leftover and not any(self._consumes(it[0]) for it in items):
+                # no depth would help: nothing left can consume these cells
+                self.failure = (f"heap cells {leftover} are not consumed by "
+                                "any obligation left")
+            else:
+                self._give_up("unfolding depth bound exhausted")
             return False
         if len(h.args) != len(pred.params):
             self.failure = f"arity mismatch applying {h.name}"
             return False
         rest = items[:i] + items[i + 1:]
         branches = list(pred.branches)
-        if ground:
+        if ground_args:
             args = [eval_pure(binding, a) for a in h.args]
             root = None
             for (pname, sort), val in zip(pred.params, args):
@@ -374,25 +459,29 @@ class _Checker:
                 self.failure = (f"no branch of {h.name} matches "
                                 f"{[str(a) for a in args]}")
                 return False
+        param_names = {p for p, _ in pred.params}
+        param_map = {p: a for (p, _), a in zip(pred.params, h.args)}
         for branch in branches:
-            body_vars = ssl.assertion_vars(branch.body) | ssl._pure_vars(branch.cond)
-            param_names = {p for p, _ in pred.params}
+            body_vars = (ssl.assertion_vars(branch.body)
+                         | ssl._pure_vars(branch.cond))
             fresh = self.rename_fresh(sorted(body_vars - param_names))
-            param_map = {p: a for (p, _), a in zip(pred.params, h.args)}
             new_items = list(rest)
             for bh in branch.body.spatial:
-                new_items.append((_subst_heaplet(bh, fresh, param_map), d - 1))
-            new_pures = list(pures)
-            new_pures.append(_subst_pure(branch.cond, fresh, param_map))
+                new_items.append(_item(_subst_heaplet(bh, fresh, param_map),
+                                       d - 1))
+            new = [_Pure(_subst_pure(branch.cond, fresh, param_map))]
             for bp in branch.body.pure:
-                new_pures.append(_subst_pure(bp, fresh, param_map))
-            if self._search(new_items, new_pures, consumed, binding):
+                new.append(_Pure(_subst_pure(bp, fresh, param_map)))
+            trial = dict(binding)
+            still, now_ground = _propagate(pending, trial, new)
+            if self._search(new_items, still, ground + now_ground, consumed,
+                            trial):
                 return True
         return False
 
-    def _finish_blocks(self, items, pures, consumed, binding) -> bool:
+    def _finish_blocks(self, items, pending, ground, consumed, binding) -> bool:
         blocks = []
-        for h, _ in items:
+        for h, _, _ in items:
             if isinstance(h, ssl.HeapEmp):
                 continue
             if not isinstance(h, ssl.Block):
@@ -402,10 +491,10 @@ class _Checker:
                 self.failure = f"block base {h.base} is unresolved"
                 return False
             blocks.append((_num(binding[h.base]), h.size))
-        return self._finish(pures, consumed, binding, blocks)
+        return self._finish(pending, ground, consumed, binding, blocks)
 
-    def _finish(self, pures, consumed, binding, blocks=()) -> bool:
-        leftover = set(self.cells) - set(consumed)
+    def _finish(self, pending, ground, consumed, binding, blocks=()) -> bool:
+        leftover = set(self.cells) - consumed
         if leftover:
             self.failure = f"heap cells {sorted(leftover)} are not consumed"
             return False
@@ -415,20 +504,8 @@ class _Checker:
                     self.failure = (f"block [{base},{size}] covers cell {loc} "
                                     "claimed by no points-to")
                     return False
-        # final propagation, then every conjunct must evaluate true
-        binding = dict(binding)
-        changed = True
-        while changed:
-            changed = False
-            for p in pures:
-                if isinstance(p, ssl.PEq) and _term_unknowns(p, binding):
-                    if _solve_eq(binding, p):
-                        changed = True
-        ground_pures = []
-        residual = []
-        for p in pures:
-            (residual if _term_unknowns(p, binding) else ground_pures).append(p)
-        for p in ground_pures:
+        # every ground conjunct must evaluate true
+        for p in ground:
             try:
                 if not eval_pure_bool(binding, p):
                     self.failure = f"pure conjunct {ssl.render_pure(p)} is false"
@@ -436,51 +513,45 @@ class _Checker:
             except (SortMismatch, UnboundVariable) as exc:
                 self.failure = str(exc)
                 return False
-        if not residual:
+        if not pending:
             return True
-        # remaining unknowns are existentially quantified and constrained
-        # only by pure terms; search a small witness domain
-        unknowns = sorted(set().union(*[_term_unknowns(p, binding)
-                                        for p in residual]))
+        # the remaining unknowns are existentially quantified and constrained
+        # only by pure terms; search a small witness domain, and give up
+        # (Unknown, not Unsat) when it is too large or holds no witness
+        unknowns = sorted(set().union(*[r.vars for r in pending])
+                          - binding.keys())
         if len(unknowns) > 6:
-            self.failure = f"too many residual existentials: {unknowns}"
+            self._give_up(f"too many residual existentials: {unknowns}")
             return False
         candidates = [IntVal(0), IntVal(1), IntVal(2)]
-        candidates += [LocVal(loc) for loc in sorted(self.cells)]
+        candidates += [LocVal(loc) for loc in self.locs]
         for v in self.cells.values():
             if isinstance(v, IntVal) and all(_num(c) != v.value
                                              for c in candidates):
                 candidates.append(v)
-
-        def assign(idx: int, bnd: dict) -> bool:
-            changed = True
-            while changed:
-                changed = False
-                for p in residual:
-                    if isinstance(p, ssl.PEq) and _term_unknowns(p, bnd):
-                        if _solve_eq(bnd, p):
-                            changed = True
-            for p in residual:
-                if not _term_unknowns(p, bnd):
-                    try:
-                        if not eval_pure_bool(bnd, p):
-                            return False
-                    except (SortMismatch, UnboundVariable):
-                        return False
-            todo = [u for u in unknowns if u not in bnd]
-            if not todo:
-                return True
-            u = todo[0]
-            for cand in candidates:
-                trial = dict(bnd)
-                trial[u] = cand
-                if assign(idx + 1, trial):
-                    return True
-            return False
-
-        if assign(0, dict(binding)):
+        if self._assign(unknowns, candidates, pending, binding):
             return True
-        self.failure = (f"no witness for residual existentials {unknowns}")
+        self._give_up(f"no witness for residual existentials {unknowns} "
+                      f"among {len(candidates)} candidates")
+        return False
+
+    def _assign(self, unknowns, candidates, pending, binding) -> bool:
+        """Try each candidate for the first unbound unknown, propagate, and
+        check the constraints that became ground."""
+        u = next((u for u in unknowns if u not in binding), None)
+        if u is None:
+            return True
+        for cand in candidates:
+            trial = dict(binding)
+            trial[u] = cand
+            still, now_ground = _propagate(pending, trial, bound=(u,))
+            try:
+                if not all(eval_pure_bool(trial, p) for p in now_ground):
+                    continue
+            except (SortMismatch, UnboundVariable):
+                continue
+            if self._assign(unknowns, candidates, still, trial):
+                return True
         return False
 
 
@@ -566,31 +637,75 @@ def _instantiations_in(e: S.Expr, acc: set):
             _instantiations_in(sub, acc)
 
 
+class _PredicateCache:
+    """The predicates of one ``GlobalEnv``, each translated once, on first
+    use, by the translators the cache was made with.
+
+    ``fns`` maps an instantiation ``(fn, arg layout, result layout or
+    None)`` to its predicate and the instantiations its body makes, or to
+    None when the environment defines no such function."""
+
+    def __init__(self, genv: GlobalEnv, translators: tuple):
+        self.genv = genv
+        self.translators = translators
+        self.layouts = {}
+        for layout in genv.layouts.values():
+            p = translators[0](layout)
+            self.layouts[p.name] = p
+        self.fns = {}
+
+    def function(self, key):
+        if key not in self.fns:
+            fn, arg_layout_name, result_name = key
+            entry = None
+            if fn in self.genv.fn_defs:
+                result_ref = (S.NamedLayout(result_name) if result_name
+                              else S.IntLayout())
+                pred = self.translators[1](self.genv, fn,
+                                           self.genv.layouts[arg_layout_name],
+                                           result_ref)
+                calls = set()
+                for case in self.genv.fn_defs[fn]:
+                    for _, body in case.guarded_bodies:
+                        _instantiations_in(body, calls)
+                entry = (pred, calls)
+            self.fns[key] = entry
+        return self.fns[key]
+
+
+def _predicate_cache(genv: GlobalEnv) -> _PredicateCache:
+    """The cache of ``genv``, kept on the environment itself so that it
+    lives as long as the environment and is never shared with another one.
+    It is remade when a translator has been replaced since it was filled."""
+    translators = (translate_layout_predicate, translate_fn_def_core)
+    cache = getattr(genv, "_predicate_cache", None)
+    if cache is None or cache.translators != translators:
+        cache = _PredicateCache(genv, translators)
+        genv._predicate_cache = cache
+    return cache
+
+
 def build_predicate_env(genv: GlobalEnv, exprs=(), fsstore=None) -> PredicateEnv:
     """Layout predicates for every layout plus function predicates for every
-    instantiation reachable from the given expressions."""
-    preds = {}
-    for layout in genv.layouts.values():
-        p = translate_layout_predicate(layout)
-        preds[p.name] = p
+    instantiation reachable from the given expressions.  Each predicate is
+    translated once per environment; every call returns a fresh
+    ``PredicateEnv`` with its own ``preds`` dict and ``fsstore``."""
+    cache = _predicate_cache(genv)
+    preds = dict(cache.layouts)
     work = set()
     for e in exprs:
         _instantiations_in(e, work)
     done = set()
     while work:
-        fn, arg_layout_name, result_name = work.pop()
-        key = (fn, arg_layout_name, result_name)
-        if key in done or fn not in genv.fn_defs:
+        key = work.pop()
+        if key in done:
             continue
         done.add(key)
-        result_ref = (S.NamedLayout(result_name) if result_name
-                      else S.IntLayout())
-        pred = translate_fn_def_core(genv, fn, genv.layouts[arg_layout_name],
-                                     result_ref)
-        preds[pred.name] = pred
-        for case in genv.fn_defs[fn]:
-            for _, body in case.guarded_bodies:
-                _instantiations_in(body, work)
+        entry = cache.function(key)
+        if entry is not None:
+            pred, calls = entry
+            preds[pred.name] = pred
+            work |= calls
     fs = {}
     for loc, val in (fsstore or {}).items():
         if isinstance(val, ConstructorVal):

@@ -136,6 +136,15 @@ def test_soundness_small_run(capsys):
     assert "50 instances satisfiable" in out
 
 
+def test_soundness_unknown_is_not_a_counterexample(capsys):
+    code, out, err = run(capsys, "soundness",
+                         str(CORPUS / "soundness_sig.pika"),
+                         "--seed", "45", "--count", "1", "--budget", "48")
+    assert code == 3
+    assert out.startswith("unknown (seed 45): ")
+    assert "counterexample" not in out
+
+
 def test_soundness_zero_count_usage_error(capsys):
     code, out, err = run(capsys, "soundness",
                          str(CORPUS / "soundness_sig.pika"), "--count", "0")

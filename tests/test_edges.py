@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from pikac import ssl
+from pikac import cli, ssl
 from pikac.syntax import parse_source
 from pikac.translate import compile_directive
 from pikac.types import elaborate
@@ -80,6 +80,19 @@ parity n
     conds = [b.cond for b in res.predicate.branches]
     assert conds[0] == ssl.PEq(ssl.PMod(ssl.PVar("__p_0"), ssl.PInt(2)),
                                ssl.PInt(0))
+
+
+def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    deep = tmp_path / "deep.pika"
+    deep.write_text("%generate plus [Int, Int] Int\n"
+                    "plus : Int -> Int -> Int;\n"
+                    "plus x y := " + "(" * 3000 + "x" + ")" * 3000 + " + y;\n")
+    code = cli.main(["compile", str(deep), "--stdout"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error[P-NESTING]: input nested too deeply")
+    assert "recursion limit" in err and "Traceback" not in err
 
 
 # -- renaming invariance of the equivalence checker --

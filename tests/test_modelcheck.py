@@ -9,12 +9,15 @@ from pikac import errors as E
 from pikac import ssl
 from pikac.interp import IntVal, LocVal, Model, eval_expr
 from pikac.modelcheck import (
-    CoreSignature, PredicateEnv, Sat, Unsat, build_predicate_env,
+    CoreSignature, PredicateEnv, Sat, Unknown, Unsat, build_predicate_env,
     check_otimes, check_soundness, eval_pure, eval_pure_bool, gen_core_expr,
     satisfies, shrink_core_expr,
 )
+from pikac import syntax as S
 from pikac.syntax import parse_expr_text, parse_source
-from pikac.translate import translate_expr_core, translate_layout_predicate
+from pikac.translate import (
+    translate_expr_core, translate_fn_def_core, translate_layout_predicate,
+)
 from pikac.types import build_global_env, infer_expr
 
 SIG = pathlib.Path(__file__).parent / "corpus" / "soundness_sig.pika"
@@ -172,6 +175,79 @@ def test_soundness_detects_broken_translation(genv, monkeypatch):
     report = check_soundness(genv, e)
     assert not isinstance(report.result, Sat)
     assert report.trace
+
+
+def test_giving_up_on_residual_existentials_is_not_unsat(sig, genv):
+    # treeOf (leftSpine (treeOf [0,0,0,0])) leaves more unbound existentials
+    # than the witness search enumerates: the checker gives up
+    e = gen_core_expr(sig, 45, 48)
+    result = check_soundness(genv, e).result
+    assert isinstance(result, Unknown)
+    assert "residual existentials" in result.reason
+
+
+def test_budget_48_sweep_has_no_unsat(sig, genv):
+    verdicts = {seed: check_soundness(genv, gen_core_expr(sig, seed, 48)).result
+                for seed in range(300)}
+    assert not [s for s, r in verdicts.items() if isinstance(r, Unsat)]
+    # seed 45 is the only instance in this range that is not Sat
+    assert {s for s, r in verdicts.items() if not isinstance(r, Sat)} <= {45}
+
+
+def test_depth_bound_with_unconsumable_cells_is_unsat():
+    # `spin` never reaches a points-to, so no unfolding depth can consume
+    # the cell: the search fails instead of giving up at the bound
+    spin = ssl.parse_predicate(
+        "predicate spin(loc x) { | true => { spin(y) } }")
+    model = Model({"x": LocVal(5)}, {5: IntVal(1)})
+    a = ssl.SslAssertion.make((), (ssl.PredApply("spin", (ssl.PVar("x"),)),))
+    assert isinstance(satisfies(model, a, PredicateEnv({"spin": spin}), 8),
+                      Unsat)
+    # with a points-to still reachable, the bound is a reason to give up
+    cell = ssl.parse_predicate(
+        "predicate spin(loc x) { | true => { spin(y) } "
+        "| false => { x :-> 1 } }")
+    assert isinstance(satisfies(model, a, PredicateEnv({"spin": cell}), 8),
+                      Unknown)
+
+
+# -- predicate environment cache --
+
+def test_predicate_env_build_matches_fresh_translation(genv):
+    e = parse_expr_text("instantiate [Sll] Sll incAll (lower Sll (Nil))")
+    build_predicate_env(genv, exprs=[e])
+    env = build_predicate_env(genv, exprs=[e])
+    for name, layout in genv.layouts.items():
+        assert env.preds[name] == translate_layout_predicate(layout)
+    fresh = translate_fn_def_core(genv, "incAll", genv.layouts["Sll"],
+                                  S.NamedLayout("Sll"))
+    assert env.preds[fresh.name] == fresh
+
+
+def test_predicate_env_builds_do_not_share_preds(genv):
+    e = parse_expr_text("instantiate [Sll] Sll idList (lower Sll (Nil))")
+    first = build_predicate_env(genv, exprs=[e])
+    names = set(first.preds)
+    first.preds.clear()
+    first.preds["Sll"] = None
+    second = build_predicate_env(genv, exprs=[e])
+    assert set(second.preds) == names
+    assert second.preds["Sll"] == translate_layout_predicate(
+        genv.layouts["Sll"])
+
+
+def test_predicate_env_cache_is_per_global_env(genv):
+    other = build_global_env(parse_source("""
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+2) :-> tail, Sll tail;
+"""))
+    ours = build_predicate_env(genv).preds["Sll"]
+    theirs = build_predicate_env(other).preds["Sll"]
+    assert theirs == translate_layout_predicate(other.layouts["Sll"])
+    assert theirs != ours
+    assert build_predicate_env(genv).preds["Sll"] == ours
 
 
 # -- generation --
