@@ -646,7 +646,6 @@ class _PredicateCache:
     None when the environment defines no such function."""
 
     def __init__(self, genv: GlobalEnv, translators: tuple):
-        self.genv = genv
         self.translators = translators
         self.layouts = {}
         for layout in genv.layouts.values():
@@ -654,18 +653,18 @@ class _PredicateCache:
             self.layouts[p.name] = p
         self.fns = {}
 
-    def function(self, key):
+    def function(self, genv: GlobalEnv, key):
         if key not in self.fns:
             fn, arg_layout_name, result_name = key
             entry = None
-            if fn in self.genv.fn_defs:
+            if fn in genv.fn_defs:
                 result_ref = (S.NamedLayout(result_name) if result_name
                               else S.IntLayout())
-                pred = self.translators[1](self.genv, fn,
-                                           self.genv.layouts[arg_layout_name],
+                pred = self.translators[1](genv, fn,
+                                           genv.layouts[arg_layout_name],
                                            result_ref)
                 calls = set()
-                for case in self.genv.fn_defs[fn]:
+                for case in genv.fn_defs[fn]:
                     for _, body in case.guarded_bodies:
                         _instantiations_in(body, calls)
                 entry = (pred, calls)
@@ -701,7 +700,7 @@ def build_predicate_env(genv: GlobalEnv, exprs=(), fsstore=None) -> PredicateEnv
         if key in done:
             continue
         done.add(key)
-        entry = cache.function(key)
+        entry = cache.function(genv, key)
         if entry is not None:
             pred, calls = entry
             preds[pred.name] = pred

@@ -216,7 +216,7 @@ def test_depth_bound_with_unconsumable_cells_is_unsat():
 def test_predicate_env_build_matches_fresh_translation(genv):
     e = parse_expr_text("instantiate [Sll] Sll incAll (lower Sll (Nil))")
     build_predicate_env(genv, exprs=[e])
-    env = build_predicate_env(genv, exprs=[e])
+    env = build_predicate_env(genv, exprs=[e])     # served from the cache
     for name, layout in genv.layouts.items():
         assert env.preds[name] == translate_layout_predicate(layout)
     fresh = translate_fn_def_core(genv, "incAll", genv.layouts["Sll"],
