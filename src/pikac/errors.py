@@ -8,11 +8,13 @@ the formal system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A 1-based source position.  It is a tuple, so ``Span(1, 2) == (1, 2)``;
+    the lexer makes one per token and builds it with ``tuple.__new__``."""
+
     line: int
     col: int
 

@@ -18,8 +18,10 @@ mentioning a just-bound variable.
 
 The verdict is *Sat* when some path consumes the heap and makes every pure
 conjunct true, *Unknown* when none does but some path stopped at a resource
-bound (the unfolding depth, more than six residual existentials, or a
-witness domain without a witness), and *Unsat* otherwise.
+bound (the unfolding depth, more than six residual existentials linked by
+shared constraints, or a witness domain without a witness), and *Unsat*
+otherwise.  Residual constraints that share no unbound variable are
+solved apart, each group over its own witness domain.
 
 ``check_soundness`` ties the machine to the translation: it evaluates an
 expression from the empty state, translates the same expression targeting
@@ -241,6 +243,26 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
         else:
             still.append(r)
     return still, tuple(now_ground)
+
+
+def _residual_groups(pending: list, binding: dict) -> list:
+    """Split the pending constraints into groups linked by shared unbound
+    variables, each as ``(sorted unknowns, constraints in pending order)``.
+    A constraint with no unbound variable is a group of its own."""
+    groups = []     # (unknowns, indices into pending), disjoint unknowns
+    for i, r in enumerate(pending):
+        unknowns = r.vars - binding.keys()
+        members = [i]
+        kept = []
+        for g in groups:
+            if g[0] & unknowns:
+                unknowns = unknowns | g[0]
+                members += g[1]
+            else:
+                kept.append(g)
+        kept.append((unknowns, members))
+        groups = kept
+    return [(sorted(u), [pending[i] for i in sorted(m)]) for u, m in groups]
 
 
 def _item(h: ssl.Heaplet, depth: int) -> tuple:
@@ -505,7 +527,37 @@ class _Checker:
                                     "claimed by no points-to")
                     return False
         # every ground conjunct must evaluate true
-        for p in ground:
+        if not self._holds(ground, binding):
+            return False
+        if not pending:
+            return True
+        # the remaining unknowns are existentially quantified and constrained
+        # only by pure terms.  Groups of constraints that share no unknown
+        # are solved apart: search a small witness domain for each, and give
+        # up (Unknown, not Unsat) when one is too large or holds no witness
+        candidates = [IntVal(0), IntVal(1), IntVal(2)]
+        candidates += [LocVal(loc) for loc in self.locs]
+        for v in self.cells.values():
+            if isinstance(v, IntVal) and all(_num(c) != v.value
+                                             for c in candidates):
+                candidates.append(v)
+        for unknowns, group in _residual_groups(pending, binding):
+            if not unknowns:
+                if not self._holds([r.term for r in group], binding):
+                    return False
+                continue
+            if len(unknowns) > 6:
+                self._give_up(f"too many residual existentials: {unknowns}")
+                return False
+            if not self._assign(unknowns, candidates, group, binding):
+                self._give_up(f"no witness for residual existentials "
+                              f"{unknowns} among {len(candidates)} candidates")
+                return False
+        return True
+
+    def _holds(self, terms, binding) -> bool:
+        """Whether every ground term evaluates true; records the failure."""
+        for p in terms:
             try:
                 if not eval_pure_bool(binding, p):
                     self.failure = f"pure conjunct {ssl.render_pure(p)} is false"
@@ -513,27 +565,7 @@ class _Checker:
             except (SortMismatch, UnboundVariable) as exc:
                 self.failure = str(exc)
                 return False
-        if not pending:
-            return True
-        # the remaining unknowns are existentially quantified and constrained
-        # only by pure terms; search a small witness domain, and give up
-        # (Unknown, not Unsat) when it is too large or holds no witness
-        unknowns = sorted(set().union(*[r.vars for r in pending])
-                          - binding.keys())
-        if len(unknowns) > 6:
-            self._give_up(f"too many residual existentials: {unknowns}")
-            return False
-        candidates = [IntVal(0), IntVal(1), IntVal(2)]
-        candidates += [LocVal(loc) for loc in self.locs]
-        for v in self.cells.values():
-            if isinstance(v, IntVal) and all(_num(c) != v.value
-                                             for c in candidates):
-                candidates.append(v)
-        if self._assign(unknowns, candidates, pending, binding):
-            return True
-        self._give_up(f"no witness for residual existentials {unknowns} "
-                      f"among {len(candidates)} candidates")
-        return False
+        return True
 
     def _assign(self, unknowns, candidates, pending, binding) -> bool:
         """Try each candidate for the first unbound unknown, propagate, and

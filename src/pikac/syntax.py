@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import LexError, ParseError, Span
 
@@ -36,52 +36,61 @@ _TOKEN_RE = re.compile(
     | (?P<int>-?\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
     | (?P<sym>:->|:=>|>->|->|:=|==|&&|\|\||[%+\-<|:;,()\[\]{}])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+# '-' directly before a digit only lexes as a negative literal at expression
+# starts; after one of these kinds the parser wants a binary minus
+_MINUS_AFTER = frozenset({"int", "ident", ")", "]"})
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str           # 'int', 'ident', keyword text, or symbol text
     text: str
     span: Span
 
 
 def lex(source: str) -> list[Token]:
-    """Tokenise a source string, dropping whitespace and comments."""
+    """Tokenise a source string, dropping whitespace and comments.
+
+    One pass of ``_TOKEN_RE``: every character is matched by some group,
+    the last of which rejects it.  Columns come from the offset of the
+    current line's start, which only a whitespace match can move."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise LexError(f"illegal character {source[pos]!r}", Span(line, col))
-        text = m.group(0)
-        span = Span(line, col)
-        if m.lastgroup == "int":
-            # '-' directly before a digit only lexes as a negative literal at
-            # expression starts; the parser never needs that, so split it.
-            if text.startswith("-") and tokens and tokens[-1].kind in ("int", "ident", ")", "]"):
-                tokens.append(Token("-", "-", span))
-                tokens.append(Token("int", text[1:], Span(line, col + 1)))
-            else:
-                tokens.append(Token("int", text, span))
-        elif m.lastgroup == "ident":
+    append = tokens.append
+    new = tuple.__new__
+    line, line_start = 1, 0
+    kind = None     # of the last token, which decides the '-' split
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "ws":
+            text = m.group()
+            nl = text.rfind("\n")
+            if nl >= 0:
+                line += text.count("\n")
+                line_start = m.start() + nl + 1
+            continue
+        if group == "comment":
+            continue
+        text = m.group()
+        col = m.start() - line_start + 1
+        if group == "ident":
             kind = text if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, span))
-        elif m.lastgroup == "sym":
-            tokens.append(Token(text, text, span))
-        elif m.lastgroup == "generate":
-            tokens.append(Token("%generate", text, span))
-        # advance line/col over the matched text
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
+        elif group == "sym":
+            kind = text
+        elif group == "int":
+            if text[0] == "-" and kind in _MINUS_AFTER:
+                append(new(Token, ("-", "-", new(Span, (line, col)))))
+                text = text[1:]
+                col += 1
+            kind = "int"
+        elif group == "generate":
+            kind = "%generate"
         else:
-            col += len(text)
-        pos = m.end()
+            raise LexError(f"illegal character {text!r}", Span(line, col))
+        append(new(Token, (kind, text, new(Span, (line, col)))))
     return tokens
 
 
@@ -382,37 +391,50 @@ def _is_ctor_name(name: str) -> bool:
     return name[:1].isupper()
 
 
+_ATOM_STARTS = frozenset({"int", "ident", "(", "true", "false"})
+_PREFIX_FORMS = frozenset({"let", "if", "lower", "instantiate", "not", "addr"})
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        # token kinds, ending in a None sentinel so lookahead needs no
+        # bounds check
+        self.kinds = [t.kind for t in tokens]
+        self.kinds.append(None)
         self.pos = 0
 
     # -- token plumbing --
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self) -> Optional[Token]:
+        return None if self.kinds[self.pos] is None else self.tokens[self.pos]
 
     def at(self, *kinds: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind in kinds
+        return self.kinds[self.pos] in kinds
+
+    def _end_span(self) -> Span:
+        """Where an unexpected end of input is reported: the last token."""
+        return self.tokens[-1].span if self.tokens else Span(1, 1)
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1].span if self.tokens else Span(1, 1)
-            raise ParseError("unexpected end of input", last)
-        self.pos += 1
-        return tok
+        pos = self.pos
+        if self.kinds[pos] is None:
+            raise ParseError("unexpected end of input", self._end_span())
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            span = tok.span if tok else (self.tokens[-1].span if self.tokens else Span(1, 1))
-            found = tok.kind if tok else "end of input"
-            raise ParseError(f"expected {kind!r}, found {found!r}", span, expected={kind})
-        self.pos += 1
-        return tok
+        pos = self.pos
+        found = self.kinds[pos]
+        if found != kind:
+            if found is None:
+                span, found = self._end_span(), "end of input"
+            else:
+                span = self.tokens[pos].span
+            raise ParseError(f"expected {kind!r}, found {found!r}", span,
+                             expected={kind})
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     # -- top level --
 
@@ -421,15 +443,15 @@ class _Parser:
         layout_sigs: dict[str, tuple] = {}   # name -> (adt, ssl_params)
         layout_cases: dict[str, list] = {}
         order: list[str] = []
-        while self.peek() is not None:
-            tok = self.peek()
+        kinds = self.kinds
+        while kinds[self.pos] is not None:
+            tok = self.tokens[self.pos]
             if tok.kind == "%generate":
                 unit.directives.append(self.parse_directive())
             elif tok.kind == "data":
                 unit.data_defs.append(self.parse_data_def())
             elif tok.kind == "ident":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.kind == ":":
+                if kinds[self.pos + 1] == ":":
                     name, decl = self.parse_signature()
                     if isinstance(decl, tuple):
                         if name in layout_sigs:
@@ -494,7 +516,7 @@ class _Parser:
         self.expect(":")
         # layout signature: ADT '>->' 'layout' '[' vars ']'
         save = self.pos
-        if self.at("ident") and self.peek(1) is not None and self.peek(1).kind == ">->":
+        if self.at("ident") and self.kinds[self.pos + 1] == ">->":
             adt = self.next().text
             self.next()  # >->
             self.expect("layout")
@@ -512,8 +534,7 @@ class _Parser:
         return name, ty
 
     def parse_type_atom(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind == "(":
+        if self.at("("):
             self.next()
             ty = self.parse_type()
             self.expect(")")
@@ -540,8 +561,7 @@ class _Parser:
     # -- layouts --
 
     def parse_layout_ref_atom(self) -> LayoutRef:
-        tok = self.peek()
-        if tok.kind == "(":
+        if self.at("("):
             self.next()
             ref = self.parse_layout_ref()
             self.expect(")")
@@ -586,10 +606,9 @@ class _Parser:
 
     def parse_layout_heaplet(self) -> LayoutHeaplet:
         tok = self.peek()
-        if tok.kind == "emp":
-            span = self.next().span
-            return HEmp(span=span)
-        if tok.kind == "(":
+        if self.at("emp"):
+            return HEmp(span=self.next().span)
+        if self.at("("):
             self.next()
             base = self.expect("ident").text
             self.expect("+")
@@ -610,7 +629,7 @@ class _Parser:
 
     def parse_pattern(self) -> Pattern:
         tok = self.peek()
-        if tok.kind == "(":
+        if self.at("("):
             self.next()
             head = self.expect("ident").text
             vars_ = []
@@ -698,10 +717,8 @@ class _Parser:
         return left
 
     def parse_app(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", Span(1, 1))
-        if tok.kind in ("let", "if", "lower", "instantiate", "not", "addr"):
+        start = self.pos
+        if self.kinds[start] in _PREFIX_FORMS:
             return self.parse_prefix_form()
         head = self.parse_atom()
         args = []
@@ -714,13 +731,10 @@ class _Parser:
         if isinstance(head, ConstructorApp) and not head.args:
             return ConstructorApp(head.name, args, span=head.span)
         raise ParseError("only named functions and constructors may be applied",
-                         tok.span)
+                         self.tokens[start].span)
 
     def _starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok is None:
-            return False
-        return tok.kind in ("int", "ident", "(", "true", "false")
+        return self.kinds[self.pos] in _ATOM_STARTS
 
     def parse_prefix_form(self) -> Expr:
         tok = self.peek()
@@ -773,7 +787,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", Span(1, 1))
+            raise ParseError("unexpected end of input", self._end_span())
         if tok.kind == "int":
             self.next()
             return IntLit(int(tok.text), span=tok.span)

@@ -139,9 +139,10 @@ def test_soundness_small_run(capsys):
 def test_soundness_unknown_is_not_a_counterexample(capsys):
     code, out, err = run(capsys, "soundness",
                          str(CORPUS / "soundness_sig.pika"),
-                         "--seed", "45", "--count", "1", "--budget", "48")
+                         "--seed", "45", "--count", "1", "--budget", "48",
+                         "--depth", "2")
     assert code == 3
-    assert out.startswith("unknown (seed 45): ")
+    assert out.startswith("unknown (seed 45): unfolding depth bound exhausted")
     assert "counterexample" not in out
 
 

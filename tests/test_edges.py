@@ -1,11 +1,13 @@
 """Edge-case regressions across the pipeline surface."""
 
+import pathlib
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pikac import cli, ssl
-from pikac.syntax import parse_source
+from pikac.errors import PikaError
+from pikac.syntax import KEYWORDS, lex, parse_source
 from pikac.translate import compile_directive
 from pikac.types import elaborate
 
@@ -180,3 +182,45 @@ def test_structural_equiv_branch_shuffle():
     shuffled = ssl.PredicateDef(pred.name, pred.params,
                                 tuple(reversed(pred.branches)))
     assert ssl.structural_equiv(pred, shuffled)
+
+
+# token-level mutations of the corpus end in a diagnostic, never a crash
+
+_CORPUS_TOKENS = [
+    [t.text for t in lex(p.read_text())]
+    for p in sorted(pathlib.Path(__file__).parent.joinpath("corpus")
+                    .glob("*.pika"))]
+_ALPHABET = sorted(KEYWORDS) + [
+    "x", "Nil", "Cons", "Int", "Bool", "Ptr", "0", "7", "-1", "%generate",
+    ":->", ":=>", ">->", "->", ":=", "==", "&&", "||", "%", "+", "-", "<",
+    "|", ":", ";", ",", "(", ")", "[", "]", "{", "}"]
+
+
+@st.composite
+def _mutated_source(draw):
+    texts = list(draw(st.sampled_from(_CORPUS_TOKENS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(texts) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "insert"]))
+        if op == "delete":
+            del texts[i]
+        elif op == "duplicate":
+            texts.insert(i, texts[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(texts) - 1))
+            texts[i], texts[j] = texts[j], texts[i]
+        else:
+            texts.insert(i, draw(st.sampled_from(_ALPHABET)))
+    return " ".join(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_source())
+def test_token_mutations_end_in_a_diagnostic(src):
+    try:
+        unit = parse_source(src)
+        prog = elaborate(unit)
+        for directive in unit.directives:
+            compile_directive(prog, directive.fn)
+    except PikaError:
+        pass

@@ -11,7 +11,7 @@ from pikac.interp import IntVal, LocVal, Model, eval_expr
 from pikac.modelcheck import (
     CoreSignature, PredicateEnv, Sat, Unknown, Unsat, build_predicate_env,
     check_otimes, check_soundness, eval_pure, eval_pure_bool, gen_core_expr,
-    satisfies, shrink_core_expr,
+    satisfies, shrink_core_expr, _Pure, _residual_groups,
 )
 from pikac import syntax as S
 from pikac.syntax import parse_expr_text, parse_source
@@ -178,20 +178,46 @@ def test_soundness_detects_broken_translation(genv, monkeypatch):
 
 
 def test_giving_up_on_residual_existentials_is_not_unsat(sig, genv):
-    # treeOf (leftSpine (treeOf [0,0,0,0])) leaves more unbound existentials
-    # than the witness search enumerates: the checker gives up
+    # treeOf (leftSpine (treeOf [0,0,0,0])) leaves eight unbound existentials,
+    # each alone in its constraint: solved one group at a time, it is Sat
     e = gen_core_expr(sig, 45, 48)
-    result = check_soundness(genv, e).result
-    assert isinstance(result, Unknown)
-    assert "residual existentials" in result.reason
+    assert isinstance(check_soundness(genv, e).result, Sat)
 
 
 def test_budget_48_sweep_has_no_unsat(sig, genv):
     verdicts = {seed: check_soundness(genv, gen_core_expr(sig, seed, 48)).result
                 for seed in range(300)}
-    assert not [s for s, r in verdicts.items() if isinstance(r, Unsat)]
-    # seed 45 is the only instance in this range that is not Sat
-    assert {s for s, r in verdicts.items() if not isinstance(r, Sat)} <= {45}
+    assert {s for s, r in verdicts.items() if not isinstance(r, Sat)} == set()
+
+
+def _residual_only(terms):
+    """An empty heap against a purely existential assertion."""
+    a = ssl.SslAssertion.make(tuple(P(t) for t in terms), ())
+    return satisfies(Model({}, {}), a, PredicateEnv({}))
+
+
+def test_residual_existentials_are_solved_per_group():
+    # eight unknowns, but no constraint links two of them
+    assert isinstance(
+        _residual_only([f"not (p{i} == 0)" for i in range(8)]), Sat)
+
+
+def test_too_many_linked_residual_existentials_is_unknown():
+    # seven unknowns chained into one group exceed the witness search
+    result = _residual_only([f"not (v{i} == v{i + 1})" for i in range(6)])
+    assert isinstance(result, Unknown)
+    assert "too many residual existentials" in result.reason
+
+
+def test_residual_groups_follow_shared_unknowns():
+    terms = ["not (a == b)", "not (c == 0)", "not (x == 1)", "b < d"]
+    groups = _residual_groups([_Pure(P(t)) for t in terms], {"x": IntVal(1)})
+    assert [(u, [ssl.render_pure(r.term) for r in g]) for u, g in groups] == [
+        (["c"], [ssl.render_pure(P("not (c == 0)"))]),
+        # a constraint with no unknown left is a group to evaluate
+        ([], [ssl.render_pure(P("not (x == 1)"))]),
+        (["a", "b", "d"], [ssl.render_pure(P(t)) for t in terms[::3]]),
+    ]
 
 
 def test_depth_bound_with_unconsumable_cells_is_unsat():

@@ -3,7 +3,7 @@
 import pathlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pikac import syntax as S
 from pikac.errors import LexError, ParseError
@@ -33,6 +33,32 @@ def test_lex_spans():
     toks = S.lex("ab :=\n  cd")
     assert (toks[0].span.line, toks[0].span.col) == (1, 1)
     assert (toks[2].span.line, toks[2].span.col) == (2, 3)
+
+
+def test_lex_spans_are_tuples():
+    tok = S.lex("\n  ab")[0]
+    assert tok.span == (2, 3) and str(tok.span) == "2:3"
+    assert tok == ("ident", "ab", (2, 3))
+
+
+def test_lex_splits_minus_after_an_operand():
+    toks = S.lex("x -1 (-2) -3 x-4")
+    assert [(t.kind, t.text, t.span.col) for t in toks] == [
+        ("ident", "x", 1), ("-", "-", 3), ("int", "1", 4), ("(", "(", 6),
+        ("int", "-2", 7), (")", ")", 9), ("-", "-", 11), ("int", "3", 12),
+        ("ident", "x", 14), ("-", "-", 15), ("int", "4", 16)]
+
+
+def test_lex_crlf_line_endings():
+    toks = S.lex("a\r\n  b -- note\r\n\r\nc")
+    assert [(t.text, t.span.line, t.span.col) for t in toks] == [
+        ("a", 1, 1), ("b", 2, 3), ("c", 4, 1)]
+
+
+def test_lex_illegal_character_position():
+    with pytest.raises(LexError) as exc:
+        S.lex("x := 1;\n  y @ 2")
+    assert exc.value.span == (2, 5)
 
 
 def test_lex_comments_dropped():
@@ -86,6 +112,24 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
         S.parse_source("data := Nil;")
     assert exc.value.span is not None
+
+
+@pytest.mark.parametrize("text, span", [
+    ("f (", (1, 3)),
+    ("x +", (1, 3)),
+])
+def test_expr_cut_short_reports_last_token(text, span):
+    with pytest.raises(ParseError) as exc:
+        S.parse_expr_text(text)
+    assert exc.value.message == "unexpected end of input"
+    assert exc.value.span == span
+
+
+def test_file_cut_short_reports_last_token():
+    with pytest.raises(ParseError) as exc:
+        S.parse_source("plus : Int -> Int -> Int;\nplus x y := x +")
+    assert exc.value.message == "unexpected end of input"
+    assert exc.value.span == (2, 15)
 
 
 def test_operator_precedence():
@@ -174,3 +218,45 @@ _exprs = st.recursive(
 @given(_exprs)
 def test_expr_print_parse_inverse(e):
     assert S.parse_expr_text(S.render_expr(e)) == e
+
+
+# lexer positions over text drawn from the token alphabet
+
+_PIECES = st.sampled_from(
+    sorted(S.KEYWORDS) + [
+        "x", "Cons", "head'", "_t1", "0", "42", "-7", "%generate",
+        ":->", ":=>", ">->", "->", ":=", "==", "&&", "||", "%", "+", "-",
+        "<", "|", ":", ";", ",", "(", ")", "[", "]", "{", "}"])
+# pieces are kept apart, so that no two run together into an illegal
+# remainder (':' '==' would leave a lone '=')
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", " -- note\n"])
+_ILLEGAL = st.sampled_from(["@", "#", "$", "!", "?", ".", "\\", "~", "\u00e9", "\x00"])
+
+
+def _offset(source, span):
+    line_start = 0
+    for _ in range(span.line - 1):
+        line_start = source.index("\n", line_start) + 1
+    return line_start + span.col - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PIECES, _SEPARATORS), max_size=40)
+       .map(lambda ps: "".join(p + sep for p, sep in ps)))
+def test_lex_spans_point_at_token_text(source):
+    last = -1
+    for tok in S.lex(source):
+        at = _offset(source, tok.span)
+        assert source[at:at + len(tok.text)] == tok.text
+        assert at > last
+        last = at
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PIECES, max_size=30), _ILLEGAL, st.data())
+def test_lex_illegal_character_at_its_position(pieces, bad, data):
+    i = data.draw(st.integers(0, len(pieces)))
+    text = " ".join(pieces[:i] + [bad] + pieces[i:])
+    with pytest.raises(LexError) as exc:
+        S.lex(text)
+    assert _offset(text, exc.value.span) == text.index(bad)
