@@ -151,27 +151,6 @@ def act_on_heap(heap: dict, items) -> dict:
 # The machine
 # ---------------------------------------------------------------------------
 
-def _subst_vars(e: S.Expr, sub: dict) -> S.Expr:
-    if isinstance(e, S.Var):
-        return S.Var(sub.get(e.name, e.name), span=e.span)
-    if isinstance(e, (S.IntLit, S.BoolLit)):
-        return e
-    if isinstance(e, S.BinOp):
-        return S.BinOp(e.op, _subst_vars(e.lhs, sub), _subst_vars(e.rhs, sub),
-                       span=e.span)
-    if isinstance(e, S.ConstructorApp):
-        return S.ConstructorApp(e.name, [_subst_vars(a, sub) for a in e.args],
-                                span=e.span)
-    if isinstance(e, S.Lower):
-        return S.Lower(e.layout, _subst_vars(e.arg, sub), span=e.span)
-    if isinstance(e, S.Instantiate):
-        return S.Instantiate(e.arg_layouts, e.result_layout, e.fn,
-                             [_subst_vars(a, sub) for a in e.args], span=e.span)
-    raise UnsupportedConstruct(
-        f"{type(e).__name__} is outside the machine subset",
-        getattr(e, "span", None))
-
-
 class Machine:
     def __init__(self, env: GlobalEnv, store=None, heap=None, fs=None):
         self.env = env
@@ -381,7 +360,7 @@ class Machine:
             if isinstance(val_, LocVal) and isinstance(fsv, ConstructorVal):
                 self.fs.setdefault(val_.loc, fsv)
             sub[v] = y
-        body = _subst_vars(case.guarded_bodies[0][1], sub)
+        body = S.rename_vars(case.guarded_bodies[0][1], sub)
         if isinstance(body, S.ConstructorApp):
             body = S.Lower(e.result_layout, body)
         return self.eval(body)

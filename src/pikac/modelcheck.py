@@ -164,12 +164,12 @@ class _Pure:
     def __init__(self, term: ssl.PureTerm):
         self.term = term
         if isinstance(term, ssl.PEq):
-            self.lhs_vars = ssl._pure_vars(term.lhs)
-            self.rhs_vars = ssl._pure_vars(term.rhs)
+            self.lhs_vars = ssl.free_vars(term.lhs)
+            self.rhs_vars = ssl.free_vars(term.rhs)
             self.vars = self.lhs_vars | self.rhs_vars
         else:
             self.lhs_vars = self.rhs_vars = None
-            self.vars = ssl._pure_vars(term)
+            self.vars = ssl.free_vars(term)
 
 
 def _solve_eq(binding: dict, rec: _Pure) -> Optional[str]:
@@ -191,8 +191,8 @@ def _solve_eq(binding: dict, rec: _Pure) -> Optional[str]:
         if not isinstance(term, (ssl.PAdd, ssl.PSub)):
             return None
         a, b = term.lhs, term.rhs
-        if u in ssl._pure_vars(a):
-            if u in ssl._pure_vars(b):
+        if u in ssl.free_vars(a):
+            if u in ssl.free_vars(b):
                 return None
             n, m = _num(target), _num(eval_pure(binding, b))
             target = IntVal(n - m if isinstance(term, ssl.PAdd) else n + m)
@@ -270,9 +270,9 @@ def _item(h: ssl.Heaplet, depth: int) -> tuple:
     and the variables of its pure terms (a points-to value, or the
     arguments of a predicate application)."""
     if isinstance(h, ssl.PointsTo):
-        return h, depth, ssl._pure_vars(h.value)
+        return h, depth, ssl.free_vars(h.value)
     if isinstance(h, (ssl.PredApply, ssl.RoApply)):
-        return h, depth, set().union(*map(ssl._pure_vars, h.args))
+        return h, depth, ssl.free_vars(h)
     return h, depth, frozenset()
 
 
@@ -298,10 +298,11 @@ class _Checker:
         self._consumers = None  # names of predicates that can consume cells
 
     def rename_fresh(self, names) -> dict:
+        """A substitution of a fresh variable for each name."""
         out = {}
         for n in names:
             self._fresh += 1
-            out[n] = f"{n}?{self._fresh}"
+            out[n] = ssl.PVar(f"{n}?{self._fresh}")
         return out
 
     def _give_up(self, reason: str):
@@ -484,16 +485,14 @@ class _Checker:
         param_names = {p for p, _ in pred.params}
         param_map = {p: a for (p, _), a in zip(pred.params, h.args)}
         for branch in branches:
-            body_vars = (ssl.assertion_vars(branch.body)
-                         | ssl._pure_vars(branch.cond))
-            fresh = self.rename_fresh(sorted(body_vars - param_names))
-            new_items = list(rest)
-            for bh in branch.body.spatial:
-                new_items.append(_item(_subst_heaplet(bh, fresh, param_map),
-                                       d - 1))
-            new = [_Pure(_subst_pure(branch.cond, fresh, param_map))]
-            for bp in branch.body.pure:
-                new.append(_Pure(_subst_pure(bp, fresh, param_map)))
+            body = branch.body
+            pures = (branch.cond,) + body.pure
+            body_vars = set().union(*map(ssl.free_vars, pures + body.spatial))
+            sub = self.rename_fresh(sorted(body_vars - param_names))
+            sub.update(param_map)
+            new_items = rest + [_item(ssl.subst(h, sub), d - 1)
+                                for h in body.spatial]
+            new = [_Pure(ssl.subst(t, sub)) for t in pures]
             trial = dict(binding)
             still, now_ground = _propagate(pending, trial, new)
             if self._search(new_items, still, ground + now_ground, consumed,
@@ -587,51 +586,6 @@ class _Checker:
         return False
 
 
-def _subst_pure(t: ssl.PureTerm, fresh: dict, params: dict) -> ssl.PureTerm:
-    if isinstance(t, ssl.PVar):
-        if t.name in params:
-            return params[t.name]
-        return ssl.PVar(fresh.get(t.name, t.name))
-    if isinstance(t, (ssl.PInt, ssl.PBool)):
-        return t
-    if isinstance(t, ssl.PNot):
-        return ssl.PNot(_subst_pure(t.arg, fresh, params))
-    if isinstance(t, ssl.PTernary):
-        return ssl.PTernary(_subst_pure(t.cond, fresh, params),
-                            _subst_pure(t.then, fresh, params),
-                            _subst_pure(t.els, fresh, params))
-    return type(t)(_subst_pure(t.lhs, fresh, params),
-                   _subst_pure(t.rhs, fresh, params))
-
-
-def _subst_heaplet(h: ssl.Heaplet, fresh: dict, params: dict) -> ssl.Heaplet:
-    def var(name: str) -> str:
-        if name in params:
-            term = params[name]
-            if isinstance(term, ssl.PVar):
-                return term.name
-            raise SortMismatch(f"location parameter bound to {term}")
-        return fresh.get(name, name)
-
-    if isinstance(h, ssl.PointsTo):
-        return ssl.PointsTo(var(h.base), h.offset,
-                            _subst_pure(h.value, fresh, params))
-    if isinstance(h, ssl.Block):
-        return ssl.Block(var(h.base), h.size)
-    if isinstance(h, ssl.PredApply):
-        return ssl.PredApply(h.name, tuple(_subst_pure(a, fresh, params)
-                                           for a in h.args), ctor=h.ctor)
-    if isinstance(h, ssl.RoApply):
-        return ssl.RoApply(h.name, tuple(_subst_pure(a, fresh, params)
-                                         for a in h.args))
-    if isinstance(h, ssl.FuncApply):
-        return ssl.FuncApply(h.name, tuple(_subst_pure(a, fresh, params)
-                                           for a in h.args))
-    if isinstance(h, ssl.TempLoc):
-        return ssl.TempLoc(var(h.var))
-    return h
-
-
 def satisfies(model: Model, assertion: ssl.SslAssertion, env: PredicateEnv,
               depth: int = 64) -> SatResult:
     """Whole-heap satisfaction: Sat iff the heap partitions across the
@@ -645,28 +599,13 @@ def satisfies(model: Model, assertion: ssl.SslAssertion, env: PredicateEnv,
 # ---------------------------------------------------------------------------
 
 def _instantiations_in(e: S.Expr, acc: set):
-    if isinstance(e, S.Instantiate):
-        if len(e.arg_layouts) == 1 and isinstance(e.arg_layouts[0],
-                                                  S.NamedLayout):
-            acc.add((e.fn, e.arg_layouts[0].name,
-                     e.result_layout.name
-                     if isinstance(e.result_layout, S.NamedLayout) else None))
-        for a in e.args:
-            _instantiations_in(a, acc)
-    elif isinstance(e, (S.ConstructorApp, S.App)):
-        for a in e.args:
-            _instantiations_in(a, acc)
-    elif isinstance(e, S.BinOp):
-        _instantiations_in(e.lhs, acc)
-        _instantiations_in(e.rhs, acc)
-    elif isinstance(e, S.Not):
-        _instantiations_in(e.arg, acc)
-    elif isinstance(e, S.Lower):
-        _instantiations_in(e.arg, acc)
-    elif isinstance(e, (S.Let, S.IfThenElse)):
-        for sub in ([e.bound, e.body] if isinstance(e, S.Let)
-                    else [e.cond, e.then, e.els]):
-            _instantiations_in(sub, acc)
+    if isinstance(e, S.Instantiate) and len(e.arg_layouts) == 1 \
+            and isinstance(e.arg_layouts[0], S.NamedLayout):
+        acc.add((e.fn, e.arg_layouts[0].name,
+                 e.result_layout.name
+                 if isinstance(e.result_layout, S.NamedLayout) else None))
+    for x in S.subexprs(e):
+        _instantiations_in(x, acc)
 
 
 class _PredicateCache:

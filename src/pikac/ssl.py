@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import ParseError, Span
+from .errors import ParseError, SortMismatch, Span
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,105 @@ class GoalSpec:
 
 
 # ---------------------------------------------------------------------------
+# Traversal of pure terms and heaplets: subterms, free_vars, subst
+# ---------------------------------------------------------------------------
+
+_BINARY = frozenset((PEq, PAnd, PLt, PAdd, PSub, PMod))
+_APPLIES = frozenset((PredApply, FuncApply, RoApply))
+_LEAVES = frozenset((PInt, PBool, PVar, HeapEmp, Block, TempLoc))
+
+
+def subterms(x) -> tuple:
+    """The pure terms directly inside a pure term or heaplet, left to right."""
+    cls = x.__class__
+    if cls in _LEAVES:
+        return ()
+    if cls in _BINARY:
+        return (x.lhs, x.rhs)
+    if cls is PNot:
+        return (x.arg,)
+    if cls is PTernary:
+        return (x.cond, x.then, x.els)
+    if cls is PointsTo:
+        return (x.value,)
+    if cls in _APPLIES:
+        return x.args
+    raise TypeError(x)
+
+
+# free_vars and subst run for every unfolding the model checker does, so
+# they recurse directly rather than through subterms, and dispatch on the
+# exact class: the IR's classes have no subclasses.
+
+def free_vars(x) -> set[str]:
+    """The variable names in a pure term or heaplet, location names
+    included; a new set on every call."""
+    cls = x.__class__
+    if cls is PVar:
+        return {x.name}
+    if cls in _BINARY:
+        return free_vars(x.lhs) | free_vars(x.rhs)
+    if cls is PInt or cls is PBool or cls is HeapEmp:
+        return set()
+    if cls is PNot:
+        return free_vars(x.arg)
+    if cls is PTernary:
+        return free_vars(x.cond) | free_vars(x.then) | free_vars(x.els)
+    if cls is PointsTo:
+        out = free_vars(x.value)
+        out.add(x.base)
+        return out
+    if cls in _APPLIES:
+        return set().union(*map(free_vars, x.args))
+    if cls is Block:
+        return {x.base}
+    if cls is TempLoc:
+        return {x.var}
+    raise TypeError(x)
+
+
+def subst(x, sub: dict):
+    """A pure term or heaplet with each variable named in ``sub`` replaced
+    by its pure term.  A location (a points-to or block base, a temploc)
+    can only be renamed: bound to a term other than a ``PVar`` it raises
+    ``SortMismatch``."""
+    cls = x.__class__
+    if cls is PVar:
+        return sub.get(x.name, x)
+    if cls in _BINARY:
+        return cls(subst(x.lhs, sub), subst(x.rhs, sub))
+    if cls is PInt or cls is PBool or cls is HeapEmp:
+        return x
+    if cls is PNot:
+        return PNot(subst(x.arg, sub))
+    if cls is PTernary:
+        return PTernary(subst(x.cond, sub), subst(x.then, sub),
+                        subst(x.els, sub))
+    if cls is PointsTo:
+        return PointsTo(_subst_loc(x.base, sub), x.offset,
+                        subst(x.value, sub))
+    if cls is PredApply:
+        return PredApply(x.name, tuple([subst(a, sub) for a in x.args]),
+                         ctor=x.ctor)
+    if cls in _APPLIES:
+        return cls(x.name, tuple([subst(a, sub) for a in x.args]))
+    if cls is Block:
+        return Block(_subst_loc(x.base, sub), x.size)
+    if cls is TempLoc:
+        return TempLoc(_subst_loc(x.var, sub))
+    raise TypeError(x)
+
+
+def _subst_loc(name: str, sub: dict) -> str:
+    term = sub.get(name)
+    if term is None:
+        return name
+    if isinstance(term, PVar):
+        return term.name
+    raise SortMismatch(f"location parameter bound to {term}")
+
+
+# ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
 
@@ -358,9 +457,8 @@ class _SusParser:
             pos = m.end()
         self.pos = 0
 
-    def peek(self, ahead=0):
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def at(self, *kinds) -> bool:
         t = self.peek()
@@ -623,36 +721,6 @@ def parse_sus_file(text: str) -> list:
 # Structural equivalence
 # ---------------------------------------------------------------------------
 
-def _pure_vars(t: PureTerm) -> set[str]:
-    if isinstance(t, PVar):
-        return {t.name}
-    if isinstance(t, (PInt, PBool)):
-        return set()
-    if isinstance(t, PNot):
-        return _pure_vars(t.arg)
-    if isinstance(t, PTernary):
-        return _pure_vars(t.cond) | _pure_vars(t.then) | _pure_vars(t.els)
-    return _pure_vars(t.lhs) | _pure_vars(t.rhs)
-
-
-def assertion_vars(a: SslAssertion) -> set[str]:
-    out: set[str] = set()
-    for p in a.pure:
-        out |= _pure_vars(p)
-    for h in a.spatial:
-        if isinstance(h, PointsTo):
-            out.add(h.base)
-            out |= _pure_vars(h.value)
-        elif isinstance(h, Block):
-            out.add(h.base)
-        elif isinstance(h, (PredApply, FuncApply, RoApply)):
-            for arg in h.args:
-                out |= _pure_vars(arg)
-        elif isinstance(h, TempLoc):
-            out.add(h.var)
-    return out
-
-
 class _Bij:
     """A growable bijection between variable names of two predicates."""
 
@@ -811,27 +879,20 @@ def goal_structural_equiv(a: GoalSpec, b: GoalSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 def count_pure_nodes(t: PureTerm) -> int:
-    if isinstance(t, (PInt, PBool, PVar)):
-        return 1
-    if isinstance(t, PNot):
-        return 1 + count_pure_nodes(t.arg)
-    if isinstance(t, PTernary):
-        return 1 + sum(count_pure_nodes(x) for x in (t.cond, t.then, t.els))
-    return 1 + count_pure_nodes(t.lhs) + count_pure_nodes(t.rhs)
+    return 1 + sum(map(count_pure_nodes, subterms(t)))
 
 
 def count_heaplet_nodes(h: Heaplet) -> int:
-    if isinstance(h, HeapEmp):
-        return 1
+    """One node for the heaplet, one for each location, nonzero offset and
+    block size it names, and the nodes of its pure terms."""
+    n = 1 + sum(map(count_pure_nodes, subterms(h)))
     if isinstance(h, PointsTo):
-        return 2 + count_pure_nodes(h.value) + (1 if h.offset else 0)
+        return n + 1 + (h.offset != 0)
     if isinstance(h, Block):
-        return 3
-    if isinstance(h, (PredApply, FuncApply, RoApply)):
-        return 1 + sum(count_pure_nodes(a) for a in h.args)
+        return n + 2
     if isinstance(h, TempLoc):
-        return 2
-    raise TypeError(h)
+        return n + 1
+    return n
 
 
 def count_assertion_nodes(a: SslAssertion) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import LexError, ParseError, Span
 
@@ -280,6 +280,72 @@ class Lower:
 
 Expr = Union[IntLit, BoolLit, Var, ConstructorApp, App, BinOp, Not, Addr,
              IfThenElse, Let, Instantiate, Lower]
+
+
+# ---------------------------------------------------------------------------
+# Traversal: the fields of each expression kind that hold subexpressions
+# ---------------------------------------------------------------------------
+
+def subexprs(e: Expr) -> Sequence[Expr]:
+    """The direct subexpressions of ``e``, left to right."""
+    if isinstance(e, (IntLit, BoolLit, Var, Addr)):
+        return ()
+    if isinstance(e, (ConstructorApp, App, Instantiate)):
+        return e.args
+    if isinstance(e, BinOp):
+        return (e.lhs, e.rhs)
+    if isinstance(e, (Not, Lower)):
+        return (e.arg,)
+    if isinstance(e, IfThenElse):
+        return (e.cond, e.then, e.els)
+    if isinstance(e, Let):
+        return (e.bound, e.body)
+    raise TypeError(e)
+
+
+def iter_subexprs(e: Expr) -> Iterator[Expr]:
+    """``e`` and every expression inside it, in pre-order."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        kids = subexprs(e)
+        if kids:
+            stack.extend(kids[::-1])
+
+
+def map_expr(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """``e`` rebuilt with ``f`` applied to each direct subexpression, left to
+    right; every other field, the span included, is kept.  A leaf is
+    returned as it is."""
+    if isinstance(e, (IntLit, BoolLit, Var, Addr)):
+        return e
+    if isinstance(e, ConstructorApp):
+        return ConstructorApp(e.name, [f(a) for a in e.args], span=e.span)
+    if isinstance(e, App):
+        return App(e.fn, [f(a) for a in e.args], span=e.span)
+    if isinstance(e, Instantiate):
+        return Instantiate(e.arg_layouts, e.result_layout, e.fn,
+                           [f(a) for a in e.args], span=e.span)
+    if isinstance(e, BinOp):
+        return BinOp(e.op, f(e.lhs), f(e.rhs), span=e.span)
+    if isinstance(e, Not):
+        return Not(f(e.arg), span=e.span)
+    if isinstance(e, Lower):
+        return Lower(e.layout, f(e.arg), span=e.span)
+    if isinstance(e, IfThenElse):
+        return IfThenElse(f(e.cond), f(e.then), f(e.els), span=e.span)
+    if isinstance(e, Let):
+        return Let(e.name, f(e.bound), f(e.body), span=e.span)
+    raise TypeError(e)
+
+
+def rename_vars(e: Expr, ren: dict) -> Expr:
+    """``e`` with every variable named in ``ren`` renamed to its image.
+    Binders are not renamed and do not shadow."""
+    if isinstance(e, Var):
+        return Var(ren[e.name], span=e.span) if e.name in ren else e
+    return map_expr(e, lambda x: rename_vars(x, ren))
 
 
 # ---------------------------------------------------------------------------
@@ -959,25 +1025,16 @@ def _render_fn_case(case: FnCase) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def count_expr_nodes(e: Expr) -> int:
-    if isinstance(e, (IntLit, BoolLit, Var, Addr)):
-        return 1
-    if isinstance(e, ConstructorApp):
-        return 1 + sum(count_expr_nodes(a) for a in e.args)
-    if isinstance(e, App):
-        return 1 + sum(count_expr_nodes(a) for a in e.args)
-    if isinstance(e, BinOp):
-        return 1 + count_expr_nodes(e.lhs) + count_expr_nodes(e.rhs)
-    if isinstance(e, Not):
-        return 1 + count_expr_nodes(e.arg)
-    if isinstance(e, IfThenElse):
-        return 1 + sum(count_expr_nodes(x) for x in (e.cond, e.then, e.els))
-    if isinstance(e, Let):
-        return 2 + count_expr_nodes(e.bound) + count_expr_nodes(e.body)
-    if isinstance(e, Instantiate):
-        return 1 + len(e.arg_layouts) + 1 + sum(count_expr_nodes(a) for a in e.args)
-    if isinstance(e, Lower):
-        return 2 + count_expr_nodes(e.arg)
-    raise TypeError(e)
+    """One node per subexpression, plus one for a let binder or a lowered
+    layout, and one plus one per argument layout for an instantiation."""
+    n = 0
+    for x in iter_subexprs(e):
+        n += 1
+        if isinstance(x, (Let, Lower)):
+            n += 1
+        elif isinstance(x, Instantiate):
+            n += 1 + len(x.arg_layouts)
+    return n
 
 
 def _count_type_nodes(ty: TypeExpr) -> int:

@@ -319,33 +319,13 @@ class _CoreTx:
             pures += p
             spatials += s
             vals.append(v)
-        sub_map = dict(zip(case.patterns[0].vars, vals))
-        body = _subst_expr_vars(case.guarded_bodies[0][1], sub_map)
+        body = S.rename_vars(case.guarded_bodies[0][1],
+                             dict(zip(case.patterns[0].vars, vals)))
         if isinstance(body, S.ConstructorApp):
             body = S.Lower(S.NamedLayout(res_layout.layout.name)
                            if res_layout.is_adt else S.IntLayout(), body)
         p, s, r = self.tx(body)
         return p + pures, s + spatials, r
-
-
-def _subst_expr_vars(e: S.Expr, sub: dict) -> S.Expr:
-    if isinstance(e, S.Var):
-        return S.Var(sub.get(e.name, e.name), span=e.span)
-    if isinstance(e, (S.IntLit, S.BoolLit)):
-        return e
-    if isinstance(e, S.BinOp):
-        return S.BinOp(e.op, _subst_expr_vars(e.lhs, sub),
-                       _subst_expr_vars(e.rhs, sub), span=e.span)
-    if isinstance(e, S.ConstructorApp):
-        return S.ConstructorApp(e.name, [_subst_expr_vars(a, sub)
-                                         for a in e.args], span=e.span)
-    if isinstance(e, S.Lower):
-        return S.Lower(e.layout, _subst_expr_vars(e.arg, sub), span=e.span)
-    if isinstance(e, S.Instantiate):
-        return S.Instantiate(e.arg_layouts, e.result_layout, e.fn,
-                             [_subst_expr_vars(a, sub) for a in e.args],
-                             span=e.span)
-    raise UnsupportedConstruct(f"{type(e).__name__} in core substitution")
 
 
 def translate_expr_core(env: GlobalEnv, e: S.Expr, free_vars=(),
@@ -362,45 +342,12 @@ def translate_expr_core(env: GlobalEnv, e: S.Expr, free_vars=(),
         if r in tx.seed:
             raise UnsupportedConstruct(
                 "cannot retarget a seed variable result")
-        ren = {r: result_var}
-        pure = [_rename_pure(p, ren) for p in pure]
-        spatial = [_rename_heaplet(h, ren) for h in spatial]
+        ren = {r: ssl.PVar(result_var)}
+        pure = [ssl.subst(p, ren) for p in pure]
+        spatial = [ssl.subst(h, ren) for h in spatial]
         r = result_var
     return CoreTranslationResult(tuple(pure), tuple(spatial),
                                  frozenset(tx.used), r)
-
-
-def _rename_pure(t: ssl.PureTerm, ren: dict) -> ssl.PureTerm:
-    if isinstance(t, ssl.PVar):
-        return ssl.PVar(ren.get(t.name, t.name))
-    if isinstance(t, (ssl.PInt, ssl.PBool)):
-        return t
-    if isinstance(t, ssl.PNot):
-        return ssl.PNot(_rename_pure(t.arg, ren))
-    if isinstance(t, ssl.PTernary):
-        return ssl.PTernary(_rename_pure(t.cond, ren),
-                            _rename_pure(t.then, ren),
-                            _rename_pure(t.els, ren))
-    return type(t)(_rename_pure(t.lhs, ren), _rename_pure(t.rhs, ren))
-
-
-def _rename_heaplet(h: ssl.Heaplet, ren: dict) -> ssl.Heaplet:
-    if isinstance(h, ssl.PointsTo):
-        return ssl.PointsTo(ren.get(h.base, h.base), h.offset,
-                            _rename_pure(h.value, ren))
-    if isinstance(h, ssl.Block):
-        return ssl.Block(ren.get(h.base, h.base), h.size)
-    if isinstance(h, ssl.PredApply):
-        return ssl.PredApply(h.name, tuple(_rename_pure(a, ren)
-                                           for a in h.args), ctor=h.ctor)
-    if isinstance(h, ssl.FuncApply):
-        return ssl.FuncApply(h.name, tuple(_rename_pure(a, ren)
-                                           for a in h.args))
-    if isinstance(h, ssl.RoApply):
-        return ssl.RoApply(h.name, tuple(_rename_pure(a, ren) for a in h.args))
-    if isinstance(h, ssl.TempLoc):
-        return ssl.TempLoc(ren.get(h.var, h.var))
-    return h
 
 
 def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
@@ -429,9 +376,9 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
         tx.used.update([x, r] + params)
         pure, spatial, rv = tx.tx(call)
         if rv != r:
-            ren = {rv: r}
-            pure = [_rename_pure(p, ren) for p in pure]
-            spatial = [_rename_heaplet(h, ren) for h in spatial]
+            ren = {rv: ssl.PVar(r)}
+            pure = [ssl.subst(p, ren) for p in pure]
+            spatial = [ssl.subst(h, ren) for h in spatial]
         branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial),
                                    ctor=ctor))
     name = mangle(fn, [a_res], replace(res_layout, mode="mutable")
@@ -445,9 +392,9 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _NullPtr:
+class _NullPtr(S.IntLit):
     """Stage-2 marker: an empty-branch constructor value, encoded as 0."""
-    span: object = None
+    value: int = 0
 
 
 @dataclass
@@ -456,6 +403,12 @@ class _CopyCall:
     src: str
     layout: S.LayoutDef
     span: object = None
+
+
+@dataclass
+class _Term:
+    """Stage-6 marker: a value already translated to a pure term."""
+    term: ssl.PureTerm
 
 
 @dataclass
@@ -498,68 +451,34 @@ class CompileResult:
         return "\n".join(parts)
 
 
-def _expr_vars(e: Optional[S.Expr]) -> set:
-    if e is None:
-        return set()
+def _expr_vars(e: S.Expr) -> set:
+    """The variables ``e`` reads; a let binds its name in its body."""
     if isinstance(e, S.Var):
         return {e.name}
-    if isinstance(e, (S.IntLit, S.BoolLit, _NullPtr)):
-        return set()
     if isinstance(e, S.Addr):
         return {e.var}
-    if isinstance(e, S.Not):
-        return _expr_vars(e.arg)
-    if isinstance(e, S.BinOp):
-        return _expr_vars(e.lhs) | _expr_vars(e.rhs)
-    if isinstance(e, S.IfThenElse):
-        return _expr_vars(e.cond) | _expr_vars(e.then) | _expr_vars(e.els)
     if isinstance(e, S.Let):
         return _expr_vars(e.bound) | (_expr_vars(e.body) - {e.name})
-    if isinstance(e, (S.ConstructorApp, S.App, S.Instantiate)):
-        out = set()
-        for a in e.args:
-            out |= _expr_vars(a)
-        return out
-    if isinstance(e, S.Lower):
-        return _expr_vars(e.arg)
-    if isinstance(e, _CopyCall):
-        return {e.src}
-    return set()
-
-
-def _direct_call_args(e: Optional[S.Expr], fn: str, recursive: bool) -> set:
-    """Variables passed directly as arguments to calls; ``recursive``
-    selects self-calls, otherwise calls of other functions."""
     out = set()
-    if e is None:
-        return out
-    if isinstance(e, S.Instantiate):
-        if (e.fn == fn) == recursive:
-            for a in e.args:
-                if isinstance(a, S.Var):
-                    out.add(a.name)
-        for a in e.args:
-            out |= _direct_call_args(a, fn, recursive)
-        return out
-    if isinstance(e, (S.ConstructorApp, S.App)):
-        for a in e.args:
-            out |= _direct_call_args(a, fn, recursive)
-        return out
-    if isinstance(e, S.BinOp):
-        return (_direct_call_args(e.lhs, fn, recursive)
-                | _direct_call_args(e.rhs, fn, recursive))
-    if isinstance(e, (S.Not,)):
-        return _direct_call_args(e.arg, fn, recursive)
-    if isinstance(e, S.Lower):
-        return _direct_call_args(e.arg, fn, recursive)
-    if isinstance(e, S.IfThenElse):
-        return (_direct_call_args(e.cond, fn, recursive)
-                | _direct_call_args(e.then, fn, recursive)
-                | _direct_call_args(e.els, fn, recursive))
-    if isinstance(e, S.Let):
-        return (_direct_call_args(e.bound, fn, recursive)
-                | _direct_call_args(e.body, fn, recursive))
+    for x in S.subexprs(e):
+        out |= _expr_vars(x)
     return out
+
+
+def _put_terms(e: S.Expr, terms: dict) -> S.Expr:
+    """``e`` with each variable named in ``terms`` replaced by its marker."""
+    if isinstance(e, S.Var) and e.name in terms:
+        return terms[e.name]
+    if isinstance(e, S.Addr):
+        # the address would be looked up among the caller's cells
+        raise UnsupportedConstruct("inlined body is not a pure expression",
+                                   e.span)
+    return S.map_expr(e, lambda x: _put_terms(x, terms))
+
+
+def _has_calls(e: S.Expr) -> bool:
+    return any(isinstance(x, (S.App, S.Instantiate))
+               for x in S.iter_subexprs(e))
 
 
 class _FnTranslator:
@@ -589,41 +508,26 @@ class _FnTranslator:
             arm.body = self._null_empty(arm.body)
 
     def _null_empty(self, e: S.Expr) -> S.Expr:
-        if isinstance(e, S.Lower) and isinstance(e.arg, S.ConstructorApp):
+        if isinstance(e, S.Lower) and isinstance(e.arg, S.ConstructorApp) \
+                and not e.arg.args:
             resolved = resolve_layout_ref(self.env, e.layout)
             if resolved.is_adt:
                 branch = resolved.layout.branch_for(e.arg.name)
-                if branch is not None and _branch_is_empty(branch) \
-                        and not e.arg.args:
+                if branch is not None and _branch_is_empty(branch):
                     return _NullPtr(span=e.span)
-            return S.Lower(e.layout, self._null_empty(e.arg), span=e.span)
-        if isinstance(e, S.ConstructorApp):
-            return S.ConstructorApp(e.name, [self._null_empty(a)
-                                             for a in e.args], span=e.span)
-        if isinstance(e, S.Instantiate):
-            return S.Instantiate(e.arg_layouts, e.result_layout, e.fn,
-                                 [self._null_empty(a) for a in e.args],
-                                 span=e.span)
-        if isinstance(e, S.Let):
-            return S.Let(e.name, self._null_empty(e.bound),
-                         self._null_empty(e.body), span=e.span)
-        if isinstance(e, S.IfThenElse):
-            return S.IfThenElse(self._null_empty(e.cond),
-                                self._null_empty(e.then),
-                                self._null_empty(e.els), span=e.span)
-        if isinstance(e, S.BinOp):
-            return S.BinOp(e.op, self._null_empty(e.lhs),
-                           self._null_empty(e.rhs), span=e.span)
-        if isinstance(e, S.Not):
-            return S.Not(self._null_empty(e.arg), span=e.span)
-        return e
+        return S.map_expr(e, self._null_empty)
 
     # -- stage 3 --
 
     def stage3(self):
         for arm in self.arms:
-            used = _expr_vars(arm.body) | _expr_vars(arm.guard)
-            fn_args = _direct_call_args(arm.body, self.fn, recursive=False)
+            used = _expr_vars(arm.body)
+            if arm.guard is not None:
+                used |= _expr_vars(arm.guard)
+            # variables passed directly to calls of other functions
+            fn_args = {a.name for x in S.iter_subexprs(arm.body)
+                       if isinstance(x, S.Instantiate) and x.fn != self.fn
+                       for a in x.args if isinstance(a, S.Var)}
             for arg in arm.args:
                 arm.destructure.extend(self._destructure(arg, used, fn_args))
 
@@ -744,6 +648,7 @@ class _ArmTx:
         self.adt_alias: dict = {}        # let binder -> ANF variable
         self.let_binders: set = set()
         self.produced: dict = {}         # ANF var -> loc-sorted call output?
+        self.produced_kind: dict = {}    # call output -> "pred" or "func"
         self.consumed_by_call: set = set()
         self.pure_lets: list = []
         self.pure_result: list = []
@@ -768,7 +673,7 @@ class _ArmTx:
         cell_vars = set()
         for h in arm.result_cells:
             if isinstance(h, ssl.PointsTo):
-                cell_vars |= ssl._pure_vars(h.value)
+                cell_vars |= ssl.free_vars(h.value)
         for var, loc_sorted in self.produced.items():
             if loc_sorted and var in self.consumed_by_call \
                     and var not in cell_vars:
@@ -862,8 +767,6 @@ class _ArmTx:
     # -- value positions --
 
     def value_of(self, e: S.Expr, spatial_adt: bool) -> ssl.PureTerm:
-        if isinstance(e, _NullPtr):
-            return ssl.PInt(0)
         if isinstance(e, S.IntLit):
             return ssl.PInt(e.value)
         if isinstance(e, S.BoolLit):
@@ -876,13 +779,10 @@ class _ArmTx:
             return self.addr_term(e)
         if isinstance(e, S.BinOp):
             ops = {"+": ssl.PAdd, "-": ssl.PSub, "%": ssl.PMod,
-                   "<": ssl.PLt, "==": ssl.PEq}
+                   "<": ssl.PLt, "==": ssl.PEq, "&&": ssl.PAnd}
             if e.op in ops:
                 return ops[e.op](self.value_of(e.lhs, False),
                                  self.value_of(e.rhs, False))
-            if e.op == "&&":
-                return ssl.PAnd(self.value_of(e.lhs, False),
-                                self.value_of(e.rhs, False))
             if e.op == "||":
                 # a || b  ==  not (not a && not b); emitted syntax has no ||
                 return ssl.PNot(ssl.PAnd(ssl.PNot(self.value_of(e.lhs, False)),
@@ -904,6 +804,8 @@ class _ArmTx:
                 self.build_ctor(resolved.layout, e.arg, root)
                 return ssl.PVar(root)
             return self.value_of(e.arg, spatial_adt)
+        if isinstance(e, _Term):
+            return e.term
         raise NonConstructibleBody(
             f"cannot translate {type(e).__name__} in value position",
             getattr(e, "span", None))
@@ -923,12 +825,6 @@ class _ArmTx:
 
     # -- calls --
 
-    @property
-    def produced_kind(self) -> dict:
-        if not hasattr(self, "_produced_kind"):
-            self._produced_kind = {}
-        return self._produced_kind
-
     def emit_call(self, e: S.Instantiate, out_var: Optional[str] = None):
         env = self.env
         arg_layouts = [resolve_layout_ref(env, r, e.span)
@@ -938,8 +834,7 @@ class _ArmTx:
         if not recursive:
             inline = self._inlinable(e.fn)
             if inline is not None:
-                sub_terms = [self.value_of(a, False) for a in e.args]
-                return _inline_pure(inline, sub_terms)
+                return self._inline(*inline, e.args)
             if e.fn in self.t.prog.specialisations:
                 self._ensure_extra(e.fn, e.arg_layouts, e.result_layout)
 
@@ -983,7 +878,7 @@ class _ArmTx:
         return ssl.PVar(out)
 
     def _inlinable(self, fn: str):
-        """The substituted body of an all-base-type defined function, or
+        """The parameters and body of an all-base-type defined function, or
         None when the call must stay abstract."""
         if fn not in self.env.fn_defs or fn not in self.env.fn_sigs:
             return None
@@ -1002,7 +897,14 @@ class _ArmTx:
         body = case.guarded_bodies[0][1]
         if _has_calls(body):
             return None
-        return (case, [p.var for p in case.patterns])
+        return [p.var for p in case.patterns], body
+
+    def _inline(self, params: list, body: S.Expr, args: list) -> ssl.PureTerm:
+        """The pure term of an inlined call.  Each argument is translated
+        once, so an argument that is a call emits one ``func`` heaplet
+        however often its parameter occurs."""
+        terms = {p: _Term(self.value_of(a, False)) for p, a in zip(params, args)}
+        return self.value_of(_put_terms(body, terms), False)
 
     def _ensure_extra(self, fn, arg_refs, result_ref):
         key = mangle(fn, [resolve_layout_ref(self.env, r) for r in arg_refs],
@@ -1017,50 +919,6 @@ class _ArmTx:
         self.t.ro_layouts |= sub.ro_layouts
         self.t.copy_layouts |= sub.copy_layouts
         self.t.extra_fns[key] = pred
-
-
-def _has_calls(e: S.Expr) -> bool:
-    if isinstance(e, (S.App, S.Instantiate)):
-        return True
-    if isinstance(e, S.BinOp):
-        return _has_calls(e.lhs) or _has_calls(e.rhs)
-    if isinstance(e, S.Not):
-        return _has_calls(e.arg)
-    if isinstance(e, S.IfThenElse):
-        return _has_calls(e.cond) or _has_calls(e.then) or _has_calls(e.els)
-    if isinstance(e, S.Let):
-        return _has_calls(e.bound) or _has_calls(e.body)
-    if isinstance(e, (S.ConstructorApp,)):
-        return any(_has_calls(a) for a in e.args)
-    if isinstance(e, S.Lower):
-        return _has_calls(e.arg)
-    return False
-
-
-def _inline_pure(inline, arg_terms) -> ssl.PureTerm:
-    case, param_names = inline
-    sub = dict(zip(param_names, arg_terms))
-
-    def go(e: S.Expr) -> ssl.PureTerm:
-        if isinstance(e, S.IntLit):
-            return ssl.PInt(e.value)
-        if isinstance(e, S.BoolLit):
-            return ssl.PBool(e.value)
-        if isinstance(e, S.Var):
-            if e.name in sub:
-                return sub[e.name]
-            return ssl.PVar(e.name)
-        if isinstance(e, S.BinOp):
-            ops = {"+": ssl.PAdd, "-": ssl.PSub, "%": ssl.PMod,
-                   "<": ssl.PLt, "==": ssl.PEq, "&&": ssl.PAnd}
-            return ops[e.op](go(e.lhs), go(e.rhs))
-        if isinstance(e, S.Not):
-            return ssl.PNot(go(e.arg))
-        if isinstance(e, S.IfThenElse):
-            return ssl.PTernary(go(e.cond), go(e.then), go(e.els))
-        raise UnsupportedConstruct("inlined body is not a pure expression")
-
-    return go(case.guarded_bodies[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -1134,14 +992,8 @@ STAGE_TITLES = [
 
 
 def _render_marker_expr(e) -> str:
-    if isinstance(e, _NullPtr):
-        return "0"
     if isinstance(e, _CopyCall):
         return f"func {e.layout.name}__copy({e.src}, ...)"
-    if isinstance(e, S.Lower):
-        inner = _render_marker_expr(e.arg)
-        return f"lower {S.render_layout_ref(e.layout)} {inner}" \
-            if isinstance(e.arg, (_NullPtr, _CopyCall)) else S.render_expr(e)
     return S.render_expr(e)
 
 

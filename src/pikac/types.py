@@ -652,18 +652,11 @@ class _Elaborator:
                                                      expected.mode), out,
                                        span=e.span)
             return out
-        if isinstance(e, (S.IntLit, S.BoolLit)):
-            return e
         if isinstance(e, S.Addr):
             return S.Addr(rename.get(e.var, e.var), span=e.span)
-        if isinstance(e, S.Not):
-            return S.Not(self._elab(e.arg, gamma, rename, fn, directive, None),
-                         span=e.span)
-        if isinstance(e, S.BinOp):
-            return S.BinOp(e.op,
-                           self._elab(e.lhs, gamma, rename, fn, directive, None),
-                           self._elab(e.rhs, gamma, rename, fn, directive, None),
-                           span=e.span)
+        if isinstance(e, (S.IntLit, S.BoolLit, S.Not, S.BinOp)):
+            return S.map_expr(e, lambda x: self._elab(x, gamma, rename, fn,
+                                                      directive, None))
         if isinstance(e, S.IfThenElse):
             return S.IfThenElse(
                 self._elab(e.cond, gamma, rename, fn, directive, None),
@@ -904,61 +897,25 @@ def gamma_renamed(gamma: dict, rename: dict) -> dict:
 
 
 def _subst_fn_names(e: S.Expr, sub: dict, old_self: str, new_self: str) -> S.Expr:
+    """Replace function parameters by the functions in ``sub`` and calls of
+    ``old_self`` by calls of ``new_self``."""
     def fix(name):
-        if name in sub:
-            return sub[name]
-        if name == old_self:
-            return new_self
-        return name
+        return sub.get(name, new_self if name == old_self else name)
 
     if isinstance(e, S.Var):
         return S.Var(fix(e.name), span=e.span)
-    if isinstance(e, (S.IntLit, S.BoolLit, S.Addr)):
-        return e
-    if isinstance(e, S.Not):
-        return S.Not(_subst_fn_names(e.arg, sub, old_self, new_self), span=e.span)
-    if isinstance(e, S.BinOp):
-        return S.BinOp(e.op, _subst_fn_names(e.lhs, sub, old_self, new_self),
-                       _subst_fn_names(e.rhs, sub, old_self, new_self),
-                       span=e.span)
-    if isinstance(e, S.IfThenElse):
-        return S.IfThenElse(_subst_fn_names(e.cond, sub, old_self, new_self),
-                            _subst_fn_names(e.then, sub, old_self, new_self),
-                            _subst_fn_names(e.els, sub, old_self, new_self),
-                            span=e.span)
-    if isinstance(e, S.Let):
-        return S.Let(e.name, _subst_fn_names(e.bound, sub, old_self, new_self),
-                     _subst_fn_names(e.body, sub, old_self, new_self),
-                     span=e.span)
-    if isinstance(e, S.ConstructorApp):
-        return S.ConstructorApp(e.name,
-                                [_subst_fn_names(a, sub, old_self, new_self)
-                                 for a in e.args], span=e.span)
-    if isinstance(e, S.App):
-        args = e.args
+    if isinstance(e, (S.App, S.Instantiate)):
         if e.fn == old_self:
             # recursive calls drop the substituted function arguments
-            args = [a for a in args
-                    if not (isinstance(a, S.Var) and a.name in sub)]
-        return S.App(fix(e.fn),
-                     [_subst_fn_names(a, sub, old_self, new_self)
-                      for a in args], span=e.span)
-    if isinstance(e, S.Instantiate):
-        args = e.args
-        layouts = e.arg_layouts
-        if e.fn == old_self:
             keep = [not (isinstance(a, S.Var) and a.name in sub)
-                    for a in args]
-            args = [a for a, k in zip(args, keep) if k]
-            if len(layouts) == len(keep):
-                layouts = tuple(l for l, k in zip(layouts, keep) if k)
-        return S.Instantiate(layouts, e.result_layout, fix(e.fn),
-                             [_subst_fn_names(a, sub, old_self, new_self)
-                              for a in args], span=e.span)
-    if isinstance(e, S.Lower):
-        return S.Lower(e.layout, _subst_fn_names(e.arg, sub, old_self, new_self),
-                       span=e.span)
-    raise TypeError(e)
+                    for a in e.args]
+            e = replace(e, args=[a for a, k in zip(e.args, keep) if k])
+            if isinstance(e, S.Instantiate) \
+                    and len(e.arg_layouts) == len(keep):
+                e = replace(e, arg_layouts=tuple(
+                    l for l, k in zip(e.arg_layouts, keep) if k))
+        e = replace(e, fn=fix(e.fn))
+    return S.map_expr(e, lambda x: _subst_fn_names(x, sub, old_self, new_self))
 
 
 def elaborate(unit: S.SourceUnit) -> TypedProgram:

@@ -3,6 +3,7 @@
 import pathlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pikac import cli, ssl
@@ -224,3 +225,57 @@ def test_token_mutations_end_in_a_diagnostic(src):
             compile_directive(prog, directive.fn)
     except PikaError:
         pass
+
+
+_SLL_PROGRAM = """%generate mk [Sll] Sll
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+"""
+_MK = """
+mk : List -> List;
+mk (Nil) := Nil;
+mk (Cons head tail) := Cons ({call}) (mk tail);
+"""
+_MK_HEAD = ("| (not (__p_x0 == 0)) => { __p_x0 :-> head ** (__p_x0+1) :-> "
+            "tail ** [__p_x0,2] ** ")
+
+
+@pytest.mark.parametrize("helper, call, branch", [
+    # a disjunction in an inlined helper, emitted as not (not a && not b)
+    ("pick : Int -> Int;\n"
+     "pick n := if (n < 3) || (9 < n) then 1 else 0;", "pick head",
+     "mk__rw_Sll__ro_Sll(tail, __p_x1) ** __r_x :-> ((not ((not (head < 3)) "
+     "&& (not (9 < head)))) ? 1 : 0) ** (__r_x+1) :-> __p_x1 ** [__r_x,2] }"),
+    ("pick : Int -> Int;\n"
+     "pick n := if (n < 3) && (9 < n) then 1 else 0;", "pick head",
+     "mk__rw_Sll__ro_Sll(tail, __p_x1) ** __r_x :-> (((head < 3) && "
+     "(9 < head)) ? 1 : 0) ** (__r_x+1) :-> __p_x1 ** [__r_x,2] }"),
+    # a call argument emits one func heaplet however often its parameter
+    # occurs in the inlined body
+    ("twice : Int -> Int -> Int;\ntwice a b := a + a + b;\n"
+     "sz : List -> Int;", "twice (sz tail) head",
+     "ro_Sll(tail) ** func sz__Int__ro_Sll(tail, __p_1) ** "
+     "mk__rw_Sll__ro_Sll(tail, __p_x2) ** __r_x :-> ((__p_1 + __p_1) + "
+     "head) ** (__r_x+1) :-> __p_x2 ** [__r_x,2] }"),
+], ids=["or", "and", "call-argument-twice"])
+def test_inlined_helper_in_value_position(tmp_path, capsys, helper, call,
+                                          branch):
+    src = tmp_path / "mk.pika"
+    src.write_text(_SLL_PROGRAM + helper + _MK.format(call=call))
+    code = cli.main(["compile", "--stdout", str(src)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert _MK_HEAD + branch in out.splitlines()
+
+
+@pytest.mark.parametrize("name, fn", [
+    ("singleton", "singleton"), ("snoc", "snoc"), ("scanr", "scanr")])
+def test_stages_show_a_nested_null_pointer(capsys, name, fn):
+    corpus = pathlib.Path(__file__).parent / "corpus"
+    code = cli.main(["stages", str(corpus / f"{name}.pika"), fn])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    stage2 = out.split("2. Unfold empty constructors.\n")[1].split("\n\n")[0]
+    assert "(Cons __p_" in stage2 and " 0)" in stage2
