@@ -19,6 +19,10 @@ Design notes, fixed here because the rules leave them open:
   same layout is a no-op.  These choices keep every heap cell described
   exactly once by the symbolic translation, which the soundness harness
   checks.
+* A callee body is evaluated under a renaming of its pattern variables to
+  the store variables of the fields; it is not rebuilt.  A constructor's
+  cells come from its layout shape (``LayoutDef.shapes``) and are written
+  after one overlap check; ``act_on_heap`` states the same heap action.
 """
 
 from __future__ import annotations
@@ -181,6 +185,11 @@ class Machine:
 
     def eval(self, e: S.Expr):
         """Evaluate, returning (value, result variable)."""
+        return self._eval(e, {})
+
+    def _eval(self, e: S.Expr, ren: dict):
+        """``eval`` reading each variable through ``ren``, which maps a callee
+        body's pattern variables to the store variables of the fields."""
         if isinstance(e, S.IntLit):
             r = self.fresh_var()
             self.store[r] = IntVal(e.value)
@@ -190,22 +199,23 @@ class Machine:
             self.store[r] = BoolVal(e.value)
             return BoolVal(e.value), r
         if isinstance(e, S.Var):
-            if e.name not in self.store:
-                raise UnboundVariable(f"unbound variable {e.name}", e.span,
+            name = ren.get(e.name, e.name)
+            if name not in self.store:
+                raise UnboundVariable(f"unbound variable {name}", e.span,
                                       rule="T-VAR")
-            val = self.store[e.name]
+            val = self.store[name]
             if isinstance(val, LocVal):
                 if val.loc not in self.fs:
                     raise NotAConstructorValue(
                         f"location {val.loc} holds no constructor value", e.span)
-                return self.fs[val.loc], e.name
-            return val, e.name
+                return self.fs[val.loc], name
+            return val, name
         if isinstance(e, S.BinOp):
             if e.op != "+":
                 raise UnsupportedConstruct(
                     f"operator {e.op!r} is outside the machine subset", e.span)
-            lv, _ = self.eval(e.lhs)
-            rv, _ = self.eval(e.rhs)
+            lv, _ = self._eval(e.lhs, ren)
+            rv, _ = self._eval(e.rhs, ren)
             if not isinstance(lv, IntVal) or not isinstance(rv, IntVal):
                 raise NotAConstructorValue("addition of non-integers", e.span)
             r = self.fresh_var()
@@ -213,9 +223,9 @@ class Machine:
             self.store[r] = out
             return out, r
         if isinstance(e, S.Lower):
-            return self._eval_lower(e)
+            return self._eval_lower(e, ren)
         if isinstance(e, S.Instantiate):
-            return self._eval_instantiate(e)
+            return self._eval_instantiate(e, ren)
         raise UnsupportedConstruct(
             f"{type(e).__name__} is outside the machine subset",
             getattr(e, "span", None))
@@ -227,63 +237,64 @@ class Machine:
                                        span)
         return resolved
 
-    def _eval_lower(self, e: S.Lower):
+    def _eval_lower(self, e: S.Lower, ren: dict):
         resolved = self._layout(e.layout, e.span)
         layout = resolved.layout
         arg = e.arg
         if isinstance(arg, S.ConstructorApp):
-            return self._build(layout, arg)
+            return self._build(layout, arg, ren)
         # resident value: evaluating yields its constructor value; no copy
-        val, var = self.eval(arg)
+        val, var = self._eval(arg, ren)
         if not isinstance(val, ConstructorVal):
             raise NotAConstructorValue(
                 "lowered expression did not produce a constructor value",
                 e.span)
         return val, var
 
-    def _build(self, layout: S.LayoutDef, ctor: S.ConstructorApp):
-        branch = layout.branch_for(ctor.name)
-        pat = layout.branch_pattern(ctor.name)
-        if branch is None:
-            raise NoMatchingFnCase(
-                f"layout {layout.name} has no branch for {ctor.name}",
-                ctor.span)
+    def _fields(self, args, ren: dict):
+        """The store values of constructor arguments (a constructor value
+        stands for its location) and their values."""
         field_vals: list[Val] = []
         field_fs: list[FsVal] = []
-        for sub in ctor.args:
-            fv, var = self.eval(sub)
+        for sub in args:
+            fv, var = self._eval(sub, ren)
             field_fs.append(fv)
             field_vals.append(self.store[var] if isinstance(fv, ConstructorVal)
                               else fv)
-        values = dict(zip(pat.vars, field_vals))
-        offsets = [h.offset for h in branch if isinstance(h, S.HPointsTo)]
-        base = self.alloc(max(offsets) + 1 if offsets else 0)
-        ground = []
-        root = layout.ssl_params[0]
-        for h in branch:
-            if isinstance(h, S.HEmp):
-                ground.append(GroundEmp())
-            elif isinstance(h, S.HPointsTo):
-                if h.base != root:
-                    raise UngroundedHeaplet(
-                        f"layout {layout.name} writes through non-root "
-                        f"{h.base}", h.span)
-                if h.payload not in values:
-                    raise UngroundedHeaplet(
-                        f"layout {layout.name} references {h.payload} with no "
-                        "value", h.span)
-                ground.append(GroundPointsTo(base + h.offset, values[h.payload]))
-            elif isinstance(h, S.HApply):
-                ground.append(GroundApply(h.layout,
-                                          values.get(h.arg, IntVal(0))))
-        self.heap = act_on_heap(self.heap, ground)
+        return field_vals, field_fs
+
+    def _build(self, layout: S.LayoutDef, ctor: S.ConstructorApp, ren: dict):
+        shape = layout.shapes.get(ctor.name)
+        if shape is None:
+            raise NoMatchingFnCase(
+                f"layout {layout.name} has no branch for {ctor.name}",
+                ctor.span)
+        field_vals, field_fs = self._fields(ctor.args, ren)
+        values = dict(zip(shape.pattern.vars, field_vals))
+        base = self.alloc(shape.size)
+        if shape.error is not None:
+            raise UngroundedHeaplet(*shape.error)
+        cells = {}
+        for off, payload in shape.cells:
+            if payload not in values:
+                raise UngroundedHeaplet(f"layout {layout.name} references "
+                                        f"{payload} with no value")
+            val = values[payload]
+            if not isinstance(val, (IntVal, BoolVal, LocVal)):
+                raise UngroundedHeaplet(
+                    f"points-to payload {val!r} is not a value")
+            loc = base + off
+            if loc in cells or loc in self.heap:
+                raise HeapOverlap(f"cell {loc} written twice")
+            cells[loc] = val
+        self.heap.update(cells)
         out = ConstructorVal(ctor.name, tuple(field_fs))
         self.fs[base] = out
         r = self.fresh_var()
         self.store[r] = LocVal(base)
         return out, r
 
-    def _eval_instantiate(self, e: S.Instantiate):
+    def _eval_instantiate(self, e: S.Instantiate, ren: dict):
         if len(e.args) != 1 or len(e.arg_layouts) != 1:
             raise UnsupportedConstruct(
                 "the machine subset instantiates single-argument functions",
@@ -299,15 +310,9 @@ class Machine:
             arg = arg.arg
         if isinstance(arg, S.ConstructorApp):
             ctor_name = arg.name
-            field_vals = []
-            field_fs = []
-            for sub in arg.args:
-                fv, var = self.eval(sub)
-                field_fs.append(fv)
-                field_vals.append(self.store[var]
-                                  if isinstance(fv, ConstructorVal) else fv)
+            field_vals, field_fs = self._fields(arg.args, ren)
         else:
-            val, var = self.eval(arg)
+            val, var = self._eval(arg, ren)
             if not isinstance(val, ConstructorVal):
                 raise NotAConstructorValue(
                     "instantiated argument is not a constructor value", e.span)
@@ -316,19 +321,15 @@ class Machine:
             if not isinstance(loc, LocVal):
                 raise NotAConstructorValue(
                     "instantiated argument is not resident", e.span)
-            branch = arg_layout.layout.branch_for(ctor_name)
-            pat = arg_layout.layout.branch_pattern(ctor_name)
-            if branch is None:
+            shape = arg_layout.layout.shapes.get(ctor_name)
+            if shape is None:
                 raise NoMatchingFnCase(
                     f"layout {arg_layout.layout.name} has no branch for "
                     f"{ctor_name}", e.span)
-            offsets = {}
-            for h in branch:
-                if isinstance(h, S.HPointsTo):
-                    offsets[h.payload] = h.offset
+            offsets = {payload: off for off, payload in shape.cells}
             field_vals = []
             field_fs = list(val.fields)
-            for v in pat.vars:
+            for v in shape.pattern.vars:
                 if v not in offsets:
                     raise UngroundedHeaplet(
                         f"field {v} of {ctor_name} has no cell in layout "
@@ -360,10 +361,10 @@ class Machine:
             if isinstance(val_, LocVal) and isinstance(fsv, ConstructorVal):
                 self.fs.setdefault(val_.loc, fsv)
             sub[v] = y
-        body = S.rename_vars(case.guarded_bodies[0][1], sub)
+        body = case.guarded_bodies[0][1]
         if isinstance(body, S.ConstructorApp):
             body = S.Lower(e.result_layout, body)
-        return self.eval(body)
+        return self._eval(body, sub)
 
 
 def eval_expr(env: GlobalEnv, e: S.Expr, store=None, heap=None, fs=None):

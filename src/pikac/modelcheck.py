@@ -14,7 +14,9 @@ constraints that still have unbound variables apart from the ground ones;
 bindings only grow along a search path, so a ground constraint stays ground
 and is checked once the heap is used up.  Equalities are propagated by one
 worklist, ``_propagate``, that re-examines only those just conjoined or
-mentioning a just-bound variable.
+mentioning a just-bound variable.  An equality that bound its only unknown
+holds by construction and is not evaluated again.  The existentials of
+each predicate branch are computed once per predicate.
 
 The verdict is *Sat* when some path consumes the heap and makes every pure
 conjunct true, *Unknown* when none does but some path stopped at a resource
@@ -215,10 +217,12 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
     the dirty ones: those just conjoined or mentioning a variable bound
     since they were last examined; any other would fail again.  Returns the
     constraints still pending and the terms that became ground.  Bindings
-    only grow along a search path, so a ground term stays ground."""
+    only grow along a search path, so a ground term stays ground.  An
+    equality that solved its unknown holds by construction: not among them."""
     if new:
         pending = pending + new
     bound = set(bound)
+    solved = set()
     dirty = {r for r in new if r.lhs_vars is not None}
     if bound:
         dirty.update(r for r in pending
@@ -230,6 +234,7 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
                 u = _solve_eq(binding, r)
                 if u is not None:
                     bound.add(u)
+                    solved.add(r)
                     dirty.update(q for q in pending
                                  if q.lhs_vars is not None and u in q.vars)
     if not bound and not new:
@@ -239,7 +244,8 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
     now_ground = []
     for r in pending:
         if keys >= r.vars:
-            now_ground.append(r.term)
+            if r not in solved:
+                now_ground.append(r.term)
         else:
             still.append(r)
     return still, tuple(now_ground)
@@ -452,7 +458,7 @@ class _Checker:
             self.failure = f"arity mismatch applying {h.name}"
             return False
         rest = items[:i] + items[i + 1:]
-        branches = list(pred.branches)
+        branches = list(zip(pred.branches, pred.existentials))
         if ground_args:
             args = [eval_pure(binding, a) for a in h.args]
             root = None
@@ -464,7 +470,7 @@ class _Checker:
             if root is not None and isinstance(root, LocVal) \
                     and root.loc in self.env.fsstore:
                 ctor = self.env.fsstore[root.loc]
-                tagged = [b for b in branches if b.ctor == ctor]
+                tagged = [b for b in branches if b[0].ctor == ctor]
                 if tagged:
                     chosen = tagged
             if chosen is None:
@@ -473,7 +479,7 @@ class _Checker:
                                  in zip(pred.params, args)}
                 for b in branches:
                     try:
-                        if eval_pure_bool(param_binding, b.cond):
+                        if eval_pure_bool(param_binding, b[0].cond):
                             chosen.append(b)
                     except (SortMismatch, UnboundVariable):
                         chosen.append(b)
@@ -482,13 +488,11 @@ class _Checker:
                 self.failure = (f"no branch of {h.name} matches "
                                 f"{[str(a) for a in args]}")
                 return False
-        param_names = {p for p, _ in pred.params}
         param_map = {p: a for (p, _), a in zip(pred.params, h.args)}
-        for branch in branches:
+        for branch, existentials in branches:
             body = branch.body
             pures = (branch.cond,) + body.pure
-            body_vars = set().union(*map(ssl.free_vars, pures + body.spatial))
-            sub = self.rename_fresh(sorted(body_vars - param_names))
+            sub = self.rename_fresh(existentials)
             sub.update(param_map)
             new_items = rest + [_item(ssl.subst(h, sub), d - 1)
                                 for h in body.spatial]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import ParseError, SortMismatch, Span
@@ -208,6 +209,15 @@ class PredicateDef:
     name: str
     params: tuple        # tuple[(name, sort)], sort in {'int', 'loc'}
     branches: tuple      # tuple[Branch, ...]
+
+    @cached_property
+    def existentials(self) -> tuple:
+        """Per branch, the sorted names it uses that are not parameters."""
+        params = {p for p, _ in self.params}
+        return tuple(
+            tuple(sorted(set().union(*map(free_vars, (b.cond,) + b.body.pure
+                                          + b.body.spatial)) - params))
+            for b in self.branches)
 
 
 @dataclass(frozen=True)

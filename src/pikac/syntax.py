@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import LexError, ParseError, Span
@@ -340,14 +341,6 @@ def map_expr(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     raise TypeError(e)
 
 
-def rename_vars(e: Expr, ren: dict) -> Expr:
-    """``e`` with every variable named in ``ren`` renamed to its image.
-    Binders are not renamed and do not shadow."""
-    if isinstance(e, Var):
-        return Var(ren[e.name], span=e.span) if e.name in ren else e
-    return map_expr(e, lambda x: rename_vars(x, ren))
-
-
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
@@ -399,6 +392,17 @@ class HApply:
 LayoutHeaplet = Union[HEmp, HPointsTo, HApply]
 
 
+class CtorShape(NamedTuple):
+    """A constructor's layout branch and what building it writes: points-to
+    cells as ``(offset, payload)`` pairs, the block size, and the first cell
+    the machine cannot write as ``(message, span)``, or None."""
+    pattern: Pattern
+    heaplets: list
+    cells: tuple
+    size: int
+    error: Optional[tuple]
+
+
 @dataclass
 class LayoutDef:
     name: str
@@ -407,17 +411,33 @@ class LayoutDef:
     branches: list[tuple]       # (Pattern, [LayoutHeaplet])
     span: Optional[Span] = _span_field()
 
+    @cached_property
+    def shapes(self) -> dict:
+        """Constructor name -> ``CtorShape``; the first branch for a name
+        wins.  Built on first use: a layout's branches do not change."""
+        out = {}
+        root = self.ssl_params[0] if self.ssl_params else None
+        for pat, heaplets in reversed(self.branches):
+            writes = [h for h in heaplets if isinstance(h, HPointsTo)]
+            bad = next((h for h in writes
+                        if h.base != root or h.payload not in pat.vars), None)
+            error = bad and (
+                f"layout {self.name} writes through non-root {bad.base}"
+                if bad.base != root else
+                f"layout {self.name} references {bad.payload} with no value",
+                bad.span)
+            cells = tuple((h.offset, h.payload) for h in writes)
+            size = max(off for off, _ in cells) + 1 if cells else 0
+            out[pat.ctor] = CtorShape(pat, heaplets, cells, size, error)
+        return out
+
     def branch_for(self, ctor: str) -> Optional[list]:
-        for pat, heaplets in self.branches:
-            if pat.ctor == ctor:
-                return heaplets
-        return None
+        shape = self.shapes.get(ctor)
+        return shape and shape.heaplets
 
     def branch_pattern(self, ctor: str) -> Optional[Pattern]:
-        for pat, _ in self.branches:
-            if pat.ctor == ctor:
-                return pat
-        return None
+        shape = self.shapes.get(ctor)
+        return shape and shape.pattern
 
 
 @dataclass

@@ -20,6 +20,7 @@ deterministic on the restricted subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Optional
 
 from . import syntax as S
@@ -67,9 +68,7 @@ def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
 
 
 def layout_cell_count(layout: S.LayoutDef, ctor: str) -> int:
-    offsets = [h.offset for h in layout.branch_for(ctor)
-               if isinstance(h, S.HPointsTo)]
-    return max(offsets) + 1 if offsets else 0
+    return layout.shapes[ctor].size
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +186,15 @@ class _CoreTx:
         self.used = set(seed_vars)
         self._n = 0
 
-    def fresh(self, loc: bool) -> str:
+    def fresh(self, loc: bool, target: Optional[str] = None) -> str:
+        """A fresh name, or ``target`` when given; a fresh name is drawn
+        either way, so that the other names do not depend on the target."""
         while True:
             self._n += 1
             name = (f"x{self._n}" if loc else f"v{self._n}")
             if name not in self.used:
                 self.used.add(name)
-                return name
+                return name if target is None else target
 
     def adt_layout(self, ref: S.LayoutRef, span=None) -> ResolvedLayout:
         resolved = resolve_layout_ref(self.env, ref, span)
@@ -202,62 +203,68 @@ class _CoreTx:
                                        span)
         return resolved
 
-    def tx(self, e: S.Expr):
-        """Returns (pure conjuncts, spatial heaplets, result var)."""
+    def tx(self, e: S.Expr, target: Optional[str] = None,
+           ren=MappingProxyType({})):
+        """Returns (pure conjuncts, spatial heaplets, result var).  A new
+        result is named ``target`` when given; an existing variable keeps
+        its name.  Variables are read through ``ren``, which maps a callee
+        body's pattern variables to the argument values."""
         if isinstance(e, S.IntLit):
-            v = self.fresh(loc=False)
+            v = self.fresh(False, target)
             return [ssl.PEq(ssl.PVar(v), ssl.PInt(e.value))], [], v
         if isinstance(e, S.BoolLit):
-            v = self.fresh(loc=False)
+            v = self.fresh(False, target)
             return [ssl.PEq(ssl.PVar(v), ssl.PBool(e.value))], [], v
         if isinstance(e, S.Var):
-            self.used.add(e.name)
-            return [], [], e.name
+            name = ren.get(e.name, e.name)
+            self.used.add(name)
+            return [], [], name
         if isinstance(e, S.BinOp) and e.op == "+":
-            p1, s1, v1 = self.tx(e.lhs)
-            p2, s2, v2 = self.tx(e.rhs)
-            v = self.fresh(loc=False)
+            p1, s1, v1 = self.tx(e.lhs, ren=ren)
+            p2, s2, v2 = self.tx(e.rhs, ren=ren)
+            v = self.fresh(False, target)
             eq = ssl.PEq(ssl.PVar(v), ssl.PAdd(ssl.PVar(v1), ssl.PVar(v2)))
             return [eq] + p1 + p2, s1 + s2, v
         if isinstance(e, S.Lower):
             resolved = self.adt_layout(e.layout, e.span)
             arg = e.arg
             if isinstance(arg, S.ConstructorApp):
-                return self.tx_lower_ctor(resolved.layout, arg)
+                return self.tx_lower_ctor(resolved.layout, arg, target, ren)
             if isinstance(arg, S.Var):
-                self.used.add(arg.name)
-                if arg.name in self.seed:
+                name = ren.get(arg.name, arg.name)
+                self.used.add(name)
+                if name in self.seed:
                     pred = ssl.PredApply(resolved.layout.name,
-                                         (ssl.PVar(arg.name),))
-                    return [], [pred], arg.name
+                                         (ssl.PVar(name),))
+                    return [], [pred], name
                 # structure already described where the variable was bound
-                return [], [], arg.name
+                return [], [], name
             if isinstance(arg, S.Instantiate):
-                return self.tx(arg)
+                return self.tx(arg, target, ren)
             raise UnsupportedConstruct(
                 f"cannot lower {type(arg).__name__} in the core subset", e.span)
         if isinstance(e, S.Instantiate):
-            return self.tx_instantiate(e)
+            return self.tx_instantiate(e, target, ren)
         raise UnsupportedConstruct(
             f"{type(e).__name__} is outside the core subset",
             getattr(e, "span", None))
 
-    def tx_lower_ctor(self, layout: S.LayoutDef, ctor: S.ConstructorApp):
-        branch = layout.branch_for(ctor.name)
-        pat = layout.branch_pattern(ctor.name)
-        if branch is None:
+    def tx_lower_ctor(self, layout: S.LayoutDef, ctor: S.ConstructorApp,
+                      target: Optional[str], ren: dict):
+        shape = layout.shapes.get(ctor.name)
+        if shape is None:
             raise NoSuchBranch(
                 f"layout {layout.name} has no branch for {ctor.name}",
                 ctor.span)
         pures, spatials, vals = [], [], {}
-        for var, sub in zip(pat.vars, ctor.args):
-            p, s, v = self.tx(sub)
+        for var, sub in zip(shape.pattern.vars, ctor.args):
+            p, s, v = self.tx(sub, ren=ren)
             pures += p
             spatials += s
             vals[var] = v
-        root = self.fresh(loc=True)
+        root = self.fresh(True, target)
         out = []
-        for h in branch:
+        for h in shape.heaplets:
             if isinstance(h, S.HPointsTo):
                 out.append(ssl.PointsTo(root, h.offset,
                                         ssl.PVar(vals[h.payload])))
@@ -267,28 +274,32 @@ class _CoreTx:
                     out.append(ssl.PredApply(h.layout, (ssl.PVar(v),)))
         return pures, out + spatials, root
 
-    def tx_instantiate(self, e: S.Instantiate):
+    def tx_instantiate(self, e: S.Instantiate, target: Optional[str],
+                       ren: dict):
         if len(e.args) != 1 or len(e.arg_layouts) != 1:
             raise UnsupportedConstruct(
                 "core instantiation is single-argument", e.span)
         arg_layout = self.adt_layout(e.arg_layouts[0], e.span)
         res_layout = resolve_layout_ref(self.env, e.result_layout, e.span)
+        res_loc = res_layout.is_adt or res_layout.kind == "ptr"
         arg = e.args[0]
         if isinstance(arg, S.Lower):
             inner = arg.arg
             if isinstance(inner, (S.ConstructorApp, S.Var)):
                 arg = inner
         if isinstance(arg, S.Var):
-            self.used.add(arg.name)
-            r = self.fresh(loc=res_layout.is_adt or res_layout.kind == "ptr")
+            name = ren.get(arg.name, arg.name)
+            self.used.add(name)
+            r = self.fresh(res_loc, target)
             pred = ssl.PredApply(self._pred_name(e.fn, arg_layout, res_layout),
-                                 (ssl.PVar(arg.name), ssl.PVar(r)))
+                                 (ssl.PVar(name), ssl.PVar(r)))
             return [], [pred], r
         if isinstance(arg, S.ConstructorApp):
-            return self._inst_ctor(e.fn, arg_layout, res_layout, arg, e.span)
+            return self._inst_ctor(e.fn, arg_layout, res_layout, arg, e.span,
+                                   target, ren)
         if isinstance(arg, S.Instantiate):
-            p1, s1, r1 = self.tx(arg)
-            r2 = self.fresh(loc=res_layout.is_adt or res_layout.kind == "ptr")
+            p1, s1, r1 = self.tx(arg, ren=ren)
+            r2 = self.fresh(res_loc, target)
             pred = ssl.PredApply(self._pred_name(e.fn, arg_layout, res_layout),
                                  (ssl.PVar(r1), ssl.PVar(r2)))
             return p1, s1 + [pred], r2
@@ -299,7 +310,7 @@ class _CoreTx:
         return mangle(fn, [arg_layout], res_layout)
 
     def _inst_ctor(self, fn, arg_layout, res_layout, ctor: S.ConstructorApp,
-                   span):
+                   span, target: Optional[str], ren: dict):
         cases = self.env.fn_defs.get(fn)
         if not cases:
             raise UnboundVariable(f"unknown function {fn}", span,
@@ -315,36 +326,42 @@ class _CoreTx:
             raise UnsupportedConstruct(f"{fn} uses guards", span)
         pures, spatials, vals = [], [], []
         for sub in ctor.args:
-            p, s, v = self.tx(sub)
+            p, s, v = self.tx(sub, ren=ren)
             pures += p
             spatials += s
             vals.append(v)
-        body = S.rename_vars(case.guarded_bodies[0][1],
-                             dict(zip(case.patterns[0].vars, vals)))
+        body = case.guarded_bodies[0][1]
         if isinstance(body, S.ConstructorApp):
             body = S.Lower(S.NamedLayout(res_layout.layout.name)
                            if res_layout.is_adt else S.IntLayout(), body)
-        p, s, r = self.tx(body)
+        p, s, r = self.tx(body, target, dict(zip(case.patterns[0].vars, vals)))
         return p + pures, s + spatials, r
+
+
+def _retarget(pure, spatial, r: str, target: str, seed) -> tuple:
+    """Rename the result ``r``, an existing variable, to ``target``."""
+    if r == target:
+        return pure, spatial
+    if r in seed:
+        raise UnsupportedConstruct("cannot retarget a seed variable result")
+    ren = {r: ssl.PVar(target)}
+    return ([ssl.subst(p, ren) for p in pure],
+            [ssl.subst(h, ren) for h in spatial])
 
 
 def translate_expr_core(env: GlobalEnv, e: S.Expr, free_vars=(),
                         result_var: Optional[str] = None) -> CoreTranslationResult:
     """Translate a core expression relative to the seed variable set.
 
-    ``result_var``, when given, renames the naturally chosen result
-    variable (a bijective rename of one fresh name)."""
+    ``result_var``, when given, names the result variable: the construct
+    that picks the result takes it as its name, and a result that is an
+    existing variable is renamed to it."""
     tx = _CoreTx(env, free_vars)
     if result_var is not None:
         tx.used.add(result_var)
-    pure, spatial, r = tx.tx(e)
-    if result_var is not None and r != result_var:
-        if r in tx.seed:
-            raise UnsupportedConstruct(
-                "cannot retarget a seed variable result")
-        ren = {r: ssl.PVar(result_var)}
-        pure = [ssl.subst(p, ren) for p in pure]
-        spatial = [ssl.subst(h, ren) for h in spatial]
+    pure, spatial, r = tx.tx(e, result_var)
+    if result_var is not None:
+        pure, spatial = _retarget(pure, spatial, r, result_var, tx.seed)
         r = result_var
     return CoreTranslationResult(tuple(pure), tuple(spatial),
                                  frozenset(tx.used), r)
@@ -374,11 +391,8 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
             [S.ConstructorApp(ctor, [S.Var(p) for p in params])])
         tx = _CoreTx(env, ())
         tx.used.update([x, r] + params)
-        pure, spatial, rv = tx.tx(call)
-        if rv != r:
-            ren = {rv: ssl.PVar(r)}
-            pure = [ssl.subst(p, ren) for p in pure]
-            spatial = [ssl.subst(h, ren) for h in spatial]
+        pure, spatial, rv = tx.tx(call, r)
+        pure, spatial = _retarget(pure, spatial, rv, r, tx.seed)
         branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial),
                                    ctor=ctor))
     name = mangle(fn, [a_res], replace(res_layout, mode="mutable")
@@ -725,17 +739,13 @@ class _ArmTx:
     def build_ctor(self, layout: S.LayoutDef, ctor: S.ConstructorApp,
                    root: str):
         arm = self.arm
-        pat = layout.branch_pattern(ctor.name)
-        branch = layout.branch_for(ctor.name)
-        if branch is None:
+        shape = layout.shapes.get(ctor.name)
+        if shape is None:
             raise NoSuchBranch(f"layout {layout.name} has no branch for "
                                f"{ctor.name}", ctor.span)
-        offsets = {}
-        for h in branch:
-            if isinstance(h, S.HPointsTo):
-                offsets[h.payload] = h.offset
+        offsets = {payload: off for off, payload in shape.cells}
         cells = []
-        for var, sub in zip(pat.vars, ctor.args):
+        for var, sub in zip(shape.pattern.vars, ctor.args):
             off = offsets.get(var)
             if off is None:
                 raise NonConstructibleBody(
@@ -744,7 +754,7 @@ class _ArmTx:
             value = self.field_value(sub, root, off)
             if value is not None:
                 cells.append(ssl.PointsTo(root, off, value))
-        cells.append(ssl.Block(root, layout_cell_count(layout, ctor.name)))
+        cells.append(ssl.Block(root, shape.size))
         if root == arm.result_name:
             arm.result_cells.extend(cells)
         else:
@@ -1023,25 +1033,27 @@ def _render_arm_head(fn: str, arm: _Arm, annotated: bool) -> str:
 
 
 def _layout_annotation(arm: _Arm) -> str:
-    """The stage-3 heaplet annotation, written over the layout binders."""
+    """The stage-3 heaplet annotation, written over the layout binders.
+    With no binder cells it says only what a null result already says."""
     chunks = []
     for arg in arm.args:
         if arg.pattern is None or not arg.layout.is_adt:
             continue
         layout = arg.layout.layout
         ctor, pat_vars = arg.pattern
-        branch = layout.branch_for(ctor)
-        if branch is None or _branch_is_empty(branch):
+        shape = layout.shapes.get(ctor)
+        if shape is None or _branch_is_empty(shape.heaplets):
             continue
-        branch_pat = layout.branch_pattern(ctor)
-        sub = dict(zip(branch_pat.vars, pat_vars))
+        sub = dict(zip(shape.pattern.vars, pat_vars))
         arrow = ":=>" if arg.layout.mode == "readonly" else ":->"
-        for h in branch:
+        for h in shape.heaplets:
             if isinstance(h, S.HPointsTo):
                 loc = h.base if h.offset == 0 else f"({h.base}+{h.offset})"
                 chunks.append(f"{loc} {arrow} {sub.get(h.payload, h.payload)}")
     if not chunks:
-        return f"{arm.result_name} == 0 ; emp"
+        if isinstance(arm.body, _NullPtr):
+            return f"{arm.result_name} == 0 ; emp"
+        return "emp"
     return ", ".join(chunks)
 
 

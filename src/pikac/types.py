@@ -17,7 +17,7 @@ strict rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from . import syntax as S
@@ -59,6 +59,9 @@ class GlobalEnv:
     fn_sigs: dict
     fn_defs: dict
     directives: dict             # fn name -> GenerateDirective
+    # layout reference -> ResolvedLayout, filled by resolve_layout_ref
+    resolved: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def layouts_of_adt(self, adt: str) -> list:
         return [l for l in self.layouts.values() if l.adt == adt]
@@ -185,6 +188,16 @@ class ResolvedLayout:
 
 def resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
                        span=None) -> ResolvedLayout:
+    """The layout ``ref`` names; remembered per environment, since its
+    layouts do not change once it is built."""
+    resolved = env.resolved.get(ref)
+    if resolved is None:
+        resolved = env.resolved[ref] = _resolve_layout_ref(env, ref, span)
+    return resolved
+
+
+def _resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
+                        span=None) -> ResolvedLayout:
     if isinstance(ref, S.IntLayout):
         return ResolvedLayout("int")
     if isinstance(ref, S.BoolLayout):
@@ -577,17 +590,16 @@ class _Elaborator:
                     raise ArityMismatch(
                         f"pattern arity mismatch for {pat.ctor}", pat.span,
                         rule="T-CONSTR")
-                branch = layout.branch_for(pat.ctor)
-                if branch is None:
+                shape = layout.shapes.get(pat.ctor)
+                if shape is None:
                     raise LayoutAdtMismatch(
                         f"layout {layout.name} has no branch for {pat.ctor}",
                         pat.span)
-                branch_pat = layout.branch_pattern(pat.ctor)
-                sub = dict(zip(branch_pat.vars, pat.vars))
+                sub = dict(zip(shape.pattern.vars, pat.vars))
                 sub[layout.ssl_params[0]] = name
                 offsets: dict[str, int] = {}
                 applies: list[tuple] = []
-                for h in branch:
+                for h in shape.heaplets:
                     if isinstance(h, S.HPointsTo):
                         offsets[sub.get(h.payload, h.payload)] = h.offset
                     elif isinstance(h, S.HApply):

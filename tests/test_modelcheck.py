@@ -11,7 +11,7 @@ from pikac.interp import IntVal, LocVal, Model, eval_expr
 from pikac.modelcheck import (
     CoreSignature, PredicateEnv, Sat, Unknown, Unsat, build_predicate_env,
     check_otimes, check_soundness, eval_pure, eval_pure_bool, gen_core_expr,
-    satisfies, shrink_core_expr, _Pure, _residual_groups,
+    satisfies, shrink_core_expr, _propagate, _Pure, _residual_groups,
 )
 from pikac import syntax as S
 from pikac.syntax import parse_expr_text, parse_source
@@ -194,6 +194,34 @@ def _residual_only(terms):
     """An empty heap against a purely existential assertion."""
     a = ssl.SslAssertion.make(tuple(P(t) for t in terms), ())
     return satisfies(Model({}, {}), a, PredicateEnv({}))
+
+
+CHAIN = ["a == 1", "b == (a + 1)", "c == (b - 2)"]
+
+
+def test_solved_equality_chain_is_sat():
+    assert isinstance(_residual_only(CHAIN), Sat)
+
+
+def test_false_equality_that_solved_nothing_is_unsat():
+    # `c == 5` becomes ground once the chain binds c, but it bound nothing
+    # itself, so it is still checked
+    result = _residual_only(CHAIN + ["c == 5"])
+    assert isinstance(result, Unsat)
+    assert result.reason == "pure conjunct c == 5 is false"
+
+
+def test_propagate_leaves_solved_equalities_out_of_the_ground_terms():
+    # b's equality comes first, so it is solved on the second pass
+    terms = [CHAIN[1], CHAIN[0], "not (b == 0)", CHAIN[2]]
+    binding = {}
+    still, ground = _propagate([], binding, [_Pure(P(t)) for t in terms])
+    assert binding == {"a": IntVal(1), "b": IntVal(2), "c": IntVal(0)}
+    assert still == []
+    assert [ssl.render_pure(t) for t in ground] == ["not (b == 0)"]
+    # an equality with no unknown left solves nothing and stays a check
+    still, ground = _propagate([], binding, [_Pure(P("c == 5"))])
+    assert [ssl.render_pure(t) for t in ground] == ["c == 5"]
 
 
 def test_residual_existentials_are_solved_per_group():

@@ -346,6 +346,22 @@ def test_stage_progression_filter():
     assert "(not (__p_x0 == 0)) && (head < 9)" in final
 
 
+@pytest.mark.parametrize("name, arm, ann", [
+    ("singleton", "singleton x :=", "emp"),
+    ("scanr", "scanr z (Nil) :=", "emp"),
+    ("filter_lt9", "filterLt9 (Nil) :=", "__r_x == 0 ; emp"),
+])
+def test_stage3_claims_a_null_result_only_for_a_null_pointer(name, arm, ann):
+    # an arm with no binder cells says `<result> == 0` only when its
+    # stage-2 body is the null pointer; singleton and scanr's Nil arm build
+    # a Cons cell
+    unit = parse_source((CORPUS / f"{name}.pika").read_text())
+    stages = dict(dump_stages(elaborate(unit), unit.directives[0].fn))
+    line = next(l for l in stages[STAGE_TITLES[2]].splitlines()
+                if l.startswith(arm))
+    assert line == f"{arm} layout{{ {ann} }}"
+
+
 def test_stage_copy_and_lets_fire():
     unit = parse_source((CORPUS / "append.pika").read_text())
     prog = elaborate(unit)

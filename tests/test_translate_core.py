@@ -1,6 +1,7 @@
 """Tests for the branch discriminator and the core translation rules."""
 
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +162,42 @@ def test_core_total_on_generated(genv):
         e = gen_core_expr(sig, seed, budget=10)
         res = translate_expr_core(genv, e)
         assert res.result_var
+
+
+def _as_predicate(res, result_var):
+    """A one-branch predicate with the result as its only parameter, so that
+    ``structural_equiv`` pins the result and renames the rest."""
+    body = ssl.SslAssertion.make(res.pure, res.spatial)
+    return ssl.PredicateDef("p", ((result_var, "loc"),),
+                            (ssl.Branch(ssl.TRUE, body),))
+
+
+@pytest.mark.parametrize("budget, seeds", [(12, range(200)), (48, range(50))])
+def test_core_targeted_result_is_the_renamed_translation(budget, seeds):
+    from pikac.modelcheck import CoreSignature, gen_core_expr
+    genv = build_global_env(parse_source(
+        (HERE / "corpus" / "soundness_sig.pika").read_text()))
+    sig = CoreSignature.from_env(genv)
+    for seed in seeds:
+        e = gen_core_expr(sig, seed, budget)
+        targeted = translate_expr_core(genv, e, result_var="r0")
+        assert targeted.result_var == "r0"
+        plain = translate_expr_core(genv, e)
+        ren = {plain.result_var: ssl.PVar("r0")}
+        renamed = replace(plain,
+                          pure=tuple(ssl.subst(p, ren) for p in plain.pure),
+                          spatial=tuple(ssl.subst(h, ren)
+                                        for h in plain.spatial))
+        assert ssl.structural_equiv(_as_predicate(targeted, "r0"),
+                                    _as_predicate(renamed, "r0")), seed
+
+
+@pytest.mark.parametrize("text", ["v", "lower Sll v"])
+def test_core_seed_variable_result_is_not_retargeted(genv, text):
+    with pytest.raises(E.UnsupportedConstruct,
+                       match="cannot retarget a seed variable result"):
+        translate_expr_core(genv, parse_expr_text(text), free_vars={"v"},
+                            result_var="r0")
 
 
 # -- function definition translation --
