@@ -9,6 +9,9 @@ Exit codes are a stable contract: 0 success, 1 semantic failure
 (including input nested too deeply, and a soundness counterexample),
 2 usage or I/O error, 3 a soundness instance the checker gave up on
 (*Unknown*).
+
+``interp`` and ``modelcheck`` are imported only by the commands that use
+them, so ``compile`` and ``stages`` do not pay for their import.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ParseError, PikaError
-from .interp import Model, eval_expr
-from .modelcheck import (
-    CoreSignature, Sat, Unknown, Unsat, check_soundness, gen_core_expr,
-    shrink_core_expr,
-)
 from .syntax import parse_expr_text, parse_source, render_expr
 from .translate import compile_directive, dump_stages
 from .types import build_global_env, elaborate, infer_expr
@@ -103,6 +101,7 @@ def cmd_stages(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .interp import Model, eval_expr
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
@@ -122,6 +121,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_soundness(args) -> int:
+    from .modelcheck import (
+        CoreSignature, Sat, Unknown, check_soundness, gen_core_expr,
+    )
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
         return 2
@@ -162,6 +164,7 @@ def cmd_soundness(args) -> int:
 def _shrink_failure(genv, expr, depth):
     """Shrink a counterexample to a smaller one; a candidate the checker
     gives up on is no counterexample."""
+    from .modelcheck import Unsat, check_soundness, shrink_core_expr
     while True:
         for cand in shrink_core_expr(expr):
             try:

@@ -27,7 +27,6 @@ Design notes, fixed here because the rules leave them open:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import syntax as S
@@ -35,30 +34,39 @@ from .errors import (
     HeapOverlap, NoMatchingFnCase, NotAConstructorValue, UnboundVariable,
     UngroundedHeaplet, UnsupportedConstruct,
 )
+from .node import Frozen, Node
 from .types import GlobalEnv, ResolvedLayout, resolve_layout_ref
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntVal:
-    value: int
+class IntVal(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
     def __str__(self): return str(self.value)
 
 
-@dataclass(frozen=True)
-class BoolVal:
-    value: bool
+class BoolVal(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
 
     def __str__(self): return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
-class LocVal:
-    loc: int
+class LocVal(Frozen):
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: int):
+        _set(self, "loc", loc)
 
     def __str__(self): return f"<{self.loc}>"
 
@@ -66,10 +74,12 @@ class LocVal:
 Val = Union[IntVal, BoolVal, LocVal]
 
 
-@dataclass(frozen=True)
-class ConstructorVal:
-    name: str
-    fields: tuple
+class ConstructorVal(Frozen):
+    __slots__ = ("name", "fields")
+
+    def __init__(self, name: str, fields: tuple):
+        _set(self, "name", name)
+        _set(self, "fields", fields)
 
     def __str__(self):
         if not self.fields:
@@ -88,11 +98,13 @@ class ConstructorVal:
 FsVal = Union[IntVal, BoolVal, LocVal, ConstructorVal]
 
 
-@dataclass
-class Model:
+class Model(Node):
     """A concrete machine state: variable store plus heap."""
-    store: dict
-    heap: dict
+    __slots__ = ("store", "heap")
+
+    def __init__(self, store: dict, heap: dict):
+        self.store = store
+        self.heap = heap
 
     def render(self) -> str:
         store_lines = [f"  {k} = {v}" for k, v in sorted(self.store.items())]
@@ -107,21 +119,24 @@ class Model:
 # Layout bodies acting on heaps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroundEmp:
-    pass
+class GroundEmp(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GroundPointsTo:
-    loc: int
-    value: Val
+class GroundPointsTo(Frozen):
+    __slots__ = ("loc", "value")
+
+    def __init__(self, loc: int, value: Val):
+        _set(self, "loc", loc)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class GroundApply:
-    layout: str
-    arg: Val
+class GroundApply(Frozen):
+    __slots__ = ("layout", "arg")
+
+    def __init__(self, layout: str, arg: Val):
+        _set(self, "layout", layout)
+        _set(self, "arg", arg)
 
 
 def act_on_heap(heap: dict, items) -> dict:

@@ -36,38 +36,45 @@ translator), on first use, and hands every caller a fresh environment.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import ssl
 from . import syntax as S
 from .errors import PreconditionViolated, SortMismatch, UnboundVariable
 from .interp import BoolVal, ConstructorVal, IntVal, LocVal, Model, Val, eval_expr
+from .node import Frozen, Node
 from .translate import (
     translate_expr_core, translate_fn_def_core, translate_layout_predicate,
 )
 from .types import GlobalEnv
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sat:
+class Sat(Frozen):
+    __slots__ = ()
+
     def __bool__(self): return True
 
 
-@dataclass(frozen=True)
-class Unsat:
-    reason: str
+class Unsat(Frozen):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
     def __bool__(self): return False
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(Frozen):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
     def __bool__(self): return False
 
@@ -75,17 +82,13 @@ class Unknown:
 SatResult = Union[Sat, Unsat, Unknown]
 
 
-@dataclass
-class PredicateEnv:
-    preds: dict
-    fsstore: dict = field(default_factory=dict)   # loc -> constructor name
+class PredicateEnv(Node):
+    __slots__ = ("preds", "fsstore")
 
-    def merged_with(self, other: "PredicateEnv") -> "PredicateEnv":
-        preds = dict(self.preds)
-        preds.update(other.preds)
-        fs = dict(self.fsstore)
-        fs.update(other.fsstore)
-        return PredicateEnv(preds, fs)
+    def __init__(self, preds: dict, fsstore: Optional[dict] = None):
+        self.preds = preds
+        # loc -> constructor name
+        self.fsstore = {} if fsstore is None else fsstore
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +180,9 @@ class _Pure:
 def _solve_eq(binding: dict, rec: _Pure) -> Optional[str]:
     """Bind the single unknown of an equality when it occurs on one side
     only and the other side is ground, inverting +/- chains down to it.
-    Returns the name bound, or None."""
+    Returns the name bound, or None.  Raises ``SortMismatch`` when the
+    ground side or an operand of the chain is not numeric where it must
+    be: then no binding makes the equality hold."""
     unknowns = [v for v in rec.vars if v not in binding]
     if len(unknowns) != 1:
         return None
@@ -218,7 +223,9 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
     since they were last examined; any other would fail again.  Returns the
     constraints still pending and the terms that became ground.  Bindings
     only grow along a search path, so a ground term stays ground.  An
-    equality that solved its unknown holds by construction: not among them."""
+    equality that solved its unknown holds by construction: not among them.
+    ``SortMismatch`` from ``_solve_eq`` passes through, and the caller's
+    search path fails."""
     if new:
         pending = pending + new
     bound = set(bound)
@@ -318,8 +325,11 @@ class _Checker:
     def check(self, assertion: ssl.SslAssertion, binding: dict) -> SatResult:
         items = [_item(h, self.depth) for h in assertion.spatial]
         binding = dict(binding)
-        pending, ground = _propagate([], binding,
-                                     [_Pure(p) for p in assertion.pure])
+        try:
+            pending, ground = _propagate([], binding,
+                                         [_Pure(p) for p in assertion.pure])
+        except SortMismatch as exc:
+            return Unsat(str(exc))
         if self._search(items, pending, ground, frozenset(), binding):
             return Sat()
         if self.gave_up:
@@ -416,7 +426,11 @@ class _Checker:
             lit = (ssl.PBool(actual.value) if isinstance(actual, BoolVal)
                    else ssl.PInt(_num(actual)))
             new.append(_Pure(ssl.PEq(h.value, lit)))
-        pending, now_ground = _propagate(pending, binding, new, bound)
+        try:
+            pending, now_ground = _propagate(pending, binding, new, bound)
+        except SortMismatch as exc:
+            self.failure = str(exc)
+            return False
         return self._search(rest, pending, ground + now_ground,
                             consumed | {loc}, binding)
 
@@ -498,7 +512,11 @@ class _Checker:
                                 for h in body.spatial]
             new = [_Pure(ssl.subst(t, sub)) for t in pures]
             trial = dict(binding)
-            still, now_ground = _propagate(pending, trial, new)
+            try:
+                still, now_ground = _propagate(pending, trial, new)
+            except SortMismatch as exc:
+                self.failure = str(exc)
+                continue
             if self._search(new_items, still, ground + now_ground, consumed,
                             trial):
                 return True
@@ -579,8 +597,8 @@ class _Checker:
         for cand in candidates:
             trial = dict(binding)
             trial[u] = cand
-            still, now_ground = _propagate(pending, trial, bound=(u,))
             try:
+                still, now_ground = _propagate(pending, trial, bound=(u,))
                 if not all(eval_pure_bool(trial, p) for p in now_ground):
                     continue
             except (SortMismatch, UnboundVariable):
@@ -691,13 +709,16 @@ def build_predicate_env(genv: GlobalEnv, exprs=(), fsstore=None) -> PredicateEnv
 # Soundness harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SoundnessReport:
-    result: SatResult
-    expr: S.Expr
-    model: Model
-    assertion: ssl.SslAssertion
-    trace: str
+class SoundnessReport(Node):
+    __slots__ = ("result", "expr", "model", "assertion", "trace")
+
+    def __init__(self, result: SatResult, expr: S.Expr, model: Model,
+                 assertion: ssl.SslAssertion, trace: str):
+        self.result = result
+        self.expr = expr
+        self.model = model
+        self.assertion = assertion
+        self.trace = trace
 
 
 def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessReport:
@@ -724,13 +745,15 @@ def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessRep
 # Core expression generation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CoreSignature:
+class CoreSignature(Node):
     """The pool the generator draws from: layouts by ADT plus the
     single-argument core functions grouped by (argument ADT, result ADT)."""
-    genv: GlobalEnv
-    layout_of: dict
-    pool: list                      # [(fn, arg layout, result layout)]
+    __slots__ = ("genv", "layout_of", "pool")
+
+    def __init__(self, genv: GlobalEnv, layout_of: dict, pool: list):
+        self.genv = genv
+        self.layout_of = layout_of
+        self.pool = pool                # [(fn, arg layout, result layout)]
 
     @staticmethod
     def from_env(genv: GlobalEnv) -> "CoreSignature":

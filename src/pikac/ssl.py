@@ -14,78 +14,86 @@ bijective renaming of variables and reordering of commutative conjuncts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
 from .errors import ParseError, SortMismatch, Span
+from .node import Frozen
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Pure terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PInt:
-    value: int
+class PInt(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class PBool:
-    value: bool
+class PBool(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+class PVar(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class PEq:
-    lhs: "PureTerm"
-    rhs: "PureTerm"
+class _Binary(Frozen):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: PureTerm, rhs: PureTerm):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class PAnd:
-    lhs: "PureTerm"
-    rhs: "PureTerm"
+class PEq(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PNot:
-    arg: "PureTerm"
+class PAnd(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PLt:
-    lhs: "PureTerm"
-    rhs: "PureTerm"
+class PNot(Frozen):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: PureTerm):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class PAdd:
-    lhs: "PureTerm"
-    rhs: "PureTerm"
+class PLt(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PSub:
-    lhs: "PureTerm"
-    rhs: "PureTerm"
+class PAdd(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PMod:
-    lhs: "PureTerm"
-    rhs: "PureTerm"
+class PSub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PTernary:
-    cond: "PureTerm"
-    then: "PureTerm"
-    els: "PureTerm"
+class PMod(_Binary):
+    __slots__ = ()
+
+
+class PTernary(Frozen):
+    __slots__ = ("cond", "then", "els")
+
+    def __init__(self, cond: PureTerm, then: PureTerm, els: PureTerm):
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "els", els)
 
 
 PureTerm = Union[PInt, PBool, PVar, PEq, PAnd, PNot, PLt, PAdd, PSub, PMod,
@@ -117,70 +125,80 @@ def conjuncts(term: PureTerm) -> list[PureTerm]:
 # Heaplets and assertions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeapEmp:
-    pass
+class HeapEmp(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PointsTo:
-    base: str
-    offset: int
-    value: PureTerm
+class PointsTo(Frozen):
+    __slots__ = ("base", "offset", "value")
+
+    def __init__(self, base: str, offset: int, value: PureTerm):
+        _set(self, "base", base)
+        _set(self, "offset", offset)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Block:
-    base: str
-    size: int
+class Block(Frozen):
+    __slots__ = ("base", "size")
+
+    def __init__(self, base: str, size: int):
+        _set(self, "base", base)
+        _set(self, "size", size)
 
 
-@dataclass(frozen=True)
-class PredApply:
-    name: str
-    args: tuple
-    ctor: Optional[str] = field(default=None, compare=False, repr=False)
+class _Call(Frozen):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class FuncApply:
+class PredApply(_Call):
+    __slots__ = ("ctor",)
+    _hidden = _Call._hidden | {"ctor"}
+
+    def __init__(self, name: str, args: tuple, ctor: Optional[str] = None):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "ctor", ctor)
+
+
+class FuncApply(_Call):
     """Call marker for an already-synthesised function; last arg is the output."""
-    name: str
-    args: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TempLoc:
-    var: str
+class TempLoc(Frozen):
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        _set(self, "var", var)
 
 
-@dataclass(frozen=True)
-class RoApply:
+class RoApply(_Call):
     """Read-only structure assertion over an unconsumed argument."""
-    name: str
-    args: tuple
+    __slots__ = ()
 
 
 Heaplet = Union[HeapEmp, PointsTo, Block, PredApply, FuncApply, TempLoc, RoApply]
 
 
-@dataclass(frozen=True)
-class SslAssertion:
-    pure: tuple          # tuple[PureTerm, ...] conjuncts; empty means true
-    spatial: tuple       # tuple[Heaplet, ...]
+class SslAssertion(Frozen):
+    # pure: tuple[PureTerm, ...] conjuncts, empty means true;
+    # spatial: tuple[Heaplet, ...]
+    __slots__ = ("pure", "spatial")
 
-    def __post_init__(self):
+    def __init__(self, pure: tuple, spatial: tuple):
         seen = set()
-        for h in self.spatial:
+        for h in spatial:
             if isinstance(h, PointsTo):
                 key = (h.base, h.offset)
                 if key in seen:
                     raise ValueError(f"duplicate points-to at {h.base}+{h.offset}")
                 seen.add(key)
-
-    @property
-    def pure_term(self) -> PureTerm:
-        return pand_all(self.pure)
+        _set(self, "pure", pure)
+        _set(self, "spatial", spatial)
 
     @staticmethod
     def make(pure, spatial) -> "SslAssertion":
@@ -197,18 +215,26 @@ def conj_otimes(a: SslAssertion, b: SslAssertion) -> SslAssertion:
     return SslAssertion.make(a.pure + b.pure, a.spatial + b.spatial)
 
 
-@dataclass(frozen=True)
-class Branch:
-    cond: PureTerm
-    body: SslAssertion
-    ctor: Optional[str] = field(default=None, compare=False, repr=False)
+class Branch(Frozen):
+    __slots__ = ("cond", "body", "ctor")
+    _hidden = Frozen._hidden | {"ctor"}
+
+    def __init__(self, cond: PureTerm, body: SslAssertion,
+                 ctor: Optional[str] = None):
+        _set(self, "cond", cond)
+        _set(self, "body", body)
+        _set(self, "ctor", ctor)
 
 
-@dataclass(frozen=True)
-class PredicateDef:
-    name: str
-    params: tuple        # tuple[(name, sort)], sort in {'int', 'loc'}
-    branches: tuple      # tuple[Branch, ...]
+class PredicateDef(Frozen):
+    # params: tuple[(name, sort)], sort in {'int', 'loc'};
+    # branches: tuple[Branch, ...]
+    __slots__ = ("name", "params", "branches", "__dict__")
+
+    def __init__(self, name: str, params: tuple, branches: tuple):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "branches", branches)
 
     @cached_property
     def existentials(self) -> tuple:
@@ -220,12 +246,16 @@ class PredicateDef:
             for b in self.branches)
 
 
-@dataclass(frozen=True)
-class GoalSpec:
-    name: str
-    params: tuple        # tuple[(sort, name)]
-    pre: SslAssertion
-    post: SslAssertion
+class GoalSpec(Frozen):
+    # params: tuple[(sort, name)]
+    __slots__ = ("name", "params", "pre", "post")
+
+    def __init__(self, name: str, params: tuple, pre: SslAssertion,
+                 post: SslAssertion):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "pre", pre)
+        _set(self, "post", post)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ The printer is a parsing inverse: for any well-formed unit ``u``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import LexError, ParseError, Span
+from .node import Frozen, Node
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +101,39 @@ def lex(source: str) -> list[Token]:
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TInt:
+class TInt(Frozen):
+    __slots__ = ()
+
     def __str__(self): return "Int"
 
 
-@dataclass(frozen=True)
-class TBool:
+class TBool(Frozen):
+    __slots__ = ()
+
     def __str__(self): return "Bool"
 
 
-@dataclass(frozen=True)
-class TPtrInt:
+class TPtrInt(Frozen):
+    __slots__ = ()
+
     def __str__(self): return "Ptr Int"
 
 
-@dataclass(frozen=True)
-class TName:
-    name: str
+class TName(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self): return self.name
 
 
-@dataclass(frozen=True)
-class TFn:
-    arg: "TypeExpr"
-    res: "TypeExpr"
+class TFn(Frozen):
+    __slots__ = ("arg", "res")
+
+    def __init__(self, arg: TypeExpr, res: TypeExpr):
+        _set(self, "arg", arg)
+        _set(self, "res", res)
 
     def __str__(self):
         a = f"({self.arg})" if isinstance(self.arg, TFn) else str(self.arg)
@@ -138,31 +147,32 @@ TypeExpr = Union[TInt, TBool, TPtrInt, TName, TFn]
 # Layout references (as written in directives / instantiate / lower)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NamedLayout:
-    name: str
-    mode: str = "readonly"      # meaningful for ADT layouts only
+class NamedLayout(Frozen):
+    __slots__ = ("name", "mode")    # mode is meaningful for ADT layouts only
+
+    def __init__(self, name: str, mode: str = "readonly"):
+        _set(self, "name", name)
+        _set(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class IntLayout:
-    pass
+class IntLayout(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoolLayout:
-    pass
+class BoolLayout(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PtrIntLayout:
-    pass
+class PtrIntLayout(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FnLayout:
-    arg: "LayoutRef"
-    res: "LayoutRef"
+class FnLayout(Frozen):
+    __slots__ = ("arg", "res")
+
+    def __init__(self, arg: LayoutRef, res: LayoutRef):
+        _set(self, "arg", arg)
+        _set(self, "res", res)
 
 
 LayoutRef = Union[NamedLayout, IntLayout, BoolLayout, PtrIntLayout, FnLayout]
@@ -191,92 +201,118 @@ def render_layout_ref(ref: LayoutRef, with_mode: bool = True) -> str:
 # Expressions
 # ---------------------------------------------------------------------------
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
+class IntLit(Node):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: int, span: Optional[Span] = None):
+        self.value = value
+        self.span = span
 
 
-@dataclass
-class IntLit:
-    value: int
-    span: Optional[Span] = _span_field()
+class BoolLit(Node):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: bool, span: Optional[Span] = None):
+        self.value = value
+        self.span = span
 
 
-@dataclass
-class BoolLit:
-    value: bool
-    span: Optional[Span] = _span_field()
+class Var(Node):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Optional[Span] = None):
+        self.name = name
+        self.span = span
 
 
-@dataclass
-class Var:
-    name: str
-    span: Optional[Span] = _span_field()
+class ConstructorApp(Node):
+    __slots__ = ("name", "args", "span")
+
+    def __init__(self, name: str, args: list[Expr],
+                 span: Optional[Span] = None):
+        self.name = name
+        self.args = args
+        self.span = span
 
 
-@dataclass
-class ConstructorApp:
-    name: str
-    args: list["Expr"]
-    span: Optional[Span] = _span_field()
+class App(Node):
+    __slots__ = ("fn", "args", "span")
+
+    def __init__(self, fn: str, args: list[Expr], span: Optional[Span] = None):
+        self.fn = fn
+        self.args = args
+        self.span = span
 
 
-@dataclass
-class App:
-    fn: str
-    args: list["Expr"]
-    span: Optional[Span] = _span_field()
+class BinOp(Node):
+    __slots__ = ("op", "lhs", "rhs", "span")    # op: one of + - % < == && ||
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr,
+                 span: Optional[Span] = None):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+        self.span = span
 
 
-@dataclass
-class BinOp:
-    op: str                     # one of + - % < == && ||
-    lhs: "Expr"
-    rhs: "Expr"
-    span: Optional[Span] = _span_field()
+class Not(Node):
+    __slots__ = ("arg", "span")
+
+    def __init__(self, arg: Expr, span: Optional[Span] = None):
+        self.arg = arg
+        self.span = span
 
 
-@dataclass
-class Not:
-    arg: "Expr"
-    span: Optional[Span] = _span_field()
+class Addr(Node):
+    __slots__ = ("var", "span")
+
+    def __init__(self, var: str, span: Optional[Span] = None):
+        self.var = var
+        self.span = span
 
 
-@dataclass
-class Addr:
-    var: str
-    span: Optional[Span] = _span_field()
+class IfThenElse(Node):
+    __slots__ = ("cond", "then", "els", "span")
+
+    def __init__(self, cond: Expr, then: Expr, els: Expr,
+                 span: Optional[Span] = None):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.span = span
 
 
-@dataclass
-class IfThenElse:
-    cond: "Expr"
-    then: "Expr"
-    els: "Expr"
-    span: Optional[Span] = _span_field()
+class Let(Node):
+    __slots__ = ("name", "bound", "body", "span")
+
+    def __init__(self, name: str, bound: Expr, body: Expr,
+                 span: Optional[Span] = None):
+        self.name = name
+        self.bound = bound
+        self.body = body
+        self.span = span
 
 
-@dataclass
-class Let:
-    name: str
-    bound: "Expr"
-    body: "Expr"
-    span: Optional[Span] = _span_field()
+class Instantiate(Node):
+    __slots__ = ("arg_layouts", "result_layout", "fn", "args", "span")
+
+    def __init__(self, arg_layouts: tuple, result_layout: LayoutRef, fn: str,
+                 args: list[Expr], span: Optional[Span] = None):
+        self.arg_layouts = arg_layouts
+        self.result_layout = result_layout
+        self.fn = fn
+        self.args = args
+        self.span = span
 
 
-@dataclass
-class Instantiate:
-    arg_layouts: tuple
-    result_layout: LayoutRef
-    fn: str
-    args: list["Expr"]
-    span: Optional[Span] = _span_field()
+class Lower(Node):
+    __slots__ = ("layout", "arg", "span")
 
-
-@dataclass
-class Lower:
-    layout: LayoutRef
-    arg: "Expr"
-    span: Optional[Span] = _span_field()
+    def __init__(self, layout: LayoutRef, arg: Expr,
+                 span: Optional[Span] = None):
+        self.layout = layout
+        self.arg = arg
+        self.span = span
 
 
 Expr = Union[IntLit, BoolLit, Var, ConstructorApp, App, BinOp, Not, Addr,
@@ -345,12 +381,15 @@ def map_expr(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Pattern:
+class Pattern(Node):
     """A top-level pattern: either ``(Ctor v1 ... vn)`` or a bare variable."""
-    ctor: Optional[str]
-    vars: list[str]
-    span: Optional[Span] = _span_field()
+    __slots__ = ("ctor", "vars", "span")
+
+    def __init__(self, ctor: Optional[str], vars: list[str],
+                 span: Optional[Span] = None):
+        self.ctor = ctor
+        self.vars = vars
+        self.span = span
 
     @property
     def is_var(self) -> bool:
@@ -362,31 +401,42 @@ class Pattern:
         return self.vars[0]
 
 
-@dataclass
-class DataDef:
-    name: str
-    alts: list[tuple]           # (constructor name, [TypeExpr])
-    span: Optional[Span] = _span_field()
+class DataDef(Node):
+    # alts: (constructor name, [TypeExpr])
+    __slots__ = ("name", "alts", "span")
+
+    def __init__(self, name: str, alts: list[tuple],
+                 span: Optional[Span] = None):
+        self.name = name
+        self.alts = alts
+        self.span = span
 
 
-@dataclass
-class HEmp:
-    span: Optional[Span] = _span_field()
+class HEmp(Node):
+    __slots__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None):
+        self.span = span
 
 
-@dataclass
-class HPointsTo:
-    base: str
-    offset: int
-    payload: str
-    span: Optional[Span] = _span_field()
+class HPointsTo(Node):
+    __slots__ = ("base", "offset", "payload", "span")
+
+    def __init__(self, base: str, offset: int, payload: str,
+                 span: Optional[Span] = None):
+        self.base = base
+        self.offset = offset
+        self.payload = payload
+        self.span = span
 
 
-@dataclass
-class HApply:
-    layout: str
-    arg: str
-    span: Optional[Span] = _span_field()
+class HApply(Node):
+    __slots__ = ("layout", "arg", "span")
+
+    def __init__(self, layout: str, arg: str, span: Optional[Span] = None):
+        self.layout = layout
+        self.arg = arg
+        self.span = span
 
 
 LayoutHeaplet = Union[HEmp, HPointsTo, HApply]
@@ -403,13 +453,18 @@ class CtorShape(NamedTuple):
     error: Optional[tuple]
 
 
-@dataclass
-class LayoutDef:
-    name: str
-    adt: str
-    ssl_params: list[str]
-    branches: list[tuple]       # (Pattern, [LayoutHeaplet])
-    span: Optional[Span] = _span_field()
+class LayoutDef(Node):
+    # branches: (Pattern, [LayoutHeaplet])
+    __slots__ = ("name", "adt", "ssl_params", "branches", "span", "__dict__")
+
+    def __init__(self, name: str, adt: str, ssl_params: list[str],
+                 branches: list[tuple],
+                 span: Optional[Span] = None):
+        self.name = name
+        self.adt = adt
+        self.ssl_params = ssl_params
+        self.branches = branches
+        self.span = span
 
     @cached_property
     def shapes(self) -> dict:
@@ -440,29 +495,42 @@ class LayoutDef:
         return shape and shape.pattern
 
 
-@dataclass
-class FnCase:
-    name: str
-    patterns: list[Pattern]
-    guarded_bodies: list[tuple]  # (guard Expr or None, body Expr)
-    span: Optional[Span] = _span_field()
+class FnCase(Node):
+    # guarded_bodies: (guard Expr or None, body Expr)
+    __slots__ = ("name", "patterns", "guarded_bodies", "span")
+
+    def __init__(self, name: str, patterns: list[Pattern],
+                 guarded_bodies: list[tuple],
+                 span: Optional[Span] = None):
+        self.name = name
+        self.patterns = patterns
+        self.guarded_bodies = guarded_bodies
+        self.span = span
 
 
-@dataclass
-class GenerateDirective:
-    fn: str
-    arg_layouts: tuple
-    result_layout: LayoutRef
-    span: Optional[Span] = _span_field()
+class GenerateDirective(Node):
+    __slots__ = ("fn", "arg_layouts", "result_layout", "span")
+
+    def __init__(self, fn: str, arg_layouts: tuple, result_layout: LayoutRef,
+                 span: Optional[Span] = None):
+        self.fn = fn
+        self.arg_layouts = arg_layouts
+        self.result_layout = result_layout
+        self.span = span
 
 
-@dataclass
-class SourceUnit:
-    data_defs: list[DataDef]
-    layout_defs: list[LayoutDef]
-    fn_sigs: dict
-    fn_defs: dict               # name -> [FnCase]
-    directives: list[GenerateDirective]
+class SourceUnit(Node):
+    # fn_defs: name -> [FnCase]
+    __slots__ = ("data_defs", "layout_defs", "fn_sigs", "fn_defs", "directives")
+
+    def __init__(self, data_defs: list[DataDef],
+                 layout_defs: list[LayoutDef], fn_sigs: dict, fn_defs: dict,
+                 directives: list[GenerateDirective]):
+        self.data_defs = data_defs
+        self.layout_defs = layout_defs
+        self.fn_sigs = fn_sigs
+        self.fn_defs = fn_defs
+        self.directives = directives
 
     @staticmethod
     def empty() -> "SourceUnit":

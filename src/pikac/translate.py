@@ -19,7 +19,7 @@ deterministic on the restricted subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
@@ -29,6 +29,7 @@ from .errors import (
     AmbiguousBranches, NonConstructibleBody, NoSuchBranch, UnboundVariable,
     UnsupportedConstruct,
 )
+from .node import Node
 from .types import (
     ElabArg, ElabFn, GlobalEnv, ResolvedLayout, TypedProgram,
     elaborate_fn_at, resolve_layout_ref, uncurry,
@@ -170,10 +171,6 @@ class CoreTranslationResult:
     spatial: tuple
     used_vars: frozenset
     result_var: str
-
-    @property
-    def pure_term(self) -> ssl.PureTerm:
-        return ssl.pand_all(self.pure)
 
     def assertion(self) -> ssl.SslAssertion:
         return ssl.SslAssertion.make(self.pure, self.spatial)
@@ -395,7 +392,8 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
         pure, spatial = _retarget(pure, spatial, rv, r, tx.seed)
         branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial),
                                    ctor=ctor))
-    name = mangle(fn, [a_res], replace(res_layout, mode="mutable")
+    name = mangle(fn, [a_res],
+                  ResolvedLayout(res_layout.kind, res_layout.layout, "mutable")
                   if res_layout.is_adt else res_layout)
     return ssl.PredicateDef(name, ((x, "loc"), (r, res_layout.sort)),
                             tuple(branches))
@@ -405,54 +403,75 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
 # Production pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _NullPtr(S.IntLit):
     """Stage-2 marker: an empty-branch constructor value, encoded as 0."""
-    value: int = 0
+    __slots__ = ()
+
+    def __init__(self, value: int = 0, span=None):
+        self.value = value
+        self.span = span
 
 
-@dataclass
-class _CopyCall:
+class _CopyCall(Node):
     """Stage-4 marker: result produced by copying an argument structure."""
-    src: str
-    layout: S.LayoutDef
-    span: object = None
+    __slots__ = ("src", "layout", "span")
+    _hidden = Node._hidden - {"span"}
+
+    def __init__(self, src: str, layout: S.LayoutDef, span: object = None):
+        self.src = src
+        self.layout = layout
+        self.span = span
 
 
-@dataclass
-class _Term:
+class _Term(Node):
     """Stage-6 marker: a value already translated to a pure term."""
-    term: ssl.PureTerm
+    __slots__ = ("term",)
+
+    def __init__(self, term: ssl.PureTerm):
+        self.term = term
 
 
-@dataclass
-class _Arm:
-    args: list
-    guard: Optional[S.Expr]
-    lets: list                      # [(binder, bound expr)] in order
-    body: S.Expr
-    result_name: str
-    result_layout: ResolvedLayout
-    destructure: list = field(default_factory=list)   # spatial heaplets
-    ro_needed: set = field(default_factory=set)
-    copy_needed: set = field(default_factory=set)
-    pure: list = field(default_factory=list)
-    calls: list = field(default_factory=list)
-    result_cells: list = field(default_factory=list)
-    temps: list = field(default_factory=list)
-    guard_term: Optional[ssl.PureTerm] = None
-    cond: ssl.PureTerm = ssl.TRUE
+class _Arm(Node):
+    """One guarded body of a function, with what the stages find for it."""
+    __slots__ = ("args", "guard", "lets", "body", "result_name",
+                 "result_layout", "destructure", "ro_needed", "copy_needed",
+                 "pure", "calls", "result_cells", "temps", "guard_term",
+                 "cond")
+
+    def __init__(self, args: list, guard: Optional[S.Expr], lets: list,
+                 body: S.Expr, result_name: str,
+                 result_layout: ResolvedLayout):
+        self.args = args
+        self.guard = guard
+        self.lets = lets                # [(binder, bound expr)] in order
+        self.body = body
+        self.result_name = result_name
+        self.result_layout = result_layout
+        self.destructure = []           # spatial heaplets
+        self.ro_needed = set()
+        self.copy_needed = set()
+        self.pure = []
+        self.calls = []
+        self.result_cells = []
+        self.temps = []
+        self.guard_term = None
+        self.cond = ssl.TRUE
 
 
-@dataclass
-class CompileResult:
-    name: str
-    predicate: ssl.PredicateDef
-    layout_preds: list
-    ro_preds: list
-    copy_preds: list
-    extra_preds: list
-    goal: ssl.GoalSpec
+class CompileResult(Node):
+    __slots__ = ("name", "predicate", "layout_preds", "ro_preds",
+                 "copy_preds", "extra_preds", "goal")
+
+    def __init__(self, name: str, predicate: ssl.PredicateDef,
+                 layout_preds: list, ro_preds: list, copy_preds: list,
+                 extra_preds: list, goal: ssl.GoalSpec):
+        self.name = name
+        self.predicate = predicate
+        self.layout_preds = layout_preds
+        self.ro_preds = ro_preds
+        self.copy_preds = copy_preds
+        self.extra_preds = extra_preds
+        self.goal = goal
 
     def all_predicates(self) -> list:
         return (self.layout_preds + self.ro_preds + self.copy_preds
@@ -877,7 +896,8 @@ class _ArmTx:
                 heaplet = ssl.PredApply(name, tuple(args) + (ssl.PVar(out),))
             self.produced_kind[out] = "pred"
         else:
-            result_res = replace(res_layout, mode="mutable") \
+            result_res = ResolvedLayout(res_layout.kind, res_layout.layout,
+                                        "mutable") \
                 if res_layout.is_adt else res_layout
             name = mangle(e.fn, arg_layouts, result_res)
             heaplet = ssl.FuncApply(name, tuple(args) + (ssl.PVar(out),))
@@ -917,9 +937,9 @@ class _ArmTx:
         return self.value_of(_put_terms(body, terms), False)
 
     def _ensure_extra(self, fn, arg_refs, result_ref):
+        result = resolve_layout_ref(self.env, result_ref)
         key = mangle(fn, [resolve_layout_ref(self.env, r) for r in arg_refs],
-                     replace(resolve_layout_ref(self.env, result_ref),
-                             mode="mutable"))
+                     ResolvedLayout(result.kind, result.layout, "mutable"))
         if key in self.t.extra_fns:
             return
         self.t.extra_fns[key] = None

@@ -17,7 +17,6 @@ strict rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from . import syntax as S
@@ -25,12 +24,17 @@ from .errors import (
     ArityMismatch, DuplicateName, LayoutAdtMismatch, MissingGenerateDirective,
     NotConcrete, PikaError, TypeMismatch, UnboundVariable, UnknownAdtInLayout,
 )
+from .node import Frozen, Node
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class LayoutType:
+class LayoutType(Frozen):
     """The concrete type of a value resident at a named layout."""
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self):
         return self.name
@@ -51,23 +55,22 @@ def uncurry(ty: S.TypeExpr) -> tuple[list, S.TypeExpr]:
 # Global environment
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GlobalEnv:
-    adts: dict
-    ctors: dict                  # name -> (field types, adt name)
-    layouts: dict                # name -> LayoutDef
-    fn_sigs: dict
-    fn_defs: dict
-    directives: dict             # fn name -> GenerateDirective
-    # layout reference -> ResolvedLayout, filled by resolve_layout_ref
-    resolved: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+class GlobalEnv(Node):
+    # ``resolved`` maps a layout reference to its ResolvedLayout, filled by
+    # resolve_layout_ref; ``__dict__`` holds other per-environment caches
+    __slots__ = ("adts", "ctors", "layouts", "fn_sigs", "fn_defs",
+                 "directives", "resolved", "__dict__")
+    _hidden = Node._hidden | {"resolved"}
 
-    def layouts_of_adt(self, adt: str) -> list:
-        return [l for l in self.layouts.values() if l.adt == adt]
-
-    def ctor_arity(self, name: str) -> int:
-        return len(self.ctors[name][0])
+    def __init__(self, adts: dict, ctors: dict, layouts: dict, fn_sigs: dict,
+                 fn_defs: dict, directives: dict):
+        self.adts = adts
+        self.ctors = ctors              # name -> (field types, adt name)
+        self.layouts = layouts          # name -> LayoutDef
+        self.fn_sigs = fn_sigs
+        self.fn_defs = fn_defs
+        self.directives = directives    # fn name -> GenerateDirective
+        self.resolved = {}
 
 
 def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
@@ -147,16 +150,19 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
 # Resolved layouts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResolvedLayout:
+class ResolvedLayout(Frozen):
     """A layout reference resolved against the environment.
 
     kind is one of 'int', 'bool', 'ptr', 'adt'; for 'adt' the layout
     definition and access mode are carried along.
     """
-    kind: str
-    layout: Optional[S.LayoutDef] = None
-    mode: str = "readonly"
+    __slots__ = ("kind", "layout", "mode")
+
+    def __init__(self, kind: str, layout: Optional[S.LayoutDef] = None,
+                 mode: str = "readonly"):
+        _set(self, "kind", kind)
+        _set(self, "layout", layout)
+        _set(self, "mode", mode)
 
     @property
     def sort(self) -> str:
@@ -473,40 +479,56 @@ def check_concrete(env: GlobalEnv, gamma: dict, e: S.Expr,
 # Elaboration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ElabArg:
-    ssl_name: str
-    layout: ResolvedLayout
-    pattern: Optional[tuple]         # (ctor, [source var names]) or None
-    offsets: dict                    # pattern var -> cell offset
-    applies: list                    # [(layout name, pattern var)]
-    source_name: Optional[str] = None
+class ElabArg(Node):
+    __slots__ = ("ssl_name", "layout", "pattern", "offsets", "applies",
+                 "source_name")
+
+    def __init__(self, ssl_name: str, layout: ResolvedLayout,
+                 pattern: Optional[tuple], offsets: dict, applies: list,
+                 source_name: Optional[str] = None):
+        self.ssl_name = ssl_name
+        self.layout = layout
+        self.pattern = pattern          # (ctor, [source var names]) or None
+        self.offsets = offsets          # pattern var -> cell offset
+        self.applies = applies          # [(layout name, pattern var)]
+        self.source_name = source_name
 
 
-@dataclass
-class ElabCase:
-    args: list
-    guard: Optional[S.Expr]
-    body: S.Expr
-    result_name: str
-    result_layout: ResolvedLayout
+class ElabCase(Node):
+    __slots__ = ("args", "guard", "body", "result_name", "result_layout")
+
+    def __init__(self, args: list, guard: Optional[S.Expr], body: S.Expr,
+                 result_name: str, result_layout: ResolvedLayout):
+        self.args = args
+        self.guard = guard
+        self.body = body
+        self.result_name = result_name
+        self.result_layout = result_layout
 
 
-@dataclass
-class ElabFn:
-    name: str
-    directive: S.GenerateDirective
-    arg_layouts: list                # [ResolvedLayout]
-    result_layout: ResolvedLayout
-    cases: list                      # [ElabCase]
-    fresh_base: int                  # ANF counter start (the arity)
+class ElabFn(Node):
+    __slots__ = ("name", "directive", "arg_layouts", "result_layout", "cases",
+                 "fresh_base")
+
+    def __init__(self, name: str, directive: S.GenerateDirective,
+                 arg_layouts: list, result_layout: ResolvedLayout,
+                 cases: list, fresh_base: int):
+        self.name = name
+        self.directive = directive
+        self.arg_layouts = arg_layouts  # [ResolvedLayout]
+        self.result_layout = result_layout
+        self.cases = cases              # [ElabCase]
+        self.fresh_base = fresh_base    # ANF counter start (the arity)
 
 
-@dataclass
-class TypedProgram:
-    env: GlobalEnv
-    fns: dict                        # fn name -> ElabFn
-    specialisations: list            # [(name, GenerateDirective)] emitted extras
+class TypedProgram(Node):
+    __slots__ = ("env", "fns", "specialisations")
+
+    def __init__(self, env: GlobalEnv, fns: dict, specialisations: list):
+        self.env = env
+        self.fns = fns                  # fn name -> ElabFn
+        # [(name, GenerateDirective)] emitted extras
+        self.specialisations = specialisations
 
 
 def _result_name(layout: ResolvedLayout) -> str:
@@ -543,7 +565,8 @@ class _Elaborator:
             result_layout = layout_for_type(env, result_ty,
                                             directive.result_layout,
                                             directive.span)
-            result_layout = replace(result_layout, mode="mutable")
+            result_layout = ResolvedLayout(result_layout.kind,
+                                           result_layout.layout, "mutable")
         else:
             result_layout = layout_for_type(env, result_ty,
                                             directive.result_layout,
@@ -622,9 +645,10 @@ class _Elaborator:
                             at_result=True)
             infer_expr(env, gamma_renamed(gamma, rename), b2)
             elab_cases.append((g2, b2))
-        # one ElabCase per guarded body keeps the arm list flat
-        return [ElabCase([replace(a) for a in args], g2, b2,
-                         _result_name(result_layout), result_layout)
+        # one ElabCase per guarded body keeps the arm list flat; no stage
+        # rebinds an ElabArg's fields, so the cases share them
+        return [ElabCase(list(args), g2, b2, _result_name(result_layout),
+                         result_layout)
                 for g2, b2 in elab_cases]
 
     def _field_type(self, fty: S.TypeExpr, var: str, applies) -> Type:
@@ -917,16 +941,20 @@ def _subst_fn_names(e: S.Expr, sub: dict, old_self: str, new_self: str) -> S.Exp
     if isinstance(e, S.Var):
         return S.Var(fix(e.name), span=e.span)
     if isinstance(e, (S.App, S.Instantiate)):
+        args = e.args
+        arg_layouts = e.arg_layouts if isinstance(e, S.Instantiate) else None
         if e.fn == old_self:
             # recursive calls drop the substituted function arguments
             keep = [not (isinstance(a, S.Var) and a.name in sub)
-                    for a in e.args]
-            e = replace(e, args=[a for a, k in zip(e.args, keep) if k])
-            if isinstance(e, S.Instantiate) \
-                    and len(e.arg_layouts) == len(keep):
-                e = replace(e, arg_layouts=tuple(
-                    l for l, k in zip(e.arg_layouts, keep) if k))
-        e = replace(e, fn=fix(e.fn))
+                    for a in args]
+            args = [a for a, k in zip(args, keep) if k]
+            if arg_layouts is not None and len(arg_layouts) == len(keep):
+                arg_layouts = tuple(l for l, k in zip(arg_layouts, keep) if k)
+        if arg_layouts is None:
+            e = S.App(fix(e.fn), args, span=e.span)
+        else:
+            e = S.Instantiate(arg_layouts, e.result_layout, fix(e.fn), args,
+                              span=e.span)
     return S.map_expr(e, lambda x: _subst_fn_names(x, sub, old_self, new_self))
 
 

@@ -1,6 +1,9 @@
 """Command-line driver tests: exit codes, outputs, and diagnostics."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 from pikac import cli
 from pikac import ssl
@@ -186,3 +189,17 @@ def test_color_control(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("PIKA_COLOR", "0")
     code, out, err = run(capsys, "compile", str(bad), "--stdout")
     assert "\x1b[31m" not in err
+
+
+def test_compile_and_stages_leave_the_checker_unimported():
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    code = ("import sys; from pikac import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, [m for m in ('pikac.interp', 'pikac.modelcheck') "
+            "if m in sys.modules])")
+    for argv in (["compile", str(CORPUS / "filter_lt9.pika"), "--stdout"],
+                 ["stages", str(CORPUS / "filter_lt9.pika"), "filterLt9"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr

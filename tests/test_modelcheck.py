@@ -7,7 +7,7 @@ import pytest
 
 from pikac import errors as E
 from pikac import ssl
-from pikac.interp import IntVal, LocVal, Model, eval_expr
+from pikac.interp import BoolVal, IntVal, LocVal, Model, eval_expr
 from pikac.modelcheck import (
     CoreSignature, PredicateEnv, Sat, Unknown, Unsat, build_predicate_env,
     check_otimes, check_soundness, eval_pure, eval_pure_bool, gen_core_expr,
@@ -209,6 +209,19 @@ def test_false_equality_that_solved_nothing_is_unsat():
     result = _residual_only(CHAIN + ["c == 5"])
     assert isinstance(result, Unsat)
     assert result.reason == "pure conjunct c == 5 is false"
+
+
+@pytest.mark.parametrize("eq", [
+    ssl.PEq(ssl.PAdd(ssl.PVar("u"), ssl.PInt(1)), ssl.PVar("b")),
+    ssl.PEq(ssl.PVar("b"), ssl.PSub(ssl.PInt(3), ssl.PVar("u"))),
+    ssl.PEq(ssl.PVar("u"), ssl.PAdd(ssl.PVar("b"), ssl.PInt(1))),
+])
+def test_ill_sorted_equality_is_unsat(eq):
+    # solving for u would invert + or - against the Boolean b: no value of
+    # u makes the equality hold
+    result = satisfies(Model({"b": BoolVal(True)}, {}),
+                       ssl.SslAssertion.make((eq,), ()), PredicateEnv({}))
+    assert result == Unsat("expected a numeric value, found true")
 
 
 def test_propagate_leaves_solved_equalities_out_of_the_ground_terms():

@@ -1,0 +1,228 @@
+"""Node semantics shared by every IR: equality by exact kind and compared
+fields, ``span`` and ``ctor`` left out of ``==``, ``hash`` and ``repr``,
+frozen kinds immutable and mutable ones unhashable, and ``repr`` text as
+the dataclasses the node base replaced wrote it."""
+
+import typing
+
+import pytest
+
+from pikac import interp as I
+from pikac import modelcheck as M
+from pikac import ssl
+from pikac import syntax as S
+from pikac import types as T
+from pikac.errors import Span
+from pikac.node import Frozen
+from pikac.translate import _NullPtr
+
+P, V = ssl.PInt, ssl.PVar
+SPAN = Span(3, 7)
+SLL = S.NamedLayout("Sll")
+PAT = S.Pattern("Cons", ["h", "t"], SPAN)
+BODY = ssl.SslAssertion((ssl.PEq(V("x"), P(0)),), (ssl.PointsTo("x", 0, V("h")),))
+LAYOUT = S.LayoutDef("Sll", "List", ["x"],
+                     [(PAT, [S.HPointsTo("x", 0, "h", SPAN), S.HApply("Sll", "t")]),
+                      (S.Pattern("Nil", []), [S.HEmp(SPAN)])], SPAN)
+
+# One instance of each kind, with the repr the dataclasses printed for it.
+SAMPLES = {
+    S.IntLit: (S.IntLit(1, SPAN), "IntLit(value=1)"),
+    S.BoolLit: (S.BoolLit(True), "BoolLit(value=True)"),
+    S.Var: (S.Var("x", SPAN), "Var(name='x')"),
+    S.Addr: (S.Addr("x"), "Addr(var='x')"),
+    S.ConstructorApp: (
+        S.ConstructorApp("Cons", [S.Var("h"), S.Var("t")], SPAN),
+        "ConstructorApp(name='Cons', args=[Var(name='h'), Var(name='t')])"),
+    S.App: (S.App("f", [S.Var("a"), S.IntLit(2)]),
+            "App(fn='f', args=[Var(name='a'), IntLit(value=2)])"),
+    S.BinOp: (S.BinOp("+", S.Var("a"), S.Not(S.Var("b")), SPAN),
+              "BinOp(op='+', lhs=Var(name='a'), rhs=Not(arg=Var(name='b')))"),
+    S.Not: (S.Not(S.BoolLit(False)), "Not(arg=BoolLit(value=False))"),
+    S.IfThenElse: (
+        S.IfThenElse(S.Var("b"), S.IntLit(1), S.Var("c")),
+        "IfThenElse(cond=Var(name='b'), then=IntLit(value=1), "
+        "els=Var(name='c'))"),
+    S.Let: (S.Let("y", S.Var("x"), S.Var("y"), SPAN),
+            "Let(name='y', bound=Var(name='x'), body=Var(name='y'))"),
+    S.Instantiate: (
+        S.Instantiate((SLL, S.IntLayout()), S.NamedLayout("Sll", "mutable"),
+                      "f", [S.Var("xs"), S.IntLit(3)]),
+        "Instantiate(arg_layouts=(NamedLayout(name='Sll', mode='readonly'), "
+        "IntLayout()), result_layout=NamedLayout(name='Sll', mode='mutable'), "
+        "fn='f', args=[Var(name='xs'), IntLit(value=3)])"),
+    S.Lower: (
+        S.Lower(S.FnLayout(S.IntLayout(), SLL), S.ConstructorApp("Nil", [])),
+        "Lower(layout=FnLayout(arg=IntLayout(), res=NamedLayout(name='Sll', "
+        "mode='readonly')), arg=ConstructorApp(name='Nil', args=[]))"),
+    ssl.PInt: (P(3), "PInt(value=3)"),
+    ssl.PBool: (ssl.PBool(False), "PBool(value=False)"),
+    ssl.PVar: (V("x"), "PVar(name='x')"),
+    ssl.PEq: (ssl.PEq(V("x"), P(0)), "PEq(lhs=PVar(name='x'), rhs=PInt(value=0))"),
+    ssl.PAnd: (ssl.PAnd(ssl.TRUE, V("b")),
+               "PAnd(lhs=PBool(value=True), rhs=PVar(name='b'))"),
+    ssl.PNot: (ssl.PNot(V("b")), "PNot(arg=PVar(name='b'))"),
+    ssl.PLt: (ssl.PLt(V("a"), P(9)), "PLt(lhs=PVar(name='a'), rhs=PInt(value=9))"),
+    ssl.PAdd: (ssl.PAdd(V("x"), P(1)), "PAdd(lhs=PVar(name='x'), rhs=PInt(value=1))"),
+    ssl.PSub: (ssl.PSub(V("x"), P(1)), "PSub(lhs=PVar(name='x'), rhs=PInt(value=1))"),
+    ssl.PMod: (ssl.PMod(V("x"), P(2)), "PMod(lhs=PVar(name='x'), rhs=PInt(value=2))"),
+    ssl.PTernary: (
+        ssl.PTernary(V("b"), P(1), V("y")),
+        "PTernary(cond=PVar(name='b'), then=PInt(value=1), els=PVar(name='y'))"),
+    ssl.HeapEmp: (ssl.HeapEmp(), "HeapEmp()"),
+    ssl.PointsTo: (ssl.PointsTo("x", 1, V("t")),
+                   "PointsTo(base='x', offset=1, value=PVar(name='t'))"),
+    ssl.Block: (ssl.Block("x", 2), "Block(base='x', size=2)"),
+    ssl.PredApply: (ssl.PredApply("sll", (V("x"), P(0)), ctor="Cons"),
+                    "PredApply(name='sll', args=(PVar(name='x'), PInt(value=0)))"),
+    ssl.FuncApply: (ssl.FuncApply("f", (V("x"), V("r"))),
+                    "FuncApply(name='f', args=(PVar(name='x'), PVar(name='r')))"),
+    ssl.TempLoc: (ssl.TempLoc("t"), "TempLoc(var='t')"),
+    ssl.RoApply: (ssl.RoApply("ro_Sll", (V("x"),)),
+                  "RoApply(name='ro_Sll', args=(PVar(name='x'),))"),
+    # records and values of the other modules
+    S.TFn: (S.TFn(S.TName("List"), S.TInt()), "TFn(arg=TName(name='List'), res=TInt())"),
+    S.Pattern: (PAT, "Pattern(ctor='Cons', vars=['h', 't'])"),
+    S.LayoutDef: (
+        LAYOUT,
+        "LayoutDef(name='Sll', adt='List', ssl_params=['x'], branches=["
+        "(Pattern(ctor='Cons', vars=['h', 't']), [HPointsTo(base='x', "
+        "offset=0, payload='h'), HApply(layout='Sll', arg='t')]), "
+        "(Pattern(ctor='Nil', vars=[]), [HEmp()])])"),
+    S.GenerateDirective: (
+        S.GenerateDirective("f", (SLL,), S.IntLayout(), SPAN),
+        "GenerateDirective(fn='f', arg_layouts=(NamedLayout(name='Sll', "
+        "mode='readonly'),), result_layout=IntLayout())"),
+    ssl.Branch: (
+        ssl.Branch(ssl.TRUE, BODY, ctor="Cons"),
+        "Branch(cond=PBool(value=True), body=SslAssertion(pure=(PEq("
+        "lhs=PVar(name='x'), rhs=PInt(value=0)),), spatial=(PointsTo("
+        "base='x', offset=0, value=PVar(name='h')),)))"),
+    ssl.GoalSpec: (
+        ssl.GoalSpec("f", (("loc", "x"),), BODY, ssl.EMPTY_ASSERTION),
+        "GoalSpec(name='f', params=(('loc', 'x'),), pre=SslAssertion(pure=("
+        "PEq(lhs=PVar(name='x'), rhs=PInt(value=0)),), spatial=(PointsTo("
+        "base='x', offset=0, value=PVar(name='h')),)), "
+        "post=SslAssertion(pure=(), spatial=()))"),
+    I.ConstructorVal: (
+        I.ConstructorVal("Cons", (I.IntVal(1), I.LocVal(0))),
+        "ConstructorVal(name='Cons', fields=(IntVal(value=1), LocVal(loc=0)))"),
+    I.Model: (I.Model({"x": I.LocVal(1)}, {1: I.IntVal(2)}),
+              "Model(store={'x': LocVal(loc=1)}, heap={1: IntVal(value=2)})"),
+    T.ResolvedLayout: (T.ResolvedLayout("int"),
+                       "ResolvedLayout(kind='int', layout=None, mode='readonly')"),
+    M.Sat: (M.Sat(), "Sat()"),
+    M.Unsat: (M.Unsat("why"), "Unsat(reason='why')"),
+    M.PredicateEnv: (M.PredicateEnv({}), "PredicateEnv(preds={}, fsstore={})"),
+    S.SourceUnit: (
+        S.SourceUnit([], [LAYOUT], {}, {}, []),
+        "SourceUnit(data_defs=[], layout_defs=[LayoutDef(name='Sll', "
+        "adt='List', ssl_params=['x'], branches=[(Pattern(ctor='Cons', "
+        "vars=['h', 't']), [HPointsTo(base='x', offset=0, payload='h'), "
+        "HApply(layout='Sll', arg='t')]), (Pattern(ctor='Nil', vars=[]), "
+        "[HEmp()])])], fn_sigs={}, fn_defs={}, directives=[])"),
+}
+KINDS = list(SAMPLES)
+
+
+def _fields(x) -> dict:
+    return {f: getattr(x, f) for f in type(x)._fields}
+
+
+def test_samples_cover_every_expr_pure_term_and_heaplet_kind():
+    for union in (S.Expr, ssl.PureTerm, ssl.Heaplet):
+        assert set(typing.get_args(union)) <= set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.__name__)
+def test_repr_is_the_dataclass_text(cls):
+    x, text = SAMPLES[cls]
+    assert type(x) is cls
+    assert repr(x) == text
+
+
+@pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.__name__)
+def test_equality_compares_every_field(cls):
+    x, _ = SAMPLES[cls]
+    init = {f: getattr(x, f) for f in ("span", "ctor")
+            if hasattr(x, f) and f not in cls._fields}
+    same = cls(**_fields(x), **init)
+    assert same == x and not (same != x)
+    if isinstance(x, Frozen):
+        assert hash(same) == hash(x)
+    for f in _fields(x):
+        other = cls(**{**_fields(x), f: object()}, **init)
+        assert other != x, f
+
+
+def test_equality_is_by_exact_kind():
+    a, b = V("a"), V("b")
+    assert ssl.PAdd(a, b) != ssl.PSub(a, b)
+    assert ssl.FuncApply("f", (a,)) != ssl.RoApply("f", (a,))
+    assert _NullPtr() != S.IntLit(0) and S.IntLit(0) != _NullPtr()
+    assert _NullPtr() == _NullPtr()
+    assert S.TInt() != S.TBool() and S.IntLayout() != S.BoolLayout()
+    assert M.Unsat("x") != M.Unknown("x")
+    assert ssl.PInt(1) != 1 and ssl.PVar("x") != ("x",)
+
+
+def test_span_and_ctor_are_not_compared_hashed_or_shown():
+    one, two = S.IntLit(1, Span(1, 1)), S.IntLit(1, Span(2, 9))
+    assert one == two and repr(one) == repr(two)
+    for make in (lambda c: ssl.PredApply("p", (V("x"),), ctor=c),
+                 lambda c: ssl.Branch(ssl.TRUE, BODY, ctor=c)):
+        cons, nil = make("Cons"), make("Nil")
+        assert cons == nil and hash(cons) == hash(nil)
+        assert repr(cons) == repr(nil)
+    # a pattern's constructor is one of its fields
+    assert S.Pattern("Cons", []) != S.Pattern("Nil", [])
+
+
+def test_cached_properties_are_not_compared():
+    fresh = S.LayoutDef(LAYOUT.name, LAYOUT.adt, LAYOUT.ssl_params,
+                        LAYOUT.branches)
+    assert LAYOUT.shapes["Cons"].size == 1
+    assert fresh == LAYOUT and repr(fresh) == repr(LAYOUT)
+    pred = ssl.PredicateDef("p", (("x", "loc"),), (ssl.Branch(ssl.TRUE, BODY),))
+    twin = ssl.PredicateDef("p", (("x", "loc"),), (ssl.Branch(ssl.TRUE, BODY),))
+    assert pred.existentials == (("h",),)
+    assert pred == twin and hash(pred) == hash(twin) and repr(pred) == repr(twin)
+
+
+@pytest.mark.parametrize("cls", [c for c in KINDS if issubclass(c, Frozen)],
+                         ids=lambda c: c.__name__)
+def test_frozen_kinds_reject_assignment_and_hash_their_fields(cls):
+    x, _ = SAMPLES[cls]
+    for f in list(_fields(x)) + ["span", "new_attribute"]:
+        with pytest.raises(AttributeError):
+            setattr(x, f, None)
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    # the dataclasses' hash: the tuple of the compared fields, so sets of
+    # nodes iterate in the same order
+    assert hash(x) == hash(tuple(_fields(x).values()))
+
+
+@pytest.mark.parametrize("cls", [c for c in KINDS if not issubclass(c, Frozen)],
+                         ids=lambda c: c.__name__)
+def test_mutable_kinds_are_unhashable(cls):
+    x, _ = SAMPLES[cls]
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(x)
+
+
+def test_keyword_construction_and_defaults():
+    assert S.NamedLayout("Sll") == S.NamedLayout(name="Sll", mode="readonly")
+    assert T.ResolvedLayout("int") == T.ResolvedLayout(kind="int", layout=None,
+                                                       mode="readonly")
+    assert ssl.PredApply("p", ()).ctor is None
+    assert ssl.Branch(cond=ssl.TRUE, body=BODY).ctor is None
+    assert S.Var(name="x").span is None
+    assert S.BinOp(op="+", lhs=S.IntLit(1), rhs=S.IntLit(2), span=SPAN).span == SPAN
+    null = _NullPtr(span=SPAN)
+    assert null.value == 0 and null.span == SPAN
+    a, b = M.PredicateEnv({}), M.PredicateEnv(preds={})
+    assert a.fsstore == {} and a.fsstore is not b.fsstore
+    env = T.GlobalEnv({}, {}, {}, {}, {}, {})
+    assert env.resolved == {} and env.resolved is not T.GlobalEnv(
+        {}, {}, {}, {}, {}, {}).resolved
