@@ -37,8 +37,6 @@ from .errors import (
 from .node import Frozen, Node
 from .types import GlobalEnv, ResolvedLayout, resolve_layout_ref
 
-_set = object.__setattr__
-
 
 # ---------------------------------------------------------------------------
 # Values
@@ -47,26 +45,17 @@ _set = object.__setattr__
 class IntVal(Frozen):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        _set(self, "value", value)
-
     def __str__(self): return str(self.value)
 
 
 class BoolVal(Frozen):
     __slots__ = ("value",)
 
-    def __init__(self, value: bool):
-        _set(self, "value", value)
-
     def __str__(self): return "true" if self.value else "false"
 
 
 class LocVal(Frozen):
     __slots__ = ("loc",)
-
-    def __init__(self, loc: int):
-        _set(self, "loc", loc)
 
     def __str__(self): return f"<{self.loc}>"
 
@@ -76,10 +65,6 @@ Val = Union[IntVal, BoolVal, LocVal]
 
 class ConstructorVal(Frozen):
     __slots__ = ("name", "fields")
-
-    def __init__(self, name: str, fields: tuple):
-        _set(self, "name", name)
-        _set(self, "fields", fields)
 
     def __str__(self):
         if not self.fields:
@@ -102,10 +87,6 @@ class Model(Node):
     """A concrete machine state: variable store plus heap."""
     __slots__ = ("store", "heap")
 
-    def __init__(self, store: dict, heap: dict):
-        self.store = store
-        self.heap = heap
-
     def render(self) -> str:
         store_lines = [f"  {k} = {v}" for k, v in sorted(self.store.items())]
         heap_lines = [f"  {loc} -> {val}"
@@ -126,17 +107,9 @@ class GroundEmp(Frozen):
 class GroundPointsTo(Frozen):
     __slots__ = ("loc", "value")
 
-    def __init__(self, loc: int, value: Val):
-        _set(self, "loc", loc)
-        _set(self, "value", value)
-
 
 class GroundApply(Frozen):
     __slots__ = ("layout", "arg")
-
-    def __init__(self, layout: str, arg: Val):
-        _set(self, "layout", layout)
-        _set(self, "arg", arg)
 
 
 def act_on_heap(heap: dict, items) -> dict:

@@ -48,8 +48,6 @@ from .translate import (
 )
 from .types import GlobalEnv
 
-_set = object.__setattr__
-
 
 # ---------------------------------------------------------------------------
 # Results
@@ -64,17 +62,11 @@ class Sat(Frozen):
 class Unsat(Frozen):
     __slots__ = ("reason",)
 
-    def __init__(self, reason: str):
-        _set(self, "reason", reason)
-
     def __bool__(self): return False
 
 
 class Unknown(Frozen):
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        _set(self, "reason", reason)
 
     def __bool__(self): return False
 
@@ -712,14 +704,6 @@ def build_predicate_env(genv: GlobalEnv, exprs=(), fsstore=None) -> PredicateEnv
 class SoundnessReport(Node):
     __slots__ = ("result", "expr", "model", "assertion", "trace")
 
-    def __init__(self, result: SatResult, expr: S.Expr, model: Model,
-                 assertion: ssl.SslAssertion, trace: str):
-        self.result = result
-        self.expr = expr
-        self.model = model
-        self.assertion = assertion
-        self.trace = trace
-
 
 def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessReport:
     val, store, heap, fs, r = eval_expr(genv, e)
@@ -748,12 +732,7 @@ def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessRep
 class CoreSignature(Node):
     """The pool the generator draws from: layouts by ADT plus the
     single-argument core functions grouped by (argument ADT, result ADT)."""
-    __slots__ = ("genv", "layout_of", "pool")
-
-    def __init__(self, genv: GlobalEnv, layout_of: dict, pool: list):
-        self.genv = genv
-        self.layout_of = layout_of
-        self.pool = pool                # [(fn, arg layout, result layout)]
+    __slots__ = ("genv", "layout_of", "pool")  # pool: [(fn, arg, result)]
 
     @staticmethod
     def from_env(genv: GlobalEnv) -> "CoreSignature":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ParseError, SortMismatch, Span
 from .node import Frozen
@@ -30,30 +30,17 @@ _set = object.__setattr__
 class PInt(Frozen):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        _set(self, "value", value)
-
 
 class PBool(Frozen):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        _set(self, "value", value)
 
 
 class PVar(Frozen):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
 
 class _Binary(Frozen):
     __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: PureTerm, rhs: PureTerm):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
 
 
 class PEq(_Binary):
@@ -66,9 +53,6 @@ class PAnd(_Binary):
 
 class PNot(Frozen):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: PureTerm):
-        _set(self, "arg", arg)
 
 
 class PLt(_Binary):
@@ -89,11 +73,6 @@ class PMod(_Binary):
 
 class PTernary(Frozen):
     __slots__ = ("cond", "then", "els")
-
-    def __init__(self, cond: PureTerm, then: PureTerm, els: PureTerm):
-        _set(self, "cond", cond)
-        _set(self, "then", then)
-        _set(self, "els", els)
 
 
 PureTerm = Union[PInt, PBool, PVar, PEq, PAnd, PNot, PLt, PAdd, PSub, PMod,
@@ -132,36 +111,18 @@ class HeapEmp(Frozen):
 class PointsTo(Frozen):
     __slots__ = ("base", "offset", "value")
 
-    def __init__(self, base: str, offset: int, value: PureTerm):
-        _set(self, "base", base)
-        _set(self, "offset", offset)
-        _set(self, "value", value)
-
 
 class Block(Frozen):
     __slots__ = ("base", "size")
-
-    def __init__(self, base: str, size: int):
-        _set(self, "base", base)
-        _set(self, "size", size)
 
 
 class _Call(Frozen):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: tuple):
-        _set(self, "name", name)
-        _set(self, "args", args)
-
 
 class PredApply(_Call):
     __slots__ = ("ctor",)
     _hidden = _Call._hidden | {"ctor"}
-
-    def __init__(self, name: str, args: tuple, ctor: Optional[str] = None):
-        _set(self, "name", name)
-        _set(self, "args", args)
-        _set(self, "ctor", ctor)
 
 
 class FuncApply(_Call):
@@ -171,9 +132,6 @@ class FuncApply(_Call):
 
 class TempLoc(Frozen):
     __slots__ = ("var",)
-
-    def __init__(self, var: str):
-        _set(self, "var", var)
 
 
 class RoApply(_Call):
@@ -219,22 +177,11 @@ class Branch(Frozen):
     __slots__ = ("cond", "body", "ctor")
     _hidden = Frozen._hidden | {"ctor"}
 
-    def __init__(self, cond: PureTerm, body: SslAssertion,
-                 ctor: Optional[str] = None):
-        _set(self, "cond", cond)
-        _set(self, "body", body)
-        _set(self, "ctor", ctor)
-
 
 class PredicateDef(Frozen):
     # params: tuple[(name, sort)], sort in {'int', 'loc'};
     # branches: tuple[Branch, ...]
     __slots__ = ("name", "params", "branches", "__dict__")
-
-    def __init__(self, name: str, params: tuple, branches: tuple):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "branches", branches)
 
     @cached_property
     def existentials(self) -> tuple:
@@ -249,13 +196,6 @@ class PredicateDef(Frozen):
 class GoalSpec(Frozen):
     # params: tuple[(sort, name)]
     __slots__ = ("name", "params", "pre", "post")
-
-    def __init__(self, name: str, params: tuple, pre: SslAssertion,
-                 post: SslAssertion):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "pre", pre)
-        _set(self, "post", post)
 
 
 # ---------------------------------------------------------------------------

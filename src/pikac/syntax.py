@@ -19,8 +19,6 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 from .errors import LexError, ParseError, Span
 from .node import Frozen, Node
 
-_set = object.__setattr__
-
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -122,18 +120,11 @@ class TPtrInt(Frozen):
 class TName(Frozen):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
     def __str__(self): return self.name
 
 
 class TFn(Frozen):
     __slots__ = ("arg", "res")
-
-    def __init__(self, arg: TypeExpr, res: TypeExpr):
-        _set(self, "arg", arg)
-        _set(self, "res", res)
 
     def __str__(self):
         a = f"({self.arg})" if isinstance(self.arg, TFn) else str(self.arg)
@@ -149,10 +140,7 @@ TypeExpr = Union[TInt, TBool, TPtrInt, TName, TFn]
 
 class NamedLayout(Frozen):
     __slots__ = ("name", "mode")    # mode is meaningful for ADT layouts only
-
-    def __init__(self, name: str, mode: str = "readonly"):
-        _set(self, "name", name)
-        _set(self, "mode", mode)
+    _defaults = {"mode": "readonly"}
 
 
 class IntLayout(Frozen):
@@ -169,10 +157,6 @@ class PtrIntLayout(Frozen):
 
 class FnLayout(Frozen):
     __slots__ = ("arg", "res")
-
-    def __init__(self, arg: LayoutRef, res: LayoutRef):
-        _set(self, "arg", arg)
-        _set(self, "res", res)
 
 
 LayoutRef = Union[NamedLayout, IntLayout, BoolLayout, PtrIntLayout, FnLayout]
@@ -204,115 +188,49 @@ def render_layout_ref(ref: LayoutRef, with_mode: bool = True) -> str:
 class IntLit(Node):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: int, span: Optional[Span] = None):
-        self.value = value
-        self.span = span
-
 
 class BoolLit(Node):
     __slots__ = ("value", "span")
-
-    def __init__(self, value: bool, span: Optional[Span] = None):
-        self.value = value
-        self.span = span
 
 
 class Var(Node):
     __slots__ = ("name", "span")
 
-    def __init__(self, name: str, span: Optional[Span] = None):
-        self.name = name
-        self.span = span
-
 
 class ConstructorApp(Node):
     __slots__ = ("name", "args", "span")
-
-    def __init__(self, name: str, args: list[Expr],
-                 span: Optional[Span] = None):
-        self.name = name
-        self.args = args
-        self.span = span
 
 
 class App(Node):
     __slots__ = ("fn", "args", "span")
 
-    def __init__(self, fn: str, args: list[Expr], span: Optional[Span] = None):
-        self.fn = fn
-        self.args = args
-        self.span = span
-
 
 class BinOp(Node):
     __slots__ = ("op", "lhs", "rhs", "span")    # op: one of + - % < == && ||
-
-    def __init__(self, op: str, lhs: Expr, rhs: Expr,
-                 span: Optional[Span] = None):
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-        self.span = span
 
 
 class Not(Node):
     __slots__ = ("arg", "span")
 
-    def __init__(self, arg: Expr, span: Optional[Span] = None):
-        self.arg = arg
-        self.span = span
-
 
 class Addr(Node):
     __slots__ = ("var", "span")
-
-    def __init__(self, var: str, span: Optional[Span] = None):
-        self.var = var
-        self.span = span
 
 
 class IfThenElse(Node):
     __slots__ = ("cond", "then", "els", "span")
 
-    def __init__(self, cond: Expr, then: Expr, els: Expr,
-                 span: Optional[Span] = None):
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.span = span
-
 
 class Let(Node):
     __slots__ = ("name", "bound", "body", "span")
-
-    def __init__(self, name: str, bound: Expr, body: Expr,
-                 span: Optional[Span] = None):
-        self.name = name
-        self.bound = bound
-        self.body = body
-        self.span = span
 
 
 class Instantiate(Node):
     __slots__ = ("arg_layouts", "result_layout", "fn", "args", "span")
 
-    def __init__(self, arg_layouts: tuple, result_layout: LayoutRef, fn: str,
-                 args: list[Expr], span: Optional[Span] = None):
-        self.arg_layouts = arg_layouts
-        self.result_layout = result_layout
-        self.fn = fn
-        self.args = args
-        self.span = span
-
 
 class Lower(Node):
     __slots__ = ("layout", "arg", "span")
-
-    def __init__(self, layout: LayoutRef, arg: Expr,
-                 span: Optional[Span] = None):
-        self.layout = layout
-        self.arg = arg
-        self.span = span
 
 
 Expr = Union[IntLit, BoolLit, Var, ConstructorApp, App, BinOp, Not, Addr,
@@ -385,12 +303,6 @@ class Pattern(Node):
     """A top-level pattern: either ``(Ctor v1 ... vn)`` or a bare variable."""
     __slots__ = ("ctor", "vars", "span")
 
-    def __init__(self, ctor: Optional[str], vars: list[str],
-                 span: Optional[Span] = None):
-        self.ctor = ctor
-        self.vars = vars
-        self.span = span
-
     @property
     def is_var(self) -> bool:
         return self.ctor is None
@@ -405,38 +317,17 @@ class DataDef(Node):
     # alts: (constructor name, [TypeExpr])
     __slots__ = ("name", "alts", "span")
 
-    def __init__(self, name: str, alts: list[tuple],
-                 span: Optional[Span] = None):
-        self.name = name
-        self.alts = alts
-        self.span = span
-
 
 class HEmp(Node):
     __slots__ = ("span",)
-
-    def __init__(self, span: Optional[Span] = None):
-        self.span = span
 
 
 class HPointsTo(Node):
     __slots__ = ("base", "offset", "payload", "span")
 
-    def __init__(self, base: str, offset: int, payload: str,
-                 span: Optional[Span] = None):
-        self.base = base
-        self.offset = offset
-        self.payload = payload
-        self.span = span
-
 
 class HApply(Node):
     __slots__ = ("layout", "arg", "span")
-
-    def __init__(self, layout: str, arg: str, span: Optional[Span] = None):
-        self.layout = layout
-        self.arg = arg
-        self.span = span
 
 
 LayoutHeaplet = Union[HEmp, HPointsTo, HApply]
@@ -456,15 +347,6 @@ class CtorShape(NamedTuple):
 class LayoutDef(Node):
     # branches: (Pattern, [LayoutHeaplet])
     __slots__ = ("name", "adt", "ssl_params", "branches", "span", "__dict__")
-
-    def __init__(self, name: str, adt: str, ssl_params: list[str],
-                 branches: list[tuple],
-                 span: Optional[Span] = None):
-        self.name = name
-        self.adt = adt
-        self.ssl_params = ssl_params
-        self.branches = branches
-        self.span = span
 
     @cached_property
     def shapes(self) -> dict:
@@ -499,38 +381,14 @@ class FnCase(Node):
     # guarded_bodies: (guard Expr or None, body Expr)
     __slots__ = ("name", "patterns", "guarded_bodies", "span")
 
-    def __init__(self, name: str, patterns: list[Pattern],
-                 guarded_bodies: list[tuple],
-                 span: Optional[Span] = None):
-        self.name = name
-        self.patterns = patterns
-        self.guarded_bodies = guarded_bodies
-        self.span = span
-
 
 class GenerateDirective(Node):
     __slots__ = ("fn", "arg_layouts", "result_layout", "span")
-
-    def __init__(self, fn: str, arg_layouts: tuple, result_layout: LayoutRef,
-                 span: Optional[Span] = None):
-        self.fn = fn
-        self.arg_layouts = arg_layouts
-        self.result_layout = result_layout
-        self.span = span
 
 
 class SourceUnit(Node):
     # fn_defs: name -> [FnCase]
     __slots__ = ("data_defs", "layout_defs", "fn_sigs", "fn_defs", "directives")
-
-    def __init__(self, data_defs: list[DataDef],
-                 layout_defs: list[LayoutDef], fn_sigs: dict, fn_defs: dict,
-                 directives: list[GenerateDirective]):
-        self.data_defs = data_defs
-        self.layout_defs = layout_defs
-        self.fn_sigs = fn_sigs
-        self.fn_defs = fn_defs
-        self.directives = directives
 
     @staticmethod
     def empty() -> "SourceUnit":

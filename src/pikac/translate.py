@@ -19,7 +19,6 @@ deterministic on the restricted subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
@@ -165,12 +164,9 @@ def mangle(fn: str, arg_layouts, result_layout: ResolvedLayout) -> str:
 # Core translation (restricted subset)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CoreTranslationResult:
-    pure: tuple                 # conjuncts
-    spatial: tuple
-    used_vars: frozenset
-    result_var: str
+class CoreTranslationResult(Node):
+    # pure: conjuncts; used_vars: frozenset
+    __slots__ = ("pure", "spatial", "used_vars", "result_var")
 
     def assertion(self) -> ssl.SslAssertion:
         return ssl.SslAssertion.make(self.pure, self.spatial)
@@ -406,10 +402,7 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
 class _NullPtr(S.IntLit):
     """Stage-2 marker: an empty-branch constructor value, encoded as 0."""
     __slots__ = ()
-
-    def __init__(self, value: int = 0, span=None):
-        self.value = value
-        self.span = span
+    _defaults = {"value": 0}
 
 
 class _CopyCall(Node):
@@ -417,18 +410,10 @@ class _CopyCall(Node):
     __slots__ = ("src", "layout", "span")
     _hidden = Node._hidden - {"span"}
 
-    def __init__(self, src: str, layout: S.LayoutDef, span: object = None):
-        self.src = src
-        self.layout = layout
-        self.span = span
-
 
 class _Term(Node):
     """Stage-6 marker: a value already translated to a pure term."""
     __slots__ = ("term",)
-
-    def __init__(self, term: ssl.PureTerm):
-        self.term = term
 
 
 class _Arm(Node):
@@ -461,17 +446,6 @@ class _Arm(Node):
 class CompileResult(Node):
     __slots__ = ("name", "predicate", "layout_preds", "ro_preds",
                  "copy_preds", "extra_preds", "goal")
-
-    def __init__(self, name: str, predicate: ssl.PredicateDef,
-                 layout_preds: list, ro_preds: list, copy_preds: list,
-                 extra_preds: list, goal: ssl.GoalSpec):
-        self.name = name
-        self.predicate = predicate
-        self.layout_preds = layout_preds
-        self.ro_preds = ro_preds
-        self.copy_preds = copy_preds
-        self.extra_preds = extra_preds
-        self.goal = goal
 
     def all_predicates(self) -> list:
         return (self.layout_preds + self.ro_preds + self.copy_preds
@@ -955,14 +929,22 @@ class _ArmTx:
 # Directive compilation
 # ---------------------------------------------------------------------------
 
-def compile_directive(prog: TypedProgram, fn: str) -> CompileResult:
+def _translator(prog: TypedProgram, fn: str) -> _FnTranslator:
     if fn not in prog.fns:
         raise UnboundVariable(f"{fn} was not elaborated (missing directive?)")
-    elab = prog.fns[fn]
-    tx = _FnTranslator(prog, elab)
-    predicate = tx.run()
-    env = prog.env
+    return _FnTranslator(prog, prog.fns[fn])
 
+
+def compile_directive(prog: TypedProgram, fn: str) -> CompileResult:
+    tx = _translator(prog, fn)
+    return _compile_result(tx, tx.run())
+
+
+def _compile_result(tx: _FnTranslator, predicate: ssl.PredicateDef
+                    ) -> CompileResult:
+    """The translated predicate with the auxiliary predicates it uses and
+    its synthesis goal."""
+    elab, env = tx.elab, tx.env
     layout_preds = []
     seen = set()
     for lay in elab.arg_layouts:
@@ -1095,10 +1077,7 @@ def _render_arms(fn, arms, annotated_pattern, with_layout_ann, body_of) -> str:
 
 def dump_stages(prog: TypedProgram, fn: str) -> list:
     """Textual snapshots of the seven translation stages for one function."""
-    if fn not in prog.fns:
-        raise UnboundVariable(f"{fn} was not elaborated (missing directive?)")
-    elab = prog.fns[fn]
-    tx = _FnTranslator(prog, elab)
+    tx = _translator(prog, fn)
     out = []
 
     out.append((STAGE_TITLES[0],
@@ -1149,23 +1128,5 @@ def dump_stages(prog: TypedProgram, fn: str) -> list:
             lines.append(f"{head} := {render_translated(arm)};")
     out.append((STAGE_TITLES[5], "\n".join(lines)))
 
-    predicate = tx.stage7()
-    chunks = []
-    seen = set()
-    for lay in elab.arg_layouts:
-        if lay.is_adt and lay.layout.name not in seen:
-            seen.add(lay.layout.name)
-            chunks.append(ssl.emit_predicate(
-                translate_layout_predicate(lay.layout)))
-    for name in sorted(tx.ro_layouts):
-        chunks.append(ssl.emit_predicate(
-            translate_layout_predicate(prog.env.layouts[name], ro=True)))
-    registry: dict = {}
-    for name in sorted(tx.copy_layouts):
-        copy_predicate(prog.env, prog.env.layouts[name], registry)
-    for p in registry.values():
-        if p is not None:
-            chunks.append(ssl.emit_predicate(p))
-    chunks.append(ssl.emit_predicate(predicate))
-    out.append((STAGE_TITLES[6], "\n".join(chunks)))
+    out.append((STAGE_TITLES[6], _compile_result(tx, tx.stage7()).render()))
     return out

@@ -26,15 +26,10 @@ from .errors import (
 )
 from .node import Frozen, Node
 
-_set = object.__setattr__
-
 
 class LayoutType(Frozen):
     """The concrete type of a value resident at a named layout."""
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
     def __str__(self):
         return self.name
@@ -157,12 +152,7 @@ class ResolvedLayout(Frozen):
     definition and access mode are carried along.
     """
     __slots__ = ("kind", "layout", "mode")
-
-    def __init__(self, kind: str, layout: Optional[S.LayoutDef] = None,
-                 mode: str = "readonly"):
-        _set(self, "kind", kind)
-        _set(self, "layout", layout)
-        _set(self, "mode", mode)
+    _defaults = {"layout": None, "mode": "readonly"}
 
     @property
     def sort(self) -> str:
@@ -480,55 +470,28 @@ def check_concrete(env: GlobalEnv, gamma: dict, e: S.Expr,
 # ---------------------------------------------------------------------------
 
 class ElabArg(Node):
+    # pattern: (ctor, [source var names]) or None; offsets: pattern var ->
+    # cell offset; applies: [(layout name, pattern var)]
     __slots__ = ("ssl_name", "layout", "pattern", "offsets", "applies",
                  "source_name")
-
-    def __init__(self, ssl_name: str, layout: ResolvedLayout,
-                 pattern: Optional[tuple], offsets: dict, applies: list,
-                 source_name: Optional[str] = None):
-        self.ssl_name = ssl_name
-        self.layout = layout
-        self.pattern = pattern          # (ctor, [source var names]) or None
-        self.offsets = offsets          # pattern var -> cell offset
-        self.applies = applies          # [(layout name, pattern var)]
-        self.source_name = source_name
+    _defaults = {"source_name": None}
 
 
 class ElabCase(Node):
     __slots__ = ("args", "guard", "body", "result_name", "result_layout")
 
-    def __init__(self, args: list, guard: Optional[S.Expr], body: S.Expr,
-                 result_name: str, result_layout: ResolvedLayout):
-        self.args = args
-        self.guard = guard
-        self.body = body
-        self.result_name = result_name
-        self.result_layout = result_layout
-
 
 class ElabFn(Node):
+    # arg_layouts: [ResolvedLayout]; cases: [ElabCase]; fresh_base: the ANF
+    # counter start (the arity)
     __slots__ = ("name", "directive", "arg_layouts", "result_layout", "cases",
                  "fresh_base")
 
-    def __init__(self, name: str, directive: S.GenerateDirective,
-                 arg_layouts: list, result_layout: ResolvedLayout,
-                 cases: list, fresh_base: int):
-        self.name = name
-        self.directive = directive
-        self.arg_layouts = arg_layouts  # [ResolvedLayout]
-        self.result_layout = result_layout
-        self.cases = cases              # [ElabCase]
-        self.fresh_base = fresh_base    # ANF counter start (the arity)
-
 
 class TypedProgram(Node):
+    # fns: fn name -> ElabFn; specialisations: [(name, GenerateDirective)]
+    # emitted extras
     __slots__ = ("env", "fns", "specialisations")
-
-    def __init__(self, env: GlobalEnv, fns: dict, specialisations: list):
-        self.env = env
-        self.fns = fns                  # fn name -> ElabFn
-        # [(name, GenerateDirective)] emitted extras
-        self.specialisations = specialisations
 
 
 def _result_name(layout: ResolvedLayout) -> str:

@@ -3,6 +3,10 @@ fields, ``span`` and ``ctor`` left out of ``==``, ``hash`` and ``repr``,
 frozen kinds immutable and mutable ones unhashable, and ``repr`` text as
 the dataclasses the node base replaced wrote it."""
 
+import ast
+import importlib
+import inspect
+import pathlib
 import typing
 
 import pytest
@@ -13,7 +17,8 @@ from pikac import ssl
 from pikac import syntax as S
 from pikac import types as T
 from pikac.errors import Span
-from pikac.node import Frozen
+from pikac import translate as X
+from pikac.node import Frozen, Node
 from pikac.translate import _NullPtr
 
 P, V = ssl.PInt, ssl.PVar
@@ -226,3 +231,132 @@ def test_keyword_construction_and_defaults():
     env = T.GlobalEnv({}, {}, {}, {}, {}, {})
     assert env.resolved == {} and env.resolved is not T.GlobalEnv(
         {}, {}, {}, {}, {}, {}).resolved
+
+
+# Every kind's constructor: parameter names in positional order, and the
+# defaults of the trailing ones.
+SIGNATURES = {
+    S.TInt: "", S.TBool: "", S.TPtrInt: "", S.TName: "name",
+    S.TFn: "arg, res",
+    S.NamedLayout: "name, mode='readonly'",
+    S.IntLayout: "", S.BoolLayout: "", S.PtrIntLayout: "",
+    S.FnLayout: "arg, res",
+    S.IntLit: "value, span=None",
+    S.BoolLit: "value, span=None",
+    S.Var: "name, span=None",
+    S.ConstructorApp: "name, args, span=None",
+    S.App: "fn, args, span=None",
+    S.BinOp: "op, lhs, rhs, span=None",
+    S.Not: "arg, span=None",
+    S.Addr: "var, span=None",
+    S.IfThenElse: "cond, then, els, span=None",
+    S.Let: "name, bound, body, span=None",
+    S.Instantiate: "arg_layouts, result_layout, fn, args, span=None",
+    S.Lower: "layout, arg, span=None",
+    S.Pattern: "ctor, vars, span=None",
+    S.DataDef: "name, alts, span=None",
+    S.HEmp: "span=None",
+    S.HPointsTo: "base, offset, payload, span=None",
+    S.HApply: "layout, arg, span=None",
+    S.LayoutDef: "name, adt, ssl_params, branches, span=None",
+    S.FnCase: "name, patterns, guarded_bodies, span=None",
+    S.GenerateDirective: "fn, arg_layouts, result_layout, span=None",
+    S.SourceUnit: "data_defs, layout_defs, fn_sigs, fn_defs, directives",
+    ssl.PInt: "value", ssl.PBool: "value", ssl.PVar: "name",
+    ssl._Binary: "lhs, rhs", ssl.PEq: "lhs, rhs", ssl.PAnd: "lhs, rhs",
+    ssl.PNot: "arg", ssl.PLt: "lhs, rhs", ssl.PAdd: "lhs, rhs",
+    ssl.PSub: "lhs, rhs", ssl.PMod: "lhs, rhs",
+    ssl.PTernary: "cond, then, els",
+    ssl.HeapEmp: "",
+    ssl.PointsTo: "base, offset, value",
+    ssl.Block: "base, size",
+    ssl._Call: "name, args",
+    ssl.PredApply: "name, args, ctor=None",
+    ssl.FuncApply: "name, args",
+    ssl.TempLoc: "var",
+    ssl.RoApply: "name, args",
+    ssl.SslAssertion: "pure, spatial",
+    ssl.Branch: "cond, body, ctor=None",
+    ssl.PredicateDef: "name, params, branches",
+    ssl.GoalSpec: "name, params, pre, post",
+    T.LayoutType: "name",
+    T.GlobalEnv: "adts, ctors, layouts, fn_sigs, fn_defs, directives",
+    T.ResolvedLayout: "kind, layout=None, mode='readonly'",
+    T.ElabArg: "ssl_name, layout, pattern, offsets, applies, source_name=None",
+    T.ElabCase: "args, guard, body, result_name, result_layout",
+    T.ElabFn: "name, directive, arg_layouts, result_layout, cases, fresh_base",
+    T.TypedProgram: "env, fns, specialisations",
+    I.IntVal: "value", I.BoolVal: "value", I.LocVal: "loc",
+    I.ConstructorVal: "name, fields",
+    I.Model: "store, heap",
+    I.GroundEmp: "",
+    I.GroundPointsTo: "loc, value",
+    I.GroundApply: "layout, arg",
+    M.Sat: "", M.Unsat: "reason", M.Unknown: "reason",
+    M.PredicateEnv: "preds, fsstore=None",
+    M.SoundnessReport: "result, expr, model, assertion, trace",
+    M.CoreSignature: "genv, layout_of, pool",
+    X._NullPtr: "value=0, span=None",
+    X._CopyCall: "src, layout, span=None",
+    X._Term: "term",
+    X._Arm: "args, guard, lets, body, result_name, result_layout",
+    X.CompileResult: "name, predicate, layout_preds, ro_preds, copy_preds, "
+                     "extra_preds, goal",
+    X.CoreTranslationResult: "pure, spatial, used_vars, result_var",
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_signature_table_covers_every_kind():
+    kinds = {c for c in _subclasses(Node) if c.__module__.startswith("pikac.")
+             and c.__module__ != "pikac.node"}
+    assert kinds <= set(SIGNATURES)
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
+def test_constructor_signature(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert ", ".join(p.name if p.default is p.empty else
+                     f"{p.name}={p.default!r}" for p in params) \
+        == SIGNATURES[cls]
+
+
+def _is_store_of_param(stmt) -> bool:
+    """``self.f = f``, or ``_set(self, "f", f)`` as frozen kinds write it."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target, value = stmt.targets[0], stmt.value
+        return (isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and isinstance(value, ast.Name) and value.id == target.attr)
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        args = stmt.value.args
+        return (len(args) == 3 and isinstance(args[0], ast.Name)
+                and args[0].id == "self" and isinstance(args[1], ast.Constant)
+                and isinstance(args[2], ast.Name)
+                and args[2].id == args[1].value)
+    return False
+
+
+def test_no_kind_writes_an_init_that_only_stores_its_parameters():
+    # the node base generates those from ``__slots__``
+    src = pathlib.Path(X.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"pikac.{path.stem}")
+        for cls_def in ast.parse(path.read_text()).body:
+            cls = isinstance(cls_def, ast.ClassDef) and getattr(
+                module, cls_def.name)
+            if not (isinstance(cls, type) and issubclass(cls, Node)):
+                continue
+            for fn in cls_def.body:
+                if (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                        and all(map(_is_store_of_param, fn.body))):
+                    found.append(cls.__name__)
+    assert found == [], found

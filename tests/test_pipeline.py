@@ -346,6 +346,22 @@ def test_stage_progression_filter():
     assert "(not (__p_x0 == 0)) && (head < 9)" in final
 
 
+def _directives():
+    sources = [(p.relative_to(HERE).as_posix(), p.read_text())
+               for p in sorted(HERE.rglob("*.pika"))]
+    for name, text in sources + [("MAP_ADD1", MAP_ADD1),
+                                 ("FOLD_SPECIALISED", FOLD_SPECIALISED)]:
+        for d in parse_source(text).directives:
+            yield pytest.param(text, d.fn, id=f"{name}:{d.fn}")
+
+
+@pytest.mark.parametrize("text, fn", _directives())
+def test_generation_stage_is_the_compiled_output(text, fn):
+    prog = elaborate(parse_source(text))
+    stages = dict(dump_stages(prog, fn))
+    assert stages[STAGE_TITLES[6]] == compile_directive(prog, fn).render()
+
+
 @pytest.mark.parametrize("name, arm, ann", [
     ("singleton", "singleton x :=", "emp"),
     ("scanr", "scanr z (Nil) :=", "emp"),

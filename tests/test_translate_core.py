@@ -1,7 +1,6 @@
 """Tests for the branch discriminator and the core translation rules."""
 
 import pathlib
-from dataclasses import replace
 
 import pytest
 
@@ -10,8 +9,8 @@ from pikac import ssl
 from pikac import syntax as S
 from pikac.syntax import parse_expr_text, parse_source
 from pikac.translate import (
-    cond, compile_directive, translate_expr_core, translate_fn_def_core,
-    translate_layout_predicate,
+    CoreTranslationResult, cond, compile_directive, translate_expr_core,
+    translate_fn_def_core, translate_layout_predicate,
 )
 from pikac.types import build_global_env, elaborate
 
@@ -184,10 +183,10 @@ def test_core_targeted_result_is_the_renamed_translation(budget, seeds):
         assert targeted.result_var == "r0"
         plain = translate_expr_core(genv, e)
         ren = {plain.result_var: ssl.PVar("r0")}
-        renamed = replace(plain,
-                          pure=tuple(ssl.subst(p, ren) for p in plain.pure),
-                          spatial=tuple(ssl.subst(h, ren)
-                                        for h in plain.spatial))
+        renamed = CoreTranslationResult(
+            tuple(ssl.subst(p, ren) for p in plain.pure),
+            tuple(ssl.subst(h, ren) for h in plain.spatial),
+            plain.used_vars, plain.result_var)
         assert ssl.structural_equiv(_as_predicate(targeted, "r0"),
                                     _as_predicate(renamed, "r0")), seed
 

@@ -181,3 +181,24 @@ def test_mode_defaults():
     assert fn.result_layout.mode == "mutable"
     assert fn.arg_layouts[0].tag() == "ro_Sll"
     assert fn.result_layout.tag(result=True) == "rw_Sll"
+
+
+@pytest.mark.parametrize("defs, call, message", [
+    # an ADT argument that is not resident at a layout
+    ("len : List -> Int;\nlen (Nil) := 0;\nlen (Cons h t) := 1 + len t;",
+     "len (Nil)", "for an argument of type List"),
+    # a function argument
+    ("add1 : Int -> Int;\nadd1 x := x + 1;\n"
+     "app : (Int -> Int) -> Int -> Int;\n"
+     "app f x := instantiate [Int] Int f x;",
+     "app add1 n", "for type Int -> Int"),
+], ids=["adt-argument", "function-argument"])
+def test_implicit_instantiation_needs_an_inferable_layout(defs, call, message):
+    # a call without `instantiate` takes its argument layouts from the
+    # arguments' types; these two leave one undetermined
+    src = (LIST_DEFS + defs
+           + f"\n%generate g [Int] Int\ng : Int -> Int;\ng n := {call};\n")
+    with pytest.raises(E.LayoutAdtMismatch, match=f"cannot infer a layout "
+                       f"{message}; use instantiate") as err:
+        elaborate(parse_source(src))
+    assert err.value.rule == "T-INSTANTIATE"
