@@ -227,8 +227,8 @@ def main(argv=None) -> int:
         exc = ParseError(
             f"input nested too deeply: nesting is bounded by the "
             f"interpreter's recursion limit of {limit} frames (about "
-            f"{limit // 8} levels of parenthesised expressions)",
-            rule="P-NESTING")
+            f"{limit // 3} levels of parenthesised expressions, at 3 frames "
+            f"a level)", rule="P-NESTING")
         print(_diagnostic(exc), file=sys.stderr)
         return 1
 

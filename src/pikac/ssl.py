@@ -2,7 +2,9 @@
 
 An assertion pairs a pure Boolean part with a spatial symbolic heap
 (separating conjunction of heaplets).  Inductive predicates carry guarded
-branches of assertions; goal specifications carry a pre/post pair.
+branches of assertions; goal specifications carry a pre/post pair.  Each
+binary operator kind declares its symbol and precedence once; the printer,
+the parser and ``BINARY_OPS`` (symbol to kind) are derived from them.
 
 Emission targets SuSLik's concrete input syntax.  A small parser for that
 syntax is maintained here so tests can check that emitted text re-parses to
@@ -40,15 +42,20 @@ class PVar(Frozen):
 
 
 class _Binary(Frozen):
+    """A binary operator.  Each kind declares its ``symbol`` and its ``prec``
+    (binding strength, 1 the loosest; all are left-associative); the
+    printer, the parser and the translation read them."""
     __slots__ = ("lhs", "rhs")
 
 
 class PEq(_Binary):
     __slots__ = ()
+    symbol, prec = "==", 2
 
 
 class PAnd(_Binary):
     __slots__ = ()
+    symbol, prec = "&&", 1
 
 
 class PNot(Frozen):
@@ -57,18 +64,22 @@ class PNot(Frozen):
 
 class PLt(_Binary):
     __slots__ = ()
+    symbol, prec = "<", 2
 
 
 class PAdd(_Binary):
     __slots__ = ()
+    symbol, prec = "+", 3
 
 
 class PSub(_Binary):
     __slots__ = ()
+    symbol, prec = "-", 3
 
 
 class PMod(_Binary):
     __slots__ = ()
+    symbol, prec = "%", 4
 
 
 class PTernary(Frozen):
@@ -202,7 +213,8 @@ class GoalSpec(Frozen):
 # Traversal of pure terms and heaplets: subterms, free_vars, subst
 # ---------------------------------------------------------------------------
 
-_BINARY = frozenset((PEq, PAnd, PLt, PAdd, PSub, PMod))
+_BINARY = frozenset(_Binary.__subclasses__())
+BINARY_OPS = {cls.symbol: cls for cls in _BINARY}     # symbol -> kind
 _APPLIES = frozenset((PredApply, FuncApply, RoApply))
 _LEAVES = frozenset((PInt, PBool, PVar, HeapEmp, Block, TempLoc))
 
@@ -312,18 +324,8 @@ def render_pure(t: PureTerm, atom: bool = False) -> str:
         return "true" if t.value else "false"
     if isinstance(t, PVar):
         return t.name
-    if isinstance(t, PEq):
-        s = f"{render_pure(t.lhs, True)} == {render_pure(t.rhs, True)}"
-    elif isinstance(t, PLt):
-        s = f"{render_pure(t.lhs, True)} < {render_pure(t.rhs, True)}"
-    elif isinstance(t, PAdd):
-        s = f"{render_pure(t.lhs, True)} + {render_pure(t.rhs, True)}"
-    elif isinstance(t, PSub):
-        s = f"{render_pure(t.lhs, True)} - {render_pure(t.rhs, True)}"
-    elif isinstance(t, PMod):
-        s = f"{render_pure(t.lhs, True)} % {render_pure(t.rhs, True)}"
-    elif isinstance(t, PAnd):
-        s = f"{render_pure(t.lhs, True)} && {render_pure(t.rhs, True)}"
+    if isinstance(t, _Binary):
+        s = f"{render_pure(t.lhs, True)} {t.symbol} {render_pure(t.rhs, True)}"
     elif isinstance(t, PNot):
         s = f"not {render_pure(t.arg, True)}"
     elif isinstance(t, PTernary):
@@ -463,41 +465,18 @@ class _SusParser:
         self.pos += 1
         return t
 
-    # pure terms, loosest to tightest: && ; == < ; + - ; % ; ternary handled
-    # at the == level (x == (c ? a : b) shape)
+    # pure terms: binary operators bind as their kinds' ``prec`` says; a
+    # ternary is written in parentheses, (c ? a : b)
 
-    def parse_pure(self) -> PureTerm:
-        return self._parse_and()
-
-    def _parse_and(self) -> PureTerm:
-        left = self._parse_cmp()
-        while self.at("&&"):
-            self.next()
-            left = PAnd(left, self._parse_cmp())
-        return left
-
-    def _parse_cmp(self) -> PureTerm:
-        left = self._parse_add()
-        while self.at("==", "<"):
-            op = self.next()[0]
-            right = self._parse_add()
-            left = PEq(left, right) if op == "==" else PLt(left, right)
-        return left
-
-    def _parse_add(self) -> PureTerm:
-        left = self._parse_mod()
-        while self.at("+", "-"):
-            op = self.next()[0]
-            right = self._parse_mod()
-            left = PAdd(left, right) if op == "+" else PSub(left, right)
-        return left
-
-    def _parse_mod(self) -> PureTerm:
+    def parse_pure(self, prec: int = 1) -> PureTerm:
         left = self._parse_pure_atom()
-        while self.at("%"):
-            self.next()
-            left = PMod(left, self._parse_pure_atom())
-        return left
+        while True:
+            t = self.peek()
+            cls = t and BINARY_OPS.get(t[0])
+            if cls is None or cls.prec < prec:
+                return left
+            self.pos += 1
+            left = cls(left, self.parse_pure(cls.prec + 1))
 
     def _parse_pure_atom(self) -> PureTerm:
         t = self.peek()
@@ -583,16 +562,20 @@ class _SusParser:
             return base, off
         return base, 0
 
-    def _parse_arg_list(self) -> list[PureTerm]:
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_pure())
+    def _comma_list(self, item, close: str) -> list:
+        """Items separated by commas, possibly none, then ``close``."""
+        items = []
+        if not self.at(close):
+            items.append(item())
             while self.at(","):
                 self.next()
-                args.append(self.parse_pure())
-        self.expect(")")
-        return args
+                items.append(item())
+        self.expect(close)
+        return items
+
+    def _parse_arg_list(self) -> list[PureTerm]:
+        self.expect("(")
+        return self._comma_list(self.parse_pure, ")")
 
     def parse_assertion(self) -> SslAssertion:
         save = self.pos
@@ -619,13 +602,7 @@ class _SusParser:
             raise ParseError(f"expected 'predicate', found {kw[1]!r}", kw[2])
         name = self.expect("ident")[1]
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            params.append(self._parse_param())
-            while self.at(","):
-                self.next()
-                params.append(self._parse_param())
-        self.expect(")")
+        params = self._comma_list(self._parse_param, ")")
         self.expect("{")
         branches = []
         while self.at("|"):
@@ -652,17 +629,8 @@ class _SusParser:
             raise ParseError(f"expected 'void', found {kw[1]!r}", kw[2])
         name = self.expect("ident")[1]
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            sort = self.expect("ident")[1]
-            pname = self.expect("ident")[1]
-            params.append((sort, pname))
-            while self.at(","):
-                self.next()
-                sort = self.expect("ident")[1]
-                pname = self.expect("ident")[1]
-                params.append((sort, pname))
-        self.expect(")")
+        params = self._comma_list(
+            lambda: (self.expect("ident")[1], self.expect("ident")[1]), ")")
         self.expect("{")
         pre = self.parse_assertion()
         self.expect("}")
@@ -823,21 +791,12 @@ def structural_equiv(a: PredicateDef, b: PredicateDef) -> bool:
             return False
     name_map = {a.name: b.name}
 
-    def match_branches(branches_a, branches_b, bij):
-        if not branches_a:
-            return True
-        br_a = branches_a[0]
-        for i, br_b in enumerate(branches_b):
-            trial = bij.copy()
-            if _match_pure(br_a.cond, br_b.cond, trial) and \
-                    _match_assertion(br_a.body, br_b.body, trial, name_map):
-                if match_branches(branches_a[1:],
-                                  branches_b[:i] + branches_b[i + 1:], trial):
-                    bij.fwd, bij.rev = trial.fwd, trial.rev
-                    return True
-        return False
+    def match_branch(x, y, bij):
+        return (_match_pure(x.cond, y.cond, bij)
+                and _match_assertion(x.body, y.body, bij, name_map))
 
-    return match_branches(list(a.branches), list(b.branches), base)
+    return _match_multiset(list(a.branches), list(b.branches), base,
+                           match_branch)
 
 
 def goal_structural_equiv(a: GoalSpec, b: GoalSpec) -> bool:

@@ -5,6 +5,9 @@ declarations mapping constructors to heaplet lists, type signatures,
 guarded pattern-matching function definitions, and ``%generate``
 directives naming the layout instantiation to compile a function at.
 
+Binary operators are declared once, in ``_PREC``: the parser's one
+precedence-climbing loop and the printer's parenthesisation both read it.
+
 The printer is a parsing inverse: for any well-formed unit ``u``,
 ``parse_program(lex(pretty_print(u)))`` is structurally equal to ``u``
 (source spans are excluded from structural equality).
@@ -406,6 +409,11 @@ def _is_ctor_name(name: str) -> bool:
 _ATOM_STARTS = frozenset({"int", "ident", "(", "true", "false"})
 _PREFIX_FORMS = frozenset({"let", "if", "lower", "instantiate", "not", "addr"})
 
+# binary operators and their binding strength, loosest first; all are
+# left-associative.  The parser and the printer both read this table.
+_PREC = {"||": 1, "&&": 2, "<": 3, "==": 3, "+": 4, "-": 4, "%": 5}
+_APP_PREC = 6
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -488,17 +496,22 @@ class _Parser:
             unit.layout_defs.append(LayoutDef(name, adt, params, layout_cases[name]))
         return unit
 
+    def _comma_list(self, item: Callable, close: str) -> list:
+        """Items separated by commas, possibly none, then ``close``."""
+        items = []
+        if not self.at(close):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
+        self.expect(close)
+        return items
+
     def parse_directive(self) -> GenerateDirective:
         span = self.expect("%generate").span
         fn = self.expect("ident").text
         self.expect("[")
-        args = []
-        if not self.at("]"):
-            args.append(self.parse_layout_ref())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_layout_ref())
-        self.expect("]")
+        args = self._comma_list(self.parse_layout_ref, "]")
         result = self.parse_layout_ref_atom()
         if self.at(";"):
             self.next()
@@ -686,46 +699,18 @@ class _Parser:
         return FnCase(name, patterns, bodies, span=span)
 
     # -- expressions --
-    # precedence, loosest first: || ; && ; < == ; + - ; % ; application/atoms
-    # 'not'/'addr' bind as prefixes of atoms; let/if/lower/instantiate extend
-    # to the right.
+    # binary operators bind as ``_PREC`` says, application tighter; 'not' and
+    # 'addr' bind as prefixes of atoms; let/if/lower/instantiate extend to
+    # the right.
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at("||"):
-            span = self.next().span
-            left = BinOp("||", left, self.parse_and(), span=span)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_cmp()
-        while self.at("&&"):
-            span = self.next().span
-            left = BinOp("&&", left, self.parse_cmp(), span=span)
-        return left
-
-    def parse_cmp(self) -> Expr:
-        left = self.parse_add()
-        while self.at("<", "=="):
-            op = self.next()
-            left = BinOp(op.kind, left, self.parse_add(), span=op.span)
-        return left
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mod()
-        while self.at("+", "-"):
-            op = self.next()
-            left = BinOp(op.kind, left, self.parse_mod(), span=op.span)
-        return left
-
-    def parse_mod(self) -> Expr:
+    def parse_expr(self, prec: int = 1) -> Expr:
+        """An expression whose binary operators bind at least as tightly as
+        ``prec``; each ``BinOp`` has its operator token's span."""
         left = self.parse_app()
-        while self.at("%"):
-            span = self.next().span
-            left = BinOp("%", left, self.parse_app(), span=span)
+        while _PREC.get(self.kinds[self.pos], 0) >= prec:
+            op = self.next()
+            left = BinOp(op.kind, left, self.parse_expr(_PREC[op.kind] + 1),
+                         span=op.span)
         return left
 
     def parse_app(self) -> Expr:
@@ -781,13 +766,7 @@ class _Parser:
         if tok.kind == "instantiate":
             self.next()
             self.expect("[")
-            arg_layouts = []
-            if not self.at("]"):
-                arg_layouts.append(self.parse_layout_ref())
-                while self.at(","):
-                    self.next()
-                    arg_layouts.append(self.parse_layout_ref())
-            self.expect("]")
+            arg_layouts = self._comma_list(self.parse_layout_ref, "]")
             result = self.parse_layout_ref_atom()
             fn = self.expect("ident").text
             args = []
@@ -844,10 +823,6 @@ def parse_expr_text(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Pretty-printer
 # ---------------------------------------------------------------------------
-
-_PREC = {"||": 1, "&&": 2, "<": 3, "==": 3, "+": 4, "-": 4, "%": 5}
-_APP_PREC = 6
-
 
 def render_expr(e: Expr, prec: int = 0) -> str:
     def wrap(s: str, my_prec: int) -> str:

@@ -67,10 +67,6 @@ def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
     return ssl.PNot(root_null)
 
 
-def layout_cell_count(layout: S.LayoutDef, ctor: str) -> int:
-    return layout.shapes[ctor].size
-
-
 # ---------------------------------------------------------------------------
 # Layout, read-only, and copy predicates
 # ---------------------------------------------------------------------------
@@ -89,7 +85,7 @@ def translate_layout_predicate(layout: S.LayoutDef,
         for h in heaplets:
             if isinstance(h, S.HPointsTo):
                 spatial.append(ssl.PointsTo(h.base, h.offset, ssl.PVar(h.payload)))
-        n = layout_cell_count(layout, pat.ctor)
+        n = layout.shapes[pat.ctor].size
         if n:
             spatial.append(ssl.Block(root, n))
         for h in heaplets:
@@ -122,7 +118,7 @@ def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
         for h in heaplets:
             if isinstance(h, S.HPointsTo):
                 spatial.append(ssl.PointsTo("src", h.offset, ssl.PVar(h.payload)))
-        n = layout_cell_count(layout, pat.ctor)
+        n = layout.shapes[pat.ctor].size
         spatial.append(ssl.Block("src", n))
         for h in heaplets:
             if isinstance(h, S.HPointsTo):
@@ -419,9 +415,8 @@ class _Term(Node):
 class _Arm(Node):
     """One guarded body of a function, with what the stages find for it."""
     __slots__ = ("args", "guard", "lets", "body", "result_name",
-                 "result_layout", "destructure", "ro_needed", "copy_needed",
-                 "pure", "calls", "result_cells", "temps", "guard_term",
-                 "cond")
+                 "result_layout", "destructure", "pure", "calls",
+                 "result_cells", "temps", "guard_term")
 
     def __init__(self, args: list, guard: Optional[S.Expr], lets: list,
                  body: S.Expr, result_name: str,
@@ -433,14 +428,18 @@ class _Arm(Node):
         self.result_name = result_name
         self.result_layout = result_layout
         self.destructure = []           # spatial heaplets
-        self.ro_needed = set()
-        self.copy_needed = set()
         self.pure = []
         self.calls = []
         self.result_cells = []
         self.temps = []
         self.guard_term = None
-        self.cond = ssl.TRUE
+
+    def assertion(self) -> ssl.SslAssertion:
+        """The branch body the stages found: stage 6's translation."""
+        return ssl.SslAssertion.make(
+            tuple(self.pure),
+            tuple(self.destructure) + tuple(self.calls)
+            + tuple(self.result_cells) + tuple(self.temps))
 
 
 class CompileResult(Node):
@@ -553,7 +552,7 @@ class _FnTranslator:
         out = []
         for var, off in arg.offsets.items():
             out.append(ssl.PointsTo(arg.ssl_name, off, ssl.PVar(var)))
-        n = layout_cell_count(layout, ctor)
+        n = layout.shapes[ctor].size
         if n:
             out.append(ssl.Block(arg.ssl_name, n))
         for lname, var in arg.applies:
@@ -614,12 +613,8 @@ class _FnTranslator:
             parts = empties + non_empties
             if arm.guard_term is not None:
                 parts.append(arm.guard_term)
-            branch_cond = ssl.pand_all(parts)
-            body = ssl.SslAssertion.make(
-                tuple(arm.pure),
-                tuple(arm.destructure) + tuple(arm.calls)
-                + tuple(arm.result_cells) + tuple(arm.temps))
-            branches.append(ssl.Branch(branch_cond, body, ctor=ctor_tag))
+            branches.append(ssl.Branch(ssl.pand_all(parts), arm.assertion(),
+                                       ctor=ctor_tag))
         params = tuple((a.ssl_name, a.layout.sort) for a in self.elab.cases[0].args) \
             + ((self.elab.cases[0].result_name, self.elab.result_layout.sort),)
         return ssl.PredicateDef(self.pred_name, params, tuple(branches))
@@ -668,7 +663,7 @@ class _ArmTx:
             if _has_calls(arm.guard):
                 raise UnsupportedConstruct("calls in guards are not supported",
                                            getattr(arm.guard, "span", None))
-            arm.guard_term = self.pure_of(arm.guard)
+            arm.guard_term = self.value_of(arm.guard, spatial_adt=False)
         for binder, bound in arm.lets:
             self.let_binders.add(binder)
             term = self.value_of(bound, spatial_adt=False)
@@ -781,15 +776,11 @@ class _ArmTx:
         if isinstance(e, S.Addr):
             return self.addr_term(e)
         if isinstance(e, S.BinOp):
-            ops = {"+": ssl.PAdd, "-": ssl.PSub, "%": ssl.PMod,
-                   "<": ssl.PLt, "==": ssl.PEq, "&&": ssl.PAnd}
-            if e.op in ops:
-                return ops[e.op](self.value_of(e.lhs, False),
-                                 self.value_of(e.rhs, False))
+            lhs, rhs = self.value_of(e.lhs, False), self.value_of(e.rhs, False)
             if e.op == "||":
                 # a || b  ==  not (not a && not b); emitted syntax has no ||
-                return ssl.PNot(ssl.PAnd(ssl.PNot(self.value_of(e.lhs, False)),
-                                         ssl.PNot(self.value_of(e.rhs, False))))
+                return ssl.PNot(ssl.PAnd(ssl.PNot(lhs), ssl.PNot(rhs)))
+            return ssl.BINARY_OPS[e.op](lhs, rhs)
         if isinstance(e, S.Not):
             return ssl.PNot(self.value_of(e.arg, False))
         if isinstance(e, S.IfThenElse):
@@ -812,9 +803,6 @@ class _ArmTx:
         raise NonConstructibleBody(
             f"cannot translate {type(e).__name__} in value position",
             getattr(e, "span", None))
-
-    def pure_of(self, e: S.Expr) -> ssl.PureTerm:
-        return self.value_of(e, spatial_adt=False)
 
     def addr_term(self, e: S.Addr) -> ssl.PureTerm:
         for arg in self.arm.args:
@@ -1003,35 +991,28 @@ STAGE_TITLES = [
 ]
 
 
-def _render_marker_expr(e) -> str:
-    if isinstance(e, _CopyCall):
-        return f"func {e.layout.name}__copy({e.src}, ...)"
-    return S.render_expr(e)
+def _render_body(arm: _Arm) -> str:
+    """An arm's body expression; a stage-4 copy marker as its call."""
+    if isinstance(arm.body, _CopyCall):
+        return f"func {arm.body.layout.name}__copy({arm.body.src}, ...)"
+    return S.render_expr(arm.body)
 
 
-def _render_pattern_ann(arg: ElabArg) -> str:
+def _pattern_text(arg: ElabArg, annotated: bool) -> str:
+    """An argument's pattern as written; a constructor pattern over a layout
+    is annotated with it when ``annotated``."""
     if arg.pattern is None:
         return arg.source_name or arg.ssl_name
     ctor, vars_ = arg.pattern
     pat = f"({ctor} {' '.join(vars_)})" if vars_ else f"({ctor})"
-    if arg.layout.is_adt:
+    if annotated and arg.layout.is_adt:
         return f"({arg.layout.layout.name}[{arg.layout.mode} ; " \
                f"{arg.ssl_name}] {pat})"
     return pat
 
 
 def _render_arm_head(fn: str, arm: _Arm, annotated: bool) -> str:
-    parts = [fn]
-    for arg in arm.args:
-        if annotated:
-            parts.append(_render_pattern_ann(arg))
-        elif arg.pattern is None:
-            parts.append(arg.source_name or arg.ssl_name)
-        else:
-            ctor, vars_ = arg.pattern
-            parts.append(f"({ctor} {' '.join(vars_)})" if vars_
-                         else f"({ctor})")
-    return " ".join(parts)
+    return " ".join([fn] + [_pattern_text(a, annotated) for a in arm.args])
 
 
 def _layout_annotation(arm: _Arm) -> str:
@@ -1081,52 +1062,32 @@ def dump_stages(prog: TypedProgram, fn: str) -> list:
     out = []
 
     out.append((STAGE_TITLES[0],
-                _render_arms(fn, tx.arms, True, False,
-                             lambda arm: _render_marker_expr(arm.body))))
+                _render_arms(fn, tx.arms, True, False, _render_body)))
     tx.stage2()
     out.append((STAGE_TITLES[1],
-                _render_arms(fn, tx.arms, True, False,
-                             lambda arm: _render_marker_expr(arm.body))))
+                _render_arms(fn, tx.arms, True, False, _render_body)))
     tx.stage3()
     out.append((STAGE_TITLES[2],
-                _render_arms(fn, tx.arms, False, True,
-                             lambda arm: _render_marker_expr(arm.body))))
-    before = [arm.body for arm in tx.arms]
+                _render_arms(fn, tx.arms, False, True, _render_body)))
     tx.stage4()
     if any(isinstance(arm.body, _CopyCall) for arm in tx.arms):
         out.append((STAGE_TITLES[3],
-                    _render_arms(fn, tx.arms, False, True,
-                                 lambda arm: _render_marker_expr(arm.body))))
+                    _render_arms(fn, tx.arms, False, True, _render_body)))
     else:
         out.append((STAGE_TITLES[3], "Not applicable."))
     tx.stage5()
     if any(arm.lets for arm in tx.arms):
         def render_lets(arm):
             eqs = [f"{b} == ({S.render_expr(e)})" for b, e in arm.lets]
-            return ", ".join(eqs + [_render_marker_expr(arm.body)])
+            return ", ".join(eqs + [_render_body(arm)])
         out.append((STAGE_TITLES[4],
                     _render_arms(fn, tx.arms, False, True, render_lets)))
     else:
         out.append((STAGE_TITLES[4], "Not applicable."))
     tx.stage6()
-
-    def render_translated(arm):
-        body = ssl.SslAssertion.make(
-            tuple(arm.pure),
-            tuple(arm.destructure) + tuple(arm.calls)
-            + tuple(arm.result_cells) + tuple(arm.temps))
-        return f"layout{{ {ssl.render_assertion(body)} }}"
-
-    lines = []
-    for arm in tx.arms:
-        head = _render_arm_head(fn, arm, False)
-        if arm.guard is not None:
-            lines.append(head)
-            lines.append(f"  | {S.render_expr(arm.guard)} := "
-                         f"{render_translated(arm)};")
-        else:
-            lines.append(f"{head} := {render_translated(arm)};")
-    out.append((STAGE_TITLES[5], "\n".join(lines)))
+    out.append((STAGE_TITLES[5], _render_arms(
+        fn, tx.arms, False, False,
+        lambda arm: f"layout{{ {ssl.render_assertion(arm.assertion())} }}")))
 
     out.append((STAGE_TITLES[6], _compile_result(tx, tx.stage7()).render()))
     return out

@@ -239,10 +239,6 @@ def layout_for_type(env: GlobalEnv, ty: S.TypeExpr,
 # The strict checker
 # ---------------------------------------------------------------------------
 
-def _types_equal(a: Type, b: Type) -> bool:
-    return a == b
-
-
 def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
     """Assign a type under the strict rules, or raise a diagnostic."""
     if isinstance(e, S.IntLit):
@@ -288,7 +284,7 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
             raise TypeMismatch("Bool", str(ct), e.span, rule="T-ADD")
         tt = infer_expr(env, gamma, e.then)
         et = infer_expr(env, gamma, e.els)
-        if not _types_equal(tt, et):
+        if tt != et:
             raise TypeMismatch(str(tt), str(et), e.span, rule="T-ADD")
         return tt
     if isinstance(e, S.Let):
@@ -314,7 +310,7 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
                         and env.layouts[at.name].adt == fty.name:
                     continue
                 raise TypeMismatch(str(fty), str(at), e.span, rule="T-CONSTR")
-            if not _types_equal(at, fty):
+            if at != fty:
                 raise TypeMismatch(str(fty), str(at), e.span, rule="T-CONSTR")
         return S.TName(adt)
     if isinstance(e, S.Lower):
@@ -325,7 +321,7 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
                 if not isinstance(ty, (S.TInt, S.TPtrInt)):
                     raise TypeMismatch("Int", str(ty), e.span, rule="T-LOWER-VAR")
                 return S.TPtrInt()
-            if not _types_equal(ty, resolved.type()):
+            if ty != resolved.type():
                 raise TypeMismatch(str(resolved.type()), str(ty), e.span,
                                    rule="T-LOWER-VAR")
             return resolved.type()
@@ -379,7 +375,7 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
             if isinstance(pty, S.TName) and isinstance(at, LayoutType) \
                     and env.layouts[at.name].adt == pty.name:
                 continue
-            if not _types_equal(at, pty):
+            if at != pty:
                 raise TypeMismatch(str(pty), str(at), e.span, rule="T-FN-GLOBAL")
         return result
     raise TypeMismatch("expression", type(e).__name__, getattr(e, "span", None))
@@ -441,7 +437,7 @@ def _infer_instantiate(env: GlobalEnv, gamma: dict, e: S.Instantiate) -> Type:
             raise LayoutAdtMismatch(
                 f"argument of {e.fn} is not concrete at layout "
                 f"{lay.layout.name} (found {at})", e.span, rule="T-INSTANTIATE")
-        if not _types_equal(at, expected):
+        if at != expected:
             raise TypeMismatch(str(expected), str(at), e.span,
                                rule="T-INSTANTIATE")
     return result.type()
@@ -505,10 +501,9 @@ def _param_name(i: int, layout: ResolvedLayout) -> str:
 
 
 class _Elaborator:
-    def __init__(self, env: GlobalEnv, program_specs: dict):
+    def __init__(self, env: GlobalEnv):
         self.env = env
-        self.specs = program_specs        # accumulates specialised functions
-        self.spec_order: list = []
+        self.spec_order: list = []        # specialised functions, in order
 
     def elaborate_fn(self, fn: str) -> ElabFn:
         env = self.env
@@ -925,16 +920,13 @@ def elaborate(unit: S.SourceUnit) -> TypedProgram:
     """Elaborate every function named by a directive.  Deterministic: the
     same unit always produces the same TypedProgram, including all names."""
     env = build_global_env(unit)
-    elab = _Elaborator(env, {})
+    elab = _Elaborator(env)
     fns: dict[str, ElabFn] = {}
     for d in unit.directives:
         fns[d.fn] = elab.elaborate_fn(d.fn)
     # specialisations registered during elaboration get directives derived
     # from their call sites and are elaborated on demand by the translator
-    specialisations = []
-    for name in elab.spec_order:
-        specialisations.append(name)
-    return TypedProgram(env, fns, specialisations)
+    return TypedProgram(env, fns, elab.spec_order)
 
 
 def elaborate_fn_at(env: GlobalEnv, fn: str, arg_refs, result_ref) -> ElabFn:
@@ -944,7 +936,7 @@ def elaborate_fn_at(env: GlobalEnv, fn: str, arg_refs, result_ref) -> ElabFn:
     saved = env.directives.get(fn)
     env.directives[fn] = directive
     try:
-        return _Elaborator(env, {}).elaborate_fn(fn)
+        return _Elaborator(env).elaborate_fn(fn)
     finally:
         if saved is None:
             del env.directives[fn]

@@ -1,7 +1,11 @@
 """Edge-case regressions across the pipeline surface."""
 
+import os
 import pathlib
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +100,31 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error[P-NESTING]: input nested too deeply")
     assert "recursion limit" in err and "Traceback" not in err
+
+
+def test_nesting_under_the_stated_depth_compiles(tmp_path):
+    # a fresh process, as a user runs it; the diagnostic states the depth
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+
+    def compile_nested(levels):
+        path = tmp_path / f"nested{levels}.pika"
+        path.write_text("%generate plus [Int, Int] Int\n"
+                        "plus : Int -> Int -> Int;\n"
+                        "plus x y := " + "(" * levels + "x" + ")" * levels
+                        + " + y;\n")
+        return subprocess.run(
+            [sys.executable, "-m", "pikac.cli", "compile", str(path),
+             "--stdout"], env=env, capture_output=True, text=True, timeout=60)
+
+    deep = compile_nested(3000)
+    assert deep.returncode == 1, deep.stderr
+    stated = int(re.search(r"about (\d+) levels", deep.stderr).group(1))
+    # the frames below the parser take the few levels "about" allows for
+    under = compile_nested(stated - 10)
+    assert under.returncode == 0, under.stderr
+    assert under.stdout.startswith("predicate ")
 
 
 # -- renaming invariance of the equivalence checker --

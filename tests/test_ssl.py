@@ -72,6 +72,27 @@ def test_otimes_two_sided_identity(a):
     assert ssl.conj_otimes(EMPTY, a) == a
 
 
+# pure terms over every term kind the emitted syntax has; names avoid the
+# words the parser reads as literals (true, false, not, null)
+_terms = st.recursive(
+    st.one_of(st.integers(-9, 9).map(ssl.PInt), st.booleans().map(ssl.PBool),
+              st.sampled_from(["x", "y", "a0", "nxt"]).map(ssl.PVar)),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from([ssl.PEq, ssl.PAnd, ssl.PLt, ssl.PAdd,
+                                   ssl.PSub, ssl.PMod]), sub, sub)
+        .map(lambda t: t[0](t[1], t[2])),
+        sub.map(ssl.PNot),
+        st.tuples(sub, sub, sub).map(lambda t: ssl.PTernary(*t))),
+    max_leaves=12)
+
+
+@given(_terms)
+def test_render_pure_parses_back(t):
+    parser = ssl._SusParser(ssl.render_pure(t, True))
+    assert parser.parse_pure() == t
+    assert parser.peek() is None
+
+
 def test_emit_singleton_listing():
     pred = ssl.PredicateDef(
         "singleton", (("p", "int"), ("r", "loc")),

@@ -204,8 +204,9 @@ _exprs = st.recursive(
         _names.map(S.Var),
     ),
     lambda sub: st.one_of(
-        st.tuples(st.sampled_from(["+", "-", "%", "<", "=="]), sub, sub)
+        st.tuples(st.sampled_from(sorted(S._PREC)), sub, sub)
         .map(lambda t: S.BinOp(*t)),
+        sub.map(S.Not),
         st.tuples(sub, sub, sub).map(lambda t: S.IfThenElse(*t)),
         st.tuples(_names, sub, sub).map(lambda t: S.Let(*t)),
         st.tuples(_names, st.lists(sub, min_size=1, max_size=2))

@@ -139,6 +139,45 @@ def test_every_ssl_kind_is_traversed(cls):
             walk(_NewKind())
 
 
+# the operator tables: each IR declares its binary operators once
+
+
+def test_every_ssl_binary_kind_declares_its_operator():
+    kinds = ssl._Binary.__subclasses__()
+    assert set(kinds) == ssl._BINARY
+    for cls in kinds:
+        assert isinstance(cls.__dict__.get("symbol"), str), cls
+        assert isinstance(cls.__dict__.get("prec"), int), cls
+    assert {ssl.BINARY_OPS[c.symbol] for c in kinds} == set(kinds)
+    # the emitted syntax orders its operators as the surface syntax does
+    for a in kinds:
+        for b in kinds:
+            assert (a.prec < b.prec) == (S._PREC[a.symbol] < S._PREC[b.symbol])
+
+
+# operand and result type of each surface operator
+_OPERATOR_TYPES = {"+": ("Int", "Int"), "-": ("Int", "Int"),
+                   "%": ("Int", "Int"), "<": ("Int", "Bool"),
+                   "==": ("Int", "Bool"), "&&": ("Bool", "Bool"),
+                   "||": ("Bool", "Bool")}
+
+
+@pytest.mark.parametrize("op", sorted(S._PREC))
+def test_every_syntax_operator_translates(op):
+    arg, res = _OPERATOR_TYPES[op]
+    prog = elaborate(S.parse_source(
+        f"%generate f [{arg}, {arg}] {res}\n"
+        f"f : {arg} -> {arg} -> {res};\n"
+        f"f a b := a {op} b;\n"))
+    (branch,) = compile_directive(prog, "f").predicate.branches
+    (eq,) = branch.body.pure
+    a, b = V("__p_0"), V("__p_1")
+    if op == "||":
+        assert eq.rhs == ssl.PNot(ssl.PAnd(ssl.PNot(a), ssl.PNot(b)))
+    else:
+        assert eq.rhs == ssl.BINARY_OPS[op](a, b) and eq.rhs.symbol == op
+
+
 # count_unit_nodes of each shipped source with a directive, and the
 # count_predicate_nodes + count_goal_nodes total of each directive.
 NODE_COUNTS = {

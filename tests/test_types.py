@@ -161,7 +161,7 @@ orphan xs := xs;
     from pikac.types import _Elaborator
     env = build_global_env(parse_source(prog_src))
     with pytest.raises(E.MissingGenerateDirective):
-        _Elaborator(env, {}).elaborate_fn("orphan")
+        _Elaborator(env).elaborate_fn("orphan")
 
 
 def test_directive_arity_mismatch():
