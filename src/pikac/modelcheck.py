@@ -36,11 +36,13 @@ translator), on first use, and hands every caller a fresh environment.
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import ssl
 from . import syntax as S
-from .errors import PreconditionViolated, SortMismatch, UnboundVariable
+from .errors import (
+    PreconditionViolated, SortMismatch, UnboundVariable, UnsupportedConstruct,
+)
 from .interp import BoolVal, ConstructorVal, IntVal, LocVal, Model, Val, eval_expr
 from .node import Frozen, Node
 from .translate import (
@@ -729,10 +731,27 @@ def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessRep
 # Core expression generation
 # ---------------------------------------------------------------------------
 
+class LayoutDraw(NamedTuple):
+    """What drawing a ``lower`` into one layout reads: the shared layout
+    reference, the empty and non-empty branch patterns in branch order, and
+    per constructor one entry per field, the layout to lower it into (the
+    branch's ``HApply`` layout, else the field type's first layout) or None
+    for a field that is not of an ADT.  A constructor with an ADT field that
+    has no layout to lower into is left out."""
+    ref: S.NamedLayout
+    empties: tuple
+    non_empties: tuple
+    fields: dict
+
+
 class CoreSignature(Node):
     """The pool the generator draws from: layouts by ADT plus the
-    single-argument core functions grouped by (argument ADT, result ADT)."""
-    __slots__ = ("genv", "layout_of", "pool")  # pool: [(fn, arg, result)]
+    single-argument core functions grouped by (argument ADT, result ADT).
+    The draw tables are built once, by ``from_env``: the sorted ADTs, the
+    pool entries by result ADT and by result layout, and a ``LayoutDraw``
+    per layout."""
+    __slots__ = ("genv", "layout_of", "pool",  # pool: [(fn, arg, result)]
+                 "adts", "fns_by_adt", "fns_by_layout", "draws")
 
     @staticmethod
     def from_env(genv: GlobalEnv) -> "CoreSignature":
@@ -753,17 +772,46 @@ class CoreSignature(Node):
             if isinstance(arg, S.TName) and isinstance(res, S.TName) \
                     and arg.name in layout_of and res.name in layout_of:
                 pool.append((fn, layout_of[arg.name], layout_of[res.name]))
-        return CoreSignature(genv, layout_of, sorted(pool))
+        pool.sort()
+        fns_by_adt, fns_by_layout = {}, {}
+        for p in pool:
+            fns_by_adt.setdefault(genv.layouts[p[2]].adt, []).append(p)
+            fns_by_layout.setdefault(p[2], []).append(p)
+        draws = {name: _layout_draw(genv, layout_of, layout)
+                 for name, layout in genv.layouts.items()}
+        return CoreSignature(genv, layout_of, pool, sorted(layout_of),
+                             fns_by_adt, fns_by_layout, draws)
+
+
+def _layout_draw(genv: GlobalEnv, layout_of: dict,
+                 layout: S.LayoutDef) -> LayoutDraw:
+    fields = {}
+    for pat, heaplets in layout.branches:
+        applies = {h.arg: h.layout for h in heaplets
+                   if isinstance(h, S.HApply)}
+        subs = []
+        for var, fty in zip(pat.vars, genv.ctors[pat.ctor][0]):
+            if not isinstance(fty, S.TName):
+                subs.append(None)
+            elif (sub := applies.get(var, layout_of.get(fty.name))) is None:
+                break
+            else:
+                subs.append(sub)
+        else:
+            fields[pat.ctor] = tuple(subs)
+    return LayoutDraw(S.NamedLayout(layout.name), *layout.emptiness, fields)
+
+
+_KINDS = ("int", "adt", "adt", "adt")
 
 
 def gen_core_expr(sig: CoreSignature, seed: int, budget: int) -> S.Expr:
     """A closed, well-typed core expression; deterministic in the seed."""
     rng = random.Random(seed)
-    adts = sorted(sig.layout_of)
-    kind = rng.choice(["int"] + ["adt"] * 3) if adts else "int"
+    kind = rng.choice(_KINDS) if sig.adts else "int"
     if kind == "int" or budget <= 1:
         return _gen_int(rng, budget)
-    adt = rng.choice(adts)
+    adt = rng.choice(sig.adts)
     return _gen_adt(sig, rng, adt, budget)
 
 
@@ -775,49 +823,37 @@ def _gen_int(rng, budget) -> S.Expr:
 
 
 def _gen_adt(sig: CoreSignature, rng, adt: str, budget: int) -> S.Expr:
-    layout_name = sig.layout_of[adt]
-    fns = [p for p in sig.pool if sig.genv.layouts[p[2]].adt == adt]
+    fns = sig.fns_by_adt.get(adt)
     if budget > 2 and fns and rng.random() < 0.5:
         fn, arg_layout, res_layout = rng.choice(fns)
-        arg_adt = sig.genv.layouts[arg_layout].adt
-        inner_fns = [p for p in sig.pool
-                     if sig.genv.layouts[p[2]].name == arg_layout]
-        if budget > 5 and inner_fns and rng.random() < 0.35:
-            arg = _gen_adt(sig, rng, arg_adt, budget - 2)
-            if not isinstance(arg, S.Instantiate):
-                arg = S.Lower(S.NamedLayout(arg_layout), arg) \
-                    if isinstance(arg, S.ConstructorApp) else arg
+        arg_ref = sig.draws[arg_layout].ref
+        if budget > 5 and arg_layout in sig.fns_by_layout \
+                and rng.random() < 0.35:
+            arg = _gen_adt(sig, rng, sig.genv.layouts[arg_layout].adt,
+                           budget - 2)
         else:
             arg = _gen_lower(sig, rng, arg_layout, budget - 2)
-        return S.Instantiate((S.NamedLayout(arg_layout),),
-                             S.NamedLayout(res_layout), fn, [arg])
-    return _gen_lower(sig, rng, layout_name, budget)
+        return S.Instantiate((arg_ref,), sig.draws[res_layout].ref, fn, [arg])
+    return _gen_lower(sig, rng, sig.layout_of[adt], budget)
 
 
 def _gen_lower(sig: CoreSignature, rng, layout_name: str, budget: int) -> S.Expr:
-    layout = sig.genv.layouts[layout_name]
-    empties = [p for p, hs in layout.branches
-               if all(isinstance(h, S.HEmp) for h in hs)]
-    non_empties = [p for p, hs in layout.branches
-                   if not all(isinstance(h, S.HEmp) for h in hs)]
+    draw = sig.draws[layout_name]
+    empties, non_empties = draw.empties, draw.non_empties
     if budget <= 2 or not non_empties or (empties and rng.random() < 0.25):
         pat = rng.choice(empties or non_empties)
     else:
         pat = rng.choice(non_empties)
     ctor = pat.ctor
-    field_tys, _ = sig.genv.ctors[ctor]
-    applies = {h.arg: h.layout for h in layout.branch_for(ctor)
-               if isinstance(h, S.HApply)}
-    args = []
-    share = max(1, (budget - 1) // max(1, len(field_tys))) if field_tys else 0
-    for var, fty in zip(pat.vars, field_tys):
-        if isinstance(fty, S.TName):
-            sub_layout = applies.get(var, sig.layout_of.get(fty.name))
-            args.append(_gen_lower(sig, rng, sub_layout, share))
-        else:
-            args.append(_gen_int(rng, min(share, 3)))
-    return S.Lower(S.NamedLayout(layout_name),
-                   S.ConstructorApp(ctor, args))
+    fields = draw.fields.get(ctor)
+    if fields is None:
+        raise UnsupportedConstruct(
+            f"layout {layout_name}: a field of {ctor} has no layout to "
+            f"lower into", pat.span)
+    share = max(1, (budget - 1) // len(fields)) if fields else 0
+    args = [_gen_lower(sig, rng, sub, share) if sub is not None
+            else _gen_int(rng, min(share, 3)) for sub in fields]
+    return S.Lower(draw.ref, S.ConstructorApp(ctor, args))
 
 
 def shrink_core_expr(e: S.Expr) -> list:

@@ -450,17 +450,26 @@ class _SusParser:
         t = self.peek()
         return t is not None and t[1] == text
 
-    def next(self):
+    def _end_span(self) -> Span:
+        """Where an unexpected end of input is reported: the last token."""
+        return self.tokens[-1][2] if self.tokens else Span(1, 1)
+
+    def current(self):
+        """The next token, not consumed; raises at the end of the input."""
         t = self.peek()
         if t is None:
-            raise ParseError("unexpected end of SSL input")
+            raise ParseError("unexpected end of SSL input", self._end_span())
+        return t
+
+    def next(self):
+        t = self.current()
         self.pos += 1
         return t
 
     def expect(self, kind):
         t = self.peek()
         if t is None or t[0] != kind:
-            span = t[2] if t else None
+            span = t[2] if t else self._end_span()
             raise ParseError(f"expected {kind!r}, found {t[1] if t else 'EOF'!r}", span)
         self.pos += 1
         return t
@@ -479,10 +488,7 @@ class _SusParser:
             left = cls(left, self.parse_pure(cls.prec + 1))
 
     def _parse_pure_atom(self) -> PureTerm:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of SSL input")
-        kind, text, span = t
+        kind, text, span = self.current()
         if kind == "int":
             self.next()
             return PInt(int(text))
@@ -513,8 +519,7 @@ class _SusParser:
     # heaplets / assertions
 
     def parse_heaplet(self) -> Heaplet:
-        t = self.peek()
-        kind, text, span = t
+        kind, text, span = self.current()
         if kind == "ident" and text == "emp":
             self.next()
             return HeapEmp()
@@ -617,9 +622,9 @@ class _SusParser:
         return PredicateDef(name, tuple(params), tuple(branches))
 
     def _parse_param(self) -> tuple[str, str]:
-        sort = self.expect("ident")[1]
+        _, sort, span = self.expect("ident")
         if sort not in ("int", "loc"):
-            raise ParseError(f"unknown parameter sort {sort!r}")
+            raise ParseError(f"unknown parameter sort {sort!r}", span)
         name = self.expect("ident")[1]
         return (name, sort)
 

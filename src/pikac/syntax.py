@@ -371,6 +371,16 @@ class LayoutDef(Node):
             out[pat.ctor] = CtorShape(pat, heaplets, cells, size, error)
         return out
 
+    @cached_property
+    def emptiness(self) -> tuple:
+        """``(empties, non_empties)``: the branch patterns whose heaplets are
+        all ``emp``, and the others, each in branch order."""
+        empties, non_empties = [], []
+        for pat, heaplets in self.branches:
+            empty = all(isinstance(h, HEmp) for h in heaplets)
+            (empties if empty else non_empties).append(pat)
+        return tuple(empties), tuple(non_empties)
+
     def branch_for(self, ctor: str) -> Optional[list]:
         shape = self.shapes.get(ctor)
         return shape and shape.heaplets

@@ -55,12 +55,11 @@ def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
     var = var or layout.ssl_params[0]
     if len(layout.branches) == 1:
         return ssl.TRUE
-    empties = [p.ctor for p, hs in layout.branches if _branch_is_empty(hs)]
-    non_empties = [p.ctor for p, hs in layout.branches if not _branch_is_empty(hs)]
+    empties, non_empties = layout.emptiness
     if len(empties) > 1 or (len(non_empties) > 1 and not allow_guarded):
         raise AmbiguousBranches(
             f"layout {layout.name} has indistinguishable branches "
-            f"({', '.join(empties + non_empties)})")
+            f"({', '.join(p.ctor for p in empties + non_empties)})")
     root_null = ssl.PEq(ssl.PVar(var), ssl.PInt(0))
     if _branch_is_empty(heaplets):
         return root_null

@@ -239,6 +239,15 @@ def layout_for_type(env: GlobalEnv, ty: S.TypeExpr,
 # The strict checker
 # ---------------------------------------------------------------------------
 
+# operand and result type of each binary operator, keyed like syntax._PREC
+OPERATOR_TYPES = {
+    "+": (S.TInt(), S.TInt()), "-": (S.TInt(), S.TInt()),
+    "%": (S.TInt(), S.TInt()),
+    "<": (S.TInt(), S.TBool()), "==": (S.TInt(), S.TBool()),
+    "&&": (S.TBool(), S.TBool()), "||": (S.TBool(), S.TBool()),
+}
+
+
 def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
     """Assign a type under the strict rules, or raise a diagnostic."""
     if isinstance(e, S.IntLit):
@@ -254,38 +263,29 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
     if isinstance(e, S.Addr):
         inner = infer_expr(env, gamma, S.Var(e.var, span=e.span))
         if not isinstance(inner, S.TInt):
-            raise TypeMismatch("Int", str(inner), e.span, rule="T-ADD")
+            raise TypeMismatch("Int", str(inner), e.span, rule="T-ADDR")
         return S.TPtrInt()
     if isinstance(e, S.Not):
         ty = infer_expr(env, gamma, e.arg)
         if not isinstance(ty, S.TBool):
-            raise TypeMismatch("Bool", str(ty), e.span, rule="T-ADD")
+            raise TypeMismatch("Bool", str(ty), e.span, rule="T-NOT")
         return S.TBool()
     if isinstance(e, S.BinOp):
         lt = infer_expr(env, gamma, e.lhs)
         rt = infer_expr(env, gamma, e.rhs)
-        if e.op in ("+", "-", "%"):
-            for t in (lt, rt):
-                if not isinstance(t, S.TInt):
-                    raise TypeMismatch("Int", str(t), e.span, rule="T-ADD")
-            return S.TInt()
-        if e.op in ("<", "=="):
-            for t in (lt, rt):
-                if not isinstance(t, S.TInt):
-                    raise TypeMismatch("Int", str(t), e.span, rule="T-ADD")
-            return S.TBool()
+        operand, result = OPERATOR_TYPES[e.op]
         for t in (lt, rt):
-            if not isinstance(t, S.TBool):
-                raise TypeMismatch("Bool", str(t), e.span, rule="T-ADD")
-        return S.TBool()
+            if t != operand:
+                raise TypeMismatch(str(operand), str(t), e.span, rule="T-ADD")
+        return result
     if isinstance(e, S.IfThenElse):
         ct = infer_expr(env, gamma, e.cond)
         if not isinstance(ct, S.TBool):
-            raise TypeMismatch("Bool", str(ct), e.span, rule="T-ADD")
+            raise TypeMismatch("Bool", str(ct), e.span, rule="T-IF")
         tt = infer_expr(env, gamma, e.then)
         et = infer_expr(env, gamma, e.els)
         if tt != et:
-            raise TypeMismatch(str(tt), str(et), e.span, rule="T-ADD")
+            raise TypeMismatch(str(tt), str(et), e.span, rule="T-IF")
         return tt
     if isinstance(e, S.Let):
         bt = infer_expr(env, gamma, e.bound)
@@ -597,7 +597,8 @@ class _Elaborator:
                 g2 = self._elab(guard, gamma, rename, fn, directive, None)
                 gt = infer_expr(env, gamma_renamed(gamma, rename), g2)
                 if not isinstance(gt, S.TBool):
-                    raise TypeMismatch("Bool", str(gt), case.span, rule="T-ADD")
+                    raise TypeMismatch("Bool", str(gt), case.span,
+                                       rule="T-GUARD")
             b2 = self._elab(body, gamma, rename, fn, directive,
                             result_layout if result_layout.is_adt else None,
                             at_result=True)

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from pikac import cli
 from pikac import ssl
 
@@ -70,6 +72,30 @@ f t := lower TreeLayout (Cons 1 (Nil));
     code, out, err = run(capsys, "compile", str(bad), "--stdout")
     assert code == 1
     assert "T-LOWER" in err
+
+
+@pytest.mark.parametrize("text, rule, message", [
+    ("%generate f [Int] Int\nf : Int -> Int;\nf x := if x then 1 else 2;",
+     "T-IF", "expected Bool, found Int at 3:8"),
+    ("%generate f [Bool] Int\nf : Bool -> Int;\n"
+     "f x := if x then 1 else (x && x);",
+     "T-IF", "expected Int, found Bool at 3:8"),
+    ("%generate f [Int] Bool\nf : Int -> Bool;\nf x := not x;",
+     "T-NOT", "expected Bool, found Int at 3:8"),
+    ("%generate f [Bool] Int\nf : Bool -> Int;\nf x := let y := addr x in 1;",
+     "T-ADDR", "expected Int, found Bool at 3:17"),
+    ("%generate f [Int] Int\nf : Int -> Int;\nf x | x := 1;",
+     "T-GUARD", "expected Bool, found Int at 3:1"),
+    ("%generate f [Int] Int\nf : Int -> Int;\nf x := x && x;",
+     "T-ADD", "expected Bool, found Int at 3:10"),
+], ids=["if-cond", "if-branches", "not", "addr", "guard", "and"])
+def test_compile_names_the_rule_of_a_type_error(tmp_path, capsys, monkeypatch,
+                                                text, rule, message):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    bad = tmp_path / "bad.pika"
+    bad.write_text(text + "\n")
+    code, out, err = run(capsys, "compile", str(bad), "--stdout")
+    assert (code, err) == (1, f"error[{rule}]: {message}\n")
 
 
 def test_compile_missing_file(capsys):
@@ -147,6 +173,26 @@ def test_soundness_unknown_is_not_a_counterexample(capsys):
     assert code == 3
     assert out.startswith("unknown (seed 45): unfolding depth bound exhausted")
     assert "counterexample" not in out
+
+
+def test_soundness_field_with_no_layout_is_a_diagnostic(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    src = tmp_path / "box.pika"
+    src.write_text("""
+data List := Nil | Cons Int List;
+data Box := B List;
+
+BoxL : Box >-> layout[x];
+BoxL (B l) := emp;
+
+idBox : Box -> Box;
+idBox (B l) := lower BoxL (B l);
+""")
+    code, out, err = run(capsys, "soundness", str(src), "--count", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: layout BoxL: a field of B has no layout to lower " \
+                  "into at 6:6\n"
 
 
 def test_soundness_zero_count_usage_error(capsys):

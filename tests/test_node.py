@@ -295,7 +295,8 @@ SIGNATURES = {
     M.Sat: "", M.Unsat: "reason", M.Unknown: "reason",
     M.PredicateEnv: "preds, fsstore=None",
     M.SoundnessReport: "result, expr, model, assertion, trace",
-    M.CoreSignature: "genv, layout_of, pool",
+    M.CoreSignature: "genv, layout_of, pool, adts, fns_by_adt, fns_by_layout, "
+                     "draws",
     X._NullPtr: "value=0, span=None",
     X._CopyCall: "src, layout, span=None",
     X._Term: "term",

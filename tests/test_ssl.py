@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pikac import ssl
+from pikac.errors import ParseError
 
 GOLDEN = sorted(pathlib.Path(__file__).parent.joinpath("golden").glob("*.sus"))
 
@@ -228,3 +229,32 @@ def test_duplicate_points_to_rejected():
     with pytest.raises(ValueError):
         ssl.SslAssertion((), (ssl.PointsTo("x", 0, ssl.PInt(1)),
                               ssl.PointsTo("x", 0, ssl.PInt(2))))
+
+
+@pytest.mark.parametrize("text, message, span", [
+    ("predicate p(foo x) { }", "unknown parameter sort 'foo'", (1, 13)),
+    ("predicate p(loc x", "expected ')', found 'EOF'", (1, 17)),
+    ("predicate p(loc x) { | x == (1 +", "unexpected end of SSL input",
+     (1, 32)),
+    ("predicate p(loc x) { | true => { x :-> 1 **",
+     "unexpected end of SSL input", (1, 42)),
+])
+def test_parse_errors_have_a_position(text, message, span):
+    with pytest.raises(ParseError) as info:
+        ssl.parse_sus_file(text)
+    assert (info.value.message, info.value.span) == (message, span)
+
+
+def test_every_cut_of_a_predicate_is_a_positioned_parse_error():
+    text = ("predicate p(loc x) { | not (x == 0) => { x :-> 1 ** "
+            "(x+1) :-> (y + 2) ** p(y) ** [x, 2] ** func f(x) ** temploc t } }")
+    for cut in range(1, len(text)):
+        with pytest.raises(ParseError) as info:
+            ssl.parse_sus_file(text[:cut])
+        assert info.value.span is not None, text[:cut]
+
+
+def test_empty_predicate_text_is_an_error_at_its_start():
+    with pytest.raises(ParseError) as info:
+        ssl.parse_predicate("")
+    assert info.value.span == (1, 1)

@@ -106,6 +106,8 @@ Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
         S.HPointsTo("x", 1, "tail"),
         S.HApply("Sll", "tail"),
     ]
+    assert layout.emptiness == ((nil_pat,), (cons_pat,))
+    assert layout.emptiness is layout.emptiness
 
 
 def test_parse_error_position():

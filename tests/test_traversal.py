@@ -10,7 +10,7 @@ from pikac import ssl
 from pikac import syntax as S
 from pikac.errors import SortMismatch, Span
 from pikac.translate import compile_directive
-from pikac.types import elaborate
+from pikac.types import OPERATOR_TYPES, elaborate
 
 TESTS = pathlib.Path(__file__).parent
 SLL = S.NamedLayout("Sll")
@@ -155,16 +155,9 @@ def test_every_ssl_binary_kind_declares_its_operator():
             assert (a.prec < b.prec) == (S._PREC[a.symbol] < S._PREC[b.symbol])
 
 
-# operand and result type of each surface operator
-_OPERATOR_TYPES = {"+": ("Int", "Int"), "-": ("Int", "Int"),
-                   "%": ("Int", "Int"), "<": ("Int", "Bool"),
-                   "==": ("Int", "Bool"), "&&": ("Bool", "Bool"),
-                   "||": ("Bool", "Bool")}
-
-
 @pytest.mark.parametrize("op", sorted(S._PREC))
 def test_every_syntax_operator_translates(op):
-    arg, res = _OPERATOR_TYPES[op]
+    arg, res = map(str, OPERATOR_TYPES[op])
     prog = elaborate(S.parse_source(
         f"%generate f [{arg}, {arg}] {res}\n"
         f"f : {arg} -> {arg} -> {res};\n"

@@ -8,7 +8,8 @@ from pikac import errors as E
 from pikac import syntax as S
 from pikac.syntax import parse_expr_text, parse_source, render_expr
 from pikac.types import (
-    LayoutType, build_global_env, check_concrete, elaborate, infer_expr,
+    OPERATOR_TYPES, LayoutType, build_global_env, check_concrete, elaborate,
+    infer_expr,
 )
 
 HERE = pathlib.Path(__file__).parent
@@ -70,6 +71,10 @@ def test_duplicate_names_rejected():
 
 def test_infer_arithmetic(genv):
     assert infer_expr(genv, {}, parse_expr_text("3 + 4")) == S.TInt()
+
+
+def test_every_binary_operator_has_a_type():
+    assert OPERATOR_TYPES.keys() == S._PREC.keys()
 
 
 def test_infer_lower_constructor(genv):
