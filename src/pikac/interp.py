@@ -22,12 +22,11 @@ Design notes, fixed here because the rules leave them open:
 * A callee body is evaluated under a renaming of its pattern variables to
   the store variables of the fields; it is not rebuilt.  A constructor's
   cells come from its layout shape (``LayoutDef.shapes``) and are written
-  after one overlap check; ``act_on_heap`` states the same heap action.
+  after one overlap check; the tests check them against a reference heap
+  action of the grounded layout body (``tests/heap_action.py``).
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 from . import syntax as S
 from .errors import (
@@ -60,7 +59,7 @@ class LocVal(Frozen):
     def __str__(self): return f"<{self.loc}>"
 
 
-Val = Union[IntVal, BoolVal, LocVal]
+Val = (IntVal, BoolVal, LocVal)
 
 
 class ConstructorVal(Frozen):
@@ -80,7 +79,7 @@ class ConstructorVal(Frozen):
         return " ".join([self.name] + parts)
 
 
-FsVal = Union[IntVal, BoolVal, LocVal, ConstructorVal]
+FsVal = (IntVal, BoolVal, LocVal, ConstructorVal)
 
 
 class Model(Node):
@@ -94,49 +93,6 @@ class Model(Node):
         out = ["store:"] + (store_lines or ["  (empty)"])
         out += ["heap:"] + (heap_lines or ["  (empty)"])
         return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Layout bodies acting on heaps
-# ---------------------------------------------------------------------------
-
-class GroundEmp(Frozen):
-    __slots__ = ()
-
-
-class GroundPointsTo(Frozen):
-    __slots__ = ("loc", "value")
-
-
-class GroundApply(Frozen):
-    __slots__ = ("layout", "arg")
-
-
-def act_on_heap(heap: dict, items) -> dict:
-    """Extend a heap with the grounded layout body ``items``.
-
-    Points-to items write their cell; layout applications whose argument
-    is already a value are skipped; writing an occupied cell is an error.
-    """
-    out = dict(heap)
-    for item in items:
-        if isinstance(item, GroundEmp):
-            continue
-        if isinstance(item, GroundPointsTo):
-            if not isinstance(item.value, (IntVal, BoolVal, LocVal)):
-                raise UngroundedHeaplet(
-                    f"points-to payload {item.value!r} is not a value")
-            if item.loc in out:
-                raise HeapOverlap(f"cell {item.loc} written twice")
-            out[item.loc] = item.value
-            continue
-        if isinstance(item, GroundApply):
-            if not isinstance(item.arg, (IntVal, BoolVal, LocVal)):
-                raise UngroundedHeaplet(
-                    f"layout application argument {item.arg!r} is not a value")
-            continue
-        raise UngroundedHeaplet(f"unknown layout body item {item!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ translator), on first use, and hands every caller a fresh environment.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import ssl
 from . import syntax as S
@@ -73,7 +73,7 @@ class Unknown(Frozen):
     def __bool__(self): return False
 
 
-SatResult = Union[Sat, Unsat, Unknown]
+SatResult = (Sat, Unsat, Unknown)
 
 
 class PredicateEnv(Node):
@@ -734,14 +734,16 @@ def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessRep
 class LayoutDraw(NamedTuple):
     """What drawing a ``lower`` into one layout reads: the shared layout
     reference, the empty and non-empty branch patterns in branch order, and
-    per constructor one entry per field, the layout to lower it into (the
-    branch's ``HApply`` layout, else the field type's first layout) or None
-    for a field that is not of an ADT.  A constructor with an ADT field that
-    has no layout to lower into is left out."""
+    per constructor one entry per field: the layout name to lower it into
+    (the branch's ``HApply`` layout, else the field type's first layout) for
+    a field of an ADT, else the field's base type.  A constructor with a
+    field that cannot be drawn (an ADT with no layout to lower into, or a
+    function) is left out of ``fields``; ``unsupported`` says why."""
     ref: S.NamedLayout
     empties: tuple
     non_empties: tuple
     fields: dict
+    unsupported: dict
 
 
 class CoreSignature(Node):
@@ -785,21 +787,27 @@ class CoreSignature(Node):
 
 def _layout_draw(genv: GlobalEnv, layout_of: dict,
                  layout: S.LayoutDef) -> LayoutDraw:
-    fields = {}
+    fields, unsupported = {}, {}
     for pat, heaplets in layout.branches:
         applies = {h.arg: h.layout for h in heaplets
                    if isinstance(h, S.HApply)}
         subs = []
         for var, fty in zip(pat.vars, genv.ctors[pat.ctor][0]):
+            if isinstance(fty, S.TFn):
+                unsupported[pat.ctor] = f"a field of {pat.ctor} is a function"
+                break
             if not isinstance(fty, S.TName):
-                subs.append(None)
+                subs.append(fty)
             elif (sub := applies.get(var, layout_of.get(fty.name))) is None:
+                unsupported[pat.ctor] = (f"a field of {pat.ctor} has no layout "
+                                         f"to lower into")
                 break
             else:
                 subs.append(sub)
         else:
             fields[pat.ctor] = tuple(subs)
-    return LayoutDraw(S.NamedLayout(layout.name), *layout.emptiness, fields)
+    return LayoutDraw(S.NamedLayout(layout.name), *layout.emptiness, fields,
+                      unsupported)
 
 
 _KINDS = ("int", "adt", "adt", "adt")
@@ -848,10 +856,10 @@ def _gen_lower(sig: CoreSignature, rng, layout_name: str, budget: int) -> S.Expr
     fields = draw.fields.get(ctor)
     if fields is None:
         raise UnsupportedConstruct(
-            f"layout {layout_name}: a field of {ctor} has no layout to "
-            f"lower into", pat.span)
+            f"layout {layout_name}: {draw.unsupported[ctor]}", pat.span)
     share = max(1, (budget - 1) // len(fields)) if fields else 0
-    args = [_gen_lower(sig, rng, sub, share) if sub is not None
+    args = [_gen_lower(sig, rng, sub, share) if isinstance(sub, str)
+            else S.BoolLit(rng.random() < 0.5) if isinstance(sub, S.TBool)
             else _gen_int(rng, min(share, 3)) for sub in fields]
     return S.Lower(draw.ref, S.ConstructorApp(ctor, args))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Union
 
 from .errors import ParseError, SortMismatch, Span
 from .node import Frozen
@@ -86,8 +85,8 @@ class PTernary(Frozen):
     __slots__ = ("cond", "then", "els")
 
 
-PureTerm = Union[PInt, PBool, PVar, PEq, PAnd, PNot, PLt, PAdd, PSub, PMod,
-                 PTernary]
+PureTerm = (PInt, PBool, PVar, PEq, PAnd, PNot, PLt, PAdd, PSub, PMod,
+            PTernary)
 
 TRUE = PBool(True)
 
@@ -150,7 +149,7 @@ class RoApply(_Call):
     __slots__ = ()
 
 
-Heaplet = Union[HeapEmp, PointsTo, Block, PredApply, FuncApply, TempLoc, RoApply]
+Heaplet = (HeapEmp, PointsTo, Block, PredApply, FuncApply, TempLoc, RoApply)
 
 
 class SslAssertion(Frozen):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import LexError, ParseError, Span
 from .node import Frozen, Node
@@ -134,7 +134,7 @@ class TFn(Frozen):
         return f"{a} -> {self.res}"
 
 
-TypeExpr = Union[TInt, TBool, TPtrInt, TName, TFn]
+TypeExpr = (TInt, TBool, TPtrInt, TName, TFn)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ class FnLayout(Frozen):
     __slots__ = ("arg", "res")
 
 
-LayoutRef = Union[NamedLayout, IntLayout, BoolLayout, PtrIntLayout, FnLayout]
+LayoutRef = (NamedLayout, IntLayout, BoolLayout, PtrIntLayout, FnLayout)
 
 
 def render_layout_ref(ref: LayoutRef, with_mode: bool = True) -> str:
@@ -236,8 +236,8 @@ class Lower(Node):
     __slots__ = ("layout", "arg", "span")
 
 
-Expr = Union[IntLit, BoolLit, Var, ConstructorApp, App, BinOp, Not, Addr,
-             IfThenElse, Let, Instantiate, Lower]
+Expr = (IntLit, BoolLit, Var, ConstructorApp, App, BinOp, Not, Addr,
+        IfThenElse, Let, Instantiate, Lower)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ class HApply(Node):
     __slots__ = ("layout", "arg", "span")
 
 
-LayoutHeaplet = Union[HEmp, HPointsTo, HApply]
+LayoutHeaplet = (HEmp, HPointsTo, HApply)
 
 
 class CtorShape(NamedTuple):

@@ -17,7 +17,7 @@ strict rules.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from . import syntax as S
 from .errors import (
@@ -35,7 +35,7 @@ class LayoutType(Frozen):
         return self.name
 
 
-Type = Union[S.TInt, S.TBool, S.TPtrInt, S.TName, S.TFn, LayoutType]
+Type = (S.TInt, S.TBool, S.TPtrInt, S.TName, S.TFn, LayoutType)
 
 
 def uncurry(ty: S.TypeExpr) -> tuple[list, S.TypeExpr]:
@@ -239,12 +239,13 @@ def layout_for_type(env: GlobalEnv, ty: S.TypeExpr,
 # The strict checker
 # ---------------------------------------------------------------------------
 
-# operand and result type of each binary operator, keyed like syntax._PREC
+# operand type, result type and the rule an operand mismatch names, of each
+# binary operator, keyed like syntax._PREC
 OPERATOR_TYPES = {
-    "+": (S.TInt(), S.TInt()), "-": (S.TInt(), S.TInt()),
-    "%": (S.TInt(), S.TInt()),
-    "<": (S.TInt(), S.TBool()), "==": (S.TInt(), S.TBool()),
-    "&&": (S.TBool(), S.TBool()), "||": (S.TBool(), S.TBool()),
+    "+": (S.TInt(), S.TInt(), "T-ADD"), "-": (S.TInt(), S.TInt(), "T-SUB"),
+    "%": (S.TInt(), S.TInt(), "T-MOD"),
+    "<": (S.TInt(), S.TBool(), "T-LT"), "==": (S.TInt(), S.TBool(), "T-EQ"),
+    "&&": (S.TBool(), S.TBool(), "T-AND"), "||": (S.TBool(), S.TBool(), "T-OR"),
 }
 
 
@@ -273,10 +274,10 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
     if isinstance(e, S.BinOp):
         lt = infer_expr(env, gamma, e.lhs)
         rt = infer_expr(env, gamma, e.rhs)
-        operand, result = OPERATOR_TYPES[e.op]
+        operand, result, rule = OPERATOR_TYPES[e.op]
         for t in (lt, rt):
             if t != operand:
-                raise TypeMismatch(str(operand), str(t), e.span, rule="T-ADD")
+                raise TypeMismatch(str(operand), str(t), e.span, rule=rule)
         return result
     if isinstance(e, S.IfThenElse):
         ct = infer_expr(env, gamma, e.cond)

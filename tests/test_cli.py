@@ -87,8 +87,15 @@ f t := lower TreeLayout (Cons 1 (Nil));
     ("%generate f [Int] Int\nf : Int -> Int;\nf x | x := 1;",
      "T-GUARD", "expected Bool, found Int at 3:1"),
     ("%generate f [Int] Int\nf : Int -> Int;\nf x := x && x;",
-     "T-ADD", "expected Bool, found Int at 3:10"),
-], ids=["if-cond", "if-branches", "not", "addr", "guard", "and"])
+     "T-AND", "expected Bool, found Int at 3:10"),
+    ("%generate f [Int] Int\nf : Int -> Int;\nf x := x || x;",
+     "T-OR", "expected Bool, found Int at 3:10"),
+    ("%generate f [Bool] Bool\nf : Bool -> Bool;\nf x := x < 1;",
+     "T-LT", "expected Int, found Bool at 3:10"),
+    ("%generate f [Int] Int\nf : Int -> Int;\nf x := x + true;",
+     "T-ADD", "expected Int, found Bool at 3:10"),
+], ids=["if-cond", "if-branches", "not", "addr", "guard", "and", "or", "lt",
+        "add"])
 def test_compile_names_the_rule_of_a_type_error(tmp_path, capsys, monkeypatch,
                                                 text, rule, message):
     monkeypatch.setenv("PIKA_COLOR", "0")
@@ -193,6 +200,36 @@ idBox (B l) := lower BoxL (B l);
     assert (code, out) == (1, "")
     assert err == "error: layout BoxL: a field of B has no layout to lower " \
                   "into at 6:6\n"
+
+
+def test_soundness_draws_bool_fields(tmp_path, capsys):
+    src = tmp_path / "bool.pika"
+    src.write_text("""
+data B := Mk Bool;
+BL : B >-> layout[x];
+BL (Mk b) := x :-> b;
+idB : B -> B;
+idB (Mk b) := lower BL (Mk b);
+""")
+    code, out, err = run(capsys, "soundness", str(src), "--count", "40")
+    assert (code, err) == (0, "")
+    assert out.startswith("soundness: 40 instances satisfiable")
+
+
+def test_soundness_function_field_is_a_diagnostic(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    src = tmp_path / "fn.pika"
+    src.write_text("""
+data F := MkF (Int -> Int);
+FL : F >-> layout[x];
+FL (MkF g) := x :-> g;
+idF : F -> F;
+idF (MkF g) := lower FL (MkF g);
+""")
+    code, out, err = run(capsys, "soundness", str(src), "--count", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: layout FL: a field of MkF is a function at 4:4\n"
 
 
 def test_soundness_zero_count_usage_error(capsys):

@@ -4,10 +4,10 @@ import pathlib
 
 import pytest
 
+from heap_action import GroundApply, GroundEmp, GroundPointsTo, act_on_heap
 from pikac import errors as E
 from pikac.interp import (
-    ConstructorVal, GroundApply, GroundEmp, GroundPointsTo, IntVal, LocVal,
-    Machine, Model, act_on_heap, eval_expr,
+    ConstructorVal, IntVal, LocVal, Machine, Model, eval_expr,
 )
 from pikac.syntax import parse_expr_text, parse_source
 from pikac.types import build_global_env

@@ -332,6 +332,29 @@ def test_generator_outputs_well_typed(genv, sig):
         infer_expr(genv, {}, e)
 
 
+# a constructor with a Bool field, which only a Bool literal fills
+BOOL_FIELD = """
+data B := Mk Bool;
+BL : B >-> layout[x];
+BL (Mk b) := x :-> b;
+idB : B -> B;
+idB (Mk b) := lower BL (Mk b);
+"""
+
+
+def test_generator_draws_bool_fields_well_typed():
+    genv = build_global_env(parse_source(BOOL_FIELD))
+    sig = CoreSignature.from_env(genv)
+    drawn = set()
+    for budget in (12, 48):
+        for seed in range(200):
+            e = gen_core_expr(sig, seed, budget)
+            infer_expr(genv, {}, e)
+            drawn |= {x.value for x in S.iter_subexprs(e)
+                      if isinstance(x, S.BoolLit)}
+    assert drawn == {False, True}
+
+
 def test_generator_deterministic(sig):
     assert gen_core_expr(sig, 42, 12) == gen_core_expr(sig, 42, 12)
 

@@ -4,13 +4,16 @@ frozen kinds immutable and mutable ones unhashable, and ``repr`` text as
 the dataclasses the node base replaced wrote it."""
 
 import ast
+import gc
 import importlib
 import inspect
 import pathlib
-import typing
+import sys
+import weakref
 
 import pytest
 
+import heap_action
 from pikac import interp as I
 from pikac import modelcheck as M
 from pikac import ssl
@@ -135,8 +138,8 @@ def _fields(x) -> dict:
 
 
 def test_samples_cover_every_expr_pure_term_and_heaplet_kind():
-    for union in (S.Expr, ssl.PureTerm, ssl.Heaplet):
-        assert set(typing.get_args(union)) <= set(SAMPLES)
+    for kinds in (S.Expr, ssl.PureTerm, ssl.Heaplet):
+        assert kinds and set(kinds) <= set(SAMPLES)
 
 
 @pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.__name__)
@@ -289,9 +292,9 @@ SIGNATURES = {
     I.IntVal: "value", I.BoolVal: "value", I.LocVal: "loc",
     I.ConstructorVal: "name, fields",
     I.Model: "store, heap",
-    I.GroundEmp: "",
-    I.GroundPointsTo: "loc, value",
-    I.GroundApply: "layout, arg",
+    heap_action.GroundEmp: "",
+    heap_action.GroundPointsTo: "loc, value",
+    heap_action.GroundApply: "layout, arg",
     M.Sat: "", M.Unsat: "reason", M.Unknown: "reason",
     M.PredicateEnv: "preds, fsstore=None",
     M.SoundnessReport: "result, expr, model, assertion, trace",
@@ -361,3 +364,33 @@ def test_no_kind_writes_an_init_that_only_stores_its_parameters():
                         and all(map(_is_store_of_param, fn.body))):
                     found.append(cls.__name__)
     assert found == [], found
+
+
+def _package_modules() -> dict:
+    return {name: module for name, module in sys.modules.items()
+            if name == "pikac" or name.startswith("pikac.")}
+
+
+def _import_afresh() -> dict:
+    for name in _package_modules():
+        del sys.modules[name]
+    return {name: importlib.import_module(f"pikac.{name}")
+            for name in ("syntax", "ssl", "types", "interp", "modelcheck",
+                         "translate")}
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    # nothing process-wide (such as typing's cache of Union aliases) may
+    # keep the kinds, and with them the modules, of an earlier import alive
+    saved = _package_modules()
+    try:
+        first = {name: weakref.ref(module)
+                 for name, module in _import_afresh().items()}
+        _import_afresh()
+        _import_afresh()
+        gc.collect()
+        assert [name for name, ref in first.items() if ref() is not None] == []
+    finally:
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
