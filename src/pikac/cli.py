@@ -6,9 +6,9 @@ Subcommands: ``compile`` (emit predicates per directive), ``stages``
 (run the machine-vs-translation property suite).
 
 Exit codes are a stable contract: 0 success, 1 semantic failure
-(including input nested too deeply, and a soundness counterexample),
-2 usage or I/O error, 3 a soundness instance the checker gave up on
-(*Unknown*).
+(including input nested too deeply, a soundness counterexample, and an
+ill-typed soundness draw, reported as its rule-named type error), 2 usage
+or I/O error, 3 a soundness instance the checker gave up on (*Unknown*).
 
 ``interp`` and ``modelcheck`` are imported only by the commands that use
 them, so ``compile`` and ``stages`` do not pay for their import.
@@ -141,6 +141,7 @@ def cmd_soundness(args) -> int:
             return 1
         for i in range(args.count):
             expr = gen_core_expr(sig, args.seed + i, args.budget)
+            infer_expr(genv, {}, expr)      # a generator defect, if it fails
             report = check_soundness(genv, expr, depth=args.depth)
             if isinstance(report.result, Unknown):
                 print(f"unknown (seed {args.seed + i}): "

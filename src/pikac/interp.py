@@ -224,7 +224,7 @@ class Machine:
                 raise UngroundedHeaplet(f"layout {layout.name} references "
                                         f"{payload} with no value")
             val = values[payload]
-            if not isinstance(val, (IntVal, BoolVal, LocVal)):
+            if not isinstance(val, Val):
                 raise UngroundedHeaplet(
                     f"points-to payload {val!r} is not a value")
             loc = base + off

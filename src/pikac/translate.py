@@ -2,14 +2,10 @@
 
 The production pipeline turns an elaborated function and its directive into
 an inductive predicate (plus auxiliary layout / read-only / copy
-predicates and a synthesis goal) through the staged passes:
-
-  2. empty-branch constructors become null constraints,
-  3. pattern matches are unfolded into layout heaplets,
-  4. copy predicate applications are inserted for returned arguments,
-  5. lets become equality constraints,
-  6. constructor applications and calls are unfolded into heaplets,
-  7. branch conditions are generated and the predicate is assembled.
+predicates and a synthesis goal).  Its stages are declared once, in
+``STAGES``: each row holds a stage's title, its pass over one arm and how
+``pikac stages`` renders the arms after it.  ``_FnTranslator.assemble``
+then generates the branch conditions and assembles the predicate.
 
 ``translate_expr_core`` / ``translate_fn_def_core`` implement the small
 formal translation used by the soundness harness: every rule is a function
@@ -506,11 +502,10 @@ class _FnTranslator:
             for case in elab.cases
         ]
 
-    # -- stage 2 --
+    # -- the per-arm passes of stages 2-6, run in the order of STAGES --
 
-    def stage2(self):
-        for arm in self.arms:
-            arm.body = self._null_empty(arm.body)
+    def null_empty(self, arm: _Arm):
+        arm.body = self._null_empty(arm.body)
 
     def _null_empty(self, e: S.Expr) -> S.Expr:
         if isinstance(e, S.Lower) and isinstance(e.arg, S.ConstructorApp) \
@@ -522,19 +517,16 @@ class _FnTranslator:
                     return _NullPtr(span=e.span)
         return S.map_expr(e, self._null_empty)
 
-    # -- stage 3 --
-
-    def stage3(self):
-        for arm in self.arms:
-            used = _expr_vars(arm.body)
-            if arm.guard is not None:
-                used |= _expr_vars(arm.guard)
-            # variables passed directly to calls of other functions
-            fn_args = {a.name for x in S.iter_subexprs(arm.body)
-                       if isinstance(x, S.Instantiate) and x.fn != self.fn
-                       for a in x.args if isinstance(a, S.Var)}
-            for arg in arm.args:
-                arm.destructure.extend(self._destructure(arg, used, fn_args))
+    def destructure(self, arm: _Arm):
+        used = _expr_vars(arm.body)
+        if arm.guard is not None:
+            used |= _expr_vars(arm.guard)
+        # variables passed directly to calls of other functions
+        fn_args = {a.name for x in S.iter_subexprs(arm.body)
+                   if isinstance(x, S.Instantiate) and x.fn != self.fn
+                   for a in x.args if isinstance(a, S.Var)}
+        for arg in arm.args:
+            arm.destructure.extend(self._destructure(arg, used, fn_args))
 
     def _destructure(self, arg: ElabArg, used: set, fn_args: set) -> list:
         if arg.pattern is None or not arg.layout.is_adt:
@@ -563,39 +555,36 @@ class _FnTranslator:
             out.append(ssl.RoApply(f"ro_{lname}", (ssl.PVar(var),)))
         return out
 
-    # -- stage 4 --
+    def insert_copy(self, arm: _Arm):
+        if isinstance(arm.body, S.Lower) and isinstance(arm.body.arg, S.Var):
+            resolved = resolve_layout_ref(self.env, arm.body.layout)
+            if resolved.is_adt:
+                self.copy_layouts.add(resolved.layout.name)
+                arm.body = _CopyCall(arm.body.arg.name, resolved.layout,
+                                     span=arm.body.span)
 
-    def stage4(self):
-        for arm in self.arms:
-            if isinstance(arm.body, S.Lower) and isinstance(arm.body.arg, S.Var):
-                resolved = resolve_layout_ref(self.env, arm.body.layout)
-                if resolved.is_adt:
-                    self.copy_layouts.add(resolved.layout.name)
-                    arm.body = _CopyCall(arm.body.arg.name, resolved.layout,
-                                         span=arm.body.span)
+    def split_lets(self, arm: _Arm):
+        body = arm.body
+        while isinstance(body, S.Let):
+            arm.lets.append((body.name, body.bound))
+            body = body.body
+        arm.body = body
 
-    # -- stage 5 --
+    def unfold(self, arm: _Arm):
+        _ArmTx(self, arm).run()
 
-    def stage5(self):
-        for arm in self.arms:
-            body = arm.body
-            while isinstance(body, S.Let):
-                arm.lets.append((body.name, body.bound))
-                body = body.body
-            arm.body = body
-
-    # -- stage 6 --
-
-    def stage6(self):
-        for arm in self.arms:
-            _ArmTx(self, arm).run()
+    def apply(self, stage: _Stage):
+        """Run one stage's pass over every arm, in arm order."""
+        if stage.arm_pass is not None:
+            for arm in self.arms:
+                stage.arm_pass(self, arm)
 
     # -- stage 7 --
 
-    def stage7(self) -> ssl.PredicateDef:
+    def assemble(self) -> ssl.PredicateDef:
+        """The predicate: one branch per arm, under its branch condition."""
         branches = []
         for arm in self.arms:
-            parts = []
             empties, non_empties = [], []
             ctor_tag = None
             for arg in arm.args:
@@ -619,12 +608,9 @@ class _FnTranslator:
         return ssl.PredicateDef(self.pred_name, params, tuple(branches))
 
     def run(self) -> ssl.PredicateDef:
-        self.stage2()
-        self.stage3()
-        self.stage4()
-        self.stage5()
-        self.stage6()
-        return self.stage7()
+        for stage in STAGES:
+            self.apply(stage)
+        return self.assemble()
 
     # -- helpers shared with the arm translator --
 
@@ -976,19 +962,8 @@ def make_goal_spec(elab: ElabFn, pred_name: str) -> ssl.GoalSpec:
 
 
 # ---------------------------------------------------------------------------
-# Stage snapshots
+# The stages and their snapshots
 # ---------------------------------------------------------------------------
-
-STAGE_TITLES = [
-    "Type checking and elaboration.",
-    "Unfold empty constructors.",
-    "Unfold pattern matches using layouts.",
-    "Insert copying predicate applications.",
-    "Translate lets.",
-    "Unfold constructor applications.",
-    "Generation.",
-]
-
 
 def _render_body(arm: _Arm) -> str:
     """An arm's body expression; a stage-4 copy marker as its call."""
@@ -1039,54 +1014,77 @@ def _layout_annotation(arm: _Arm) -> str:
     return ", ".join(chunks)
 
 
-def _render_arms(fn, arms, annotated_pattern, with_layout_ann, body_of) -> str:
-    lines = []
-    for arm in arms:
-        head = _render_arm_head(fn, arm, annotated_pattern)
-        body = body_of(arm)
-        if with_layout_ann:
-            ann = _layout_annotation(arm)
-            body = f"layout{{ {ann} }}\n    & {body}"
-        if arm.guard is not None:
-            lines.append(head)
-            lines.append(f"  | {S.render_expr(arm.guard)} := {body};")
-        else:
-            lines.append(f"{head} := {body};")
-    return "\n".join(lines)
+def _render_lets(arm: _Arm) -> str:
+    """An arm's stage-5 let equalities followed by its body."""
+    eqs = [f"{b} == ({S.render_expr(e)})" for b, e in arm.lets]
+    return ", ".join(eqs + [_render_body(arm)])
+
+
+def _render_assertion(arm: _Arm) -> str:
+    return f"layout{{ {ssl.render_assertion(arm.assertion())} }}"
+
+
+class _Stage:
+    """One translation stage before generation, and how its snapshot
+    renders the arms after it."""
+    # not a NamedTuple: with string annotations, making one costs about
+    # 0.2 ms at import (Python 3.11), 4% of compile_corpus's setup_s
+
+    def __init__(self, title, arm_pass, annotated, layout_ann, body_of,
+                 applies=None):
+        self.title = title
+        self.arm_pass = arm_pass        # over one arm; None: elaborated
+        self.annotated = annotated      # patterns carry their layout
+        self.layout_ann = layout_ann    # bodies carry the stage-3 annotation
+        self.body_of = body_of          # the body renderer
+        self.applies = applies          # None, or a test of one arm: if no
+                                        # arm passes, "Not applicable."
+
+    def render(self, fn: str, arms: list) -> str:
+        """The snapshot of ``arms`` after this stage's pass."""
+        if self.applies is not None and not any(map(self.applies, arms)):
+            return "Not applicable."
+        lines = []
+        for arm in arms:
+            head = _render_arm_head(fn, arm, self.annotated)
+            body = self.body_of(arm)
+            if self.layout_ann:
+                body = f"layout{{ {_layout_annotation(arm)} }}\n    & {body}"
+            if arm.guard is not None:
+                lines.append(head)
+                lines.append(f"  | {S.render_expr(arm.guard)} := {body};")
+            else:
+                lines.append(f"{head} := {body};")
+        return "\n".join(lines)
+
+
+STAGES = (
+    _Stage("Type checking and elaboration.",
+           None, True, False, _render_body),
+    _Stage("Unfold empty constructors.",
+           _FnTranslator.null_empty, True, False, _render_body),
+    _Stage("Unfold pattern matches using layouts.",
+           _FnTranslator.destructure, False, True, _render_body),
+    _Stage("Insert copying predicate applications.",
+           _FnTranslator.insert_copy, False, True, _render_body,
+           lambda arm: isinstance(arm.body, _CopyCall)),
+    _Stage("Translate lets.",
+           _FnTranslator.split_lets, False, True, _render_lets,
+           lambda arm: arm.lets),
+    _Stage("Unfold constructor applications.",
+           _FnTranslator.unfold, False, False, _render_assertion),
+)
+STAGE_TITLES = [stage.title for stage in STAGES] + ["Generation."]
 
 
 def dump_stages(prog: TypedProgram, fn: str) -> list:
-    """Textual snapshots of the seven translation stages for one function."""
+    """Textual snapshots of the translation stages for one function: each
+    of ``STAGES`` in turn, then the generated predicates."""
     tx = _translator(prog, fn)
     out = []
-
-    out.append((STAGE_TITLES[0],
-                _render_arms(fn, tx.arms, True, False, _render_body)))
-    tx.stage2()
-    out.append((STAGE_TITLES[1],
-                _render_arms(fn, tx.arms, True, False, _render_body)))
-    tx.stage3()
-    out.append((STAGE_TITLES[2],
-                _render_arms(fn, tx.arms, False, True, _render_body)))
-    tx.stage4()
-    if any(isinstance(arm.body, _CopyCall) for arm in tx.arms):
-        out.append((STAGE_TITLES[3],
-                    _render_arms(fn, tx.arms, False, True, _render_body)))
-    else:
-        out.append((STAGE_TITLES[3], "Not applicable."))
-    tx.stage5()
-    if any(arm.lets for arm in tx.arms):
-        def render_lets(arm):
-            eqs = [f"{b} == ({S.render_expr(e)})" for b, e in arm.lets]
-            return ", ".join(eqs + [_render_body(arm)])
-        out.append((STAGE_TITLES[4],
-                    _render_arms(fn, tx.arms, False, True, render_lets)))
-    else:
-        out.append((STAGE_TITLES[4], "Not applicable."))
-    tx.stage6()
-    out.append((STAGE_TITLES[5], _render_arms(
-        fn, tx.arms, False, False,
-        lambda arm: f"layout{{ {ssl.render_assertion(arm.assertion())} }}")))
-
-    out.append((STAGE_TITLES[6], _compile_result(tx, tx.stage7()).render()))
+    for stage in STAGES:
+        tx.apply(stage)
+        out.append((stage.title, stage.render(fn, tx.arms)))
+    out.append((STAGE_TITLES[-1],
+                _compile_result(tx, tx.assemble()).render()))
     return out

@@ -232,6 +232,19 @@ idF (MkF g) := lower FL (MkF g);
     assert err == "error: layout FL: a field of MkF is a function at 4:4\n"
 
 
+def test_soundness_ill_typed_draw_is_a_diagnostic(capsys, monkeypatch):
+    # a generator defect must not pass silently as a satisfiable instance
+    import pikac.modelcheck as mc
+    from pikac.syntax import parse_expr_text
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    bad = parse_expr_text("lower Sll (Cons true (lower Sll (Nil)))")
+    monkeypatch.setattr(mc, "gen_core_expr", lambda sig, seed, budget: bad)
+    code, out, err = run(capsys, "soundness",
+                         str(CORPUS / "soundness_sig.pika"), "--count", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error[T-LOWER-CONSTR]: ")
+
+
 def test_soundness_zero_count_usage_error(capsys):
     code, out, err = run(capsys, "soundness",
                          str(CORPUS / "soundness_sig.pika"), "--count", "0")

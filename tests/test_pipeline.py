@@ -1,5 +1,6 @@
 """Production pipeline tests: golden corpus, auxiliaries, goals, stages."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -396,3 +397,24 @@ def test_stage_even_ternary_only_in_generation():
     assert "?" in stages[STAGE_TITLES[6]]
     assert stages[STAGE_TITLES[3]] == "Not applicable."
     assert stages[STAGE_TITLES[4]] == "Not applicable."
+
+
+# sha256 over every shipped directive's path, function name and stage dump;
+# a change to any stage's pass or snapshot rendering changes the digest
+_STAGE_DUMP_DIGEST = (
+    "1e7d1648376929c02993deeaff0366e5e509cd0d1c627e8b5dbbc98fd42ed1ff")
+
+
+def test_stage_dumps_are_pinned():
+    h = hashlib.sha256()
+    n = 0
+    for path in sorted(HERE.rglob("*.pika")):
+        unit = parse_source(path.read_text())
+        prog = elaborate(unit)
+        for d in unit.directives:
+            h.update(f"{path.relative_to(HERE).as_posix()} {d.fn}\n".encode())
+            for title, body in dump_stages(prog, d.fn):
+                h.update(f"{title}\n{body}\n".encode())
+            n += 1
+    assert n == 33
+    assert h.hexdigest() == _STAGE_DUMP_DIGEST
