@@ -8,15 +8,13 @@ the formal system.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class Span(NamedTuple):
+class Span(namedtuple("Span", ("line", "col"))):
     """A 1-based source position.  It is a tuple, so ``Span(1, 2) == (1, 2)``;
     the lexer makes one per token and builds it with ``tuple.__new__``."""
-
-    line: int
-    col: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"

@@ -6,17 +6,28 @@ applications unfold structurally (preferring the location-to-constructor
 witness table, falling back to branch-condition evaluation, and trying all
 branches for existentially quantified roots), and the whole heap must be
 consumed.  Existential variables introduced by unfolding are solved by
-unification against cells and by propagating pure equalities.
+unification against cells and by propagating pure equalities.  A location
+argument that is not a variable is named by a fresh existential equal to
+it, and a location bound to a Boolean fails its path: ``satisfies`` always
+returns a verdict.
+
+Each predicate branch is compiled once, on first use, into a plan kept on
+the ``PredicateDef`` itself: slot numbers for the parameters and the
+branch's existentials, and per pure term and heaplet a template over slots
+with the slots of its variables.  An unfolding fills the slots with the
+arguments and fresh names (``{name}?{k}``, numbered per check) and builds
+its obligations and constraints from the templates, free variables
+included, without substituting or traversing the branch again.
 
 The search is incremental.  Each pure constraint carries its free
-variables, computed once when it is conjoined.  A search state keeps the
-constraints that still have unbound variables apart from the ground ones;
-bindings only grow along a search path, so a ground constraint stays ground
-and is checked once the heap is used up.  Equalities are propagated by one
-worklist, ``_propagate``, that re-examines only those just conjoined or
-mentioning a just-bound variable.  An equality that bound its only unknown
-holds by construction and is not evaluated again.  The existentials of
-each predicate branch are computed once per predicate.
+variables.  A search state keeps the constraints that still have unbound
+variables apart from the ground ones; bindings only grow along a search
+path, so a ground constraint stays ground and is checked once the heap is
+used up.  Equalities are propagated by one worklist, ``_propagate``: dirty
+equalities wait by position, and an index from each variable to the
+equalities that mention it dirties only those a new binding can help.  An
+equality that bound its only unknown holds by construction and is never
+examined again.
 
 The verdict is *Sat* when some path consumes the heap and makes every pure
 conjunct true, *Unknown* when none does but some path stopped at a resource
@@ -36,7 +47,9 @@ translator), on first use, and hands every caller a fresh environment.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from heapq import heappop, heappush
+from typing import Optional
 
 from . import ssl
 from . import syntax as S
@@ -89,58 +102,69 @@ class PredicateEnv(Node):
 # Pure evaluation
 # ---------------------------------------------------------------------------
 
+_TRUE, _FALSE = BoolVal(True), BoolVal(False)
+
+
 def _num(v: Val) -> int:
-    if isinstance(v, IntVal):
+    cls = v.__class__
+    if cls is IntVal:
         return v.value
-    if isinstance(v, LocVal):
+    if cls is LocVal:
         return v.loc
     raise SortMismatch(f"expected a numeric value, found {v}")
 
 
+# eval_pure runs for every constraint the search checks or solves, so it
+# dispatches on the exact class, as ssl.free_vars does: the IR's classes
+# have no subclasses.
+
 def eval_pure(binding: dict, t: ssl.PureTerm) -> Val:
     """Evaluate a pure term to a value under a complete binding."""
-    if isinstance(t, ssl.PInt):
+    cls = t.__class__
+    if cls is ssl.PVar:
+        try:
+            return binding[t.name]
+        except KeyError:
+            raise UnboundVariable(f"unbound variable {t.name} in pure term") \
+                from None
+    if cls is ssl.PInt:
         return IntVal(t.value)
-    if isinstance(t, ssl.PBool):
-        return BoolVal(t.value)
-    if isinstance(t, ssl.PVar):
-        if t.name not in binding:
-            raise UnboundVariable(f"unbound variable {t.name} in pure term")
-        return binding[t.name]
-    if isinstance(t, ssl.PEq):
+    if cls is ssl.PEq:
         lv = eval_pure(binding, t.lhs)
         rv = eval_pure(binding, t.rhs)
-        if isinstance(lv, BoolVal) != isinstance(rv, BoolVal):
+        if (lv.__class__ is BoolVal) != (rv.__class__ is BoolVal):
             raise SortMismatch(f"comparing {lv} with {rv}")
-        if isinstance(lv, BoolVal):
-            return BoolVal(lv.value == rv.value)
-        return BoolVal(_num(lv) == _num(rv))
-    if isinstance(t, ssl.PLt):
-        return BoolVal(_num(eval_pure(binding, t.lhs))
-                       < _num(eval_pure(binding, t.rhs)))
-    if isinstance(t, ssl.PAdd):
+        if lv.__class__ is BoolVal:
+            return _TRUE if lv.value == rv.value else _FALSE
+        return _TRUE if _num(lv) == _num(rv) else _FALSE
+    if cls is ssl.PNot:
+        v = eval_pure(binding, t.arg)
+        if v.__class__ is not BoolVal:
+            raise SortMismatch("negation of a non-boolean")
+        return _FALSE if v.value else _TRUE
+    if cls is ssl.PAdd:
         return IntVal(_num(eval_pure(binding, t.lhs))
                       + _num(eval_pure(binding, t.rhs)))
-    if isinstance(t, ssl.PSub):
+    if cls is ssl.PSub:
         return IntVal(_num(eval_pure(binding, t.lhs))
                       - _num(eval_pure(binding, t.rhs)))
-    if isinstance(t, ssl.PMod):
+    if cls is ssl.PLt:
+        return _TRUE if (_num(eval_pure(binding, t.lhs))
+                         < _num(eval_pure(binding, t.rhs))) else _FALSE
+    if cls is ssl.PBool:
+        return _TRUE if t.value else _FALSE
+    if cls is ssl.PMod:
         return IntVal(_num(eval_pure(binding, t.lhs))
                       % _num(eval_pure(binding, t.rhs)))
-    if isinstance(t, ssl.PAnd):
+    if cls is ssl.PAnd:
         lv = eval_pure(binding, t.lhs)
         rv = eval_pure(binding, t.rhs)
-        if not isinstance(lv, BoolVal) or not isinstance(rv, BoolVal):
+        if lv.__class__ is not BoolVal or rv.__class__ is not BoolVal:
             raise SortMismatch("conjunction of non-booleans")
-        return BoolVal(lv.value and rv.value)
-    if isinstance(t, ssl.PNot):
-        v = eval_pure(binding, t.arg)
-        if not isinstance(v, BoolVal):
-            raise SortMismatch("negation of a non-boolean")
-        return BoolVal(not v.value)
-    if isinstance(t, ssl.PTernary):
+        return _TRUE if lv.value and rv.value else _FALSE
+    if cls is ssl.PTernary:
         c = eval_pure(binding, t.cond)
-        if not isinstance(c, BoolVal):
+        if c.__class__ is not BoolVal:
             raise SortMismatch("ternary condition is not boolean")
         return eval_pure(binding, t.then if c.value else t.els)
     raise SortMismatch(f"unknown pure term {t!r}")
@@ -148,27 +172,33 @@ def eval_pure(binding: dict, t: ssl.PureTerm) -> Val:
 
 def eval_pure_bool(binding: dict, t: ssl.PureTerm) -> bool:
     v = eval_pure(binding, t)
-    if not isinstance(v, BoolVal):
+    if v.__class__ is not BoolVal:
         raise SortMismatch(f"pure term {ssl.render_pure(t)} is not boolean")
     return v.value
 
 
 class _Pure:
-    """A pure constraint of the search with its free variables, computed
-    once when the constraint is created.  An equality also keeps the
-    variables of each side, which is what solving it needs."""
+    """A pure constraint of the search with its free variables.  An
+    equality also keeps the variables of each side, which is what solving
+    it needs.  Given only the term (a conjunct of the checked assertion),
+    the variables are computed from it; an unfolding passes them in from
+    its branch plan."""
 
     __slots__ = ("term", "vars", "lhs_vars", "rhs_vars")
 
-    def __init__(self, term: ssl.PureTerm):
+    def __init__(self, term: ssl.PureTerm, vars=None, lhs_vars=None,
+                 rhs_vars=None):
+        if vars is None:
+            if term.__class__ is ssl.PEq:
+                lhs_vars = ssl.free_vars(term.lhs)
+                rhs_vars = ssl.free_vars(term.rhs)
+                vars = lhs_vars | rhs_vars
+            else:
+                vars = ssl.free_vars(term)
         self.term = term
-        if isinstance(term, ssl.PEq):
-            self.lhs_vars = ssl.free_vars(term.lhs)
-            self.rhs_vars = ssl.free_vars(term.rhs)
-            self.vars = self.lhs_vars | self.rhs_vars
-        else:
-            self.lhs_vars = self.rhs_vars = None
-            self.vars = ssl.free_vars(term)
+        self.vars = vars
+        self.lhs_vars = lhs_vars
+        self.rhs_vars = rhs_vars
 
 
 def _solve_eq(binding: dict, rec: _Pure) -> Optional[str]:
@@ -177,10 +207,14 @@ def _solve_eq(binding: dict, rec: _Pure) -> Optional[str]:
     Returns the name bound, or None.  Raises ``SortMismatch`` when the
     ground side or an operand of the chain is not numeric where it must
     be: then no binding makes the equality hold."""
-    unknowns = [v for v in rec.vars if v not in binding]
-    if len(unknowns) != 1:
+    u = None
+    for v in rec.vars:
+        if v not in binding:
+            if u is not None:
+                return None
+            u = v
+    if u is None:
         return None
-    (u,) = unknowns
     if u not in rec.rhs_vars:
         term, other = rec.term.lhs, rec.term.rhs
     elif u not in rec.lhs_vars:
@@ -188,19 +222,20 @@ def _solve_eq(binding: dict, rec: _Pure) -> Optional[str]:
     else:
         return None
     target = eval_pure(binding, other)
-    while not isinstance(term, ssl.PVar):
-        if not isinstance(term, (ssl.PAdd, ssl.PSub)):
+    while term.__class__ is not ssl.PVar:
+        add = term.__class__ is ssl.PAdd
+        if not add and term.__class__ is not ssl.PSub:
             return None
         a, b = term.lhs, term.rhs
         if u in ssl.free_vars(a):
             if u in ssl.free_vars(b):
                 return None
             n, m = _num(target), _num(eval_pure(binding, b))
-            target = IntVal(n - m if isinstance(term, ssl.PAdd) else n + m)
+            target = IntVal(n - m if add else n + m)
             term = a
         else:
             n, m = _num(target), _num(eval_pure(binding, a))
-            target = IntVal(n - m if isinstance(term, ssl.PAdd) else m - n)
+            target = IntVal(n - m if add else m - n)
             term = b
     binding[u] = target
     return u
@@ -212,40 +247,60 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
     ``bound``.
 
     Equalities are examined in passes, in the order they were conjoined, so
-    that the first to determine a variable binds it.  A pass looks only at
-    the dirty ones: those just conjoined or mentioning a variable bound
-    since they were last examined; any other would fail again.  Returns the
-    constraints still pending and the terms that became ground.  Bindings
-    only grow along a search path, so a ground term stays ground.  An
-    equality that solved its unknown holds by construction: not among them.
-    ``SortMismatch`` from ``_solve_eq`` passes through, and the caller's
-    search path fails."""
+    that the first to determine a variable binds it.  Only the dirty ones
+    are examined: those just conjoined or mentioning a variable bound since
+    they were last examined; any other would fail again.  The dirty
+    positions wait in a heap, so a pass takes them in order.  A variable
+    bound at position ``i`` dirties, through an index from variables to the
+    equalities that mention them, each equality that is not solved yet:
+    one after ``i`` in this pass, one before it in the next.  An equality
+    that solved its unknown holds by construction and is never examined
+    again.
+
+    Returns the constraints still pending and the terms that became
+    ground, solved equalities not among them.  Bindings only grow along a
+    search path, so a ground term stays ground.  ``SortMismatch`` from
+    ``_solve_eq`` passes through, and the caller's search path fails."""
+    if not new and (not bound or not pending):
+        return pending, ()
     if new:
         pending = pending + new
-    bound = set(bound)
+    start = len(pending) - len(new)
+    work = [i for i, r in enumerate(pending) if r.lhs_vars is not None
+            and (i >= start or not r.vars.isdisjoint(bound))]
     solved = set()
-    dirty = {r for r in new if r.lhs_vars is not None}
-    if bound:
-        dirty.update(r for r in pending
-                     if r.lhs_vars is not None and not r.vars.isdisjoint(bound))
-    while dirty:
-        for r in pending:
-            if r in dirty:
-                dirty.discard(r)
-                u = _solve_eq(binding, r)
-                if u is not None:
-                    bound.add(u)
-                    solved.add(r)
-                    dirty.update(q for q in pending
-                                 if q.lhs_vars is not None and u in q.vars)
-    if not bound and not new:
-        return pending, ()
+    if work:
+        queued = set(work)
+        later = []          # dirtied behind the cursor: the next pass
+        watch = None        # variable -> positions of the equalities with it
+        while work:
+            i = heappop(work)
+            queued.discard(i)
+            u = _solve_eq(binding, pending[i])
+            if u is not None:
+                solved.add(i)
+                if watch is None:
+                    watch = {}
+                    for j, r in enumerate(pending):
+                        if r.lhs_vars is not None:
+                            for v in r.vars:
+                                watch.setdefault(v, []).append(j)
+                for j in watch.pop(u):
+                    if j not in queued and j not in solved:
+                        queued.add(j)
+                        if j > i:
+                            heappush(work, j)
+                        else:
+                            later.append(j)
+            if not work and later:
+                later.sort()
+                work, later = later, []
     keys = binding.keys()
     still = []
     now_ground = []
-    for r in pending:
+    for i, r in enumerate(pending):
         if keys >= r.vars:
-            if r not in solved:
+            if i not in solved:
                 now_ground.append(r.term)
         else:
             still.append(r)
@@ -272,20 +327,157 @@ def _residual_groups(pending: list, binding: dict) -> list:
     return [(sorted(u), [pending[i] for i in sorted(m)]) for u, m in groups]
 
 
+# ---------------------------------------------------------------------------
+# Branch plans
+# ---------------------------------------------------------------------------
+
+# what the search does with a heaplet: consume a cell, unfold, report that
+# it has no concrete-model semantics, or check it once the heap is used up
+_POINTS_TO, _APPLY, _NO_MODEL, _BOOKKEEPING = range(4)
+_KIND = {ssl.PointsTo: _POINTS_TO, ssl.PredApply: _APPLY, ssl.RoApply: _APPLY,
+         ssl.FuncApply: _NO_MODEL, ssl.TempLoc: _NO_MODEL,
+         ssl.Block: _BOOKKEEPING, ssl.HeapEmp: _BOOKKEEPING}
+_NO_VARS = frozenset()
+
+
 def _item(h: ssl.Heaplet, depth: int) -> tuple:
-    """A spatial obligation: the heaplet, the unfolding depth left to it,
-    and the variables of its pure terms (a points-to value, or the
+    """A spatial obligation: its kind, the heaplet, the unfolding depth left
+    to it, and the variables of its pure terms (a points-to value, or the
     arguments of a predicate application)."""
-    if isinstance(h, ssl.PointsTo):
-        return h, depth, ssl.free_vars(h.value)
-    if isinstance(h, (ssl.PredApply, ssl.RoApply)):
-        return h, depth, ssl.free_vars(h)
-    return h, depth, frozenset()
+    kind = _KIND[h.__class__]
+    if kind == _POINTS_TO:
+        return kind, h, depth, ssl.free_vars(h.value)
+    if kind == _APPLY:
+        return kind, h, depth, ssl.free_vars(h)
+    return kind, h, depth, _NO_VARS
+
+
+def _template(t: ssl.PureTerm, slot_of: dict):
+    """``t`` with each variable replaced by its slot number: a subterm over
+    variables becomes ``(kind, operand templates...)``, a closed one stays
+    itself."""
+    if t.__class__ is ssl.PVar:
+        return slot_of[t.name]
+    parts = ssl.subterms(t)
+    ops = [_template(p, slot_of) for p in parts]
+    if all(o is p for o, p in zip(ops, parts)):
+        return t
+    return (t.__class__, *ops)
+
+
+def _instantiate(t, terms: list) -> ssl.PureTerm:
+    """The pure term of template ``t`` with slot ``i`` read as
+    ``terms[i]``."""
+    cls = t.__class__
+    if cls is int:
+        return terms[t]
+    if cls is tuple:
+        return t[0](*[_instantiate(a, terms) for a in t[1:]])
+    return t
+
+
+class _Plan:
+    """One predicate branch compiled for unfolding.  Slot ``i`` is parameter
+    ``i`` below the predicate's arity, and the branch's existentials, in
+    sorted order, follow.  ``pures`` holds the condition and the pure
+    conjuncts, each as its template with the slots of its variables (of
+    each side, for an equality); ``heaplets`` holds per heaplet its kind,
+    its location slot (a points-to or block base, a temploc), the templates
+    of its pure terms and the slots its obligation waits on.  ``locs`` are
+    the parameter slots used as a location."""
+
+    __slots__ = ("branch", "existentials", "locs", "pures", "heaplets")
+
+    def __init__(self, params: tuple, branch: ssl.Branch, existentials: tuple):
+        slot_of = {p: i for i, (p, _) in enumerate(params)}
+        for name in existentials:
+            slot_of[name] = len(slot_of)
+
+        def slots(*terms):
+            return tuple(sorted({slot_of[v] for t in terms
+                                 for v in ssl.free_vars(t)}))
+
+        self.branch = branch
+        self.existentials = existentials
+        self.pures = tuple(
+            (_template(t, slot_of), slots(t.lhs), slots(t.rhs))
+            if t.__class__ is ssl.PEq else (_template(t, slot_of), slots(t), None)
+            for t in (branch.cond,) + branch.body.pure)
+        heaplets = []
+        for h in branch.body.spatial:
+            kind = _KIND[h.__class__]
+            loc = (slot_of[h.base] if h.__class__ in (ssl.PointsTo, ssl.Block)
+                   else slot_of[h.var] if h.__class__ is ssl.TempLoc else None)
+            parts = ssl.subterms(h)
+            heaplets.append((h, kind, loc,
+                             tuple(_template(p, slot_of) for p in parts),
+                             slots(*parts) if kind in (_POINTS_TO, _APPLY)
+                             else ()))
+        self.heaplets = tuple(heaplets)
+        self.locs = tuple(sorted({h[2] for h in heaplets
+                                  if h[2] is not None and h[2] < len(params)}))
+
+    def instance(self, terms: list, names: list, depth: int) -> tuple:
+        """The obligations and pure constraints of the branch with slot
+        ``i`` read as ``terms[i]``, whose variables are ``names[i]``; every
+        location slot must hold a variable."""
+        items = []
+        for h, kind, loc, templates, hslots in self.heaplets:
+            cls = h.__class__
+            args = [_instantiate(t, terms) for t in templates]
+            if cls is ssl.PointsTo:
+                h = ssl.PointsTo(terms[loc].name, h.offset, args[0])
+            elif cls is ssl.PredApply:
+                h = ssl.PredApply(h.name, tuple(args), h.ctor)
+            elif cls is ssl.Block:
+                h = ssl.Block(terms[loc].name, h.size)
+            elif cls is ssl.TempLoc:
+                h = ssl.TempLoc(terms[loc].name)
+            elif cls is not ssl.HeapEmp:
+                h = cls(h.name, tuple(args))
+            items.append((kind, h, depth,
+                          {v for i in hslots for v in names[i]} if hslots
+                          else _NO_VARS))
+        pures = []
+        for t, lhs, rhs in self.pures:
+            term = _instantiate(t, terms)
+            lhs_vars = {v for i in lhs for v in names[i]}
+            if rhs is None:
+                pures.append(_Pure(term, lhs_vars))
+            else:
+                rhs_vars = {v for i in rhs for v in names[i]}
+                pures.append(_Pure(term, lhs_vars | rhs_vars, lhs_vars,
+                                   rhs_vars))
+        return items, pures
+
+
+def _plans(pred: ssl.PredicateDef) -> tuple:
+    """The plans of ``pred``'s branches, built on first use and kept on the
+    predicate itself, so that they live exactly as long as it does."""
+    plans = pred.__dict__.get("_plans")
+    if plans is None:
+        plans = pred.__dict__["_plans"] = tuple(
+            _Plan(pred.params, b, ex)
+            for b, ex in zip(pred.branches, pred.existentials))
+    return plans
 
 
 # ---------------------------------------------------------------------------
 # Satisfaction
 # ---------------------------------------------------------------------------
+
+def _cell_mismatch(loc: int, actual: Val, expected: Val) -> Optional[str]:
+    """Why cell ``loc`` holding ``actual`` does not match ``expected``, or
+    None when it does."""
+    if (expected.__class__ is BoolVal) != (actual.__class__ is BoolVal):
+        return f"cell {loc} sort mismatch"
+    if expected.__class__ is BoolVal:
+        if expected.value != actual.value:
+            return f"cell {loc} holds {actual}, expected {expected}"
+    elif _num(expected) != _num(actual):
+        return f"cell {loc} holds {actual}, expected {expected}"
+    return None
+
 
 class _Checker:
     """A depth-first search for a partition of the heap across the spatial
@@ -301,16 +493,9 @@ class _Checker:
         self.depth = depth
         self.gave_up = None     # why some path stopped short of a verdict
         self.failure = "no failure recorded"
-        self._fresh = 0
+        self._fresh = 0         # numbers the variables unfolding introduces
         self._consumers = None  # names of predicates that can consume cells
-
-    def rename_fresh(self, names) -> dict:
-        """A substitution of a fresh variable for each name."""
-        out = {}
-        for n in names:
-            self._fresh += 1
-            out[n] = ssl.PVar(f"{n}?{self._fresh}")
-        return out
+        self._witnesses = None  # the witness domain of residual existentials
 
     def _give_up(self, reason: str):
         if self.gave_up is None:
@@ -333,93 +518,96 @@ class _Checker:
     # the search returns True on the first completed path
 
     def _search(self, items, pending, ground, consumed, binding) -> bool:
+        """Take the first ground points-to; else the first ground predicate
+        application; else, unless only blocks are left, the first nonground
+        points-to against each free cell, then the first nonground
+        application against each of its branches."""
         if not items:
             return self._finish(pending, ground, consumed, binding)
-
-        # ground points-to first
-        for i, (h, d, hvars) in enumerate(items):
-            if isinstance(h, ssl.PointsTo) and h.base in binding:
-                return self._match_points_to(h, hvars, items[:i] + items[i + 1:],
-                                             pending, ground, consumed, binding)
-        # ground predicate applications next
         keys = binding.keys()
-        for i, (h, d, hvars) in enumerate(items):
-            if isinstance(h, (ssl.PredApply, ssl.RoApply)) and keys >= hvars:
-                return self._unfold(h, d, i, items, pending, ground, consumed,
-                                    binding, ground_args=True)
-        # blocks are bookkeeping: defer until only blocks remain nonground?
-        non_block = [(i, h, d) for i, (h, d, _) in enumerate(items)
-                     if not isinstance(h, (ssl.Block, ssl.HeapEmp))]
-        if not non_block:
-            return self._finish_blocks(items, pending, ground, consumed,
-                                       binding)
-        # backtracking: nonground points-to against candidate cells
-        for i, h, d in non_block:
-            if isinstance(h, ssl.PointsTo):
-                rest = items[:i] + items[i + 1:]
-                for loc in self.locs:
-                    if loc in consumed:
-                        continue
-                    trial = dict(binding)
-                    trial[h.base] = LocVal(loc - h.offset)
-                    if self._match_points_to(h, items[i][2], rest, pending,
-                                             ground, consumed, trial,
-                                             bound=(h.base,)):
-                        return True
-                self.failure = f"no cell matches {ssl.render_heaplet(h)}"
-                return False
-        # nonground predicate application: try all branches
-        for i, h, d in non_block:
-            if isinstance(h, (ssl.PredApply, ssl.RoApply)):
-                return self._unfold(h, d, i, items, pending, ground, consumed,
-                                    binding, ground_args=False)
-        for i, h, d in non_block:
-            if isinstance(h, (ssl.FuncApply, ssl.TempLoc)):
-                self.failure = (f"{ssl.render_heaplet(h)} has no concrete "
-                                "model semantics")
-                return False
+        ground_app = loose_cell = loose_app = no_model = None
+        for i, item in enumerate(items):
+            kind = item[0]
+            if kind == _POINTS_TO:
+                if item[1].base in binding:
+                    return self._match_points_to(
+                        item, items[:i] + items[i + 1:], pending, ground,
+                        consumed, binding)
+                if loose_cell is None:
+                    loose_cell = i
+            elif kind == _APPLY:
+                if ground_app is None:
+                    if keys >= item[3]:
+                        ground_app = i
+                    elif loose_app is None:
+                        loose_app = i
+            elif kind == _NO_MODEL and no_model is None:
+                no_model = i
+        if ground_app is not None:
+            return self._unfold(ground_app, items, pending, ground, consumed,
+                                binding, ground_args=True)
+        if loose_cell is not None:
+            item = items[loose_cell]
+            h = item[1]
+            rest = items[:loose_cell] + items[loose_cell + 1:]
+            for loc in self.locs:
+                if loc in consumed:
+                    continue
+                trial = dict(binding)
+                trial[h.base] = LocVal(loc - h.offset)
+                if self._match_points_to(item, rest, pending, ground,
+                                         consumed, trial, bound=(h.base,)):
+                    return True
+            self.failure = f"no cell matches {ssl.render_heaplet(h)}"
+            return False
+        if loose_app is not None:
+            return self._unfold(loose_app, items, pending, ground, consumed,
+                                binding, ground_args=False)
+        if no_model is not None:
+            self.failure = (f"{ssl.render_heaplet(items[no_model][1])} has "
+                            "no concrete model semantics")
+            return False
         return self._finish_blocks(items, pending, ground, consumed, binding)
 
-    def _match_points_to(self, h, hvars, rest, pending, ground, consumed,
+    def _match_points_to(self, item, rest, pending, ground, consumed,
                          binding, bound=()) -> bool:
+        h = item[1]
         base = binding[h.base]
-        if not isinstance(base, (LocVal, IntVal)):
+        if base.__class__ is not LocVal and base.__class__ is not IntVal:
             self.failure = f"{h.base} is not a location"
             return False
         loc = _num(base) + h.offset
-        if loc not in self.cells:
+        actual = self.cells.get(loc)
+        if actual is None:
             self.failure = f"missing cell {loc} for {ssl.render_heaplet(h)}"
             return False
         if loc in consumed:
             self.failure = f"cell {loc} claimed twice"
             return False
-        actual = self.cells[loc]
-        new = []
-        if binding.keys() >= hvars:
+        value = h.value
+        new = ()
+        if value.__class__ is ssl.PVar:
+            # read or bind the variable directly
+            expected = binding.get(value.name)
+            if expected is None:
+                binding[value.name] = actual
+                bound += (value.name,)
+            elif (why := _cell_mismatch(loc, actual, expected)) is not None:
+                self.failure = why
+                return False
+        elif binding.keys() >= item[3]:
             try:
-                expected = eval_pure(binding, h.value)
+                expected = eval_pure(binding, value)
             except (SortMismatch, UnboundVariable) as exc:
                 self.failure = str(exc)
                 return False
-            if isinstance(expected, BoolVal) != isinstance(actual, BoolVal):
-                self.failure = f"cell {loc} sort mismatch"
+            if (why := _cell_mismatch(loc, actual, expected)) is not None:
+                self.failure = why
                 return False
-            if isinstance(expected, BoolVal):
-                if expected.value != actual.value:
-                    self.failure = (f"cell {loc} holds {actual}, "
-                                    f"expected {expected}")
-                    return False
-            elif _num(expected) != _num(actual):
-                self.failure = (f"cell {loc} holds {actual}, expected "
-                                f"{expected}")
-                return False
-        elif isinstance(h.value, ssl.PVar):
-            binding[h.value.name] = actual
-            bound += (h.value.name,)
         else:
-            lit = (ssl.PBool(actual.value) if isinstance(actual, BoolVal)
+            lit = (ssl.PBool(actual.value) if actual.__class__ is BoolVal
                    else ssl.PInt(_num(actual)))
-            new.append(_Pure(ssl.PEq(h.value, lit)))
+            new = [_Pure(ssl.PEq(value, lit))]
         try:
             pending, now_ground = _propagate(pending, binding, new, bound)
         except SortMismatch as exc:
@@ -443,19 +631,19 @@ class _Checker:
                             for bh in b.body.spatial):
                         self._consumers.add(name)
                         changed = True
-        return isinstance(h, ssl.PointsTo) or (
-            isinstance(h, (ssl.PredApply, ssl.RoApply))
-            and h.name in self._consumers)
+        return h.__class__ is ssl.PointsTo or (
+            _KIND[h.__class__] == _APPLY and h.name in self._consumers)
 
-    def _unfold(self, h, d, i, items, pending, ground, consumed, binding,
+    def _unfold(self, i, items, pending, ground, consumed, binding,
                 ground_args: bool) -> bool:
+        _, h, d, _ = items[i]
         pred = self.env.preds.get(h.name)
         if pred is None:
             self.failure = f"unknown predicate {h.name}"
             return False
         if d <= 0:
             leftover = sorted(set(self.cells) - consumed)
-            if leftover and not any(self._consumes(it[0]) for it in items):
+            if leftover and not any(self._consumes(it[1]) for it in items):
                 # no depth would help: nothing left can consume these cells
                 self.failure = (f"heap cells {leftover} are not consumed by "
                                 "any obligation left")
@@ -465,75 +653,94 @@ class _Checker:
         if len(h.args) != len(pred.params):
             self.failure = f"arity mismatch applying {h.name}"
             return False
-        rest = items[:i] + items[i + 1:]
-        branches = list(zip(pred.branches, pred.existentials))
+        plans = _plans(pred)
         if ground_args:
-            args = [eval_pure(binding, a) for a in h.args]
+            try:
+                args = [eval_pure(binding, a) for a in h.args]
+            except SortMismatch as exc:
+                self.failure = str(exc)
+                return False
             root = None
             for (pname, sort), val in zip(pred.params, args):
                 if sort == "loc":
                     root = val
                     break
             chosen = None
-            if root is not None and isinstance(root, LocVal) \
+            if root is not None and root.__class__ is LocVal \
                     and root.loc in self.env.fsstore:
                 ctor = self.env.fsstore[root.loc]
-                tagged = [b for b in branches if b[0].ctor == ctor]
+                tagged = [p for p in plans if p.branch.ctor == ctor]
                 if tagged:
                     chosen = tagged
             if chosen is None:
                 chosen = []
                 param_binding = {pname: val for (pname, _), val
                                  in zip(pred.params, args)}
-                for b in branches:
+                for p in plans:
                     try:
-                        if eval_pure_bool(param_binding, b[0].cond):
-                            chosen.append(b)
+                        if eval_pure_bool(param_binding, p.branch.cond):
+                            chosen.append(p)
                     except (SortMismatch, UnboundVariable):
-                        chosen.append(b)
-            branches = chosen
-            if not branches:
+                        chosen.append(p)
+            plans = chosen
+            if not plans:
                 self.failure = (f"no branch of {h.name} matches "
                                 f"{[str(a) for a in args]}")
                 return False
-        param_map = {p: a for (p, _), a in zip(pred.params, h.args)}
-        for branch, existentials in branches:
-            body = branch.body
-            pures = (branch.cond,) + body.pure
-            sub = self.rename_fresh(existentials)
-            sub.update(param_map)
-            new_items = rest + [_item(ssl.subst(h, sub), d - 1)
-                                for h in body.spatial]
-            new = [_Pure(ssl.subst(t, sub)) for t in pures]
+        rest = items[:i] + items[i + 1:]
+        arg_names = [(a.name,) if a.__class__ is ssl.PVar
+                     else tuple(ssl.free_vars(a)) for a in h.args]
+        for plan in plans:
+            terms = list(h.args)
+            names = list(arg_names)
+            for name in plan.existentials:
+                self._fresh += 1
+                fresh = f"{name}?{self._fresh}"
+                terms.append(ssl.PVar(fresh))
+                names.append((fresh,))
+            named = []
+            for s in plan.locs:
+                if terms[s].__class__ is not ssl.PVar:
+                    # a location must be a variable: name the argument by a
+                    # fresh existential equal to it
+                    self._fresh += 1
+                    var = ssl.PVar(f"{pred.params[s][0]}?{self._fresh}")
+                    named.append(_Pure(ssl.PEq(var, terms[s])))
+                    terms[s], names[s] = var, (var.name,)
+            new_items, new = plan.instance(terms, names, d - 1)
             trial = dict(binding)
             try:
-                still, now_ground = _propagate(pending, trial, new)
+                still, now_ground = _propagate(pending, trial, named + new)
             except SortMismatch as exc:
                 self.failure = str(exc)
                 continue
-            if self._search(new_items, still, ground + now_ground, consumed,
-                            trial):
+            if self._search(rest + new_items, still, ground + now_ground,
+                            consumed, trial):
                 return True
         return False
 
     def _finish_blocks(self, items, pending, ground, consumed, binding) -> bool:
         blocks = []
-        for h, _, _ in items:
-            if isinstance(h, ssl.HeapEmp):
+        for _, h, _, _ in items:
+            if h.__class__ is ssl.HeapEmp:
                 continue
-            if not isinstance(h, ssl.Block):
+            if h.__class__ is not ssl.Block:
                 self.failure = f"unresolved heaplet {ssl.render_heaplet(h)}"
                 return False
-            if h.base not in binding:
+            base = binding.get(h.base)
+            if base is None:
                 self.failure = f"block base {h.base} is unresolved"
                 return False
-            blocks.append((_num(binding[h.base]), h.size))
+            if base.__class__ is not LocVal and base.__class__ is not IntVal:
+                self.failure = f"{h.base} is not a location"
+                return False
+            blocks.append((_num(base), h.size))
         return self._finish(pending, ground, consumed, binding, blocks)
 
     def _finish(self, pending, ground, consumed, binding, blocks=()) -> bool:
-        leftover = set(self.cells) - consumed
-        if leftover:
-            self.failure = f"heap cells {sorted(leftover)} are not consumed"
+        if len(consumed) < len(self.cells):     # only cells are consumed
+            leftover = sorted(set(self.cells) - consumed)
+            self.failure = f"heap cells {leftover} are not consumed"
             return False
         for base, size in blocks:
             for loc in range(base, base + size):
@@ -550,12 +757,17 @@ class _Checker:
         # only by pure terms.  Groups of constraints that share no unknown
         # are solved apart: search a small witness domain for each, and give
         # up (Unknown, not Unsat) when one is too large or holds no witness
-        candidates = [IntVal(0), IntVal(1), IntVal(2)]
-        candidates += [LocVal(loc) for loc in self.locs]
-        for v in self.cells.values():
-            if isinstance(v, IntVal) and all(_num(c) != v.value
-                                             for c in candidates):
-                candidates.append(v)
+        if self._witnesses is None:
+            # 0, 1, 2, each cell's location and each other integer a cell
+            # holds; the heap is fixed, so the domain is built once
+            candidates = [IntVal(0), IntVal(1), IntVal(2)]
+            candidates += [LocVal(loc) for loc in self.locs]
+            for v in self.cells.values():
+                if isinstance(v, IntVal) and all(_num(c) != v.value
+                                                 for c in candidates):
+                    candidates.append(v)
+            self._witnesses = candidates
+        candidates = self._witnesses
         for unknowns, group in _residual_groups(pending, binding):
             if not unknowns:
                 if not self._holds([r.term for r in group], binding):
@@ -731,7 +943,8 @@ def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessRep
 # Core expression generation
 # ---------------------------------------------------------------------------
 
-class LayoutDraw(NamedTuple):
+class LayoutDraw(namedtuple("LayoutDraw", ("ref", "empties", "non_empties",
+                                           "fields", "unsupported"))):
     """What drawing a ``lower`` into one layout reads: the shared layout
     reference, the empty and non-empty branch patterns in branch order, and
     per constructor one entry per field: the layout name to lower it into
@@ -739,11 +952,7 @@ class LayoutDraw(NamedTuple):
     a field of an ADT, else the field's base type.  A constructor with a
     field that cannot be drawn (an ADT with no layout to lower into, or a
     function) is left out of ``fields``; ``unsupported`` says why."""
-    ref: S.NamedLayout
-    empties: tuple
-    non_empties: tuple
-    fields: dict
-    unsupported: dict
+    __slots__ = ()
 
 
 class CoreSignature(Node):

@@ -236,9 +236,10 @@ def subterms(x) -> tuple:
     raise TypeError(x)
 
 
-# free_vars and subst run for every unfolding the model checker does, so
-# they recurse directly rather than through subterms, and dispatch on the
-# exact class: the IR's classes have no subclasses.
+# free_vars and subst run on every assertion the model checker checks and
+# every renaming the translation makes, so they recurse directly rather
+# than through subterms, and dispatch on the exact class: the IR's classes
+# have no subclasses.
 
 def free_vars(x) -> set[str]:
     """The variable names in a pure term or heaplet, location names

@@ -16,8 +16,9 @@ The printer is a parsing inverse: for any well-formed unit ``u``,
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import LexError, ParseError, Span
 from .node import Frozen, Node
@@ -50,10 +51,8 @@ _TOKEN_RE = re.compile(
 _MINUS_AFTER = frozenset({"int", "ident", ")", "]"})
 
 
-class Token(NamedTuple):
-    kind: str           # 'int', 'ident', keyword text, or symbol text
-    text: str
-    span: Span
+# kind: 'int', 'ident', keyword text, or symbol text; span: a Span
+Token = namedtuple("Token", ("kind", "text", "span"))
 
 
 def lex(source: str) -> list[Token]:
@@ -336,15 +335,12 @@ class HApply(Node):
 LayoutHeaplet = (HEmp, HPointsTo, HApply)
 
 
-class CtorShape(NamedTuple):
+class CtorShape(namedtuple("CtorShape", ("pattern", "heaplets", "cells",
+                                         "size", "error"))):
     """A constructor's layout branch and what building it writes: points-to
     cells as ``(offset, payload)`` pairs, the block size, and the first cell
     the machine cannot write as ``(message, span)``, or None."""
-    pattern: Pattern
-    heaplets: list
-    cells: tuple
-    size: int
-    error: Optional[tuple]
+    __slots__ = ()
 
 
 class LayoutDef(Node):

@@ -12,14 +12,16 @@ from pikac.interp import BoolVal, IntVal, LocVal, Model, eval_expr
 from pikac.modelcheck import (
     CoreSignature, PredicateEnv, Sat, Unknown, Unsat, build_predicate_env,
     check_otimes, check_soundness, eval_pure, eval_pure_bool, gen_core_expr,
-    satisfies, shrink_core_expr, _propagate, _Pure, _residual_groups,
+    satisfies, shrink_core_expr, _item, _plans, _propagate, _Pure,
+    _residual_groups,
 )
 from pikac import syntax as S
 from pikac.syntax import parse_expr_text, parse_source
 from pikac.translate import (
-    translate_expr_core, translate_fn_def_core, translate_layout_predicate,
+    compile_directive, translate_expr_core, translate_fn_def_core,
+    translate_layout_predicate,
 )
-from pikac.types import build_global_env, infer_expr
+from pikac.types import build_global_env, elaborate, infer_expr
 
 SIG = pathlib.Path(__file__).parent / "corpus" / "soundness_sig.pika"
 
@@ -152,24 +154,23 @@ def test_soundness_single_case_function(genv):
     assert isinstance(check_soundness(genv, e).result, Sat)
 
 
+def _drop_first_heaplet(env, fn, layout, result_ref):
+    """The function translation with the first heaplet of each branch
+    dropped: a broken translation the soundness suite must catch."""
+    pred = translate_fn_def_core(env, fn, layout, result_ref)
+    branches = []
+    for b in pred.branches:
+        spatial = b.body.spatial[1:] if b.body.spatial else ()
+        branches.append(ssl.Branch(b.cond,
+                                   ssl.SslAssertion.make(b.body.pure, spatial),
+                                   ctor=b.ctor))
+    return ssl.PredicateDef(pred.name, pred.params, tuple(branches))
+
+
 def test_soundness_detects_broken_translation(genv, monkeypatch):
     import pikac.modelcheck as mc
 
-    real = mc.translate_fn_def_core
-
-    def broken(env, fn, layout, result_ref):
-        pred = real(env, fn, layout, result_ref)
-        # drop one heaplet from every non-empty branch
-        branches = []
-        for b in pred.branches:
-            spatial = b.body.spatial[1:] if b.body.spatial else ()
-            branches.append(ssl.Branch(b.cond,
-                                       ssl.SslAssertion.make(b.body.pure,
-                                                             spatial),
-                                       ctor=b.ctor))
-        return ssl.PredicateDef(pred.name, pred.params, tuple(branches))
-
-    monkeypatch.setattr(mc, "translate_fn_def_core", broken)
+    monkeypatch.setattr(mc, "translate_fn_def_core", _drop_first_heaplet)
     e = parse_expr_text(
         "instantiate [Sll] Sll idList (instantiate [Sll] Sll idList "
         "(lower Sll (Cons 5 (lower Sll (Nil)))))")
@@ -189,6 +190,38 @@ def test_budget_48_sweep_has_no_unsat(sig, genv):
     verdicts = {seed: check_soundness(genv, gen_core_expr(sig, seed, 48)).result
                 for seed in range(300)}
     assert {s for s, r in verdicts.items() if not isinstance(r, Sat)} == set()
+
+
+# sha256 over each verdict (reason included) and rendered assertion of the
+# sweeps below; a change to the checker that moves any verdict or failure
+# text changes the digest
+_CHECKER_DIGEST = (
+    "b701575e072b4e0d00bcd23097c4ee5c4046076cea95129c3699f56d75df188b")
+
+
+def test_checker_verdicts_are_pinned(sig, genv, monkeypatch):
+    import pikac.modelcheck as mc
+
+    h = hashlib.sha256()
+
+    def sweep(tag, budget, seeds):
+        verdicts = []
+        for seed in seeds:
+            report = check_soundness(genv, gen_core_expr(sig, seed, budget))
+            verdicts.append(report.result)
+            h.update(f"{tag} {budget} {seed} {report.result!r}\n"
+                     f"{ssl.render_assertion(report.assertion)}\n".encode())
+        return verdicts
+
+    sweep("sound", 12, range(2000))
+    sweep("sound", 48, range(300))
+    monkeypatch.setattr(mc, "translate_fn_def_core", _drop_first_heaplet)
+    caught = [(seed, r) for seed, r in enumerate(sweep("mutant", 12,
+                                                       range(1000)))
+              if not isinstance(r, Sat)]
+    assert len(caught) == 109
+    assert caught[0] == (40, Unsat("no cell matches x5 :-> v1"))
+    assert h.hexdigest() == _CHECKER_DIGEST
 
 
 def _residual_only(terms):
@@ -223,6 +256,24 @@ def test_ill_sorted_equality_is_unsat(eq):
     result = satisfies(Model({"b": BoolVal(True)}, {}),
                        ssl.SslAssertion.make((eq,), ()), PredicateEnv({}))
     assert result == Unsat("expected a numeric value, found true")
+
+
+@pytest.mark.parametrize("store, heap, spatial, verdict", [
+    # a location argument that is not a variable is named by a fresh
+    # existential equal to it
+    ({}, {5: IntVal(1), 6: IntVal(0)},
+     ssl.PredApply("Sll", (ssl.PInt(5),)), Sat()),
+    ({"b": BoolVal(True)}, {},
+     ssl.PredApply("Sll", (ssl.PAdd(ssl.PVar("b"), ssl.PInt(1)),)),
+     Unsat("expected a numeric value, found true")),
+    ({"b": BoolVal(True)}, {}, ssl.Block("b", 1),
+     Unsat("b is not a location")),
+], ids=["literal-location-argument", "boolean-in-argument",
+        "boolean-block-base"])
+def test_satisfies_gives_a_verdict_on_ill_sorted_locations(genv, store, heap,
+                                                           spatial, verdict):
+    a = ssl.SslAssertion.make((), (spatial,))
+    assert satisfies(Model(store, heap), a, _sll_env(genv)) == verdict
 
 
 def test_propagate_leaves_solved_equalities_out_of_the_ground_terms():
@@ -277,6 +328,47 @@ def test_depth_bound_with_unconsumable_cells_is_unsat():
         "| false => { x :-> 1 } }")
     assert isinstance(satisfies(model, a, PredicateEnv({"spin": cell}), 8),
                       Unknown)
+
+
+# -- branch plans --
+
+def _emitted_predicates():
+    """Every predicate ``compile`` emits for the directives under tests/."""
+    for path in sorted(SIG.parent.parent.glob("*/*.pika")):
+        unit = parse_source(path.read_text())
+        if unit.directives:
+            prog = elaborate(unit)
+            for d in unit.directives:
+                yield from compile_directive(prog, d.fn).all_predicates()
+
+
+def test_branch_plans_instantiate_as_substitution_does():
+    # a location argument is a variable; any other one is a compound term
+    emp = ssl.PredicateDef("e", (("x", "loc"),), (ssl.Branch(
+        ssl.TRUE, ssl.SslAssertion((), (ssl.HeapEmp(),))),))
+    kinds = set()
+    for pred in [*_emitted_predicates(), emp]:
+        plans = _plans(pred)
+        assert _plans(pred) is plans
+        for plan, existentials in zip(plans, pred.existentials):
+            args = [ssl.PVar(f"a{i}") if i in plan.locs
+                    else ssl.PAdd(ssl.PVar(f"a{i}"), ssl.PInt(1))
+                    for i in range(len(pred.params))]
+            fresh = [ssl.PVar(f"{n}?{k}") for k, n in enumerate(existentials)]
+            sub = dict(zip(existentials, fresh))
+            sub.update((p, a) for (p, _), a in zip(pred.params, args))
+            terms = args + fresh
+            items, pures = plan.instance(
+                terms, [tuple(ssl.free_vars(t)) for t in terms], 3)
+            body = plan.branch.body
+            assert items == [_item(ssl.subst(h, sub), 3) for h in body.spatial]
+            records = [_Pure(ssl.subst(t, sub))
+                       for t in (plan.branch.cond,) + body.pure]
+            assert ([(r.term, r.vars, r.lhs_vars, r.rhs_vars) for r in pures]
+                    == [(r.term, r.vars, r.lhs_vars, r.rhs_vars)
+                        for r in records])
+            kinds.update(h.__class__ for h in body.spatial)
+    assert kinds == set(ssl.Heaplet)
 
 
 # -- predicate environment cache --
