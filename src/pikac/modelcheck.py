@@ -2,14 +2,13 @@
 
 ``satisfies`` checks a (store, heap) model against an assertion under a
 predicate environment: points-to heaplets consume single cells, predicate
-applications unfold structurally (preferring the location-to-constructor
-witness table, falling back to branch-condition evaluation, and trying all
-branches for existentially quantified roots), and the whole heap must be
-consumed.  Existential variables introduced by unfolding are solved by
-unification against cells and by propagating pure equalities.  A location
-argument that is not a variable is named by a fresh existential equal to
-it, and a location bound to a Boolean fails its path: ``satisfies`` always
-returns a verdict.
+applications unfold structurally (a ground application to the branches
+whose condition holds or cannot be evaluated, any other to every branch),
+and the whole heap must be consumed.  Existential variables introduced by
+unfolding are solved by unification against cells and by propagating pure
+equalities.  A location argument that is not a variable is named by a
+fresh existential equal to it, and a location bound to a Boolean fails its
+path: ``satisfies`` always returns a verdict.
 
 Each predicate branch is compiled once, on first use, into a plan kept on
 the ``PredicateDef`` itself: slot numbers for the parameters and the
@@ -56,7 +55,7 @@ from . import syntax as S
 from .errors import (
     PreconditionViolated, SortMismatch, UnboundVariable, UnsupportedConstruct,
 )
-from .interp import BoolVal, ConstructorVal, IntVal, LocVal, Model, Val, eval_expr
+from .interp import BoolVal, IntVal, LocVal, Model, Val, eval_expr
 from .node import Frozen, Node
 from .translate import (
     translate_expr_core, translate_fn_def_core, translate_layout_predicate,
@@ -90,12 +89,7 @@ SatResult = (Sat, Unsat, Unknown)
 
 
 class PredicateEnv(Node):
-    __slots__ = ("preds", "fsstore")
-
-    def __init__(self, preds: dict, fsstore: Optional[dict] = None):
-        self.preds = preds
-        # loc -> constructor name
-        self.fsstore = {} if fsstore is None else fsstore
+    __slots__ = ("preds",)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +422,7 @@ class _Plan:
             if cls is ssl.PointsTo:
                 h = ssl.PointsTo(terms[loc].name, h.offset, args[0])
             elif cls is ssl.PredApply:
-                h = ssl.PredApply(h.name, tuple(args), h.ctor)
+                h = ssl.PredApply(h.name, tuple(args))
             elif cls is ssl.Block:
                 h = ssl.Block(terms[loc].name, h.size)
             elif cls is ssl.TempLoc:
@@ -660,28 +654,15 @@ class _Checker:
             except SortMismatch as exc:
                 self.failure = str(exc)
                 return False
-            root = None
-            for (pname, sort), val in zip(pred.params, args):
-                if sort == "loc":
-                    root = val
-                    break
-            chosen = None
-            if root is not None and root.__class__ is LocVal \
-                    and root.loc in self.env.fsstore:
-                ctor = self.env.fsstore[root.loc]
-                tagged = [p for p in plans if p.branch.ctor == ctor]
-                if tagged:
-                    chosen = tagged
-            if chosen is None:
-                chosen = []
-                param_binding = {pname: val for (pname, _), val
-                                 in zip(pred.params, args)}
-                for p in plans:
-                    try:
-                        if eval_pure_bool(param_binding, p.branch.cond):
-                            chosen.append(p)
-                    except (SortMismatch, UnboundVariable):
+            param_binding = {pname: val for (pname, _), val
+                             in zip(pred.params, args)}
+            chosen = []
+            for p in plans:
+                try:
+                    if eval_pure_bool(param_binding, p.branch.cond):
                         chosen.append(p)
+                except (SortMismatch, UnboundVariable):
+                    chosen.append(p)
             plans = chosen
             if not plans:
                 self.failure = (f"no branch of {h.name} matches "
@@ -883,11 +864,11 @@ def _predicate_cache(genv: GlobalEnv) -> _PredicateCache:
     return cache
 
 
-def build_predicate_env(genv: GlobalEnv, exprs=(), fsstore=None) -> PredicateEnv:
+def build_predicate_env(genv: GlobalEnv, exprs=()) -> PredicateEnv:
     """Layout predicates for every layout plus function predicates for every
     instantiation reachable from the given expressions.  Each predicate is
     translated once per environment; every call returns a fresh
-    ``PredicateEnv`` with its own ``preds`` dict and ``fsstore``."""
+    ``PredicateEnv`` with its own ``preds`` dict."""
     cache = _predicate_cache(genv)
     preds = dict(cache.layouts)
     work = set()
@@ -904,11 +885,7 @@ def build_predicate_env(genv: GlobalEnv, exprs=(), fsstore=None) -> PredicateEnv
             pred, calls = entry
             preds[pred.name] = pred
             work |= calls
-    fs = {}
-    for loc, val in (fsstore or {}).items():
-        if isinstance(val, ConstructorVal):
-            fs[loc] = val.name
-    return PredicateEnv(preds, fs)
+    return PredicateEnv(preds)
 
 
 # ---------------------------------------------------------------------------
@@ -920,10 +897,10 @@ class SoundnessReport(Node):
 
 
 def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessReport:
-    val, store, heap, fs, r = eval_expr(genv, e)
+    val, store, heap, _, r = eval_expr(genv, e)
     core = translate_expr_core(genv, e, free_vars=(), result_var=r)
     assertion = core.assertion()
-    env = build_predicate_env(genv, exprs=[e], fsstore=fs)
+    env = build_predicate_env(genv, exprs=[e])
     model = Model(store, heap)
     result = satisfies(model, assertion, env, depth)
     trace = ""

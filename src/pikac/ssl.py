@@ -131,8 +131,7 @@ class _Call(Frozen):
 
 
 class PredApply(_Call):
-    __slots__ = ("ctor",)
-    _hidden = _Call._hidden | {"ctor"}
+    __slots__ = ()
 
 
 class FuncApply(_Call):
@@ -288,9 +287,6 @@ def subst(x, sub: dict):
     if cls is PointsTo:
         return PointsTo(_subst_loc(x.base, sub), x.offset,
                         subst(x.value, sub))
-    if cls is PredApply:
-        return PredApply(x.name, tuple([subst(a, sub) for a in x.args]),
-                         ctor=x.ctor)
     if cls in _APPLIES:
         return cls(x.name, tuple([subst(a, sub) for a in x.args]))
     if cls is Block:

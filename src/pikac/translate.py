@@ -67,11 +67,10 @@ def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
 # ---------------------------------------------------------------------------
 
 def translate_layout_predicate(layout: S.LayoutDef,
-                               name: Optional[str] = None,
                                ro: bool = False) -> ssl.PredicateDef:
     """A layout as a data-structure predicate: one branch per constructor,
     destructuring heaplets plus a block and recursive applications."""
-    pred_name = name or (f"ro_{layout.name}" if ro else layout.name)
+    pred_name = f"ro_{layout.name}" if ro else layout.name
     root = layout.ssl_params[0]
     branches = []
     for pat, heaplets in layout.branches:
@@ -379,9 +378,7 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
         pure, spatial = _retarget(pure, spatial, rv, r, tx.seed)
         branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial),
                                    ctor=ctor))
-    name = mangle(fn, [a_res],
-                  ResolvedLayout(res_layout.kind, res_layout.layout, "mutable")
-                  if res_layout.is_adt else res_layout)
+    name = mangle(fn, [a_res], res_layout)
     return ssl.PredicateDef(name, ((x, "loc"), (r, res_layout.sort)),
                             tuple(branches))
 
@@ -633,7 +630,6 @@ class _ArmTx:
         self.env = fn_tx.env
         self.arm = arm
         self.adt_alias: dict = {}        # let binder -> ANF variable
-        self.let_binders: set = set()
         self.produced: dict = {}         # ANF var -> loc-sorted call output?
         self.produced_kind: dict = {}    # call output -> "pred" or "func"
         self.consumed_by_call: set = set()
@@ -650,7 +646,6 @@ class _ArmTx:
                                            getattr(arm.guard, "span", None))
             arm.guard_term = self.value_of(arm.guard, spatial_adt=False)
         for binder, bound in arm.lets:
-            self.let_binders.add(binder)
             term = self.value_of(bound, spatial_adt=False)
             self.pure_lets.append(ssl.PEq(ssl.PVar(binder), term))
             if isinstance(term, ssl.PVar) and term.name in self.produced \
@@ -843,10 +838,7 @@ class _ArmTx:
                 heaplet = ssl.PredApply(name, tuple(args) + (ssl.PVar(out),))
             self.produced_kind[out] = "pred"
         else:
-            result_res = ResolvedLayout(res_layout.kind, res_layout.layout,
-                                        "mutable") \
-                if res_layout.is_adt else res_layout
-            name = mangle(e.fn, arg_layouts, result_res)
+            name = mangle(e.fn, arg_layouts, res_layout)
             heaplet = ssl.FuncApply(name, tuple(args) + (ssl.PVar(out),))
             self.produced_kind[out] = "func"
         self.arm.calls[slot] = heaplet
@@ -884,9 +876,8 @@ class _ArmTx:
         return self.value_of(_put_terms(body, terms), False)
 
     def _ensure_extra(self, fn, arg_refs, result_ref):
-        result = resolve_layout_ref(self.env, result_ref)
         key = mangle(fn, [resolve_layout_ref(self.env, r) for r in arg_refs],
-                     ResolvedLayout(result.kind, result.layout, "mutable"))
+                     resolve_layout_ref(self.env, result_ref))
         if key in self.t.extra_fns:
             return
         self.t.extra_fns[key] = None

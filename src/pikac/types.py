@@ -507,10 +507,15 @@ class _Elaborator:
         self.spec_order: list = []        # specialised functions, in order
 
     def elaborate_fn(self, fn: str) -> ElabFn:
-        env = self.env
-        if fn not in env.directives:
+        """``fn`` at its ``%generate`` directive."""
+        if fn not in self.env.directives:
             raise MissingGenerateDirective(f"no %generate directive for {fn}")
-        directive = env.directives[fn]
+        return self.elaborate_at(fn, self.env.directives[fn])
+
+    def elaborate_at(self, fn: str,
+                     directive: S.GenerateDirective) -> ElabFn:
+        """``fn`` at the layouts ``directive`` names."""
+        env = self.env
         sig = env.fn_sigs[fn]
         param_tys, result_ty = uncurry(sig)
         if len(param_tys) != len(directive.arg_layouts):
@@ -934,13 +939,5 @@ def elaborate(unit: S.SourceUnit) -> TypedProgram:
 def elaborate_fn_at(env: GlobalEnv, fn: str, arg_refs, result_ref) -> ElabFn:
     """Elaborate a single function at an explicit instantiation (used for
     auxiliary predicates such as specialisations)."""
-    directive = S.GenerateDirective(fn, tuple(arg_refs), result_ref)
-    saved = env.directives.get(fn)
-    env.directives[fn] = directive
-    try:
-        return _Elaborator(env).elaborate_fn(fn)
-    finally:
-        if saved is None:
-            del env.directives[fn]
-        else:
-            env.directives[fn] = saved
+    return _Elaborator(env).elaborate_at(
+        fn, S.GenerateDirective(fn, tuple(arg_refs), result_ref))

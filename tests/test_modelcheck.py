@@ -102,7 +102,7 @@ def test_satisfies_machine_built_list(genv):
     e = parse_expr_text("lower Sll (Cons 7 (lower Sll (Nil)))")
     val, store, heap, fs, r = eval_expr(genv, e)
     core = translate_expr_core(genv, e, result_var=r)
-    env = build_predicate_env(genv, exprs=[e], fsstore=fs)
+    env = build_predicate_env(genv, exprs=[e])
     assert isinstance(satisfies(Model(store, heap), core.assertion(), env),
                       Sat)
 
@@ -111,7 +111,7 @@ def test_satisfies_whole_heap_semantics(genv):
     e = parse_expr_text("lower Sll (Cons 7 (lower Sll (Nil)))")
     val, store, heap, fs, r = eval_expr(genv, e)
     core = translate_expr_core(genv, e, result_var=r)
-    env = build_predicate_env(genv, exprs=[e], fsstore=fs)
+    env = build_predicate_env(genv, exprs=[e])
     framed = dict(heap)
     framed[max(heap) + 17] = IntVal(99)
     result = satisfies(Model(store, framed), core.assertion(), env)
@@ -124,7 +124,7 @@ def test_satisfies_monotone_in_depth(genv):
         "(Cons 2 (lower Sll (Nil))))))")
     val, store, heap, fs, r = eval_expr(genv, e)
     core = translate_expr_core(genv, e, result_var=r)
-    env = build_predicate_env(genv, exprs=[e], fsstore=fs)
+    env = build_predicate_env(genv, exprs=[e])
     model = Model(store, heap)
     sat_depths = [d for d in range(1, 16)
                   if isinstance(satisfies(model, core.assertion(), env, d),
@@ -222,6 +222,30 @@ def test_checker_verdicts_are_pinned(sig, genv, monkeypatch):
     assert len(caught) == 109
     assert caught[0] == (40, Unsat("no cell matches x5 :-> v1"))
     assert h.hexdigest() == _CHECKER_DIGEST
+
+
+def _reverse_labels(translate):
+    """``translate`` with each predicate's ``Branch.ctor`` labels reversed:
+    labels are hidden from ``==``, so no verdict may depend on them."""
+    def reversed_labels(*args):
+        pred = translate(*args)
+        ctors = [b.ctor for b in reversed(pred.branches)]
+        return ssl.PredicateDef(pred.name, pred.params, tuple(
+            ssl.Branch(b.cond, b.body, ctor=c)
+            for b, c in zip(pred.branches, ctors)))
+    return reversed_labels
+
+
+def test_branch_labels_do_not_decide_verdicts(sig, genv, monkeypatch):
+    import pikac.modelcheck as mc
+
+    monkeypatch.setattr(mc, "translate_layout_predicate",
+                        _reverse_labels(translate_layout_predicate))
+    monkeypatch.setattr(mc, "translate_fn_def_core",
+                        _reverse_labels(translate_fn_def_core))
+    verdicts = [check_soundness(genv, gen_core_expr(sig, seed, 12)).result
+                for seed in range(300)]
+    assert all(isinstance(v, Sat) for v in verdicts)
 
 
 def _residual_only(terms):

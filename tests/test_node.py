@@ -81,7 +81,7 @@ SAMPLES = {
     ssl.PointsTo: (ssl.PointsTo("x", 1, V("t")),
                    "PointsTo(base='x', offset=1, value=PVar(name='t'))"),
     ssl.Block: (ssl.Block("x", 2), "Block(base='x', size=2)"),
-    ssl.PredApply: (ssl.PredApply("sll", (V("x"), P(0)), ctor="Cons"),
+    ssl.PredApply: (ssl.PredApply("sll", (V("x"), P(0))),
                     "PredApply(name='sll', args=(PVar(name='x'), PInt(value=0)))"),
     ssl.FuncApply: (ssl.FuncApply("f", (V("x"), V("r"))),
                     "FuncApply(name='f', args=(PVar(name='x'), PVar(name='r')))"),
@@ -121,7 +121,7 @@ SAMPLES = {
                        "ResolvedLayout(kind='int', layout=None, mode='readonly')"),
     M.Sat: (M.Sat(), "Sat()"),
     M.Unsat: (M.Unsat("why"), "Unsat(reason='why')"),
-    M.PredicateEnv: (M.PredicateEnv({}), "PredicateEnv(preds={}, fsstore={})"),
+    M.PredicateEnv: (M.PredicateEnv({}), "PredicateEnv(preds={})"),
     S.SourceUnit: (
         S.SourceUnit([], [LAYOUT], {}, {}, []),
         "SourceUnit(data_defs=[], layout_defs=[LayoutDef(name='Sll', "
@@ -177,11 +177,9 @@ def test_equality_is_by_exact_kind():
 def test_span_and_ctor_are_not_compared_hashed_or_shown():
     one, two = S.IntLit(1, Span(1, 1)), S.IntLit(1, Span(2, 9))
     assert one == two and repr(one) == repr(two)
-    for make in (lambda c: ssl.PredApply("p", (V("x"),), ctor=c),
-                 lambda c: ssl.Branch(ssl.TRUE, BODY, ctor=c)):
-        cons, nil = make("Cons"), make("Nil")
-        assert cons == nil and hash(cons) == hash(nil)
-        assert repr(cons) == repr(nil)
+    cons, nil = (ssl.Branch(ssl.TRUE, BODY, ctor=c) for c in ("Cons", "Nil"))
+    assert cons == nil and hash(cons) == hash(nil)
+    assert repr(cons) == repr(nil)
     # a pattern's constructor is one of its fields
     assert S.Pattern("Cons", []) != S.Pattern("Nil", [])
 
@@ -223,14 +221,13 @@ def test_keyword_construction_and_defaults():
     assert S.NamedLayout("Sll") == S.NamedLayout(name="Sll", mode="readonly")
     assert T.ResolvedLayout("int") == T.ResolvedLayout(kind="int", layout=None,
                                                        mode="readonly")
-    assert ssl.PredApply("p", ()).ctor is None
+    assert not hasattr(ssl.PredApply("p", ()), "ctor")
     assert ssl.Branch(cond=ssl.TRUE, body=BODY).ctor is None
     assert S.Var(name="x").span is None
     assert S.BinOp(op="+", lhs=S.IntLit(1), rhs=S.IntLit(2), span=SPAN).span == SPAN
     null = _NullPtr(span=SPAN)
     assert null.value == 0 and null.span == SPAN
-    a, b = M.PredicateEnv({}), M.PredicateEnv(preds={})
-    assert a.fsstore == {} and a.fsstore is not b.fsstore
+    assert M.PredicateEnv({}) == M.PredicateEnv(preds={})
     env = T.GlobalEnv({}, {}, {}, {}, {}, {})
     assert env.resolved == {} and env.resolved is not T.GlobalEnv(
         {}, {}, {}, {}, {}, {}).resolved
@@ -274,7 +271,7 @@ SIGNATURES = {
     ssl.PointsTo: "base, offset, value",
     ssl.Block: "base, size",
     ssl._Call: "name, args",
-    ssl.PredApply: "name, args, ctor=None",
+    ssl.PredApply: "name, args",
     ssl.FuncApply: "name, args",
     ssl.TempLoc: "var",
     ssl.RoApply: "name, args",
@@ -296,7 +293,7 @@ SIGNATURES = {
     heap_action.GroundPointsTo: "loc, value",
     heap_action.GroundApply: "layout, arg",
     M.Sat: "", M.Unsat: "reason", M.Unknown: "reason",
-    M.PredicateEnv: "preds, fsstore=None",
+    M.PredicateEnv: "preds",
     M.SoundnessReport: "result, expr, model, assertion, trace",
     M.CoreSignature: "genv, layout_of, pool, adts, fns_by_adt, fns_by_layout, "
                      "draws",

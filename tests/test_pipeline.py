@@ -71,8 +71,7 @@ def _merge_vars(pred, a, b):
         if isinstance(h, ssl.Block):
             return ssl.Block(b if h.base == a else h.base, h.size)
         if isinstance(h, ssl.PredApply):
-            return ssl.PredApply(h.name, tuple(map(fix_pure, h.args)),
-                                 ctor=h.ctor)
+            return ssl.PredApply(h.name, tuple(map(fix_pure, h.args)))
         if isinstance(h, ssl.FuncApply):
             return ssl.FuncApply(h.name, tuple(map(fix_pure, h.args)))
         if isinstance(h, ssl.RoApply):

@@ -93,8 +93,7 @@ SSL_SAMPLES = {
     ssl.HeapEmp: (ssl.HeapEmp(), set(), 1),
     ssl.PointsTo: (ssl.PointsTo("x", 1, V("v")), {"x", "v"}, 4),
     ssl.Block: (ssl.Block("x", 2), {"x"}, 3),
-    ssl.PredApply: (ssl.PredApply("Sll", (V("x"), V("y")), ctor="Cons"),
-                    {"x", "y"}, 3),
+    ssl.PredApply: (ssl.PredApply("Sll", (V("x"), V("y"))), {"x", "y"}, 3),
     ssl.FuncApply: (ssl.FuncApply("f", (V("x"), ssl.PAdd(V("y"), P(1)))),
                     {"x", "y"}, 5),
     ssl.TempLoc: (ssl.TempLoc("t"), {"t"}, 2),
