@@ -46,13 +46,21 @@ def _diagnostic(exc: PikaError) -> str:
     return f"{head} {exc.message}{loc}"
 
 
+def _read_source(path) -> str | None:
+    """The text of ``path`` decoded as UTF-8, or None once the reason it
+    cannot be read is printed."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_compile(args) -> int:
     status = 0
     for path in args.files:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        text = _read_source(path)
+        if text is None:
             return 2
         try:
             unit = parse_source(text)
@@ -79,10 +87,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_stages(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+    text = _read_source(args.file)
+    if text is None:
         return 2
     try:
         prog = elaborate(parse_source(text))
@@ -102,10 +108,8 @@ def cmd_stages(args) -> int:
 
 def cmd_run(args) -> int:
     from .interp import Model, eval_expr
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+    text = _read_source(args.file)
+    if text is None:
         return 2
     try:
         genv = build_global_env(parse_source(text))
@@ -127,10 +131,8 @@ def cmd_soundness(args) -> int:
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
         return 2
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+    text = _read_source(args.file)
+    if text is None:
         return 2
     try:
         genv = build_global_env(parse_source(text))

@@ -91,9 +91,12 @@ PureTerm = (PInt, PBool, PVar, PEq, PAnd, PNot, PLt, PAdd, PSub, PMod,
 TRUE = PBool(True)
 
 
+# pand_all, conjuncts and SslAssertion.make drop ``true`` conjuncts by a
+# class test: ``t != TRUE`` costs two ``__eq__`` calls on any other kind
+
 def pand_all(terms) -> PureTerm:
     """Right-nested conjunction of the given terms; TRUE when empty."""
-    terms = [t for t in terms if t != TRUE]
+    terms = [t for t in terms if t.__class__ is not PBool or not t.value]
     if not terms:
         return TRUE
     out = terms[-1]
@@ -103,9 +106,9 @@ def pand_all(terms) -> PureTerm:
 
 
 def conjuncts(term: PureTerm) -> list[PureTerm]:
-    if isinstance(term, PAnd):
+    if term.__class__ is PAnd:
         return conjuncts(term.lhs) + conjuncts(term.rhs)
-    if term == TRUE:
+    if term.__class__ is PBool and term.value:
         return []
     return [term]
 
@@ -159,7 +162,7 @@ class SslAssertion(Frozen):
     def __init__(self, pure: tuple, spatial: tuple):
         seen = set()
         for h in spatial:
-            if isinstance(h, PointsTo):
+            if h.__class__ is PointsTo:
                 key = (h.base, h.offset)
                 if key in seen:
                     raise ValueError(f"duplicate points-to at {h.base}+{h.offset}")
@@ -169,8 +172,9 @@ class SslAssertion(Frozen):
 
     @staticmethod
     def make(pure, spatial) -> "SslAssertion":
-        pure = tuple(p for p in pure if p != TRUE)
-        spatial = tuple(h for h in spatial if not isinstance(h, HeapEmp))
+        pure = tuple([p for p in pure
+                      if p.__class__ is not PBool or not p.value])
+        spatial = tuple([h for h in spatial if h.__class__ is not HeapEmp])
         return SslAssertion(pure, spatial)
 
 
@@ -309,22 +313,23 @@ def _subst_loc(name: str, sub: dict) -> str:
 # Emission
 # ---------------------------------------------------------------------------
 
-_ATOMS = (PInt, PBool, PVar)
-
+# render_pure and render_heaplet run on every term and heaplet that compile
+# emits, so they dispatch on the exact class, as free_vars does
 
 def render_pure(t: PureTerm, atom: bool = False) -> str:
     """Render a pure term; compound terms are parenthesised when nested."""
-    if isinstance(t, PInt):
-        return str(t.value) if t.value >= 0 or not atom else f"({t.value})"
-    if isinstance(t, PBool):
-        return "true" if t.value else "false"
-    if isinstance(t, PVar):
+    cls = t.__class__
+    if cls is PVar:
         return t.name
-    if isinstance(t, _Binary):
+    if cls is PInt:
+        return str(t.value) if t.value >= 0 or not atom else f"({t.value})"
+    if cls is PBool:
+        return "true" if t.value else "false"
+    if cls in _BINARY:
         s = f"{render_pure(t.lhs, True)} {t.symbol} {render_pure(t.rhs, True)}"
-    elif isinstance(t, PNot):
+    elif cls is PNot:
         s = f"not {render_pure(t.arg, True)}"
-    elif isinstance(t, PTernary):
+    elif cls is PTernary:
         s = (f"{render_pure(t.cond, True)} ? {render_pure(t.then, True)} : "
              f"{render_pure(t.els, True)}")
     else:
@@ -348,28 +353,26 @@ def _render_loc(base: str, offset: int) -> str:
 
 
 def render_heaplet(h: Heaplet) -> str:
-    if isinstance(h, HeapEmp):
-        return "emp"
-    if isinstance(h, PointsTo):
+    cls = h.__class__
+    if cls is PointsTo:
         return f"{_render_loc(h.base, h.offset)} :-> {render_pure(h.value, True)}"
-    if isinstance(h, Block):
+    if cls in _APPLIES:
+        call = f"{h.name}({', '.join([render_pure(a, True) for a in h.args])})"
+        return "func " + call if cls is FuncApply else call
+    if cls is Block:
         return f"[{h.base},{h.size}]"
-    if isinstance(h, PredApply):
-        return f"{h.name}({', '.join(render_pure(a, True) for a in h.args)})"
-    if isinstance(h, FuncApply):
-        return f"func {h.name}({', '.join(render_pure(a, True) for a in h.args)})"
-    if isinstance(h, TempLoc):
+    if cls is TempLoc:
         return f"temploc {h.var}"
-    if isinstance(h, RoApply):
-        return f"{h.name}({', '.join(render_pure(a, True) for a in h.args)})"
+    if cls is HeapEmp:
+        return "emp"
     raise TypeError(h)
 
 
 def render_assertion(a: SslAssertion) -> str:
-    spatial = " ** ".join(render_heaplet(h) for h in a.spatial) if a.spatial else "emp"
+    spatial = " ** ".join(map(render_heaplet, a.spatial)) if a.spatial else "emp"
     if not a.pure:
         return spatial
-    pure = " && ".join(render_pure(p) for p in a.pure)
+    pure = " && ".join(map(render_pure, a.pure))
     return f"{pure} ; {spatial}"
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
+from string import ascii_letters
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import LexError, ParseError, Span
@@ -33,18 +34,26 @@ KEYWORDS = {
     "else", "not", "addr", "emp", "true", "false", "readonly", "mutable",
 }
 
+# multi-character symbols, longest first, so that the pattern takes the
+# longest; then the one-character symbols
+_SYMBOLS = (":->", ":=>", ">->", "->", ":=", "==", "&&", "||")
+_CHARS = "%+-<|:;,()[]{}"
+
+# One match per token: the whitespace and comments before it, then the
+# token itself, any other single character (illegal), or the end of input.
+# The end alternative keeps a trailing comment whole: without it the
+# comment would give back its last character as a token.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>--[^\n]*)
-    | (?P<generate>%generate\b)
-    | (?P<int>-?\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<sym>:->|:=>|>->|->|:=|==|&&|\|\||[%+\-<|:;,()\[\]{}])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+    r"((?:\s+|--[^\n]*)*)"
+    r"(%generate\b|-?[0-9]+|[A-Za-z_][A-Za-z0-9_']*|"
+    + "|".join(map(re.escape, _SYMBOLS))
+    + f"|[{re.escape(_CHARS)}]" + r"|\S|\Z)")
+
+# token text -> kind for keywords and symbols; any other token's kind
+# follows from its first character, and a character in neither is illegal
+_KINDS = {w: w for w in (*KEYWORDS, *_SYMBOLS, *_CHARS, "%generate")}
+_FIRST_KINDS = (dict.fromkeys("-0123456789", "int")
+                | dict.fromkeys(ascii_letters + "_", "ident"))
 
 # '-' directly before a digit only lexes as a negative literal at expression
 # starts; after one of these kinds the parser wants a binary minus
@@ -58,42 +67,39 @@ Token = namedtuple("Token", ("kind", "text", "span"))
 def lex(source: str) -> list[Token]:
     """Tokenise a source string, dropping whitespace and comments.
 
-    One pass of ``_TOKEN_RE``: every character is matched by some group,
-    the last of which rejects it.  Columns come from the offset of the
-    current line's start, which only a whitespace match can move."""
+    One ``_TOKEN_RE.findall`` gives a ``(skipped, token)`` pair per token,
+    ``skipped`` being the whitespace and comments before it; an empty token
+    is the end of input.  A token's kind comes from ``_KINDS``, or else
+    from its first character; a token with neither is an illegal
+    character.  The column runs on: it restarts after the last newline of
+    a skipped stretch and otherwise advances by the length of each piece."""
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__
-    line, line_start = 1, 0
+    kind_of, first_kind = _KINDS.get, _FIRST_KINDS.get
+    line, col = 1, 1
     kind = None     # of the last token, which decides the '-' split
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastgroup
-        if group == "ws":
-            text = m.group()
-            nl = text.rfind("\n")
-            if nl >= 0:
-                line += text.count("\n")
-                line_start = m.start() + nl + 1
-            continue
-        if group == "comment":
-            continue
-        text = m.group()
-        col = m.start() - line_start + 1
-        if group == "ident":
-            kind = text if text in KEYWORDS else "ident"
-        elif group == "sym":
-            kind = text
-        elif group == "int":
+    for skipped, text in _TOKEN_RE.findall(source):
+        if skipped:
+            if "\n" in skipped:
+                line += skipped.count("\n")
+                col = len(skipped) - skipped.rfind("\n")
+            else:
+                col += len(skipped)
+        k = kind_of(text)
+        if k is None:
+            if not text:
+                break
+            k = first_kind(text[0])
+            if k is None:
+                raise LexError(f"illegal character {text!r}", Span(line, col))
             if text[0] == "-" and kind in _MINUS_AFTER:
                 append(new(Token, ("-", "-", new(Span, (line, col)))))
                 text = text[1:]
                 col += 1
-            kind = "int"
-        elif group == "generate":
-            kind = "%generate"
-        else:
-            raise LexError(f"illegal character {text!r}", Span(line, col))
-        append(new(Token, (kind, text, new(Span, (line, col)))))
+        kind = k
+        append(new(Token, (k, text, new(Span, (line, col)))))
+        col += len(text)
     return tokens
 
 

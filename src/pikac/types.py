@@ -251,27 +251,28 @@ OPERATOR_TYPES = {
 
 def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
     """Assign a type under the strict rules, or raise a diagnostic."""
-    if isinstance(e, S.IntLit):
+    cls = e.__class__
+    if cls is S.IntLit:
         return S.TInt()
-    if isinstance(e, S.BoolLit):
+    if cls is S.BoolLit:
         return S.TBool()
-    if isinstance(e, S.Var):
+    if cls is S.Var:
         if e.name in gamma:
             return gamma[e.name]
         if e.name in env.fn_sigs:
             return env.fn_sigs[e.name]
         raise UnboundVariable(f"unbound variable {e.name}", e.span, rule="T-VAR")
-    if isinstance(e, S.Addr):
+    if cls is S.Addr:
         inner = infer_expr(env, gamma, S.Var(e.var, span=e.span))
         if not isinstance(inner, S.TInt):
             raise TypeMismatch("Int", str(inner), e.span, rule="T-ADDR")
         return S.TPtrInt()
-    if isinstance(e, S.Not):
+    if cls is S.Not:
         ty = infer_expr(env, gamma, e.arg)
         if not isinstance(ty, S.TBool):
             raise TypeMismatch("Bool", str(ty), e.span, rule="T-NOT")
         return S.TBool()
-    if isinstance(e, S.BinOp):
+    if cls is S.BinOp:
         lt = infer_expr(env, gamma, e.lhs)
         rt = infer_expr(env, gamma, e.rhs)
         operand, result, rule = OPERATOR_TYPES[e.op]
@@ -279,7 +280,7 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
             if t != operand:
                 raise TypeMismatch(str(operand), str(t), e.span, rule=rule)
         return result
-    if isinstance(e, S.IfThenElse):
+    if cls is S.IfThenElse:
         ct = infer_expr(env, gamma, e.cond)
         if not isinstance(ct, S.TBool):
             raise TypeMismatch("Bool", str(ct), e.span, rule="T-IF")
@@ -288,12 +289,12 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
         if tt != et:
             raise TypeMismatch(str(tt), str(et), e.span, rule="T-IF")
         return tt
-    if isinstance(e, S.Let):
+    if cls is S.Let:
         bt = infer_expr(env, gamma, e.bound)
         inner = dict(gamma)
         inner[e.name] = bt
         return infer_expr(env, inner, e.body)
-    if isinstance(e, S.ConstructorApp):
+    if cls is S.ConstructorApp:
         if e.name not in env.ctors:
             raise UnboundVariable(f"unknown constructor {e.name}", e.span,
                                   rule="T-CONSTR")
@@ -314,7 +315,7 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
             if at != fty:
                 raise TypeMismatch(str(fty), str(at), e.span, rule="T-CONSTR")
         return S.TName(adt)
-    if isinstance(e, S.Lower):
+    if cls is S.Lower:
         resolved = resolve_layout_ref(env, e.layout, e.span)
         if not resolved.is_adt:
             ty = infer_expr(env, gamma, e.arg)
@@ -362,9 +363,9 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
                     rule="T-LOWER-VAR")
             return inner
         raise TypeMismatch(layout.adt, str(inner), e.span, rule="T-LOWER-VAR")
-    if isinstance(e, S.Instantiate):
+    if cls is S.Instantiate:
         return _infer_instantiate(env, gamma, e)
-    if isinstance(e, S.App):
+    if cls is S.App:
         fn_ty = infer_expr(env, gamma, S.Var(e.fn, span=e.span))
         params, result = uncurry(fn_ty)
         if len(e.args) != len(params):
@@ -501,6 +502,10 @@ def _param_name(i: int, layout: ResolvedLayout) -> str:
     return f"__p_x{i}" if layout.is_adt else f"__p_{i}"
 
 
+# the kinds _elab rebuilds with no expected layout: literals and operators
+_OPERATOR_KINDS = frozenset((S.IntLit, S.BoolLit, S.Not, S.BinOp))
+
+
 class _Elaborator:
     def __init__(self, env: GlobalEnv):
         self.env = env
@@ -630,7 +635,8 @@ class _Elaborator:
               expected: Optional[ResolvedLayout],
               at_result: bool = False) -> S.Expr:
         env = self.env
-        if isinstance(e, S.Var):
+        cls = e.__class__
+        if cls is S.Var:
             name = rename.get(e.name, e.name)
             ty = gamma.get(e.name)
             if ty is None and e.name not in env.fn_sigs and name == e.name:
@@ -653,12 +659,12 @@ class _Elaborator:
                                                      expected.mode), out,
                                        span=e.span)
             return out
-        if isinstance(e, S.Addr):
+        if cls is S.Addr:
             return S.Addr(rename.get(e.var, e.var), span=e.span)
-        if isinstance(e, (S.IntLit, S.BoolLit, S.Not, S.BinOp)):
+        if cls in _OPERATOR_KINDS:
             return S.map_expr(e, lambda x: self._elab(x, gamma, rename, fn,
                                                       directive, None))
-        if isinstance(e, S.IfThenElse):
+        if cls is S.IfThenElse:
             return S.IfThenElse(
                 self._elab(e.cond, gamma, rename, fn, directive, None),
                 self._elab(e.then, gamma, rename, fn, directive, expected,
@@ -666,7 +672,7 @@ class _Elaborator:
                 self._elab(e.els, gamma, rename, fn, directive, expected,
                            at_result),
                 span=e.span)
-        if isinstance(e, S.Let):
+        if cls is S.Let:
             bound = self._elab(e.bound, gamma, rename, fn, directive, None)
             bt = infer_expr(env, gamma_renamed(gamma, rename), bound)
             inner = dict(gamma)
@@ -676,9 +682,9 @@ class _Elaborator:
             body = self._elab(e.body, inner, inner_rename, fn, directive,
                               expected, at_result)
             return S.Let(e.name, bound, body, span=e.span)
-        if isinstance(e, S.ConstructorApp):
+        if cls is S.ConstructorApp:
             return self._elab_ctor(e, gamma, rename, fn, directive, expected)
-        if isinstance(e, S.Lower):
+        if cls is S.Lower:
             resolved = resolve_layout_ref(env, e.layout, e.span)
             if expected is not None and expected.is_adt and resolved.is_adt \
                     and resolved.layout.name != expected.layout.name:
@@ -689,9 +695,9 @@ class _Elaborator:
             if isinstance(inner, S.Lower):
                 return inner
             return S.Lower(e.layout, inner, span=e.span)
-        if isinstance(e, S.App):
+        if cls is S.App:
             return self._elab_app(e, gamma, rename, fn, directive, expected)
-        if isinstance(e, S.Instantiate):
+        if cls is S.Instantiate:
             return self._elab_instantiate(e, gamma, rename, fn, directive)
         raise TypeMismatch("expression", type(e).__name__,
                            getattr(e, "span", None))

@@ -110,6 +110,28 @@ def test_compile_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("compile", "{}", "--stdout"), ("stages", "{}", "f"), ("run", "{}", "1"),
+    ("soundness", "{}", "--count", "1")], ids=lambda a: a[0])
+def test_undecodable_source_is_a_read_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.pika"
+    bad.write_bytes(b"\xff\xfe data")
+    code, out, err = run(capsys, *(a.format(bad) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "codec can't decode" in err and err.count("\n") == 1
+
+
+def test_non_ascii_digits_are_illegal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    src = tmp_path / "sum.pika"
+    src.write_text((CORPUS / "sum.pika").read_text().replace(
+        "sum (Nil) := 0;", "sum (Nil) := \u0661\u0662;"), encoding="utf-8")
+    code, out, err = run(capsys, "compile", str(src), "--stdout")
+    assert (code, out) == (1, "")
+    assert err == "error: illegal character '\u0661' at 10:14\n"
+
+
 def test_compile_goal_spec_flag(capsys):
     code, out, err = run(capsys, "compile", str(CORPUS / "filter_lt9.pika"),
                          "--stdout", "--emit-goal-spec")

@@ -30,6 +30,24 @@ def test_otimes_unit_laws():
     assert combined.spatial == b.spatial
 
 
+def test_make_drops_exactly_true_conjuncts_and_emp_heaplets():
+    t, f, one = ssl.PBool(True), ssl.PBool(False), ssl.PInt(1)
+    eq = ssl.PEq(ssl.PVar("a"), one)
+    nested = (ssl.PNot(ssl.TRUE), ssl.PAnd(ssl.TRUE, ssl.TRUE),
+              ssl.PEq(ssl.TRUE, ssl.TRUE))
+    cell, temp = ssl.PointsTo("x", 0, ssl.TRUE), ssl.TempLoc("y")
+    a = ssl.SslAssertion.make((t, eq, f, ssl.TRUE, one) + nested,
+                              (ssl.HeapEmp(), cell, ssl.HeapEmp(), temp))
+    assert a.pure == (eq, f, one) + nested
+    assert a.spatial == (cell, temp)
+    assert ssl.SslAssertion.make((t,), (ssl.HeapEmp(),)) == EMPTY
+    # pand_all and conjuncts drop the same conjuncts
+    assert ssl.pand_all([t, eq, f, ssl.TRUE]) == ssl.PAnd(eq, f)
+    assert ssl.pand_all([t]) == ssl.TRUE
+    assert ssl.conjuncts(ssl.PAnd(t, ssl.PAnd(eq, ssl.PAnd(f, t)))) == [eq, f]
+    assert ssl.conjuncts(t) == [] and ssl.conjuncts(f) == [f]
+
+
 def test_otimes_general():
     a = A(pure=[ssl.PEq(ssl.PVar("v"), ssl.PInt(1))],
           spatial=[ssl.PointsTo("x", 0, ssl.PVar("v"))])

@@ -1,6 +1,8 @@
 """Lexer, parser, and pretty-printer tests, including corpus round trips."""
 
+import hashlib
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,3 +265,46 @@ def test_lex_illegal_character_at_its_position(pieces, bad, data):
     with pytest.raises(LexError) as exc:
         S.lex(text)
     assert _offset(text, exc.value.span) == text.index(bad)
+
+
+# lexer pin: every token's (kind, text, line, col), or the LexError's
+# message and span, of every .pika under tests/ and of a fixed-seed set of
+# strings whose pieces run together with no separator, so that a comment,
+# a '-' split, an arrow or '%generate' meets whatever follows it
+
+_PIN_PIECES = sorted(S.KEYWORDS) + [
+    "x", "Cons", "head'", "_t1", "0", "42", "-5", "x-1", "(-2)", "--",
+    "%generate", "%generatex", ":->", ">->", "->", ":=>", ":=", "==", "&&",
+    "||", "%", "+", "-", "<", "|", ":", ";", ",", "(", ")", "[", "]", "{",
+    "}", " ", "\n", "\r\n", "\t", "@", "\u00e9"]
+
+_LEX_PIN_DIGEST = (
+    "8a0916059f4d73656d94bc4990b291538c2f04f60ee60f253d4f9dd1c06047fb")
+
+
+def _lex_record(source: str) -> str:
+    try:
+        toks = [(t.kind, t.text, t.span.line, t.span.col) for t in S.lex(source)]
+    except LexError as exc:
+        return f"LexError {exc.message!r} {tuple(exc.span)}\n"
+    return f"{toks!r}\n"
+
+
+def test_lex_output_is_pinned():
+    rng = random.Random(14)
+    h = hashlib.sha256()
+    files = sorted(pathlib.Path(__file__).parent.rglob("*.pika"))
+    assert len(files) == 34
+    for path in files:
+        h.update(_lex_record(path.read_text()).encode())
+    for _ in range(5000):
+        pieces = rng.choices(_PIN_PIECES, k=rng.randint(1, 12))
+        h.update(_lex_record("".join(pieces)).encode())
+    assert h.hexdigest() == _LEX_PIN_DIGEST
+
+
+def test_lex_comment_at_end_of_input():
+    for source in ("x -- note", "x --", "x\n-- note", "x\r\n--"):
+        toks = S.lex(source)
+        assert [(t.kind, t.text, t.span) for t in toks] == [("ident", "x", (1, 1))]
+    assert S.lex("-- only") == []

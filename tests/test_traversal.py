@@ -7,6 +7,7 @@ import pytest
 
 from pikac import ssl
 from pikac import syntax as S
+from pikac import translate
 from pikac.errors import SortMismatch, Span
 from pikac.translate import compile_directive
 from pikac.types import OPERATOR_TYPES, elaborate
@@ -130,10 +131,27 @@ def test_every_ssl_kind_is_traversed(cls):
     else:
         assert ssl.free_vars(ssl.subst(x, ground)) == set()
 
+    render = ssl.render_pure if cls in PURE_KINDS else ssl.render_heaplet
+    assert isinstance(render(x), str)
+
     for walk in (ssl.free_vars, ssl.subterms, count,
-                 lambda t: ssl.subst(t, ren)):
+                 lambda t: ssl.subst(t, ren), render):
         with pytest.raises(TypeError):
             walk(_NewKind())
+
+
+# free_vars, subst, render_pure, render_heaplet, SslAssertion.make,
+# infer_expr and _Elaborator._elab dispatch on the exact class, so a
+# subclass of a kind they name would miss its case.  The one subclass is
+# translation's null-pointer marker, an IntLit that stage 2 makes after
+# elaboration, in arms the type checker and the elaborator never see.
+
+
+@pytest.mark.parametrize("cls", PURE_KINDS + ssl.Heaplet + S.Expr,
+                         ids=lambda c: c.__name__)
+def test_dispatched_kinds_have_no_subclasses(cls):
+    expected = [translate._NullPtr] if cls is S.IntLit else []
+    assert cls.__subclasses__() == expected
 
 
 # the operator tables: each IR declares its binary operators once
