@@ -47,10 +47,10 @@ def _diagnostic(exc: PikaError) -> str:
 
 
 def _read_source(path) -> str | None:
-    """The text of ``path`` decoded as UTF-8, or None once the reason it
-    cannot be read is printed."""
+    """The text of ``path`` decoded as UTF-8, less a leading byte-order
+    mark, or None once the reason it cannot be read is printed."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None

@@ -53,14 +53,15 @@ from typing import Optional
 from . import ssl
 from . import syntax as S
 from .errors import (
-    PreconditionViolated, SortMismatch, UnboundVariable, UnsupportedConstruct,
+    PikaError, PreconditionViolated, SortMismatch, UnboundVariable,
+    UnsupportedConstruct,
 )
 from .interp import BoolVal, IntVal, LocVal, Model, Val, eval_expr
 from .node import Frozen, Node
 from .translate import (
     translate_expr_core, translate_fn_def_core, translate_layout_predicate,
 )
-from .types import GlobalEnv
+from .types import GlobalEnv, elaborate_fn_at
 
 
 # ---------------------------------------------------------------------------
@@ -933,45 +934,56 @@ class LayoutDraw(namedtuple("LayoutDraw", ("ref", "empties", "non_empties",
 
 
 class CoreSignature(Node):
-    """The pool the generator draws from: layouts by ADT plus the
-    single-argument core functions grouped by (argument ADT, result ADT).
-    The draw tables are built once, by ``from_env``: the sorted ADTs, the
-    pool entries by result ADT and by result layout, and a ``LayoutDraw``
-    per layout."""
-    __slots__ = ("genv", "layout_of", "pool",  # pool: [(fn, arg, result)]
-                 "adts", "fns_by_adt", "fns_by_layout", "draws")
+    """The pool the generator draws from: each single-argument core
+    function at every (argument layout, result layout) pair the elaborator
+    accepts.  The draw tables are built once, by ``from_env``: the layouts
+    sorted by ADT and name, the pool entries by result layout, and a
+    ``LayoutDraw`` per layout."""
+    __slots__ = ("genv", "pool",    # pool: [(fn, arg layout, result layout)]
+                 "layouts", "fns_by_layout", "draws")
 
     @staticmethod
     def from_env(genv: GlobalEnv) -> "CoreSignature":
-        layout_of = {}
+        """Raises the first elaboration error when no candidate function
+        elaborates at any pair of layouts."""
+        by_adt = {}
         for layout in genv.layouts.values():
-            layout_of.setdefault(layout.adt, layout.name)
-        pool = []
-        for fn, cases in genv.fn_defs.items():
+            by_adt.setdefault(layout.adt, []).append(layout.name)
+        pool, rejected = [], None
+        # a snapshot: elaboration may register specialisations
+        for fn, cases in list(genv.fn_defs.items()):
             if not all(len(c.patterns) == 1 and c.patterns[0].ctor is not None
                        and len(c.guarded_bodies) == 1
                        and c.guarded_bodies[0][0] is None
                        for c in cases):
                 continue
             sig = genv.fn_sigs.get(fn)
-            if sig is None or not isinstance(sig, S.TFn):
+            if sig is None or not isinstance(sig, S.TFn) \
+                    or not isinstance(sig.arg, S.TName) \
+                    or not isinstance(sig.res, S.TName):
                 continue
-            arg, res = sig.arg, sig.res
-            if isinstance(arg, S.TName) and isinstance(res, S.TName) \
-                    and arg.name in layout_of and res.name in layout_of:
-                pool.append((fn, layout_of[arg.name], layout_of[res.name]))
+            for arg in by_adt.get(sig.arg.name, ()):
+                for res in by_adt.get(sig.res.name, ()):
+                    try:
+                        elaborate_fn_at(genv, fn, (S.NamedLayout(arg),),
+                                        S.NamedLayout(res))
+                    except PikaError as exc:
+                        rejected = rejected or exc
+                        continue
+                    pool.append((fn, arg, res))
+        if not pool and rejected is not None:
+            raise rejected
         pool.sort()
-        fns_by_adt, fns_by_layout = {}, {}
+        fns_by_layout = {}
         for p in pool:
-            fns_by_adt.setdefault(genv.layouts[p[2]].adt, []).append(p)
             fns_by_layout.setdefault(p[2], []).append(p)
-        draws = {name: _layout_draw(genv, layout_of, layout)
+        layouts = sorted(genv.layouts, key=lambda n: (genv.layouts[n].adt, n))
+        draws = {name: _layout_draw(genv, by_adt, layout)
                  for name, layout in genv.layouts.items()}
-        return CoreSignature(genv, layout_of, pool, sorted(layout_of),
-                             fns_by_adt, fns_by_layout, draws)
+        return CoreSignature(genv, pool, layouts, fns_by_layout, draws)
 
 
-def _layout_draw(genv: GlobalEnv, layout_of: dict,
+def _layout_draw(genv: GlobalEnv, by_adt: dict,
                  layout: S.LayoutDef) -> LayoutDraw:
     fields, unsupported = {}, {}
     for pat, heaplets in layout.branches:
@@ -984,12 +996,12 @@ def _layout_draw(genv: GlobalEnv, layout_of: dict,
                 break
             if not isinstance(fty, S.TName):
                 subs.append(fty)
-            elif (sub := applies.get(var, layout_of.get(fty.name))) is None:
+            elif var in applies or fty.name in by_adt:
+                subs.append(applies.get(var) or by_adt[fty.name][0])
+            else:
                 unsupported[pat.ctor] = (f"a field of {pat.ctor} has no layout "
                                          f"to lower into")
                 break
-            else:
-                subs.append(sub)
         else:
             fields[pat.ctor] = tuple(subs)
     return LayoutDraw(S.NamedLayout(layout.name), *layout.emptiness, fields,
@@ -1002,11 +1014,10 @@ _KINDS = ("int", "adt", "adt", "adt")
 def gen_core_expr(sig: CoreSignature, seed: int, budget: int) -> S.Expr:
     """A closed, well-typed core expression; deterministic in the seed."""
     rng = random.Random(seed)
-    kind = rng.choice(_KINDS) if sig.adts else "int"
+    kind = rng.choice(_KINDS) if sig.layouts else "int"
     if kind == "int" or budget <= 1:
         return _gen_int(rng, budget)
-    adt = rng.choice(sig.adts)
-    return _gen_adt(sig, rng, adt, budget)
+    return _gen_at(sig, rng, rng.choice(sig.layouts), budget)
 
 
 def _gen_int(rng, budget) -> S.Expr:
@@ -1016,19 +1027,20 @@ def _gen_int(rng, budget) -> S.Expr:
     return S.BinOp("+", _gen_int(rng, left), _gen_int(rng, budget - left))
 
 
-def _gen_adt(sig: CoreSignature, rng, adt: str, budget: int) -> S.Expr:
-    fns = sig.fns_by_adt.get(adt)
+def _gen_at(sig: CoreSignature, rng, layout_name: str, budget: int) -> S.Expr:
+    """A value at ``layout_name``: a call of a pool function whose result
+    is there, or a ``lower`` into it."""
+    fns = sig.fns_by_layout.get(layout_name)
     if budget > 2 and fns and rng.random() < 0.5:
-        fn, arg_layout, res_layout = rng.choice(fns)
-        arg_ref = sig.draws[arg_layout].ref
+        fn, arg_layout, _ = rng.choice(fns)
         if budget > 5 and arg_layout in sig.fns_by_layout \
                 and rng.random() < 0.35:
-            arg = _gen_adt(sig, rng, sig.genv.layouts[arg_layout].adt,
-                           budget - 2)
+            arg = _gen_at(sig, rng, arg_layout, budget - 2)
         else:
             arg = _gen_lower(sig, rng, arg_layout, budget - 2)
-        return S.Instantiate((arg_ref,), sig.draws[res_layout].ref, fn, [arg])
-    return _gen_lower(sig, rng, sig.layout_of[adt], budget)
+        return S.Instantiate((sig.draws[arg_layout].ref,),
+                             sig.draws[layout_name].ref, fn, [arg])
+    return _gen_lower(sig, rng, layout_name, budget)
 
 
 def _gen_lower(sig: CoreSignature, rng, layout_name: str, budget: int) -> S.Expr:

@@ -11,9 +11,8 @@ assignment and deletion, and hash the tuple of their compared fields.
 
 A kind that adds slots or defaults and writes no ``__init__`` gets one whose
 parameters are its slots in MRO order, ``__dict__`` left out; it stores each
-one, a frozen kind through ``object.__setattr__``.  ``span`` and ``ctor``
-default to None; other trailing defaults are declared in the kind's
-``_defaults``.
+one, a frozen kind through ``object.__setattr__``.  ``span`` defaults to
+None; other trailing defaults are declared in the kind's ``_defaults``.
 
 Each kind gets its own copy of the ``__init__``, equality and hash code,
 with the templates' placeholders ``f0``, ``f1``, ... renamed to its fields
@@ -154,7 +153,7 @@ _PLACEHOLDERS = ("f0", "f1", "f2", "f3")
 _INIT = (None, _init1, _init2, _init3, _init4, _init5, _init6, _init7)
 _FROZEN_INIT = (None, _frozen_init1, _frozen_init2, _frozen_init3,
                 _frozen_init4)
-_OPTIONAL = {"span": None, "ctor": None}    # defaults every kind has
+_OPTIONAL = {"span": None}    # defaults every kind has
 
 
 def _method(code, name: str, cls: type):
@@ -198,7 +197,7 @@ class Node:
 
     __slots__ = ()
     _hidden = frozenset({"span"})
-    _defaults = {}      # trailing defaults other than span's and ctor's
+    _defaults = {}      # trailing defaults other than span's
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

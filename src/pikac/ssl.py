@@ -7,10 +7,11 @@ binary operator kind declares its symbol and precedence once; the printer,
 the parser and ``BINARY_OPS`` (symbol to kind) are derived from them.
 
 Emission targets SuSLik's concrete input syntax.  A small parser for that
-syntax is maintained here so tests can check that emitted text re-parses to
-a structurally equivalent definition, and so reference outputs can be loaded
-for golden comparisons.  ``structural_equiv`` compares predicates up to a
-bijective renaming of variables and reordering of commutative conjuncts.
+syntax is maintained here, on ``syntax``'s token cursor, so tests can check
+that emitted text re-parses to a structurally equivalent definition, and so
+reference outputs can be loaded for golden comparisons.  ``structural_equiv``
+compares predicates up to a bijective renaming of variables and reordering
+of commutative conjuncts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cached_property
 
 from .errors import ParseError, SortMismatch, Span
 from .node import Frozen
+from .syntax import _FIRST_KINDS, Token, _Cursor
 
 _set = object.__setattr__
 
@@ -187,8 +189,7 @@ def conj_otimes(a: SslAssertion, b: SslAssertion) -> SslAssertion:
 
 
 class Branch(Frozen):
-    __slots__ = ("cond", "body", "ctor")
-    _hidden = Frozen._hidden | {"ctor"}
+    __slots__ = ("cond", "body")
 
 
 class PredicateDef(Frozen):
@@ -400,78 +401,48 @@ def emit_goal_spec(goal: GoalSpec) -> str:
 # Parsing emitted syntax (tests and golden references)
 # ---------------------------------------------------------------------------
 
+# One match per token, as in ``syntax.lex``: the whitespace and comments
+# before it, then the token itself, any other single character (illegal), or
+# the end of input.
+_SUS_SYMBOLS = (":->", ":=>", "**", "==", "&&", "||", "=>", "??")
+_SUS_CHARS = "(){}[],;|?:+-%<"
 _SUS_TOKEN = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>//[^\n]*|\#[^\n]*)
-    | (?P<arrow>:->|:=>)
-    | (?P<int>-?\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<sym>\*\*|==|&&|\|\||=>|\?\?|[(){}\[\],;|?:+\-%<])
-    """,
-    re.VERBOSE,
-)
+    r"((?:\s+|//[^\n]*|#[^\n]*)*)"
+    r"(-?[0-9]+|[A-Za-z_][A-Za-z0-9_']*|"
+    + "|".join(map(re.escape, _SUS_SYMBOLS))
+    + f"|[{re.escape(_SUS_CHARS)}]" + r"|\S|\Z)")
+_SUS_KINDS = {w: w for w in (*_SUS_SYMBOLS, *_SUS_CHARS)}
 
 
-class _SusParser:
+class _SusParser(_Cursor):
+    END = "unexpected end of SSL input"
+    EOF = "EOF"
+    FOUND = "text"
+
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, Span]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _SUS_TOKEN.match(text, pos)
-            if m is None:
+        """Tokenise as ``syntax.lex`` does: a symbol is its own kind, any
+        other token an ``int`` or an ``ident`` by its first character."""
+        tokens = []
+        line, start, pos = 1, 0, 0     # start: the offset of the line
+        for skipped, tok in _SUS_TOKEN.findall(text):
+            if "\n" in skipped:
+                line += skipped.count("\n")
+                start = pos + skipped.rfind("\n") + 1
+            pos += len(skipped)
+            if not tok:
+                break
+            span = Span(line, pos - start + 1)
+            kind = _SUS_KINDS.get(tok) or _FIRST_KINDS.get(tok[0])
+            if kind is None:
                 raise ParseError(f"bad SSL syntax near {text[pos:pos+10]!r}",
-                                 Span(line, col))
-            tok = m.group(0)
-            if m.lastgroup not in ("ws", "comment"):
-                kind = m.lastgroup if m.lastgroup in ("int", "ident") else tok
-                if m.lastgroup == "arrow":
-                    kind = tok
-                self.tokens.append((kind, tok, Span(line, col)))
-            nl = tok.count("\n")
-            if nl:
-                line += nl
-                col = len(tok) - tok.rfind("\n")
-            else:
-                col += len(tok)
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def at(self, *kinds) -> bool:
-        t = self.peek()
-        return t is not None and t[0] in kinds
+                                 span)
+            tokens.append(Token(kind, tok, span))
+            pos += len(tok)
+        super().__init__(tokens)
 
     def at_text(self, text) -> bool:
         t = self.peek()
-        return t is not None and t[1] == text
-
-    def _end_span(self) -> Span:
-        """Where an unexpected end of input is reported: the last token."""
-        return self.tokens[-1][2] if self.tokens else Span(1, 1)
-
-    def current(self):
-        """The next token, not consumed; raises at the end of the input."""
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of SSL input", self._end_span())
-        return t
-
-    def next(self):
-        t = self.current()
-        self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.peek()
-        if t is None or t[0] != kind:
-            span = t[2] if t else self._end_span()
-            raise ParseError(f"expected {kind!r}, found {t[1] if t else 'EOF'!r}", span)
-        self.pos += 1
-        return t
+        return t is not None and t.text == text
 
     # pure terms: binary operators bind as their kinds' ``prec`` says; a
     # ternary is written in parentheses, (c ? a : b)
@@ -479,8 +450,7 @@ class _SusParser:
     def parse_pure(self, prec: int = 1) -> PureTerm:
         left = self._parse_pure_atom()
         while True:
-            t = self.peek()
-            cls = t and BINARY_OPS.get(t[0])
+            cls = BINARY_OPS.get(self.kinds[self.pos])
             if cls is None or cls.prec < prec:
                 return left
             self.pos += 1
@@ -524,18 +494,17 @@ class _SusParser:
             return HeapEmp()
         if kind == "ident" and text == "temploc":
             self.next()
-            var = self.expect("ident")[1]
-            return TempLoc(var)
+            return TempLoc(self.expect("ident").text)
         if kind == "ident" and text == "func":
             self.next()
-            name = self.expect("ident")[1]
+            name = self.expect("ident").text
             args = self._parse_arg_list()
             return FuncApply(name, tuple(args))
         if kind == "[":
             self.next()
-            base = self.expect("ident")[1]
+            base = self.expect("ident").text
             self.expect(",")
-            size = int(self.expect("int")[1])
+            size = int(self.expect("int").text)
             self.expect("]")
             return Block(base, size)
         # location or predicate application
@@ -554,28 +523,16 @@ class _SusParser:
     def _parse_loc(self) -> tuple[str, int]:
         if self.at("("):
             self.next()
-            base = self.expect("ident")[1]
+            base = self.expect("ident").text
             self.expect("+")
-            off = int(self.expect("int")[1])
+            off = int(self.expect("int").text)
             self.expect(")")
             return base, off
-        base = self.expect("ident")[1]
+        base = self.expect("ident").text
         if self.at("+"):
             self.next()
-            off = int(self.expect("int")[1])
-            return base, off
+            return base, int(self.expect("int").text)
         return base, 0
-
-    def _comma_list(self, item, close: str) -> list:
-        """Items separated by commas, possibly none, then ``close``."""
-        items = []
-        if not self.at(close):
-            items.append(item())
-            while self.at(","):
-                self.next()
-                items.append(item())
-        self.expect(close)
-        return items
 
     def _parse_arg_list(self) -> list[PureTerm]:
         self.expect("(")
@@ -602,9 +559,9 @@ class _SusParser:
 
     def parse_predicate(self) -> PredicateDef:
         kw = self.expect("ident")
-        if kw[1] not in ("predicate", "inductive"):
-            raise ParseError(f"expected 'predicate', found {kw[1]!r}", kw[2])
-        name = self.expect("ident")[1]
+        if kw.text not in ("predicate", "inductive"):
+            raise ParseError(f"expected 'predicate', found {kw.text!r}", kw.span)
+        name = self.expect("ident").text
         self.expect("(")
         params = self._comma_list(self._parse_param, ")")
         self.expect("{")
@@ -624,17 +581,17 @@ class _SusParser:
         _, sort, span = self.expect("ident")
         if sort not in ("int", "loc"):
             raise ParseError(f"unknown parameter sort {sort!r}", span)
-        name = self.expect("ident")[1]
+        name = self.expect("ident").text
         return (name, sort)
 
     def parse_goal(self) -> GoalSpec:
         kw = self.expect("ident")
-        if kw[1] != "void":
-            raise ParseError(f"expected 'void', found {kw[1]!r}", kw[2])
-        name = self.expect("ident")[1]
+        if kw.text != "void":
+            raise ParseError(f"expected 'void', found {kw.text!r}", kw.span)
+        name = self.expect("ident").text
         self.expect("(")
         params = self._comma_list(
-            lambda: (self.expect("ident")[1], self.expect("ident")[1]), ")")
+            lambda: (self.expect("ident").text, self.expect("ident").text), ")")
         self.expect("{")
         pre = self.parse_assertion()
         self.expect("}")
@@ -649,19 +606,21 @@ class _SusParser:
     def parse_file(self) -> list:
         out = []
         while self.peek() is not None:
-            if self.at_text("void"):
-                out.append(self.parse_goal())
-            else:
-                out.append(self.parse_predicate())
+            out.append(self.parse_goal() if self.at_text("void")
+                       else self.parse_predicate())
         return out
 
 
 def parse_predicate(text: str) -> PredicateDef:
-    return _SusParser(text).parse_predicate()
+    """Parse one predicate definition; trailing input is an error."""
+    parser = _SusParser(text)
+    return parser.whole(parser.parse_predicate)
 
 
 def parse_goal_spec(text: str) -> GoalSpec:
-    return _SusParser(text).parse_goal()
+    """Parse one goal specification; trailing input is an error."""
+    parser = _SusParser(text)
+    return parser.whole(parser.parse_goal)
 
 
 def parse_sus_file(text: str) -> list:

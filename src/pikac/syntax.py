@@ -7,6 +7,7 @@ directives naming the layout instantiation to compile a function at.
 
 Binary operators are declared once, in ``_PREC``: the parser's one
 precedence-climbing loop and the printer's parenthesisation both read it.
+The token cursor, ``_Cursor``, is shared with the SSL re-parser in ``ssl``.
 
 The printer is a parsing inverse: for any well-formed unit ``u``,
 ``parse_program(lex(pretty_print(u)))`` is structurally equal to ``u``
@@ -427,16 +428,20 @@ _PREC = {"||": 1, "&&": 2, "<": 3, "==": 3, "+": 4, "-": 4, "%": 5}
 _APP_PREC = 6
 
 
-class _Parser:
+class _Cursor:
+    """Token plumbing shared by the recursive-descent parsers: a position in
+    a token list whose kinds end in a ``None`` sentinel, so lookahead needs
+    no bounds check.  A subclass names the end of input in its messages."""
+
+    END = "unexpected end of input"     # what current() and next() raise
+    EOF = "end of input"                # what expect() says it found
+    FOUND = "kind"                      # the field of a token expect() names
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        # token kinds, ending in a None sentinel so lookahead needs no
-        # bounds check
         self.kinds = [t.kind for t in tokens]
         self.kinds.append(None)
         self.pos = 0
-
-    # -- token plumbing --
 
     def peek(self) -> Optional[Token]:
         return None if self.kinds[self.pos] is None else self.tokens[self.pos]
@@ -448,10 +453,16 @@ class _Parser:
         """Where an unexpected end of input is reported: the last token."""
         return self.tokens[-1].span if self.tokens else Span(1, 1)
 
+    def current(self) -> Token:
+        """The next token, not consumed; raises at the end of input."""
+        if self.kinds[self.pos] is None:
+            raise ParseError(self.END, self._end_span())
+        return self.tokens[self.pos]
+
     def next(self) -> Token:
         pos = self.pos
         if self.kinds[pos] is None:
-            raise ParseError("unexpected end of input", self._end_span())
+            raise ParseError(self.END, self._end_span())
         self.pos = pos + 1
         return self.tokens[pos]
 
@@ -460,14 +471,36 @@ class _Parser:
         found = self.kinds[pos]
         if found != kind:
             if found is None:
-                span, found = self._end_span(), "end of input"
+                span, found = self._end_span(), self.EOF
             else:
-                span = self.tokens[pos].span
+                tok = self.tokens[pos]
+                span, found = tok.span, getattr(tok, self.FOUND)
             raise ParseError(f"expected {kind!r}, found {found!r}", span,
                              expected={kind})
         self.pos = pos + 1
         return self.tokens[pos]
 
+    def whole(self, parse: Callable):
+        """What ``parse()`` returns, once it has read all the input."""
+        result = parse()
+        if self.kinds[self.pos] is not None:
+            tok = self.tokens[self.pos]
+            raise ParseError(f"trailing input {tok.text!r}", tok.span)
+        return result
+
+    def _comma_list(self, item: Callable, close: str) -> list:
+        """Items separated by commas, possibly none, then ``close``."""
+        items = []
+        if not self.at(close):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
+        self.expect(close)
+        return items
+
+
+class _Parser(_Cursor):
     # -- top level --
 
     def parse_unit(self) -> SourceUnit:
@@ -507,17 +540,6 @@ class _Parser:
             adt, params = layout_sigs[name]
             unit.layout_defs.append(LayoutDef(name, adt, params, layout_cases[name]))
         return unit
-
-    def _comma_list(self, item: Callable, close: str) -> list:
-        """Items separated by commas, possibly none, then ``close``."""
-        items = []
-        if not self.at(close):
-            items.append(item())
-            while self.at(","):
-                self.next()
-                items.append(item())
-        self.expect(close)
-        return items
 
     def parse_directive(self) -> GenerateDirective:
         span = self.expect("%generate").span
@@ -788,9 +810,7 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.span)
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._end_span())
+        tok = self.current()
         if tok.kind == "int":
             self.next()
             return IntLit(int(tok.text), span=tok.span)
@@ -826,10 +846,7 @@ def parse_source(text: str) -> SourceUnit:
 def parse_expr_text(text: str) -> Expr:
     """Parse a standalone expression (used by the CLI 'run' command)."""
     parser = _Parser(lex(text))
-    e = parser.parse_expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input {parser.peek().text!r}", parser.peek().span)
-    return e
+    return parser.whole(parser.parse_expr)
 
 
 # ---------------------------------------------------------------------------

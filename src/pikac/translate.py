@@ -87,8 +87,7 @@ def translate_layout_predicate(layout: S.LayoutDef,
                 target = f"ro_{h.layout}" if ro else h.layout
                 cls = ssl.RoApply if ro else ssl.PredApply
                 spatial.append(cls(target, (ssl.PVar(h.arg),)))
-        branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial),
-                                   ctor=pat.ctor))
+        branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial)))
     return ssl.PredicateDef(pred_name, ((root, "loc"),), tuple(branches))
 
 
@@ -104,7 +103,7 @@ def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
         if _branch_is_empty(heaplets):
             body = ssl.SslAssertion.make(
                 (ssl.PEq(ssl.PVar("dst"), ssl.PInt(0)),), ())
-            branches.append(ssl.Branch(c, body, ctor=pat.ctor))
+            branches.append(ssl.Branch(c, body))
             continue
         spatial = []
         dst_sub = {}
@@ -133,8 +132,7 @@ def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
                 registry[sub_name] = copy_predicate(env, sub_layout, registry)
             spatial.append(ssl.FuncApply(sub_name,
                                          (ssl.PVar(var), ssl.PVar(dst_sub[var]))))
-        branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial),
-                                   ctor=pat.ctor))
+        branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial)))
     pred = ssl.PredicateDef(name, (("src", "loc"), ("dst", "loc")),
                             tuple(branches))
     registry[name] = pred
@@ -376,8 +374,7 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
         tx.used.update([x, r] + params)
         pure, spatial, rv = tx.tx(call, r)
         pure, spatial = _retarget(pure, spatial, rv, r, tx.seed)
-        branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial),
-                                   ctor=ctor))
+        branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial)))
     name = mangle(fn, [a_res], res_layout)
     return ssl.PredicateDef(name, ((x, "loc"), (r, res_layout.sort)),
                             tuple(branches))
@@ -386,12 +383,6 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
 # ---------------------------------------------------------------------------
 # Production pipeline
 # ---------------------------------------------------------------------------
-
-class _NullPtr(S.IntLit):
-    """Stage-2 marker: an empty-branch constructor value, encoded as 0."""
-    __slots__ = ()
-    _defaults = {"value": 0}
-
 
 class _CopyCall(Node):
     """Stage-4 marker: result produced by copying an argument structure."""
@@ -511,7 +502,7 @@ class _FnTranslator:
             if resolved.is_adt:
                 branch = resolved.layout.branch_for(e.arg.name)
                 if branch is not None and _branch_is_empty(branch):
-                    return _NullPtr(span=e.span)
+                    return S.IntLit(0, span=e.span)
         return S.map_expr(e, self._null_empty)
 
     def destructure(self, arm: _Arm):
@@ -583,13 +574,11 @@ class _FnTranslator:
         branches = []
         for arm in self.arms:
             empties, non_empties = [], []
-            ctor_tag = None
             for arg in arm.args:
                 if arg.pattern is None or not arg.layout.is_adt:
                     continue
                 layout = arg.layout.layout
                 ctor, _ = arg.pattern
-                ctor_tag = ctor_tag or ctor
                 c = cond(layout, ctor, var=arg.ssl_name,
                          allow_guarded=arm.guard is not None)
                 if c == ssl.TRUE:
@@ -598,8 +587,7 @@ class _FnTranslator:
             parts = empties + non_empties
             if arm.guard_term is not None:
                 parts.append(arm.guard_term)
-            branches.append(ssl.Branch(ssl.pand_all(parts), arm.assertion(),
-                                       ctor=ctor_tag))
+            branches.append(ssl.Branch(ssl.pand_all(parts), arm.assertion()))
         params = tuple((a.ssl_name, a.layout.sort) for a in self.elab.cases[0].args) \
             + ((self.elab.cases[0].result_name, self.elab.result_layout.sort),)
         return ssl.PredicateDef(self.pred_name, params, tuple(branches))
@@ -669,9 +657,6 @@ class _ArmTx:
         arm = self.arm
         result = arm.result_name
         rl = arm.result_layout
-        if isinstance(e, _NullPtr):
-            self.pure_result.append(ssl.PEq(ssl.PVar(result), ssl.PInt(0)))
-            return
         if isinstance(e, _CopyCall):
             name = f"{e.layout.name}__copy"
             arm.calls.append(ssl.FuncApply(name, (ssl.PVar(e.src),
@@ -999,7 +984,7 @@ def _layout_annotation(arm: _Arm) -> str:
                 loc = h.base if h.offset == 0 else f"({h.base}+{h.offset})"
                 chunks.append(f"{loc} {arrow} {sub.get(h.payload, h.payload)}")
     if not chunks:
-        if isinstance(arm.body, _NullPtr):
+        if arm.body.__class__ is S.IntLit and arm.result_layout.is_adt:
             return f"{arm.result_name} == 0 ; emp"
         return "emp"
     return ", ".join(chunks)

@@ -613,7 +613,12 @@ class _Elaborator:
             b2 = self._elab(body, gamma, rename, fn, directive,
                             result_layout if result_layout.is_adt else None,
                             at_result=True)
-            infer_expr(env, gamma_renamed(gamma, rename), b2)
+            bt = infer_expr(env, gamma_renamed(gamma, rename), b2)
+            want = result_layout.type()
+            if bt != want and not (result_layout.kind == "ptr"
+                                   and isinstance(bt, S.TInt)):
+                raise TypeMismatch(str(want), str(bt), body.span or case.span,
+                                   rule="G-FN")
             elab_cases.append((g2, b2))
         # one ElabCase per guarded body keeps the arm list flat; no stage
         # rebinds an ElabArg's fields, so the cases share them

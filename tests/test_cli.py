@@ -105,6 +105,28 @@ def test_compile_names_the_rule_of_a_type_error(tmp_path, capsys, monkeypatch,
     assert (code, err) == (1, f"error[{rule}]: {message}\n")
 
 
+SLL_SOURCE = """data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("%generate f [Sll] Sll\nf : List -> List;\nf (Nil) := 7;\n"
+     "f (Cons h t) := Cons h (f t);", "expected Sll, found Int at 7:12"),
+    ("%generate g [Sll] Int\ng : List -> Int;\ng (Nil) := 0;\n"
+     "g (Cons h t) := true;", "expected Int, found Bool at 8:17"),
+], ids=["int-at-layout", "bool-at-int"])
+def test_body_must_have_the_result_type(tmp_path, capsys, monkeypatch, text,
+                                        message):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    bad = tmp_path / "bad.pika"
+    bad.write_text(SLL_SOURCE + text + "\n")
+    code, out, err = run(capsys, "compile", str(bad), "--stdout")
+    assert (code, out, err) == (1, "", f"error[G-FN]: {message}\n")
+
+
 def test_compile_missing_file(capsys):
     code, out, err = run(capsys, "compile", "/nonexistent/input.pika")
     assert code == 2
@@ -130,6 +152,15 @@ def test_non_ascii_digits_are_illegal(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "compile", str(src), "--stdout")
     assert (code, out) == (1, "")
     assert err == "error: illegal character '\u0661' at 10:14\n"
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    src = tmp_path / "sum.pika"
+    src.write_bytes(b"\xef\xbb\xbf" + (CORPUS / "sum.pika").read_bytes())
+    args = ("--stdout", "--emit-goal-spec")
+    marked = run(capsys, "compile", str(src), *args)
+    plain = run(capsys, "compile", str(CORPUS / "sum.pika"), *args)
+    assert marked == plain and marked[0] == 0
 
 
 def test_compile_goal_spec_flag(capsys):
@@ -220,8 +251,10 @@ idBox (B l) := lower BoxL (B l);
 """)
     code, out, err = run(capsys, "soundness", str(src), "--count", "1")
     assert (code, out) == (1, "")
-    assert err == "error: layout BoxL: a field of B has no layout to lower " \
-                  "into at 6:6\n"
+    # idBox does not elaborate, so the pool is empty and its elaboration
+    # error is reported
+    assert err == "error[T-LOWER-CONSTR]: no layout known for field of B " \
+                  "at 9:28\n"
 
 
 def test_soundness_draws_bool_fields(tmp_path, capsys):
@@ -251,7 +284,54 @@ idF (MkF g) := lower FL (MkF g);
 """)
     code, out, err = run(capsys, "soundness", str(src), "--count", "1")
     assert (code, out) == (1, "")
-    assert err == "error: layout FL: a field of MkF is a function at 4:4\n"
+    assert err == "error[T-LOWER-CONSTR]: argument of MkF is not concrete " \
+                  "at type Int -> Int at 6:26\n"
+
+
+# two layouts of one ADT, the one with the fields swapped declared first;
+# each function elaborates only at some pairs of them
+TWO_LAYOUTS = """
+data List := Nil | Cons Int List;
+
+SllR : List >-> layout[x];
+SllR (Nil) := emp;
+SllR (Cons head tail) := x :-> tail, (x+1) :-> head, SllR tail;
+
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+
+idList : List -> List;
+idList (Nil) := lower Sll (Nil);
+idList (Cons h t) := lower Sll (Cons h t);
+
+conv : List -> List;
+conv (Nil) := lower Sll (Nil);
+conv (Cons h t) := lower Sll (Cons h (instantiate [SllR] Sll conv t));
+
+incAll : List -> List;
+incAll (Nil) := lower SllR (Nil);
+incAll (Cons h t) :=
+  lower SllR (Cons (h + 1) (instantiate [SllR] SllR incAll t));
+"""
+
+
+@pytest.mark.parametrize("budget", ["12", "48"])
+def test_soundness_draws_each_layout_a_function_elaborates_at(
+        tmp_path, capsys, budget):
+    from pikac.modelcheck import CoreSignature
+    from pikac.syntax import parse_source
+    from pikac.types import build_global_env
+    src = tmp_path / "two.pika"
+    src.write_text(TWO_LAYOUTS)
+    sig = CoreSignature.from_env(build_global_env(parse_source(TWO_LAYOUTS)))
+    assert sig.pool == [("conv", "SllR", "Sll"), ("idList", "Sll", "Sll"),
+                        ("incAll", "SllR", "SllR")]
+    # every draw type-checks before it is checked, or the run stops
+    code, out, err = run(capsys, "soundness", str(src), "--count", "2000",
+                         "--budget", budget)
+    assert (code, err) == (0, "")
+    assert out.startswith("soundness: 2000 instances satisfiable")
 
 
 def test_soundness_ill_typed_draw_is_a_diagnostic(capsys, monkeypatch):
@@ -285,8 +365,7 @@ def test_soundness_reports_counterexample_for_broken_translation(
             spatial = tuple(h for h in b.body.spatial
                             if not isinstance(h, ssl.PointsTo))
             branches.append(ssl.Branch(
-                b.cond, ssl.SslAssertion.make(b.body.pure, spatial),
-                ctor=b.ctor))
+                b.cond, ssl.SslAssertion.make(b.body.pure, spatial)))
         return ssl.PredicateDef(pred.name, pred.params, tuple(branches))
 
     monkeypatch.setattr(mc, "translate_fn_def_core", broken)

@@ -68,7 +68,7 @@ heads (LNil) := Nil;
 heads (LCons xs xss) := Cons (instantiate [Sll] Int car xs) (heads xss);
 """, "heads")
     assert res.predicate.name == "heads__rw_Sll__rw_ListOfListsLayout"
-    cons = next(b for b in res.predicate.branches if b.ctor == "LCons")
+    nil, cons = res.predicate.branches
     cells = [h for h in cons.body.spatial if isinstance(h, ssl.PointsTo)
              and h.base == "__p_x0"]
     assert len(cells) == 2
@@ -172,8 +172,7 @@ def _rename_predicate(pred, mapping):
     branches = tuple(
         ssl.Branch(fix_pure(b.cond),
                    ssl.SslAssertion.make(tuple(map(fix_pure, b.body.pure)),
-                                         tuple(map(fix, b.body.spatial))),
-                   ctor=b.ctor)
+                                         tuple(map(fix, b.body.spatial))))
         for b in pred.branches)
     params = tuple((mapping.get(n, n), s) for n, s in pred.params)
     return ssl.PredicateDef(pred.name, params, branches)
@@ -202,8 +201,7 @@ def test_structural_equiv_detects_dropped_heaplet(idx):
         pred.name, pred.params,
         (pred.branches[0],
          ssl.Branch(target.cond,
-                    ssl.SslAssertion.make(target.body.pure, spatial),
-                    ctor=target.ctor)))
+                    ssl.SslAssertion.make(target.body.pure, spatial))))
     assert not ssl.structural_equiv(pred, mutated)
 
 

@@ -162,8 +162,7 @@ def _drop_first_heaplet(env, fn, layout, result_ref):
     for b in pred.branches:
         spatial = b.body.spatial[1:] if b.body.spatial else ()
         branches.append(ssl.Branch(b.cond,
-                                   ssl.SslAssertion.make(b.body.pure, spatial),
-                                   ctor=b.ctor))
+                                   ssl.SslAssertion.make(b.body.pure, spatial)))
     return ssl.PredicateDef(pred.name, pred.params, tuple(branches))
 
 
@@ -222,30 +221,6 @@ def test_checker_verdicts_are_pinned(sig, genv, monkeypatch):
     assert len(caught) == 109
     assert caught[0] == (40, Unsat("no cell matches x5 :-> v1"))
     assert h.hexdigest() == _CHECKER_DIGEST
-
-
-def _reverse_labels(translate):
-    """``translate`` with each predicate's ``Branch.ctor`` labels reversed:
-    labels are hidden from ``==``, so no verdict may depend on them."""
-    def reversed_labels(*args):
-        pred = translate(*args)
-        ctors = [b.ctor for b in reversed(pred.branches)]
-        return ssl.PredicateDef(pred.name, pred.params, tuple(
-            ssl.Branch(b.cond, b.body, ctor=c)
-            for b, c in zip(pred.branches, ctors)))
-    return reversed_labels
-
-
-def test_branch_labels_do_not_decide_verdicts(sig, genv, monkeypatch):
-    import pikac.modelcheck as mc
-
-    monkeypatch.setattr(mc, "translate_layout_predicate",
-                        _reverse_labels(translate_layout_predicate))
-    monkeypatch.setattr(mc, "translate_fn_def_core",
-                        _reverse_labels(translate_fn_def_core))
-    verdicts = [check_soundness(genv, gen_core_expr(sig, seed, 12)).result
-                for seed in range(300)]
-    assert all(isinstance(v, Sat) for v in verdicts)
 
 
 def _residual_only(terms):
@@ -489,6 +464,29 @@ def test_generator_output_is_pinned(sig):
             e = gen_core_expr(sig, seed, budget)
             h.update(f"{budget} {seed} {S.render_expr(e)}\n{e!r}\n".encode())
     assert h.hexdigest() == _GENERATOR_DIGEST
+
+
+def test_generator_names_a_field_it_cannot_draw():
+    # the pool is not empty, so a draw may reach the layouts below
+    genv = build_global_env(parse_source(SIG.read_text() + """
+data Far := Far;
+data Box := B Far;
+BoxL : Box >-> layout[x];
+BoxL (B f) := emp;
+data F := MkF (Int -> Int);
+FL : F >-> layout[x];
+FL (MkF g) := x :-> g;
+"""))
+    sig = CoreSignature.from_env(genv)
+    reasons = set()
+    for seed in range(100):
+        try:
+            gen_core_expr(sig, seed, 12)
+        except E.UnsupportedConstruct as exc:
+            reasons.add((exc.message, tuple(exc.span)))
+    assert reasons == {
+        ("layout BoxL: a field of B has no layout to lower into", (49, 6)),
+        ("layout FL: a field of MkF is a function", (52, 4))}
 
 
 def test_shrink_preserves_typing(genv, sig):

@@ -22,7 +22,6 @@ from pikac import types as T
 from pikac.errors import Span
 from pikac import translate as X
 from pikac.node import Frozen, Node
-from pikac.translate import _NullPtr
 
 P, V = ssl.PInt, ssl.PVar
 SPAN = Span(3, 7)
@@ -102,7 +101,7 @@ SAMPLES = {
         "GenerateDirective(fn='f', arg_layouts=(NamedLayout(name='Sll', "
         "mode='readonly'),), result_layout=IntLayout())"),
     ssl.Branch: (
-        ssl.Branch(ssl.TRUE, BODY, ctor="Cons"),
+        ssl.Branch(ssl.TRUE, BODY),
         "Branch(cond=PBool(value=True), body=SslAssertion(pure=(PEq("
         "lhs=PVar(name='x'), rhs=PInt(value=0)),), spatial=(PointsTo("
         "base='x', offset=0, value=PVar(name='h')),)))"),
@@ -167,19 +166,14 @@ def test_equality_is_by_exact_kind():
     a, b = V("a"), V("b")
     assert ssl.PAdd(a, b) != ssl.PSub(a, b)
     assert ssl.FuncApply("f", (a,)) != ssl.RoApply("f", (a,))
-    assert _NullPtr() != S.IntLit(0) and S.IntLit(0) != _NullPtr()
-    assert _NullPtr() == _NullPtr()
     assert S.TInt() != S.TBool() and S.IntLayout() != S.BoolLayout()
     assert M.Unsat("x") != M.Unknown("x")
     assert ssl.PInt(1) != 1 and ssl.PVar("x") != ("x",)
 
 
-def test_span_and_ctor_are_not_compared_hashed_or_shown():
+def test_span_is_not_compared_hashed_or_shown():
     one, two = S.IntLit(1, Span(1, 1)), S.IntLit(1, Span(2, 9))
     assert one == two and repr(one) == repr(two)
-    cons, nil = (ssl.Branch(ssl.TRUE, BODY, ctor=c) for c in ("Cons", "Nil"))
-    assert cons == nil and hash(cons) == hash(nil)
-    assert repr(cons) == repr(nil)
     # a pattern's constructor is one of its fields
     assert S.Pattern("Cons", []) != S.Pattern("Nil", [])
 
@@ -222,11 +216,9 @@ def test_keyword_construction_and_defaults():
     assert T.ResolvedLayout("int") == T.ResolvedLayout(kind="int", layout=None,
                                                        mode="readonly")
     assert not hasattr(ssl.PredApply("p", ()), "ctor")
-    assert ssl.Branch(cond=ssl.TRUE, body=BODY).ctor is None
+    assert not hasattr(ssl.Branch(cond=ssl.TRUE, body=BODY), "ctor")
     assert S.Var(name="x").span is None
     assert S.BinOp(op="+", lhs=S.IntLit(1), rhs=S.IntLit(2), span=SPAN).span == SPAN
-    null = _NullPtr(span=SPAN)
-    assert null.value == 0 and null.span == SPAN
     assert M.PredicateEnv({}) == M.PredicateEnv(preds={})
     env = T.GlobalEnv({}, {}, {}, {}, {}, {})
     assert env.resolved == {} and env.resolved is not T.GlobalEnv(
@@ -276,7 +268,7 @@ SIGNATURES = {
     ssl.TempLoc: "var",
     ssl.RoApply: "name, args",
     ssl.SslAssertion: "pure, spatial",
-    ssl.Branch: "cond, body, ctor=None",
+    ssl.Branch: "cond, body",
     ssl.PredicateDef: "name, params, branches",
     ssl.GoalSpec: "name, params, pre, post",
     T.LayoutType: "name",
@@ -295,9 +287,7 @@ SIGNATURES = {
     M.Sat: "", M.Unsat: "reason", M.Unknown: "reason",
     M.PredicateEnv: "preds",
     M.SoundnessReport: "result, expr, model, assertion, trace",
-    M.CoreSignature: "genv, layout_of, pool, adts, fns_by_adt, fns_by_layout, "
-                     "draws",
-    X._NullPtr: "value=0, span=None",
+    M.CoreSignature: "genv, pool, layouts, fns_by_layout, draws",
     X._CopyCall: "src, layout, span=None",
     X._Term: "term",
     X._Arm: "args, guard, lets, body, result_name, result_layout",

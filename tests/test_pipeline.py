@@ -94,8 +94,7 @@ def _merge_vars(pred, a, b):
         branches.append(ssl.Branch(
             fix_pure(br.cond),
             ssl.SslAssertion.make(tuple(map(fix_pure, br.body.pure)),
-                                  tuple(spatial)),
-            ctor=br.ctor))
+                                  tuple(spatial))))
     return ssl.PredicateDef(pred.name, pred.params, tuple(branches))
 
 
@@ -124,10 +123,9 @@ def test_append_emits_copy_auxiliary():
     names = [p.name for p in result.copy_preds]
     assert names == ["Sll__copy"]
     copy = result.copy_preds[0]
-    by_ctor = {b.ctor: b for b in copy.branches}
-    assert by_ctor["Nil"].body.pure == \
-        (ssl.PEq(ssl.PVar("dst"), ssl.PInt(0)),)
-    cons = by_ctor["Cons"].body
+    nil, cons = copy.branches
+    assert nil.body.pure == (ssl.PEq(ssl.PVar("dst"), ssl.PInt(0)),)
+    cons = cons.body
     assert any(isinstance(h, ssl.FuncApply) and h.name == "Sll__copy"
                for h in cons.spatial)
 
@@ -136,14 +134,14 @@ def test_take_emits_read_only_auxiliary():
     result = compile_fixture("take")
     assert [p.name for p in result.ro_preds] == ["ro_Sll"]
     ro = result.ro_preds[0]
-    cons = next(b for b in ro.branches if b.ctor == "Cons")
+    nil, cons = ro.branches
     assert any(isinstance(h, ssl.RoApply) and h.name == "ro_Sll"
                for h in cons.body.spatial)
 
 
 def test_map_sum_read_only_inner_list():
     result = compile_fixture("map_sum")
-    cons = next(b for b in result.predicate.branches if b.ctor == "LCons")
+    nil, cons = result.predicate.branches
     assert ssl.RoApply("ro_Sll", (ssl.PVar("xs"),)) in cons.body.spatial
     assert "ro_Sll" in [p.name for p in result.ro_preds]
 
@@ -253,9 +251,8 @@ def test_fold_with_addition_inlines_binary_function():
     pred = result.predicate
     assert pred.name == "fold_List__Int__Int__ro_Sll"
     assert len(pred.branches) == 2
-    nil = next(b for b in pred.branches if b.ctor == "Nil")
+    nil, cons = pred.branches
     assert ssl.PEq(ssl.PVar("__r"), ssl.PVar("__p_0")) in nil.body.pure
-    cons = next(b for b in pred.branches if b.ctor == "Cons")
     # result equals head plus the recursive output: no residual func heaplet
     assert not any(isinstance(h, ssl.FuncApply) for h in cons.body.spatial)
     eq = next(p for p in cons.body.pure

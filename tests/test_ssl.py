@@ -1,11 +1,15 @@
 """SSL IR tests: assertion algebra, emission, parsing, and equivalence."""
 
+import contextlib
+import hashlib
+import io
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pikac import ssl
+from pikac import cli, ssl
 from pikac.errors import ParseError
 
 GOLDEN = sorted(pathlib.Path(__file__).parent.joinpath("golden").glob("*.sus"))
@@ -276,3 +280,85 @@ def test_empty_predicate_text_is_an_error_at_its_start():
     with pytest.raises(ParseError) as info:
         ssl.parse_predicate("")
     assert info.value.span == (1, 1)
+
+
+# -- pinned parse behaviour --------------------------------------------------
+# One digest over what the SSL re-parser makes of the golden references, of
+# the text `pikac compile --stdout --emit-goal-spec` emits for every source
+# with a directive, and of seeded mutants of them: cuts, inserted
+# characters, and text after the last '}'.
+
+_SOURCES = sorted(p for p in pathlib.Path(__file__).parent.rglob("*.pika")
+                  if "%generate" in p.read_text())
+_INSERTS = "(){}[],;|?:+-%<*=&>!@$.\"'x0_ \n#/^~é"
+_TRAILERS = (" garbage here (", " }", "}", " x", " 1", " **", " predicate",
+             " | true => { emp }", " { ?? }", " void", " // note", " # note",
+             "\n\n", "@")
+_SUS_PIN_DIGEST = (
+    "b1cd833b2fd261bf9702946d880669633b596a6e7114d2af6dda53ddd29a23dd")
+
+
+def _sus_record(parse, text: str) -> str:
+    try:
+        return f"{parse(text)!r}\n"
+    except ParseError as exc:
+        return f"ParseError {exc.message!r} {tuple(exc.span)}\n"
+
+
+def _emitted(path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["compile", str(path), "--stdout", "--emit-goal-spec"])
+    return out.getvalue()
+
+
+def _mutants(rng: random.Random, text: str):
+    for _ in range(8):
+        yield text[:rng.randrange(len(text))]
+    for _ in range(8):
+        at = rng.randrange(len(text) + 1)
+        yield text[:at] + rng.choice(_INSERTS) + text[at:]
+    for trailer in _TRAILERS:
+        yield text + trailer
+
+
+def sus_pin_records():
+    """``(label, record)`` for every input of the SSL parse pin."""
+    rng = random.Random(15)
+    emitted = [_emitted(p) for p in _SOURCES]
+    def label(path):
+        return f"{path.parent.name}/{path.stem}"
+
+    for path in GOLDEN:
+        yield label(path), _sus_record(ssl.parse_sus_file, path.read_text())
+    for path, text in zip(_SOURCES, emitted):
+        yield label(path), _sus_record(ssl.parse_sus_file, text)
+    bases = [(ssl.parse_predicate, path, path.read_text()) for path in GOLDEN]
+    bases += [(ssl.parse_goal_spec, p, "void" + t.rsplit("\nvoid", 1)[1])
+              for p, t in zip(_SOURCES, emitted) if "\nvoid" in t]
+    for parse, path, text in bases:
+        for i, mutant in enumerate(_mutants(rng, text)):
+            yield (f"{label(path)}/{parse.__name__}/{i}",
+                   _sus_record(parse, mutant)
+                   + _sus_record(ssl.parse_sus_file, mutant))
+
+
+def test_sus_parse_is_pinned():
+    h = hashlib.sha256()
+    for _, record in sus_pin_records():
+        h.update(record.encode())
+    assert h.hexdigest() == _SUS_PIN_DIGEST
+
+
+@pytest.mark.parametrize("parse, text, message, span", [
+    (ssl.parse_predicate,
+     "predicate p(loc x) { | true => { emp } } garbage here (",
+     "trailing input 'garbage'", (1, 42)),
+    (ssl.parse_goal_spec, "void f(loc x)\n{ emp }\n{ emp }\n{ ?? } }",
+     "trailing input '}'", (4, 8)),
+])
+def test_trailing_input_is_an_error(parse, text, message, span):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.message, info.value.span) == (message, span)

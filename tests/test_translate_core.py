@@ -205,11 +205,9 @@ def test_fndef_identity_restates_cells_at_result(genv):
     pred = translate_fn_def_core(genv, "idf", genv.layouts["Sll"],
                                  S.NamedLayout("Sll"))
     assert [s for _, s in pred.params] == ["loc", "loc"]
-    by_ctor = {b.ctor: b for b in pred.branches}
-    nil = by_ctor["Nil"]
+    nil, cons = pred.branches
     assert nil.cond == ssl.PEq(ssl.PVar("x"), ssl.PInt(0))
     assert nil.body == ssl.SslAssertion.make((), ())
-    cons = by_ctor["Cons"]
     assert cons.cond == ssl.PNot(ssl.PEq(ssl.PVar("x"), ssl.PInt(0)))
     cells = [h for h in cons.body.spatial if isinstance(h, ssl.PointsTo)]
     assert {(c.base, c.offset) for c in cells} == {("r", 0), ("r", 1)}
@@ -218,7 +216,7 @@ def test_fndef_identity_restates_cells_at_result(genv):
 def test_fndef_recursive_case_applies_predicate(genv):
     pred = translate_fn_def_core(genv, "recf", genv.layouts["Sll"],
                                  S.NamedLayout("Sll"))
-    cons = next(b for b in pred.branches if b.ctor == "Cons")
+    nil, cons = pred.branches
     rec = [h for h in cons.body.spatial if isinstance(h, ssl.PredApply)]
     assert len(rec) == 1
     assert rec[0].name == pred.name
@@ -240,7 +238,7 @@ predicate Sll(loc x) {
 
 def test_layout_predicate_tree(genv):
     pred = translate_layout_predicate(genv.layouts["TreeLayout"])
-    node = next(b for b in pred.branches if b.ctor == "Node")
+    leaf, node = pred.branches
     assert ssl.Block("x", 3) in node.body.spatial
     recs = [h for h in node.body.spatial if isinstance(h, ssl.PredApply)]
     assert len(recs) == 2
@@ -273,8 +271,7 @@ def _strip_production_extras(pred, arg_roots):
                      if not (isinstance(p, ssl.PEq)
                              and p.rhs == ssl.PInt(0)))
         branches.append(ssl.Branch(b.cond,
-                                   ssl.SslAssertion.make(pure, spatial),
-                                   ctor=b.ctor))
+                                   ssl.SslAssertion.make(pure, spatial)))
     return ssl.PredicateDef(pred.name, pred.params, tuple(branches))
 
 

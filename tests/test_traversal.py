@@ -7,7 +7,6 @@ import pytest
 
 from pikac import ssl
 from pikac import syntax as S
-from pikac import translate
 from pikac.errors import SortMismatch, Span
 from pikac.translate import compile_directive
 from pikac.types import OPERATOR_TYPES, elaborate
@@ -142,16 +141,13 @@ def test_every_ssl_kind_is_traversed(cls):
 
 # free_vars, subst, render_pure, render_heaplet, SslAssertion.make,
 # infer_expr and _Elaborator._elab dispatch on the exact class, so a
-# subclass of a kind they name would miss its case.  The one subclass is
-# translation's null-pointer marker, an IntLit that stage 2 makes after
-# elaboration, in arms the type checker and the elaborator never see.
+# subclass of a kind they name would miss its case.
 
 
 @pytest.mark.parametrize("cls", PURE_KINDS + ssl.Heaplet + S.Expr,
                          ids=lambda c: c.__name__)
 def test_dispatched_kinds_have_no_subclasses(cls):
-    expected = [translate._NullPtr] if cls is S.IntLit else []
-    assert cls.__subclasses__() == expected
+    assert cls.__subclasses__() == []
 
 
 # the operator tables: each IR declares its binary operators once
