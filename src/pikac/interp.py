@@ -270,15 +270,14 @@ class Machine:
                 raise NoMatchingFnCase(
                     f"layout {arg_layout.layout.name} has no branch for "
                     f"{ctor_name}", e.span)
-            offsets = {payload: off for off, payload in shape.cells}
             field_vals = []
             field_fs = list(val.fields)
             for v in shape.pattern.vars:
-                if v not in offsets:
+                if v not in shape.offsets:
                     raise UngroundedHeaplet(
                         f"field {v} of {ctor_name} has no cell in layout "
                         f"{arg_layout.layout.name}")
-                cell = loc.loc + offsets[v]
+                cell = loc.loc + shape.offsets[v]
                 if cell not in self.heap:
                     raise UngroundedHeaplet(f"missing cell {cell} on the heap")
                 field_vals.append(self.heap[cell])

@@ -926,8 +926,8 @@ class LayoutDraw(namedtuple("LayoutDraw", ("ref", "empties", "non_empties",
     """What drawing a ``lower`` into one layout reads: the shared layout
     reference, the empty and non-empty branch patterns in branch order, and
     per constructor one entry per field: the layout name to lower it into
-    (the branch's ``HApply`` layout, else the field type's first layout) for
-    a field of an ADT, else the field's base type.  A constructor with a
+    (the layout the branch applies to it, else the field type's first
+    layout) for a field of an ADT, else the field's base type.  A constructor with a
     field that cannot be drawn (an ADT with no layout to lower into, or a
     function) is left out of ``fields``; ``unsupported`` says why."""
     __slots__ = ()
@@ -986,9 +986,8 @@ class CoreSignature(Node):
 def _layout_draw(genv: GlobalEnv, by_adt: dict,
                  layout: S.LayoutDef) -> LayoutDraw:
     fields, unsupported = {}, {}
-    for pat, heaplets in layout.branches:
-        applies = {h.arg: h.layout for h in heaplets
-                   if isinstance(h, S.HApply)}
+    for shape in layout.shapes.values():
+        pat, applies = shape.pattern, shape.applies
         subs = []
         for var, fty in zip(pat.vars, genv.ctors[pat.ctor][0]):
             if isinstance(fty, S.TFn):

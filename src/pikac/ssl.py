@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .errors import ParseError, SortMismatch, Span
 from .node import Frozen
-from .syntax import _FIRST_KINDS, Token, _Cursor
+from .syntax import _FIRST_KINDS, Token, _Cursor, render_loc
 
 _set = object.__setattr__
 
@@ -349,14 +349,10 @@ def render_cond(t: PureTerm) -> str:
     return f"({' && '.join(rendered)})"
 
 
-def _render_loc(base: str, offset: int) -> str:
-    return base if offset == 0 else f"({base}+{offset})"
-
-
 def render_heaplet(h: Heaplet) -> str:
     cls = h.__class__
     if cls is PointsTo:
-        return f"{_render_loc(h.base, h.offset)} :-> {render_pure(h.value, True)}"
+        return f"{render_loc(h.base, h.offset)} :-> {render_pure(h.value, True)}"
     if cls in _APPLIES:
         call = f"{h.name}({', '.join([render_pure(a, True) for a in h.args])})"
         return "func " + call if cls is FuncApply else call

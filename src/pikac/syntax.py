@@ -8,6 +8,8 @@ directives naming the layout instantiation to compile a function at.
 Binary operators are declared once, in ``_PREC``: the parser's one
 precedence-climbing loop and the printer's parenthesisation both read it.
 The token cursor, ``_Cursor``, is shared with the SSL re-parser in ``ssl``.
+A layout's branches are read once, into ``LayoutDef.shapes``; the layers
+after the front end read the shapes, not the heaplets.
 
 The printer is a parsing inverse: for any well-formed unit ``u``,
 ``parse_program(lex(pretty_print(u)))`` is structurally equal to ``u``
@@ -343,10 +345,14 @@ LayoutHeaplet = (HEmp, HPointsTo, HApply)
 
 
 class CtorShape(namedtuple("CtorShape", ("pattern", "heaplets", "cells",
-                                         "size", "error"))):
+                                         "size", "error", "empty", "offsets",
+                                         "applies"))):
     """A constructor's layout branch and what building it writes: points-to
     cells as ``(offset, payload)`` pairs, the block size, and the first cell
-    the machine cannot write as ``(message, span)``, or None."""
+    the machine cannot write as ``(message, span)``, or None.  ``empty``:
+    every heaplet is ``emp``; ``offsets``: payload -> offset, the last store
+    of a payload winning; ``applies``: applied variable -> layout name, in
+    heaplet order."""
     __slots__ = ()
 
 
@@ -356,11 +362,14 @@ class LayoutDef(Node):
 
     @cached_property
     def shapes(self) -> dict:
-        """Constructor name -> ``CtorShape``; the first branch for a name
-        wins.  Built on first use: a layout's branches do not change."""
+        """Constructor name -> ``CtorShape``, in branch order; the first
+        branch for a name wins.  Built on first use: a layout's branches do
+        not change."""
         out = {}
         root = self.ssl_params[0] if self.ssl_params else None
-        for pat, heaplets in reversed(self.branches):
+        for pat, heaplets in self.branches:
+            if pat.ctor in out:
+                continue
             writes = [h for h in heaplets if isinstance(h, HPointsTo)]
             bad = next((h for h in writes
                         if h.base != root or h.payload not in pat.vars), None)
@@ -371,26 +380,20 @@ class LayoutDef(Node):
                 bad.span)
             cells = tuple((h.offset, h.payload) for h in writes)
             size = max(off for off, _ in cells) + 1 if cells else 0
-            out[pat.ctor] = CtorShape(pat, heaplets, cells, size, error)
+            out[pat.ctor] = CtorShape(
+                pat, heaplets, cells, size, error,
+                all(isinstance(h, HEmp) for h in heaplets),
+                {payload: off for off, payload in cells},
+                {h.arg: h.layout for h in heaplets if isinstance(h, HApply)})
         return out
 
     @cached_property
     def emptiness(self) -> tuple:
         """``(empties, non_empties)``: the branch patterns whose heaplets are
         all ``emp``, and the others, each in branch order."""
-        empties, non_empties = [], []
-        for pat, heaplets in self.branches:
-            empty = all(isinstance(h, HEmp) for h in heaplets)
-            (empties if empty else non_empties).append(pat)
-        return tuple(empties), tuple(non_empties)
-
-    def branch_for(self, ctor: str) -> Optional[list]:
-        shape = self.shapes.get(ctor)
-        return shape and shape.heaplets
-
-    def branch_pattern(self, ctor: str) -> Optional[Pattern]:
-        shape = self.shapes.get(ctor)
-        return shape and shape.pattern
+        shapes = self.shapes.values()
+        return (tuple(s.pattern for s in shapes if s.empty),
+                tuple(s.pattern for s in shapes if not s.empty))
 
 
 class FnCase(Node):
@@ -913,12 +916,16 @@ def render_type(ty: TypeExpr) -> str:
     return str(ty)
 
 
+def render_loc(base: str, offset: int) -> str:
+    """A heap location as written in both languages: ``x`` or ``(x+k)``."""
+    return base if offset == 0 else f"({base}+{offset})"
+
+
 def _render_layout_heaplet(h: LayoutHeaplet) -> str:
     if isinstance(h, HEmp):
         return "emp"
     if isinstance(h, HPointsTo):
-        loc = h.base if h.offset == 0 else f"({h.base}+{h.offset})"
-        return f"{loc} :-> {h.payload}"
+        return f"{render_loc(h.base, h.offset)} :-> {h.payload}"
     return f"{h.layout} {h.arg}"
 
 

@@ -35,18 +35,14 @@ from .types import (
 # Branch discrimination
 # ---------------------------------------------------------------------------
 
-def _branch_is_empty(heaplets) -> bool:
-    return all(isinstance(h, S.HEmp) for h in heaplets)
-
-
 def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
          allow_guarded: bool = False) -> ssl.PureTerm:
     """The Boolean discriminator for a layout branch under the null
     encoding: empty branches test the root against 0, non-empty branches
     test it against non-0.  Raises when the layout has a branch set the
     encoding cannot discriminate."""
-    heaplets = layout.branch_for(ctor)
-    if heaplets is None:
+    shape = layout.shapes.get(ctor)
+    if shape is None:
         raise NoSuchBranch(f"layout {layout.name} has no branch for {ctor}")
     var = var or layout.ssl_params[0]
     if len(layout.branches) == 1:
@@ -57,7 +53,7 @@ def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
             f"layout {layout.name} has indistinguishable branches "
             f"({', '.join(p.ctor for p in empties + non_empties)})")
     root_null = ssl.PEq(ssl.PVar(var), ssl.PInt(0))
-    if _branch_is_empty(heaplets):
+    if shape.empty:
         return root_null
     return ssl.PNot(root_null)
 
@@ -73,20 +69,16 @@ def translate_layout_predicate(layout: S.LayoutDef,
     pred_name = f"ro_{layout.name}" if ro else layout.name
     root = layout.ssl_params[0]
     branches = []
-    for pat, heaplets in layout.branches:
-        c = cond(layout, pat.ctor)
-        spatial = []
-        for h in heaplets:
-            if isinstance(h, S.HPointsTo):
-                spatial.append(ssl.PointsTo(h.base, h.offset, ssl.PVar(h.payload)))
-        n = layout.shapes[pat.ctor].size
-        if n:
-            spatial.append(ssl.Block(root, n))
-        for h in heaplets:
-            if isinstance(h, S.HApply):
-                target = f"ro_{h.layout}" if ro else h.layout
-                cls = ssl.RoApply if ro else ssl.PredApply
-                spatial.append(cls(target, (ssl.PVar(h.arg),)))
+    cls = ssl.RoApply if ro else ssl.PredApply
+    for ctor, shape in layout.shapes.items():
+        c = cond(layout, ctor)
+        spatial = [ssl.PointsTo(h.base, h.offset, ssl.PVar(h.payload))
+                   for h in shape.heaplets if isinstance(h, S.HPointsTo)]
+        if shape.size:
+            spatial.append(ssl.Block(root, shape.size))
+        for var, lname in shape.applies.items():
+            target = f"ro_{lname}" if ro else lname
+            spatial.append(cls(target, (ssl.PVar(var),)))
         branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial)))
     return ssl.PredicateDef(pred_name, ((root, "loc"),), tuple(branches))
 
@@ -98,38 +90,29 @@ def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
     if name in registry:
         return registry[name]
     branches = []
-    for pat, heaplets in layout.branches:
-        c = cond(layout, pat.ctor, var="src")
-        if _branch_is_empty(heaplets):
+    for ctor, shape in layout.shapes.items():
+        c = cond(layout, ctor, var="src")
+        if shape.empty:
             body = ssl.SslAssertion.make(
                 (ssl.PEq(ssl.PVar("dst"), ssl.PInt(0)),), ())
             branches.append(ssl.Branch(c, body))
             continue
-        spatial = []
-        dst_sub = {}
-        applies = {h.arg: h.layout for h in heaplets if isinstance(h, S.HApply)}
-        for h in heaplets:
-            if isinstance(h, S.HPointsTo):
-                spatial.append(ssl.PointsTo("src", h.offset, ssl.PVar(h.payload)))
-        n = layout.shapes[pat.ctor].size
-        spatial.append(ssl.Block("src", n))
-        for h in heaplets:
-            if isinstance(h, S.HPointsTo):
-                if h.payload in applies:
-                    copy_var = f"{h.payload}1"
-                    dst_sub[h.payload] = copy_var
-                    spatial.append(ssl.PointsTo("dst", h.offset,
-                                                ssl.PVar(copy_var)))
-                else:
-                    spatial.append(ssl.PointsTo("dst", h.offset,
-                                                ssl.PVar(h.payload)))
-        spatial.append(ssl.Block("dst", n))
-        for var, lname in applies.items():
-            sub_layout = env.layouts[lname]
-            sub_name = f"{sub_layout.name}__copy"
+        # the copy's cell for a field with a structure below it holds the
+        # root of that structure's copy
+        dst_sub = {var: f"{var}1" for var in shape.applies}
+        spatial = [ssl.PointsTo("src", off, ssl.PVar(payload))
+                   for off, payload in shape.cells]
+        spatial.append(ssl.Block("src", shape.size))
+        spatial += [ssl.PointsTo("dst", off,
+                                 ssl.PVar(dst_sub.get(payload, payload)))
+                    for off, payload in shape.cells]
+        spatial.append(ssl.Block("dst", shape.size))
+        for var, lname in shape.applies.items():
+            sub_name = f"{lname}__copy"
             if sub_name not in registry:
                 registry[sub_name] = None      # reserve against recursion
-                registry[sub_name] = copy_predicate(env, sub_layout, registry)
+                registry[sub_name] = copy_predicate(env, env.layouts[lname],
+                                                    registry)
             spatial.append(ssl.FuncApply(sub_name,
                                          (ssl.PVar(var), ssl.PVar(dst_sub[var]))))
         branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial)))
@@ -244,15 +227,12 @@ class _CoreTx:
             spatials += s
             vals[var] = v
         root = self.fresh(True, target)
-        out = []
-        for h in shape.heaplets:
-            if isinstance(h, S.HPointsTo):
-                out.append(ssl.PointsTo(root, h.offset,
-                                        ssl.PVar(vals[h.payload])))
-            elif isinstance(h, S.HApply):
-                v = vals.get(h.arg)
-                if v is not None and v in self.seed:
-                    out.append(ssl.PredApply(h.layout, (ssl.PVar(v),)))
+        out = [ssl.PointsTo(root, off, ssl.PVar(vals[payload]))
+               for off, payload in shape.cells]
+        for var, lname in shape.applies.items():
+            v = vals.get(var)
+            if v is not None and v in self.seed:
+                out.append(ssl.PredApply(lname, (ssl.PVar(v),)))
         return pures, out + spatials, root
 
     def tx_instantiate(self, e: S.Instantiate, target: Optional[str],
@@ -500,8 +480,8 @@ class _FnTranslator:
                 and not e.arg.args:
             resolved = resolve_layout_ref(self.env, e.layout)
             if resolved.is_adt:
-                branch = resolved.layout.branch_for(e.arg.name)
-                if branch is not None and _branch_is_empty(branch):
+                shape = resolved.layout.shapes.get(e.arg.name)
+                if shape is not None and shape.empty:
                     return S.IntLit(0, span=e.span)
         return S.map_expr(e, self._null_empty)
 
@@ -521,19 +501,20 @@ class _FnTranslator:
             return []
         layout = arg.layout.layout
         ctor, pat_vars = arg.pattern
-        branch = layout.branch_for(ctor)
-        if branch is None or _branch_is_empty(branch):
+        shape = layout.shapes.get(ctor)
+        if shape is None or shape.empty:
             return []
         if not (set(pat_vars) & used) and arg.layout.mode == "readonly":
             # matched but unused: assert the whole structure read-only
             self.ro_layouts.add(layout.name)
             return [ssl.RoApply(f"ro_{layout.name}", (ssl.PVar(arg.ssl_name),))]
-        out = []
-        for var, off in arg.offsets.items():
-            out.append(ssl.PointsTo(arg.ssl_name, off, ssl.PVar(var)))
-        n = layout.shapes[ctor].size
-        if n:
-            out.append(ssl.Block(arg.ssl_name, n))
+        sub = dict(zip(shape.pattern.vars, pat_vars))
+        sub[layout.ssl_params[0]] = arg.ssl_name
+        out = [ssl.PointsTo(arg.ssl_name, off,
+                            ssl.PVar(sub.get(payload, payload)))
+               for off, payload in shape.cells]
+        if shape.size:
+            out.append(ssl.Block(arg.ssl_name, shape.size))
         for lname, var in arg.applies:
             # a nested structure keeps a read-only assertion only when it
             # flows opaquely into another function's argument
@@ -696,17 +677,22 @@ class _ArmTx:
         if shape is None:
             raise NoSuchBranch(f"layout {layout.name} has no branch for "
                                f"{ctor.name}", ctor.span)
-        offsets = {payload: off for off, payload in shape.cells}
-        cells = []
+        values = {}
         for var, sub in zip(shape.pattern.vars, ctor.args):
-            off = offsets.get(var)
+            off = shape.offsets.get(var)
             if off is None:
                 raise NonConstructibleBody(
                     f"field {var} of {ctor.name} has no cell in layout "
                     f"{layout.name}", ctor.span)
-            value = self.field_value(sub, root, off)
-            if value is not None:
-                cells.append(ssl.PointsTo(root, off, value))
+            values[var] = self.field_value(sub, root, off)
+            if values[var] is None and \
+                    sum(payload == var for _, payload in shape.cells) > 1:
+                raise NonConstructibleBody(
+                    f"field {var} of {ctor.name} is a call output stored "
+                    f"twice in layout {layout.name}", ctor.span)
+        cells = [ssl.PointsTo(root, off, values[payload])
+                 for off, payload in shape.cells
+                 if values.get(payload) is not None]
         cells.append(ssl.Block(root, shape.size))
         if root == arm.result_name:
             arm.result_cells.extend(cells)
@@ -894,14 +880,11 @@ def _compile_result(tx: _FnTranslator, predicate: ssl.PredicateDef
     """The translated predicate with the auxiliary predicates it uses and
     its synthesis goal."""
     elab, env = tx.elab, tx.env
-    layout_preds = []
-    seen = set()
-    for lay in elab.arg_layouts:
-        if lay.is_adt and lay.layout.name not in seen:
-            seen.add(lay.layout.name)
-            layout_preds.append(translate_layout_predicate(lay.layout))
+    arg_layouts = [lay.layout.name for lay in elab.arg_layouts if lay.is_adt]
+    layout_preds = [translate_layout_predicate(env.layouts[name])
+                    for name in _applied_closure(env, arg_layouts)]
     ro_preds = [translate_layout_predicate(env.layouts[name], ro=True)
-                for name in sorted(tx.ro_layouts)]
+                for name in _applied_closure(env, sorted(tx.ro_layouts))]
     registry: dict = {}
     for name in sorted(tx.copy_layouts):
         copy_predicate(env, env.layouts[name], registry)
@@ -910,6 +893,18 @@ def _compile_result(tx: _FnTranslator, predicate: ssl.PredicateDef
     goal = make_goal_spec(elab, predicate.name)
     return CompileResult(predicate.name, predicate, layout_preds, ro_preds,
                          copy_preds, extra, goal)
+
+
+def _applied_closure(env: GlobalEnv, names) -> list:
+    """``names`` and every layout their branches apply, transitively: each
+    name once, in the order first reached."""
+    out = list(dict.fromkeys(names))
+    for name in out:                    # ``out`` grows as the walk goes
+        for shape in env.layouts[name].shapes.values():
+            for lname in shape.applies.values():
+                if lname not in out:
+                    out.append(lname)
+    return out
 
 
 def make_goal_spec(elab: ElabFn, pred_name: str) -> ssl.GoalSpec:
@@ -975,14 +970,14 @@ def _layout_annotation(arm: _Arm) -> str:
         layout = arg.layout.layout
         ctor, pat_vars = arg.pattern
         shape = layout.shapes.get(ctor)
-        if shape is None or _branch_is_empty(shape.heaplets):
+        if shape is None or shape.empty:
             continue
         sub = dict(zip(shape.pattern.vars, pat_vars))
         arrow = ":=>" if arg.layout.mode == "readonly" else ":->"
         for h in shape.heaplets:
             if isinstance(h, S.HPointsTo):
-                loc = h.base if h.offset == 0 else f"({h.base}+{h.offset})"
-                chunks.append(f"{loc} {arrow} {sub.get(h.payload, h.payload)}")
+                chunks.append(f"{S.render_loc(h.base, h.offset)} {arrow} "
+                              f"{sub.get(h.payload, h.payload)}")
     if not chunks:
         if arm.body.__class__ is S.IntLit and arm.result_layout.is_adt:
             return f"{arm.result_name} == 0 ; emp"

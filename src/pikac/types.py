@@ -589,13 +589,10 @@ class _Elaborator:
                         pat.span)
                 sub = dict(zip(shape.pattern.vars, pat.vars))
                 sub[layout.ssl_params[0]] = name
-                offsets: dict[str, int] = {}
-                applies: list[tuple] = []
-                for h in shape.heaplets:
-                    if isinstance(h, S.HPointsTo):
-                        offsets[sub.get(h.payload, h.payload)] = h.offset
-                    elif isinstance(h, S.HApply):
-                        applies.append((h.layout, sub.get(h.arg, h.arg)))
+                offsets = {sub.get(p, p): off
+                           for p, off in shape.offsets.items()}
+                applies = [(lname, sub.get(v, v))
+                           for v, lname in shape.applies.items()]
                 for v, fty in zip(pat.vars, field_tys):
                     gamma[v] = self._field_type(fty, v, applies)
                 args.append(ElabArg(name, lay, (pat.ctor, list(pat.vars)),
@@ -727,19 +724,15 @@ class _Elaborator:
             raise LayoutAdtMismatch(
                 f"layout {layout.name} is for {layout.adt}, constructor "
                 f"{e.name} builds {adt}", e.span, rule="T-LOWER-CONSTR")
-        branch_pat = layout.branch_pattern(e.name)
-        if branch_pat is None:
+        shape = layout.shapes.get(e.name)
+        if shape is None:
             raise LayoutAdtMismatch(
                 f"layout {layout.name} has no branch for {e.name}", e.span)
-        applies = {}
-        for h in layout.branch_for(e.name):
-            if isinstance(h, S.HApply):
-                applies[h.arg] = h.layout
         new_args = []
-        for var, arg, fty in zip(branch_pat.vars, e.args, field_tys):
+        for var, arg, fty in zip(shape.pattern.vars, e.args, field_tys):
             if isinstance(fty, S.TName):
-                sub_layout_name = applies.get(var, layout.name
-                                              if fty.name == layout.adt else None)
+                sub_layout_name = shape.applies.get(
+                    var, layout.name if fty.name == layout.adt else None)
                 if sub_layout_name is None:
                     raise NotConcrete(
                         f"no layout known for field of {e.name}", e.span,

@@ -178,7 +178,7 @@ def _enumerate_values(genv, adt, depth):
 
 
 def _layout_for_field(genv, layout, ctor, var, fty):
-    for h in layout.branch_for(ctor):
+    for h in layout.shapes[ctor].heaplets:
         if isinstance(h, S.HApply) and h.arg == var:
             return genv.layouts[h.layout]
     for candidate in genv.layouts.values():
@@ -191,10 +191,10 @@ def _null_encode(genv, layout, value, heap, counter):
     """Encode a constructor tree as a null-encoded heap: empty branches are
     the location 0, non-empty branches allocate a fresh block."""
     _, ctor, fields = value
-    branch = layout.branch_for(ctor)
+    branch = layout.shapes[ctor].heaplets
     if all(isinstance(h, S.HEmp) for h in branch):
         return 0
-    pat = layout.branch_pattern(ctor)
+    pat = layout.shapes[ctor].pattern
     offsets = {h.payload: h.offset for h in branch
                if isinstance(h, S.HPointsTo)}
     size = max(offsets.values()) + 1

@@ -287,4 +287,17 @@ def test_constructor_shapes(genv):
     assert node.pattern.vars == ["payload", "left", "right"]
     assert node.cells == ((0, "payload"), (1, "left"), (2, "right"))
     assert (node.size, node.error) == (3, None)
+    assert (leaf.empty, leaf.offsets, leaf.applies) == (True, {}, {})
+    assert not node.empty
+    assert node.offsets == {"payload": 0, "left": 1, "right": 2}
+    assert node.applies == {"left": "TreeLayout", "right": "TreeLayout"}
+    assert list(node.applies) == ["left", "right"]
     assert shapes is genv.layouts["TreeLayout"].shapes
+    dll = build_global_env(parse_source(
+        (SIG.parent.parent / "benchmarks" / "add1_head_dll.pika").read_text()
+    )).layouts["Dll"].shapes["Cons"]
+    # every store is a cell; the offset map keeps the last store
+    assert dll.cells == ((0, "head"), (1, "tail"), (2, "tail"))
+    assert (dll.size, dll.error, dll.empty) == (3, None, False)
+    assert dll.offsets == {"head": 0, "tail": 2}
+    assert dll.applies == {"tail": "Dll"}

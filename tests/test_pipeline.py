@@ -147,8 +147,11 @@ def test_map_sum_read_only_inner_list():
 
 
 def test_layout_predicate_included_for_argument_layouts():
-    result = compile_fixture("filter_lt9")
-    assert [p.name for p in result.layout_preds] == ["Sll"]
+    # the argument layouts first, then the layouts they apply
+    for fixture, names in [("filter_lt9", ["Sll"]),
+                           ("map_sum", ["ListOfListsLayout", "Sll"])]:
+        result = compile_fixture(fixture)
+        assert [p.name for p in result.layout_preds] == names, fixture
 
 
 # -- goal specifications --
@@ -320,6 +323,33 @@ pick (B v) := v;
         compile_directive(prog, "pick")
 
 
+def test_call_output_stored_twice_is_not_constructible():
+    # a call output reaches its cell through one location equality, which
+    # cannot also fill a second cell of the same field
+    unit = parse_source("""
+%generate f [Sll] Dup
+
+data List := Nil | Cons Int List;
+
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+
+Dup : List >-> layout[x];
+Dup (Nil) := emp;
+Dup (Cons head tail) := x :-> head, (x+1) :-> head, (x+2) :-> tail, Dup tail;
+
+sum : List -> Int;
+
+f : List -> List;
+f (Nil) := Nil;
+f (Cons h t) := Cons (instantiate [Sll] Int sum t) (f t);
+""")
+    prog = elaborate(unit)
+    with pytest.raises(E.NonConstructibleBody, match="field head of Cons"):
+        compile_directive(prog, "f")
+
+
 # -- stage snapshots --
 
 def test_stage_titles_complete():
@@ -398,7 +428,7 @@ def test_stage_even_ternary_only_in_generation():
 # sha256 over every shipped directive's path, function name and stage dump;
 # a change to any stage's pass or snapshot rendering changes the digest
 _STAGE_DUMP_DIGEST = (
-    "1e7d1648376929c02993deeaff0366e5e509cd0d1c627e8b5dbbc98fd42ed1ff")
+    "84a269c9837d1f630d05113bc57f7670c42965240c4baba5b39e0f5739665194")
 
 
 def test_stage_dumps_are_pinned():
@@ -414,3 +444,54 @@ def test_stage_dumps_are_pinned():
             n += 1
     assert n == 33
     assert h.hexdigest() == _STAGE_DUMP_DIGEST
+
+
+def _location(t: ssl.PureTerm):
+    """``(base, offset)`` of a location term ``x`` or ``(x+k)``, else None."""
+    if isinstance(t, ssl.PVar):
+        return t.name, 0
+    if isinstance(t, ssl.PAdd) and isinstance(t.lhs, ssl.PVar) \
+            and isinstance(t.rhs, ssl.PInt):
+        return t.lhs.name, t.rhs.value
+    return None
+
+
+def _assertion_defects(a: ssl.SslAssertion, arity: dict) -> list:
+    """Applications of predicates not in ``arity`` (name -> arity), and the
+    cells of each block with no points-to.  A cell whose location a pure
+    conjunct equates with a ``func`` output is covered by that output."""
+    outs = {h.args[-1] for h in a.spatial if isinstance(h, ssl.FuncApply)}
+    covered = {_location(q) for p in a.pure if isinstance(p, ssl.PEq)
+               for q, other in ((p.lhs, p.rhs), (p.rhs, p.lhs))
+               if other in outs}
+    covered |= {(h.base, h.offset) for h in a.spatial
+                if isinstance(h, ssl.PointsTo)}
+    out = []
+    for h in a.spatial:
+        if isinstance(h, (ssl.PredApply, ssl.RoApply)) \
+                and arity.get(h.name) != len(h.args):
+            out.append(ssl.render_heaplet(h))
+        elif isinstance(h, ssl.Block):
+            out += [f"[{h.base},{h.size}] misses {h.base}+{k}"
+                    for k in range(h.size)
+                    if (h.base, k) not in covered]
+    return out
+
+
+def test_emitted_output_is_closed_and_covers_its_blocks():
+    n = 0
+    defects = []
+    for path in sorted(HERE.rglob("*.pika")):
+        unit = parse_source(path.read_text())
+        prog = elaborate(unit)
+        for d in unit.directives:
+            res = compile_directive(prog, d.fn)
+            preds = res.all_predicates()
+            arity = {p.name: len(p.params) for p in preds}
+            for a in [b.body for p in preds for b in p.branches] \
+                    + [res.goal.pre, res.goal.post]:
+                defects += [(path.name, x)
+                            for x in _assertion_defects(a, arity)]
+            n += 1
+    assert n == 33
+    assert defects == []

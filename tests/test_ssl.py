@@ -295,7 +295,7 @@ _TRAILERS = (" garbage here (", " }", "}", " x", " 1", " **", " predicate",
              " | true => { emp }", " { ?? }", " void", " // note", " # note",
              "\n\n", "@")
 _SUS_PIN_DIGEST = (
-    "b1cd833b2fd261bf9702946d880669633b596a6e7114d2af6dda53ddd29a23dd")
+    "dbcb267ada21d2c937e8c84a0b1dbfe2a2fe19740e4006087b142f77e455f3f3")
 
 
 def _sus_record(parse, text: str) -> str:
