@@ -82,7 +82,8 @@ class DuplicateName(PikaError):
 
 
 class UnknownAdtInLayout(PikaError):
-    rule = "G-FN"
+    """Any ill-formed layout definition."""
+    rule = "G-LAYOUT"
 
 
 class MissingGenerateDirective(PikaError):

@@ -20,21 +20,24 @@ Design notes, fixed here because the rules leave them open:
   exactly once by the symbolic translation, which the soundness harness
   checks.
 * A callee body is evaluated under a renaming of its pattern variables to
-  the store variables of the fields; it is not rebuilt.  A constructor's
+  the store variables of the fields; it is not rebuilt.  The case is found
+  by ``types.core_case``, as in the core translation.  A constructor's
   cells come from its layout shape (``LayoutDef.shapes``) and are written
-  after one overlap check; the tests check them against a reference heap
-  action of the grounded layout body (``tests/heap_action.py``).
+  as they are: ``types.build_global_env`` has checked that each branch
+  writes distinct offsets of its root, each holding a field.  The tests
+  check the cells against a reference heap action of the grounded layout
+  body (``tests/heap_action.py``).
 """
 
 from __future__ import annotations
 
 from . import syntax as S
 from .errors import (
-    HeapOverlap, NoMatchingFnCase, NotAConstructorValue, UnboundVariable,
-    UngroundedHeaplet, UnsupportedConstruct,
+    NoMatchingFnCase, NotAConstructorValue, UnboundVariable, UngroundedHeaplet,
+    UnsupportedConstruct,
 )
 from .node import Frozen, Node
-from .types import GlobalEnv, ResolvedLayout, resolve_layout_ref
+from .types import GlobalEnv, adt_layout, core_case
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +177,8 @@ class Machine:
             f"{type(e).__name__} is outside the machine subset",
             getattr(e, "span", None))
 
-    def _layout(self, ref: S.LayoutRef, span=None) -> ResolvedLayout:
-        resolved = resolve_layout_ref(self.env, ref, span)
-        if not resolved.is_adt:
-            raise UnsupportedConstruct("base-type layouts cannot be lowered",
-                                       span)
-        return resolved
-
     def _eval_lower(self, e: S.Lower, ren: dict):
-        resolved = self._layout(e.layout, e.span)
-        layout = resolved.layout
+        layout = adt_layout(self.env, e.layout, e.span).layout
         arg = e.arg
         if isinstance(arg, S.ConstructorApp):
             return self._build(layout, arg, ren)
@@ -216,22 +211,8 @@ class Machine:
         field_vals, field_fs = self._fields(ctor.args, ren)
         values = dict(zip(shape.pattern.vars, field_vals))
         base = self.alloc(shape.size)
-        if shape.error is not None:
-            raise UngroundedHeaplet(*shape.error)
-        cells = {}
         for off, payload in shape.cells:
-            if payload not in values:
-                raise UngroundedHeaplet(f"layout {layout.name} references "
-                                        f"{payload} with no value")
-            val = values[payload]
-            if not isinstance(val, Val):
-                raise UngroundedHeaplet(
-                    f"points-to payload {val!r} is not a value")
-            loc = base + off
-            if loc in cells or loc in self.heap:
-                raise HeapOverlap(f"cell {loc} written twice")
-            cells[loc] = val
-        self.heap.update(cells)
+            self.heap[base + off] = values[payload]
         out = ConstructorVal(ctor.name, tuple(field_fs))
         self.fs[base] = out
         r = self.fresh_var()
@@ -243,12 +224,7 @@ class Machine:
             raise UnsupportedConstruct(
                 "the machine subset instantiates single-argument functions",
                 e.span)
-        arg_layout = self._layout(e.arg_layouts[0], e.span)
-        cases = self.env.fn_defs.get(e.fn)
-        if not cases:
-            raise UnboundVariable(f"unknown function {e.fn}", e.span,
-                                  rule="T-FN-GLOBAL")
-
+        arg_layout = adt_layout(self.env, e.arg_layouts[0], e.span)
         arg = e.args[0]
         if isinstance(arg, S.Lower) and isinstance(arg.arg, S.ConstructorApp):
             arg = arg.arg
@@ -282,18 +258,8 @@ class Machine:
                     raise UngroundedHeaplet(f"missing cell {cell} on the heap")
                 field_vals.append(self.heap[cell])
 
-        case = None
-        for c in cases:
-            if len(c.patterns) == 1 and c.patterns[0].ctor == ctor_name:
-                case = c
-                break
-        if case is None:
-            raise NoMatchingFnCase(
-                f"{e.fn} has no case for constructor {ctor_name}", e.span)
-        if len(case.guarded_bodies) != 1 or case.guarded_bodies[0][0] is not None:
-            raise UnsupportedConstruct(
-                f"{e.fn} uses guards, outside the machine subset", e.span)
-        pat_vars = case.patterns[0].vars
+        pat_vars, body = core_case(self.env, e.fn, ctor_name, e.result_layout,
+                                   e.span)
         if len(pat_vars) != len(field_vals):
             raise NoMatchingFnCase(
                 f"pattern arity mismatch in {e.fn} for {ctor_name}", e.span)
@@ -304,9 +270,6 @@ class Machine:
             if isinstance(val_, LocVal) and isinstance(fsv, ConstructorVal):
                 self.fs.setdefault(val_.loc, fsv)
             sub[v] = y
-        body = case.guarded_bodies[0][1]
-        if isinstance(body, S.ConstructorApp):
-            body = S.Lower(e.result_layout, body)
         return self._eval(body, sub)
 
 

@@ -9,7 +9,8 @@ Binary operators are declared once, in ``_PREC``: the parser's one
 precedence-climbing loop and the printer's parenthesisation both read it.
 The token cursor, ``_Cursor``, is shared with the SSL re-parser in ``ssl``.
 A layout's branches are read once, into ``LayoutDef.shapes``; the layers
-after the front end read the shapes, not the heaplets.
+after the front end read the shapes, not the heaplets.  Whether a branch
+can be written is decided once, by ``types.build_global_env``.
 
 The printer is a parsing inverse: for any well-formed unit ``u``,
 ``parse_program(lex(pretty_print(u)))`` is structurally equal to ``u``
@@ -345,14 +346,15 @@ LayoutHeaplet = (HEmp, HPointsTo, HApply)
 
 
 class CtorShape(namedtuple("CtorShape", ("pattern", "heaplets", "cells",
-                                         "size", "error", "empty", "offsets",
+                                         "size", "empty", "offsets",
                                          "applies"))):
     """A constructor's layout branch and what building it writes: points-to
-    cells as ``(offset, payload)`` pairs, the block size, and the first cell
-    the machine cannot write as ``(message, span)``, or None.  ``empty``:
-    every heaplet is ``emp``; ``offsets``: payload -> offset, the last store
-    of a payload winning; ``applies``: applied variable -> layout name, in
-    heaplet order."""
+    cells through the root as ``(offset, payload)`` pairs and the block
+    size.  ``empty``: every heaplet is ``emp``; ``offsets``: payload ->
+    offset, the last store of a payload winning; ``applies``: applied
+    variable -> layout name, in heaplet order.  ``types.build_global_env``
+    rejects a branch that writes through a non-root binder, stores a value
+    that is not a field, or writes one offset twice."""
     __slots__ = ()
 
 
@@ -366,22 +368,14 @@ class LayoutDef(Node):
         branch for a name wins.  Built on first use: a layout's branches do
         not change."""
         out = {}
-        root = self.ssl_params[0] if self.ssl_params else None
         for pat, heaplets in self.branches:
             if pat.ctor in out:
                 continue
-            writes = [h for h in heaplets if isinstance(h, HPointsTo)]
-            bad = next((h for h in writes
-                        if h.base != root or h.payload not in pat.vars), None)
-            error = bad and (
-                f"layout {self.name} writes through non-root {bad.base}"
-                if bad.base != root else
-                f"layout {self.name} references {bad.payload} with no value",
-                bad.span)
-            cells = tuple((h.offset, h.payload) for h in writes)
+            cells = tuple((h.offset, h.payload) for h in heaplets
+                          if isinstance(h, HPointsTo))
             size = max(off for off, _ in cells) + 1 if cells else 0
             out[pat.ctor] = CtorShape(
-                pat, heaplets, cells, size, error,
+                pat, heaplets, cells, size,
                 all(isinstance(h, HEmp) for h in heaplets),
                 {payload: off for off, payload in cells},
                 {h.arg: h.layout for h in heaplets if isinstance(h, HApply)})
@@ -524,7 +518,7 @@ class _Parser(_Cursor):
                     if isinstance(decl, tuple):
                         if name in layout_sigs:
                             raise ParseError(f"duplicate layout signature {name}", tok.span)
-                        layout_sigs[name] = decl
+                        layout_sigs[name] = (*decl, tok.span)
                         layout_cases.setdefault(name, [])
                         order.append(name)
                     else:
@@ -540,8 +534,9 @@ class _Parser(_Cursor):
             else:
                 raise ParseError(f"unexpected token {tok.text!r}", tok.span)
         for name in order:
-            adt, params = layout_sigs[name]
-            unit.layout_defs.append(LayoutDef(name, adt, params, layout_cases[name]))
+            adt, params, span = layout_sigs[name]
+            unit.layout_defs.append(
+                LayoutDef(name, adt, params, layout_cases[name], span))
         return unit
 
     def parse_directive(self) -> GenerateDirective:

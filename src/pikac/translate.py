@@ -26,8 +26,8 @@ from .errors import (
 )
 from .node import Node
 from .types import (
-    ElabArg, ElabFn, GlobalEnv, ResolvedLayout, TypedProgram,
-    elaborate_fn_at, resolve_layout_ref, uncurry,
+    ElabArg, ElabFn, GlobalEnv, ResolvedLayout, TypedProgram, adt_layout,
+    core_case, elaborate_fn_at, resolve_layout_ref, uncurry,
 )
 
 
@@ -72,8 +72,8 @@ def translate_layout_predicate(layout: S.LayoutDef,
     cls = ssl.RoApply if ro else ssl.PredApply
     for ctor, shape in layout.shapes.items():
         c = cond(layout, ctor)
-        spatial = [ssl.PointsTo(h.base, h.offset, ssl.PVar(h.payload))
-                   for h in shape.heaplets if isinstance(h, S.HPointsTo)]
+        spatial = [ssl.PointsTo(root, off, ssl.PVar(payload))
+                   for off, payload in shape.cells]
         if shape.size:
             spatial.append(ssl.Block(root, shape.size))
         for var, lname in shape.applies.items():
@@ -160,13 +160,6 @@ class _CoreTx:
                 self.used.add(name)
                 return name if target is None else target
 
-    def adt_layout(self, ref: S.LayoutRef, span=None) -> ResolvedLayout:
-        resolved = resolve_layout_ref(self.env, ref, span)
-        if not resolved.is_adt:
-            raise UnsupportedConstruct("base-type layout in core translation",
-                                       span)
-        return resolved
-
     def tx(self, e: S.Expr, target: Optional[str] = None,
            ren=MappingProxyType({})):
         """Returns (pure conjuncts, spatial heaplets, result var).  A new
@@ -190,7 +183,7 @@ class _CoreTx:
             eq = ssl.PEq(ssl.PVar(v), ssl.PAdd(ssl.PVar(v1), ssl.PVar(v2)))
             return [eq] + p1 + p2, s1 + s2, v
         if isinstance(e, S.Lower):
-            resolved = self.adt_layout(e.layout, e.span)
+            resolved = adt_layout(self.env, e.layout, e.span)
             arg = e.arg
             if isinstance(arg, S.ConstructorApp):
                 return self.tx_lower_ctor(resolved.layout, arg, target, ren)
@@ -240,7 +233,7 @@ class _CoreTx:
         if len(e.args) != 1 or len(e.arg_layouts) != 1:
             raise UnsupportedConstruct(
                 "core instantiation is single-argument", e.span)
-        arg_layout = self.adt_layout(e.arg_layouts[0], e.span)
+        arg_layout = adt_layout(self.env, e.arg_layouts[0], e.span)
         res_layout = resolve_layout_ref(self.env, e.result_layout, e.span)
         res_loc = res_layout.is_adt or res_layout.kind == "ptr"
         arg = e.args[0]
@@ -256,7 +249,7 @@ class _CoreTx:
                                  (ssl.PVar(name), ssl.PVar(r)))
             return [], [pred], r
         if isinstance(arg, S.ConstructorApp):
-            return self._inst_ctor(e.fn, arg_layout, res_layout, arg, e.span,
+            return self._inst_ctor(e.fn, e.result_layout, arg, e.span,
                                    target, ren)
         if isinstance(arg, S.Instantiate):
             p1, s1, r1 = self.tx(arg, ren=ren)
@@ -270,32 +263,16 @@ class _CoreTx:
     def _pred_name(self, fn, arg_layout, res_layout) -> str:
         return mangle(fn, [arg_layout], res_layout)
 
-    def _inst_ctor(self, fn, arg_layout, res_layout, ctor: S.ConstructorApp,
+    def _inst_ctor(self, fn, result_ref: S.LayoutRef, ctor: S.ConstructorApp,
                    span, target: Optional[str], ren: dict):
-        cases = self.env.fn_defs.get(fn)
-        if not cases:
-            raise UnboundVariable(f"unknown function {fn}", span,
-                                  rule="T-FN-GLOBAL")
-        case = None
-        for c in cases:
-            if len(c.patterns) == 1 and c.patterns[0].ctor == ctor.name:
-                case = c
-                break
-        if case is None:
-            raise NoSuchBranch(f"{fn} has no case for {ctor.name}", span)
-        if len(case.guarded_bodies) != 1 or case.guarded_bodies[0][0] is not None:
-            raise UnsupportedConstruct(f"{fn} uses guards", span)
+        pat_vars, body = core_case(self.env, fn, ctor.name, result_ref, span)
         pures, spatials, vals = [], [], []
         for sub in ctor.args:
             p, s, v = self.tx(sub, ren=ren)
             pures += p
             spatials += s
             vals.append(v)
-        body = case.guarded_bodies[0][1]
-        if isinstance(body, S.ConstructorApp):
-            body = S.Lower(S.NamedLayout(res_layout.layout.name)
-                           if res_layout.is_adt else S.IntLayout(), body)
-        p, s, r = self.tx(body, target, dict(zip(case.patterns[0].vars, vals)))
+        p, s, r = self.tx(body, target, dict(zip(pat_vars, vals)))
         return p + pures, s + spatials, r
 
 
@@ -347,12 +324,10 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
         ctor = case.patterns[0].ctor
         c = cond(arg_layout, ctor, var=x)
         params = [f"p{i + 1}" for i in range(len(case.patterns[0].vars))]
-        call = S.Instantiate(
-            (S.NamedLayout(arg_layout.name),), result_ref, fn,
-            [S.ConstructorApp(ctor, [S.Var(p) for p in params])])
+        pat_vars, body = core_case(env, fn, ctor, result_ref)
         tx = _CoreTx(env, ())
         tx.used.update([x, r] + params)
-        pure, spatial, rv = tx.tx(call, r)
+        pure, spatial, rv = tx.tx(body, r, dict(zip(pat_vars, params)))
         pure, spatial = _retarget(pure, spatial, rv, r, tx.seed)
         branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial)))
     name = mangle(fn, [a_res], res_layout)
@@ -509,9 +484,7 @@ class _FnTranslator:
             self.ro_layouts.add(layout.name)
             return [ssl.RoApply(f"ro_{layout.name}", (ssl.PVar(arg.ssl_name),))]
         sub = dict(zip(shape.pattern.vars, pat_vars))
-        sub[layout.ssl_params[0]] = arg.ssl_name
-        out = [ssl.PointsTo(arg.ssl_name, off,
-                            ssl.PVar(sub.get(payload, payload)))
+        out = [ssl.PointsTo(arg.ssl_name, off, ssl.PVar(sub[payload]))
                for off, payload in shape.cells]
         if shape.size:
             out.append(ssl.Block(arg.ssl_name, shape.size))
@@ -974,10 +947,9 @@ def _layout_annotation(arm: _Arm) -> str:
             continue
         sub = dict(zip(shape.pattern.vars, pat_vars))
         arrow = ":=>" if arg.layout.mode == "readonly" else ":->"
-        for h in shape.heaplets:
-            if isinstance(h, S.HPointsTo):
-                chunks.append(f"{S.render_loc(h.base, h.offset)} {arrow} "
-                              f"{sub.get(h.payload, h.payload)}")
+        root = layout.ssl_params[0]
+        for off, payload in shape.cells:
+            chunks.append(f"{S.render_loc(root, off)} {arrow} {sub[payload]}")
     if not chunks:
         if arm.body.__class__ is S.IntLit and arm.result_layout.is_adt:
             return f"{arm.result_name} == 0 ; emp"

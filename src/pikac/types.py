@@ -22,7 +22,8 @@ from typing import Optional
 from . import syntax as S
 from .errors import (
     ArityMismatch, DuplicateName, LayoutAdtMismatch, MissingGenerateDirective,
-    NotConcrete, PikaError, TypeMismatch, UnboundVariable, UnknownAdtInLayout,
+    NoMatchingFnCase, NotConcrete, PikaError, TypeMismatch, UnboundVariable,
+    UnknownAdtInLayout, UnsupportedConstruct,
 )
 from .node import Frozen, Node
 
@@ -83,14 +84,17 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
             ctors[ctor] = (tys, dd.name)
 
     layouts: dict[str, S.LayoutDef] = {}
+    layout_names = {ld.name for ld in unit.layout_defs}
     for ld in unit.layout_defs:
         if ld.name in layouts or ld.name in adts:
-            raise DuplicateName(f"duplicate layout definition {ld.name}", ld.span)
+            raise DuplicateName(f"duplicate layout definition {ld.name}",
+                                ld.span, rule="G-LAYOUT")
         if ld.adt not in adts:
             raise UnknownAdtInLayout(
                 f"layout {ld.name} is for undeclared type {ld.adt}", ld.span)
         if not ld.ssl_params:
             raise UnknownAdtInLayout(f"layout {ld.name} has no parameters", ld.span)
+        root = ld.ssl_params[0]
         seen_ctors = set()
         for pat, heaplets in ld.branches:
             if pat.ctor is None or pat.ctor not in ctors:
@@ -101,31 +105,49 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
                     f"constructor {pat.ctor} does not belong to {ld.adt}", pat.span)
             if pat.ctor in seen_ctors:
                 raise DuplicateName(
-                    f"layout {ld.name} has two branches for {pat.ctor}", pat.span)
+                    f"layout {ld.name} has two branches for {pat.ctor}",
+                    pat.span, rule="G-LAYOUT")
             seen_ctors.add(pat.ctor)
             if len(pat.vars) != len(ctors[pat.ctor][0]):
                 raise ArityMismatch(
                     f"pattern arity mismatch for {pat.ctor} in layout {ld.name}",
-                    pat.span)
+                    pat.span, rule="G-LAYOUT")
             if len(set(pat.vars)) != len(pat.vars):
                 raise DuplicateName(
-                    f"repeated pattern variable in layout {ld.name}", pat.span)
+                    f"repeated pattern variable in layout {ld.name}", pat.span,
+                    rule="G-LAYOUT")
             allowed = set(pat.vars) | set(ld.ssl_params)
+            offsets = set()
             for h in heaplets:
                 if isinstance(h, S.HPointsTo):
                     if h.offset < 0:
-                        raise UnknownAdtInLayout("negative offset", h.span)
-                    if h.base not in allowed or h.payload not in allowed:
                         raise UnknownAdtInLayout(
-                            f"layout {ld.name} references unknown variable", h.span)
+                            f"layout {ld.name} writes at a negative offset",
+                            h.span)
+                    # the machine, the layout predicate and every branch
+                    # translation write each cell at root+offset, once
+                    if h.base != root:
+                        raise UnknownAdtInLayout(
+                            f"layout {ld.name} writes through {h.base}, "
+                            f"not its root {root}", h.span)
+                    if h.payload not in pat.vars:
+                        raise UnknownAdtInLayout(
+                            f"layout {ld.name} stores {h.payload}, which is "
+                            f"not a field of {pat.ctor}", h.span)
+                    if h.offset in offsets:
+                        raise UnknownAdtInLayout(
+                            f"layout {ld.name} writes "
+                            f"{S.render_loc(root, h.offset)} twice in its "
+                            f"{pat.ctor} branch", h.span)
+                    offsets.add(h.offset)
                 elif isinstance(h, S.HApply):
-                    if h.layout not in {l.name for l in unit.layout_defs} \
-                            and h.layout != ld.name:
+                    if h.layout not in layout_names:
                         raise UnknownAdtInLayout(
                             f"unknown layout {h.layout} applied in {ld.name}", h.span)
                     if h.arg not in allowed:
                         raise UnknownAdtInLayout(
-                            f"layout {ld.name} references unknown variable", h.span)
+                            f"layout {ld.name} applies {h.layout} to unknown "
+                            f"variable {h.arg}", h.span)
         layouts[ld.name] = ld
 
     fn_sigs = dict(unit.fn_sigs)
@@ -190,6 +212,39 @@ def resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
     if resolved is None:
         resolved = env.resolved[ref] = _resolve_layout_ref(env, ref, span)
     return resolved
+
+
+def adt_layout(env: GlobalEnv, ref: S.LayoutRef, span=None) -> ResolvedLayout:
+    """The ADT layout ``ref`` names, for the core subset: the machine and the
+    core translation lower values into ADT layouts only."""
+    resolved = resolve_layout_ref(env, ref, span)
+    if not resolved.is_adt:
+        raise UnsupportedConstruct("base-type layouts cannot be lowered",
+                                   span)
+    return resolved
+
+
+def core_case(env: GlobalEnv, fn: str, ctor: str, result_ref: S.LayoutRef,
+              span=None) -> tuple:
+    """``(pattern variables, body)`` of ``fn``'s case for ``ctor`` in the
+    core subset: the first single-pattern case for it, with no guard.  A
+    bare constructor body is lowered at ``result_ref``."""
+    cases = env.fn_defs.get(fn)
+    if not cases:
+        raise UnboundVariable(f"unknown function {fn}", span,
+                              rule="T-FN-GLOBAL")
+    case = next((c for c in cases
+                 if len(c.patterns) == 1 and c.patterns[0].ctor == ctor), None)
+    if case is None:
+        raise NoMatchingFnCase(f"{fn} has no case for constructor {ctor}",
+                               span)
+    if len(case.guarded_bodies) != 1 or case.guarded_bodies[0][0] is not None:
+        raise UnsupportedConstruct(
+            f"{fn} uses guards, outside the core subset", span)
+    body = case.guarded_bodies[0][1]
+    if isinstance(body, S.ConstructorApp):
+        body = S.Lower(result_ref, body)
+    return case.patterns[0].vars, body
 
 
 def _resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,

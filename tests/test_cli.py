@@ -127,6 +127,58 @@ def test_body_must_have_the_result_type(tmp_path, capsys, monkeypatch, text,
     assert (code, out, err) == (1, "", f"error[G-FN]: {message}\n")
 
 
+# a second layout of List, for the broken branches below: after
+# SLL_SOURCE, it takes lines 5-6
+BAD = "Bad : List >-> layout[x];\nBad (Nil) := emp;\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("List : List >-> layout[x];\nList (Nil) := emp;",
+     "duplicate layout definition List at 5:1"),
+    ("Tl : Tree >-> layout[x];\nTl (Leaf) := emp;",
+     "layout Tl is for undeclared type Tree at 5:1"),
+    (BAD + "Bad (Leaf) := emp;",
+     "layout Bad matches unknown constructor at 7:5"),
+    ("data Unit := U;\n" + BAD + "Bad (U) := emp;",
+     "constructor U does not belong to List at 8:5"),
+    (BAD + "Bad (Nil) := emp;",
+     "layout Bad has two branches for Nil at 7:5"),
+    (BAD + "Bad (Cons h) := x :-> h;",
+     "pattern arity mismatch for Cons in layout Bad at 7:5"),
+    (BAD + "Bad (Cons h h) := x :-> h;",
+     "repeated pattern variable in layout Bad at 7:5"),
+    (BAD + "Bad (Cons h t) := (x+-1) :-> h;",
+     "layout Bad writes at a negative offset at 7:19"),
+    ("Two : List >-> layout[x, y];\nTwo (Nil) := emp;\n"
+     "Two (Cons head tail) := x :-> head, y :-> tail;\n"
+     "%generate idTwo [Two] Two\nidTwo : List -> List;\n"
+     "idTwo (Nil) := Nil;\nidTwo (Cons h t) := Cons h (idTwo t);",
+     "layout Two writes through y, not its root x at 7:37"),
+    (BAD + "Bad (Cons h t) := x :-> h, (x+1) :-> x;",
+     "layout Bad stores x, which is not a field of Cons at 7:28"),
+    ("Dup : List >-> layout[x];\nDup (Nil) := emp;\n"
+     "Dup (Cons head tail) := x :-> head, x :-> tail, Dup tail;\n"
+     "%generate idDup [Dup] Dup\nidDup : List -> List;\n"
+     "idDup (Nil) := Nil;\nidDup (Cons h t) := Cons h (idDup t);",
+     "layout Dup writes x twice in its Cons branch at 7:37"),
+    (BAD + "Bad (Cons h t) := x :-> h, (x+1) :-> t, Dll t;",
+     "unknown layout Dll applied in Bad at 7:41"),
+    (BAD + "Bad (Cons h t) := x :-> h, (x+1) :-> t, Sll z;",
+     "layout Bad applies Sll to unknown variable z at 7:41"),
+], ids=["layout-named-like-its-type", "undeclared-type", "unknown-constructor",
+        "foreign-constructor", "two-branches", "pattern-arity",
+        "repeated-pattern-variable", "negative-offset", "non-root-base",
+        "payload-not-a-field", "cell-written-twice", "unknown-applied-layout",
+        "applied-to-unknown-variable"])
+def test_compile_names_the_layout_rule(tmp_path, capsys, monkeypatch, text,
+                                       message):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    bad = tmp_path / "bad.pika"
+    bad.write_text(SLL_SOURCE + text + "\n")
+    code, out, err = run(capsys, "compile", str(bad), "--stdout")
+    assert (code, out, err) == (1, "", f"error[G-LAYOUT]: {message}\n")
+
+
 def test_compile_missing_file(capsys):
     code, out, err = run(capsys, "compile", "/nonexistent/input.pika")
     assert code == 2

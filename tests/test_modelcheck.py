@@ -107,6 +107,18 @@ def test_satisfies_machine_built_list(genv):
                       Sat)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the machine allocates an empty constructor at a fresh non-null "
+    "location, which the null-encoded Nil branch of Sll cannot match: "
+    "missing cell 1 for r1 :-> head?1"))
+@pytest.mark.parametrize("text", [
+    "lower Sll (Nil)", "lower Sll (Cons 7 (lower Sll (Nil)))"])
+def test_machine_built_list_satisfies_its_layout_predicate(genv, text):
+    val, store, heap, fs, r = eval_expr(genv, parse_expr_text(text))
+    a = ssl.SslAssertion.make((), (ssl.PredApply("Sll", (ssl.PVar(r),)),))
+    assert isinstance(satisfies(Model(store, heap), a, _sll_env(genv)), Sat)
+
+
 def test_satisfies_whole_heap_semantics(genv):
     e = parse_expr_text("lower Sll (Cons 7 (lower Sll (Nil)))")
     val, store, heap, fs, r = eval_expr(genv, e)
@@ -189,6 +201,37 @@ def test_budget_48_sweep_has_no_unsat(sig, genv):
     verdicts = {seed: check_soundness(genv, gen_core_expr(sig, seed, 48)).result
                 for seed in range(300)}
     assert {s for s, r in verdicts.items() if not isinstance(r, Sat)} == set()
+
+
+# a callee body that lowers a field of its argument: the machine's resident
+# lower, and the translation naming that field's variable as the result
+TAIL_OF = """
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+tailOf : List -> List;
+tailOf (Nil) := Nil;
+tailOf (Cons h t) := lower Sll t;
+"""
+
+
+@pytest.mark.parametrize("budget", [12, 48])
+def test_callee_body_lowering_a_resident_field_is_sound(budget):
+    genv = build_global_env(parse_source(TAIL_OF))
+    sig = CoreSignature.from_env(genv)
+    assert sig.pool == [("tailOf", "Sll", "Sll")]
+    verdicts = {
+        seed: check_soundness(genv, gen_core_expr(sig, seed, budget)).result
+        for seed in range(300)}
+    assert {s for s, r in verdicts.items() if not isinstance(r, Sat)} == set()
+    report = check_soundness(genv, parse_expr_text(
+        "instantiate [Sll] Sll tailOf (lower Sll (Cons 1 (lower Sll "
+        "(Cons 2 (lower Sll (Nil))))))"))
+    # the tail's root is renamed to the result variable, bound to location 2
+    assert ssl.render_assertion(report.assertion) == \
+        "v1 == 1 && v2 == 2 ; r6 :-> v2 ** (r6+1) :-> x3"
+    assert report.model.store["r6"] == LocVal(2)
 
 
 # sha256 over each verdict (reason included) and rendered assertion of the

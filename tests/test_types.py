@@ -69,6 +69,25 @@ def test_duplicate_names_rejected():
             "data List := Nil;\ndata List := Cons;\n"))
 
 
+@pytest.mark.parametrize("layout, message, span", [
+    ("Two : List >-> layout[x, y];\nTwo (Nil) := emp;\n"
+     "Two (Cons head tail) := x :-> head, y :-> tail;",
+     "layout Two writes through y, not its root x", (4, 37)),
+    ("Self : List >-> layout[x];\nSelf (Nil) := emp;\n"
+     "Self (Cons head tail) := x :-> head, (x+1) :-> x;",
+     "layout Self stores x, which is not a field of Cons", (4, 38)),
+    ("Dup : List >-> layout[x];\nDup (Nil) := emp;\n"
+     "Dup (Cons head tail) := x :-> head, x :-> tail;",
+     "layout Dup writes x twice in its Cons branch", (4, 37)),
+], ids=["Two", "Self", "Dup"])
+def test_global_env_rejects_a_branch_it_cannot_write(layout, message, span):
+    with pytest.raises(E.UnknownAdtInLayout) as info:
+        build_global_env(parse_source(
+            "data List := Nil | Cons Int List;\n" + layout))
+    assert (info.value.rule, info.value.message, info.value.span) == (
+        "G-LAYOUT", message, span)
+
+
 def test_infer_arithmetic(genv):
     assert infer_expr(genv, {}, parse_expr_text("3 + 4")) == S.TInt()
 
