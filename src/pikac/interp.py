@@ -136,43 +136,45 @@ class Machine:
 
     def _eval(self, e: S.Expr, ren: dict):
         """``eval`` reading each variable through ``ren``, which maps a callee
-        body's pattern variables to the store variables of the fields."""
-        if isinstance(e, S.IntLit):
-            r = self.fresh_var()
-            self.store[r] = IntVal(e.value)
-            return IntVal(e.value), r
-        if isinstance(e, S.BoolLit):
-            r = self.fresh_var()
-            self.store[r] = BoolVal(e.value)
-            return BoolVal(e.value), r
-        if isinstance(e, S.Var):
+        body's pattern variables to the store variables of the fields.  It
+        dispatches on the exact class: the IR's kinds have no subclasses."""
+        cls = e.__class__
+        if cls is S.Lower:
+            return self._eval_lower(e, ren)
+        if cls is S.Var:
             name = ren.get(e.name, e.name)
             if name not in self.store:
                 raise UnboundVariable(f"unbound variable {name}", e.span,
                                       rule="T-VAR")
             val = self.store[name]
-            if isinstance(val, LocVal):
+            if val.__class__ is LocVal:
                 if val.loc not in self.fs:
                     raise NotAConstructorValue(
                         f"location {val.loc} holds no constructor value", e.span)
                 return self.fs[val.loc], name
             return val, name
-        if isinstance(e, S.BinOp):
+        if cls is S.IntLit:
+            r = self.fresh_var()
+            self.store[r] = IntVal(e.value)
+            return IntVal(e.value), r
+        if cls is S.Instantiate:
+            return self._eval_instantiate(e, ren)
+        if cls is S.BinOp:
             if e.op != "+":
                 raise UnsupportedConstruct(
                     f"operator {e.op!r} is outside the machine subset", e.span)
             lv, _ = self._eval(e.lhs, ren)
             rv, _ = self._eval(e.rhs, ren)
-            if not isinstance(lv, IntVal) or not isinstance(rv, IntVal):
+            if lv.__class__ is not IntVal or rv.__class__ is not IntVal:
                 raise NotAConstructorValue("addition of non-integers", e.span)
             r = self.fresh_var()
             out = IntVal(lv.value + rv.value)
             self.store[r] = out
             return out, r
-        if isinstance(e, S.Lower):
-            return self._eval_lower(e, ren)
-        if isinstance(e, S.Instantiate):
-            return self._eval_instantiate(e, ren)
+        if cls is S.BoolLit:
+            r = self.fresh_var()
+            self.store[r] = BoolVal(e.value)
+            return BoolVal(e.value), r
         raise UnsupportedConstruct(
             f"{type(e).__name__} is outside the machine subset",
             getattr(e, "span", None))
@@ -180,11 +182,11 @@ class Machine:
     def _eval_lower(self, e: S.Lower, ren: dict):
         layout = adt_layout(self.env, e.layout, e.span).layout
         arg = e.arg
-        if isinstance(arg, S.ConstructorApp):
+        if arg.__class__ is S.ConstructorApp:
             return self._build(layout, arg, ren)
         # resident value: evaluating yields its constructor value; no copy
         val, var = self._eval(arg, ren)
-        if not isinstance(val, ConstructorVal):
+        if val.__class__ is not ConstructorVal:
             raise NotAConstructorValue(
                 "lowered expression did not produce a constructor value",
                 e.span)
@@ -198,7 +200,7 @@ class Machine:
         for sub in args:
             fv, var = self._eval(sub, ren)
             field_fs.append(fv)
-            field_vals.append(self.store[var] if isinstance(fv, ConstructorVal)
+            field_vals.append(self.store[var] if fv.__class__ is ConstructorVal
                               else fv)
         return field_vals, field_fs
 
@@ -226,19 +228,19 @@ class Machine:
                 e.span)
         arg_layout = adt_layout(self.env, e.arg_layouts[0], e.span)
         arg = e.args[0]
-        if isinstance(arg, S.Lower) and isinstance(arg.arg, S.ConstructorApp):
+        if arg.__class__ is S.Lower and arg.arg.__class__ is S.ConstructorApp:
             arg = arg.arg
-        if isinstance(arg, S.ConstructorApp):
+        if arg.__class__ is S.ConstructorApp:
             ctor_name = arg.name
             field_vals, field_fs = self._fields(arg.args, ren)
         else:
             val, var = self._eval(arg, ren)
-            if not isinstance(val, ConstructorVal):
+            if val.__class__ is not ConstructorVal:
                 raise NotAConstructorValue(
                     "instantiated argument is not a constructor value", e.span)
             ctor_name = val.name
             loc = self.store[var]
-            if not isinstance(loc, LocVal):
+            if loc.__class__ is not LocVal:
                 raise NotAConstructorValue(
                     "instantiated argument is not resident", e.span)
             shape = arg_layout.layout.shapes.get(ctor_name)
@@ -267,7 +269,7 @@ class Machine:
         for v, val_, fsv in zip(pat_vars, field_vals, field_fs):
             y = self.fresh_var()
             self.store[y] = val_
-            if isinstance(val_, LocVal) and isinstance(fsv, ConstructorVal):
+            if val_.__class__ is LocVal and fsv.__class__ is ConstructorVal:
                 self.fs.setdefault(val_.loc, fsv)
             sub[v] = y
         return self._eval(body, sub)

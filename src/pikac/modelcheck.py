@@ -40,7 +40,10 @@ expression from the empty state, translates the same expression targeting
 the machine's result variable, and checks the final machine model against
 the translated assertion.  ``build_predicate_env`` translates each layout
 predicate and each function instantiation once per ``GlobalEnv`` (and per
-translator), on first use, and hands every caller a fresh environment.
+translator), on first use, and remembers for each instantiation the
+predicates of every instantiation it reaches.  A call walks its
+expressions once for their instantiations and copies those closures into
+a fresh environment, which the caller owns.
 """
 
 from __future__ import annotations
@@ -114,7 +117,9 @@ def _num(v: Val) -> int:
 # have no subclasses.
 
 def eval_pure(binding: dict, t: ssl.PureTerm) -> Val:
-    """Evaluate a pure term to a value under a complete binding."""
+    """Evaluate a pure term to a value under a complete binding.  A term
+    with no value, ill-sorted or a modulo by zero, raises ``SortMismatch``,
+    which fails the search path that needs it."""
     cls = t.__class__
     if cls is ssl.PVar:
         try:
@@ -149,8 +154,11 @@ def eval_pure(binding: dict, t: ssl.PureTerm) -> Val:
     if cls is ssl.PBool:
         return _TRUE if t.value else _FALSE
     if cls is ssl.PMod:
-        return IntVal(_num(eval_pure(binding, t.lhs))
-                      % _num(eval_pure(binding, t.rhs)))
+        lv = _num(eval_pure(binding, t.lhs))
+        rv = _num(eval_pure(binding, t.rhs))
+        if rv == 0:
+            raise SortMismatch("modulo by zero")
+        return IntVal(lv % rv)
     if cls is ssl.PAnd:
         lv = eval_pure(binding, t.lhs)
         rv = eval_pure(binding, t.rhs)
@@ -744,9 +752,10 @@ class _Checker:
             # holds; the heap is fixed, so the domain is built once
             candidates = [IntVal(0), IntVal(1), IntVal(2)]
             candidates += [LocVal(loc) for loc in self.locs]
+            taken = {0, 1, 2, *self.locs}
             for v in self.cells.values():
-                if isinstance(v, IntVal) and all(_num(c) != v.value
-                                                 for c in candidates):
+                if v.__class__ is IntVal and v.value not in taken:
+                    taken.add(v.value)
                     candidates.append(v)
             self._witnesses = candidates
         candidates = self._witnesses
@@ -808,14 +817,35 @@ def satisfies(model: Model, assertion: ssl.SslAssertion, env: PredicateEnv,
 # Predicate environments for the harness
 # ---------------------------------------------------------------------------
 
-def _instantiations_in(e: S.Expr, acc: set):
-    if isinstance(e, S.Instantiate) and len(e.arg_layouts) == 1 \
-            and isinstance(e.arg_layouts[0], S.NamedLayout):
-        acc.add((e.fn, e.arg_layouts[0].name,
-                 e.result_layout.name
-                 if isinstance(e.result_layout, S.NamedLayout) else None))
-    for x in S.subexprs(e):
-        _instantiations_in(x, acc)
+def _instantiations_in(exprs) -> set:
+    """The key ``(fn, arg layout, result layout or None)`` of each
+    single-argument instantiation in ``exprs``, at a named argument layout.
+    One walk with an explicit stack, dispatching on the exact class of the
+    core kinds; any other kind's subexpressions come from ``S.subexprs``."""
+    keys = set()
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        cls = e.__class__
+        if cls is S.Lower:
+            stack.append(e.arg)
+        elif cls is S.ConstructorApp:
+            stack += e.args
+        elif cls is S.Instantiate:
+            arg_layouts = e.arg_layouts
+            if len(arg_layouts) == 1 \
+                    and arg_layouts[0].__class__ is S.NamedLayout:
+                res = e.result_layout
+                keys.add((e.fn, arg_layouts[0].name,
+                          res.name if res.__class__ is S.NamedLayout
+                          else None))
+            stack += e.args
+        elif cls is S.BinOp:
+            stack.append(e.lhs)
+            stack.append(e.rhs)
+        elif cls is not S.IntLit and cls is not S.Var:
+            stack += S.subexprs(e)
+    return keys
 
 
 class _PredicateCache:
@@ -824,7 +854,9 @@ class _PredicateCache:
 
     ``fns`` maps an instantiation ``(fn, arg layout, result layout or
     None)`` to its predicate and the instantiations its body makes, or to
-    None when the environment defines no such function."""
+    None when the environment defines no such function.  ``closures`` maps
+    an instantiation to the predicates, by name, of every instantiation it
+    reaches, itself included."""
 
     def __init__(self, genv: GlobalEnv, translators: tuple):
         self.translators = translators
@@ -833,6 +865,7 @@ class _PredicateCache:
             p = translators[0](layout)
             self.layouts[p.name] = p
         self.fns = {}
+        self.closures = {}
 
     def function(self, genv: GlobalEnv, key):
         if key not in self.fns:
@@ -844,13 +877,29 @@ class _PredicateCache:
                 pred = self.translators[1](genv, fn,
                                            genv.layouts[arg_layout_name],
                                            result_ref)
-                calls = set()
-                for case in genv.fn_defs[fn]:
-                    for _, body in case.guarded_bodies:
-                        _instantiations_in(body, calls)
-                entry = (pred, calls)
+                entry = (pred, _instantiations_in(
+                    body for case in genv.fn_defs[fn]
+                    for _, body in case.guarded_bodies))
             self.fns[key] = entry
         return self.fns[key]
+
+    def closure(self, genv: GlobalEnv, key) -> dict:
+        closure = self.closures.get(key)
+        if closure is None:
+            closure = {}
+            work, done = [key], set()
+            while work:
+                k = work.pop()
+                if k in done:
+                    continue
+                done.add(k)
+                entry = self.function(genv, k)
+                if entry is not None:
+                    pred, calls = entry
+                    closure[pred.name] = pred
+                    work += calls
+            self.closures[key] = closure
+        return closure
 
 
 def _predicate_cache(genv: GlobalEnv) -> _PredicateCache:
@@ -872,20 +921,8 @@ def build_predicate_env(genv: GlobalEnv, exprs=()) -> PredicateEnv:
     ``PredicateEnv`` with its own ``preds`` dict."""
     cache = _predicate_cache(genv)
     preds = dict(cache.layouts)
-    work = set()
-    for e in exprs:
-        _instantiations_in(e, work)
-    done = set()
-    while work:
-        key = work.pop()
-        if key in done:
-            continue
-        done.add(key)
-        entry = cache.function(genv, key)
-        if entry is not None:
-            pred, calls = entry
-            preds[pred.name] = pred
-            work |= calls
+    for key in _instantiations_in(exprs):
+        preds.update(cache.closure(genv, key))
     return PredicateEnv(preds)
 
 

@@ -165,29 +165,16 @@ class _CoreTx:
         """Returns (pure conjuncts, spatial heaplets, result var).  A new
         result is named ``target`` when given; an existing variable keeps
         its name.  Variables are read through ``ren``, which maps a callee
-        body's pattern variables to the argument values."""
-        if isinstance(e, S.IntLit):
-            v = self.fresh(False, target)
-            return [ssl.PEq(ssl.PVar(v), ssl.PInt(e.value))], [], v
-        if isinstance(e, S.BoolLit):
-            v = self.fresh(False, target)
-            return [ssl.PEq(ssl.PVar(v), ssl.PBool(e.value))], [], v
-        if isinstance(e, S.Var):
-            name = ren.get(e.name, e.name)
-            self.used.add(name)
-            return [], [], name
-        if isinstance(e, S.BinOp) and e.op == "+":
-            p1, s1, v1 = self.tx(e.lhs, ren=ren)
-            p2, s2, v2 = self.tx(e.rhs, ren=ren)
-            v = self.fresh(False, target)
-            eq = ssl.PEq(ssl.PVar(v), ssl.PAdd(ssl.PVar(v1), ssl.PVar(v2)))
-            return [eq] + p1 + p2, s1 + s2, v
-        if isinstance(e, S.Lower):
+        body's pattern variables to the argument values.  It dispatches on
+        the exact class: the IR's kinds have no subclasses."""
+        cls = e.__class__
+        if cls is S.Lower:
             resolved = adt_layout(self.env, e.layout, e.span)
             arg = e.arg
-            if isinstance(arg, S.ConstructorApp):
+            arg_cls = arg.__class__
+            if arg_cls is S.ConstructorApp:
                 return self.tx_lower_ctor(resolved.layout, arg, target, ren)
-            if isinstance(arg, S.Var):
+            if arg_cls is S.Var:
                 name = ren.get(arg.name, arg.name)
                 self.used.add(name)
                 if name in self.seed:
@@ -196,12 +183,28 @@ class _CoreTx:
                     return [], [pred], name
                 # structure already described where the variable was bound
                 return [], [], name
-            if isinstance(arg, S.Instantiate):
+            if arg_cls is S.Instantiate:
                 return self.tx(arg, target, ren)
             raise UnsupportedConstruct(
                 f"cannot lower {type(arg).__name__} in the core subset", e.span)
-        if isinstance(e, S.Instantiate):
+        if cls is S.Var:
+            name = ren.get(e.name, e.name)
+            self.used.add(name)
+            return [], [], name
+        if cls is S.IntLit:
+            v = self.fresh(False, target)
+            return [ssl.PEq(ssl.PVar(v), ssl.PInt(e.value))], [], v
+        if cls is S.Instantiate:
             return self.tx_instantiate(e, target, ren)
+        if cls is S.BinOp and e.op == "+":
+            p1, s1, v1 = self.tx(e.lhs, ren=ren)
+            p2, s2, v2 = self.tx(e.rhs, ren=ren)
+            v = self.fresh(False, target)
+            eq = ssl.PEq(ssl.PVar(v), ssl.PAdd(ssl.PVar(v1), ssl.PVar(v2)))
+            return [eq] + p1 + p2, s1 + s2, v
+        if cls is S.BoolLit:
+            v = self.fresh(False, target)
+            return [ssl.PEq(ssl.PVar(v), ssl.PBool(e.value))], [], v
         raise UnsupportedConstruct(
             f"{type(e).__name__} is outside the core subset",
             getattr(e, "span", None))
@@ -235,23 +238,24 @@ class _CoreTx:
                 "core instantiation is single-argument", e.span)
         arg_layout = adt_layout(self.env, e.arg_layouts[0], e.span)
         res_layout = resolve_layout_ref(self.env, e.result_layout, e.span)
-        res_loc = res_layout.is_adt or res_layout.kind == "ptr"
+        res_loc = res_layout.kind in ("adt", "ptr")
         arg = e.args[0]
-        if isinstance(arg, S.Lower):
+        if arg.__class__ is S.Lower:
             inner = arg.arg
-            if isinstance(inner, (S.ConstructorApp, S.Var)):
+            if inner.__class__ is S.ConstructorApp or inner.__class__ is S.Var:
                 arg = inner
-        if isinstance(arg, S.Var):
+        arg_cls = arg.__class__
+        if arg_cls is S.Var:
             name = ren.get(arg.name, arg.name)
             self.used.add(name)
             r = self.fresh(res_loc, target)
             pred = ssl.PredApply(self._pred_name(e.fn, arg_layout, res_layout),
                                  (ssl.PVar(name), ssl.PVar(r)))
             return [], [pred], r
-        if isinstance(arg, S.ConstructorApp):
+        if arg_cls is S.ConstructorApp:
             return self._inst_ctor(e.fn, e.result_layout, arg, e.span,
                                    target, ren)
-        if isinstance(arg, S.Instantiate):
+        if arg_cls is S.Instantiate:
             p1, s1, r1 = self.tx(arg, ren=ren)
             r2 = self.fresh(res_loc, target)
             pred = ssl.PredApply(self._pred_name(e.fn, arg_layout, res_layout),

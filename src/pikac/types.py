@@ -52,11 +52,12 @@ def uncurry(ty: S.TypeExpr) -> tuple[list, S.TypeExpr]:
 # ---------------------------------------------------------------------------
 
 class GlobalEnv(Node):
-    # ``resolved`` maps a layout reference to its ResolvedLayout, filled by
-    # resolve_layout_ref; ``__dict__`` holds other per-environment caches
+    # per-environment caches, filled on first use and keyed as
+    # resolve_layout_ref keys a layout reference: ``resolved`` holds its
+    # answers and ``cases`` those of core_case; ``__dict__`` holds the others
     __slots__ = ("adts", "ctors", "layouts", "fn_sigs", "fn_defs",
-                 "directives", "resolved", "__dict__")
-    _hidden = Node._hidden | {"resolved"}
+                 "directives", "resolved", "cases", "__dict__")
+    _hidden = Node._hidden | {"resolved", "cases"}
 
     def __init__(self, adts: dict, ctors: dict, layouts: dict, fn_sigs: dict,
                  fn_defs: dict, directives: dict):
@@ -67,6 +68,7 @@ class GlobalEnv(Node):
         self.fn_defs = fn_defs
         self.directives = directives    # fn name -> GenerateDirective
         self.resolved = {}
+        self.cases = {}
 
 
 def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
@@ -148,6 +150,10 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
                         raise UnknownAdtInLayout(
                             f"layout {ld.name} applies {h.layout} to unknown "
                             f"variable {h.arg}", h.span)
+        for ctor, _ in adts[ld.adt].alts:
+            if ctor not in seen_ctors:
+                raise UnknownAdtInLayout(
+                    f"layout {ld.name} has no branch for {ctor}", ld.span)
         layouts[ld.name] = ld
 
     fn_sigs = dict(unit.fn_sigs)
@@ -207,10 +213,13 @@ class ResolvedLayout(Frozen):
 def resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
                        span=None) -> ResolvedLayout:
     """The layout ``ref`` names; remembered per environment, since its
-    layouts do not change once it is built."""
-    resolved = env.resolved.get(ref)
+    layouts do not change once it is built.  A ``NamedLayout`` is looked up
+    by the tuple of its fields, which hashes and compares without calling
+    its Python-level ``__hash__``/``__eq__``; another reference by itself."""
+    key = (ref.name, ref.mode) if ref.__class__ is S.NamedLayout else ref
+    resolved = env.resolved.get(key)
     if resolved is None:
-        resolved = env.resolved[ref] = _resolve_layout_ref(env, ref, span)
+        resolved = env.resolved[key] = _resolve_layout_ref(env, ref, span)
     return resolved
 
 
@@ -218,7 +227,7 @@ def adt_layout(env: GlobalEnv, ref: S.LayoutRef, span=None) -> ResolvedLayout:
     """The ADT layout ``ref`` names, for the core subset: the machine and the
     core translation lower values into ADT layouts only."""
     resolved = resolve_layout_ref(env, ref, span)
-    if not resolved.is_adt:
+    if resolved.kind != "adt":
         raise UnsupportedConstruct("base-type layouts cannot be lowered",
                                    span)
     return resolved
@@ -228,7 +237,20 @@ def core_case(env: GlobalEnv, fn: str, ctor: str, result_ref: S.LayoutRef,
               span=None) -> tuple:
     """``(pattern variables, body)`` of ``fn``'s case for ``ctor`` in the
     core subset: the first single-pattern case for it, with no guard.  A
-    bare constructor body is lowered at ``result_ref``."""
+    bare constructor body is lowered at ``result_ref``.  The answer is
+    remembered per environment, keyed by ``fn``, ``ctor`` and
+    ``result_ref`` as ``resolve_layout_ref`` keys a reference: a function's
+    cases do not change once it is defined."""
+    key = (fn, ctor, result_ref.name, result_ref.mode) \
+        if result_ref.__class__ is S.NamedLayout else (fn, ctor, result_ref)
+    found = env.cases.get(key)
+    if found is None:
+        found = env.cases[key] = _core_case(env, fn, ctor, result_ref, span)
+    return found
+
+
+def _core_case(env: GlobalEnv, fn: str, ctor: str, result_ref: S.LayoutRef,
+               span) -> tuple:
     cases = env.fn_defs.get(fn)
     if not cases:
         raise UnboundVariable(f"unknown function {fn}", span,

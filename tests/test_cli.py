@@ -165,11 +165,13 @@ BAD = "Bad : List >-> layout[x];\nBad (Nil) := emp;\n"
      "unknown layout Dll applied in Bad at 7:41"),
     (BAD + "Bad (Cons h t) := x :-> h, (x+1) :-> t, Sll z;",
      "layout Bad applies Sll to unknown variable z at 7:41"),
+    (BAD + "%generate mk [Int] Bad\nmk : Int -> List;\nmk n := Cons n (Nil);",
+     "layout Bad has no branch for Cons at 5:1"),
 ], ids=["layout-named-like-its-type", "undeclared-type", "unknown-constructor",
         "foreign-constructor", "two-branches", "pattern-arity",
         "repeated-pattern-variable", "negative-offset", "non-root-base",
         "payload-not-a-field", "cell-written-twice", "unknown-applied-layout",
-        "applied-to-unknown-variable"])
+        "applied-to-unknown-variable", "missing-branch"])
 def test_compile_names_the_layout_rule(tmp_path, capsys, monkeypatch, text,
                                        message):
     monkeypatch.setenv("PIKA_COLOR", "0")

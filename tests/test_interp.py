@@ -230,32 +230,6 @@ def test_callee_bodies_read_pattern_variables_through_the_renaming(text,
             ssl.render_assertion(core.assertion())) == expect
 
 
-# a layout branch the machine cannot write is rejected by build_global_env
-# (tests/test_types.py); a branch that is missing is found by the machine
-PART_LAYOUT = """
-data List := Nil | Cons Int List;
-Sll : List >-> layout[x];
-Sll (Nil) := emp;
-Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
-Part : List >-> layout[x];
-Part (Nil) := emp;
-"""
-
-
-@pytest.mark.parametrize("layout, exc, message", [
-    ("Part", E.NoMatchingFnCase, "layout Part has no branch for Cons"),
-])
-def test_build_rejects_a_branch_it_cannot_write(layout, exc, message):
-    env = build_global_env(parse_source(PART_LAYOUT))
-    m = Machine(env)
-    m.eval(parse_expr_text("lower Sll (Cons 1 (lower Sll (Nil)))"))
-    heap = dict(m.heap)
-    with pytest.raises(exc) as info:
-        m.eval(parse_expr_text(f"lower {layout} (Cons 2 (lower Sll (Nil)))"))
-    assert info.value.message == message
-    assert m.heap == heap
-
-
 def test_build_writes_what_act_on_heap_writes(genv):
     # act_on_heap is the reference heap action of a grounded layout body
     val, store, heap, fs, r = eval_expr(genv, parse_expr_text(BUILD))

@@ -5,6 +5,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pikac import errors as E
 from pikac import ssl
@@ -71,6 +72,8 @@ def test_eval_pure_unbound():
 def test_eval_pure_sort_mismatch():
     with pytest.raises(E.SortMismatch):
         eval_pure({"b": IntVal(1)}, ssl.PNot(ssl.PVar("b")))
+    with pytest.raises(E.SortMismatch, match="modulo by zero"):
+        eval_pure({"b": IntVal(1)}, ssl.PMod(ssl.PVar("b"), ssl.PInt(0)))
 
 
 # -- satisfaction --
@@ -266,6 +269,28 @@ def test_checker_verdicts_are_pinned(sig, genv, monkeypatch):
     assert h.hexdigest() == _CHECKER_DIGEST
 
 
+# every instance the soundness workloads of perfbench draw at base seeds 0-9
+# (budget 12, 4000 per run; budget 48, 2000 per run): sha256 over each
+# verdict, rendered assertion and final machine model
+_BENCHMARK_DIGEST = (
+    "22b7f282d097c4b4f2cabe62865a1e4449f4961b41f2f9b60ba7c1800829722a")
+
+
+def test_benchmark_instances_are_sat_and_pinned(sig, genv):
+    h = hashlib.sha256()
+    not_sat = []
+    for budget, seeds in ((12, range(4000 + 9)), (48, range(2000 + 9))):
+        for seed in seeds:
+            report = check_soundness(genv, gen_core_expr(sig, seed, budget))
+            if not isinstance(report.result, Sat):
+                not_sat.append((budget, seed, report.result))
+            h.update(f"{budget} {seed} {report.result!r}\n"
+                     f"{ssl.render_assertion(report.assertion)}\n"
+                     f"{report.model.render()}\n".encode())
+    assert not_sat == []
+    assert h.hexdigest() == _BENCHMARK_DIGEST
+
+
 def _residual_only(terms):
     """An empty heap against a purely existential assertion."""
     a = ssl.SslAssertion.make(tuple(P(t) for t in terms), ())
@@ -316,6 +341,40 @@ def test_satisfies_gives_a_verdict_on_ill_sorted_locations(genv, store, heap,
                                                            spatial, verdict):
     a = ssl.SslAssertion.make((), (spatial,))
     assert satisfies(Model(store, heap), a, _sll_env(genv)) == verdict
+
+
+# small random models and assertions, ill-sorted ones included: a store over
+# some of the names, up to six cells, up to four points-to or Sll heaplets
+# and up to three pure conjuncts over the same names
+_NAMES = ("x", "y", "b", "u")
+_VALS = st.one_of(st.builds(IntVal, st.integers(-1, 8)),
+                  st.builds(BoolVal, st.booleans()),
+                  st.builds(LocVal, st.integers(0, 8)))
+_PURE = st.recursive(
+    st.one_of(st.builds(ssl.PVar, st.sampled_from(_NAMES)),
+              st.builds(ssl.PInt, st.integers(-1, 8)),
+              st.builds(ssl.PBool, st.booleans())),
+    lambda sub: st.one_of(
+        *[st.builds(kind, sub, sub)
+          for _, kind in sorted(ssl.BINARY_OPS.items())],
+        st.builds(ssl.PNot, sub), st.builds(ssl.PTernary, sub, sub, sub)),
+    max_leaves=4)
+_HEAPLET = st.one_of(
+    st.builds(ssl.PointsTo, st.sampled_from(_NAMES), st.integers(0, 2), _PURE),
+    st.builds(lambda t: ssl.PredApply("Sll", (t,)), _PURE))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(store=st.dictionaries(st.sampled_from(_NAMES), _VALS, max_size=3),
+       heap=st.dictionaries(st.integers(1, 8), _VALS, max_size=6),
+       spatial=st.lists(_HEAPLET, max_size=4,
+                        unique_by=lambda h: (h.base, h.offset)
+                        if h.__class__ is ssl.PointsTo else id(h)),
+       pure=st.lists(_PURE, max_size=3))
+def test_satisfies_always_gives_a_verdict(genv, store, heap, spatial, pure):
+    a = ssl.SslAssertion.make(tuple(pure), tuple(spatial))
+    assert satisfies(Model(store, heap), a, _sll_env(genv), depth=8).__class__ \
+        in (Sat, Unsat, Unknown)
 
 
 def test_propagate_leaves_solved_equalities_out_of_the_ground_terms():
@@ -430,12 +489,96 @@ def test_predicate_env_builds_do_not_share_preds(genv):
     e = parse_expr_text("instantiate [Sll] Sll idList (lower Sll (Nil))")
     first = build_predicate_env(genv, exprs=[e])
     names = set(first.preds)
+    fn_name = translate_fn_def_core(genv, "idList", genv.layouts["Sll"],
+                                    S.NamedLayout("Sll")).name
+    assert fn_name in names
     first.preds.clear()
     first.preds["Sll"] = None
+    first.preds[fn_name] = None
     second = build_predicate_env(genv, exprs=[e])
     assert set(second.preds) == names
     assert second.preds["Sll"] == translate_layout_predicate(
         genv.layouts["Sll"])
+    assert second.preds[fn_name] == translate_fn_def_core(
+        genv, "idList", genv.layouts["Sll"], S.NamedLayout("Sll"))
+
+
+def _reference_pred_names(genv, e, memo):
+    """The predicate names the worklist over instantiations reaches from
+    ``e``, each walked with ``S.iter_subexprs`` and translated afresh
+    (``memo`` keeps the translations of one environment)."""
+    def calls(expr):
+        for x in S.iter_subexprs(expr):
+            if isinstance(x, S.Instantiate) and len(x.arg_layouts) == 1 \
+                    and isinstance(x.arg_layouts[0], S.NamedLayout):
+                res = x.result_layout
+                yield (x.fn, x.arg_layouts[0].name,
+                       res.name if isinstance(res, S.NamedLayout) else None)
+
+    names = {translate_layout_predicate(l).name for l in genv.layouts.values()}
+    work, done = list(calls(e)), set()
+    while work:
+        key = work.pop()
+        if key in done or key[0] not in genv.fn_defs:
+            continue
+        done.add(key)
+        if key not in memo:
+            fn, arg, res = key
+            pred = translate_fn_def_core(
+                genv, fn, genv.layouts[arg],
+                S.NamedLayout(res) if res else S.IntLayout())
+            memo[key] = (pred.name, [k for case in genv.fn_defs[fn]
+                                     for _, body in case.guarded_bodies
+                                     for k in calls(body)])
+        name, callees = memo[key]
+        names.add(name)
+        work += callees
+    return names
+
+
+def test_predicate_env_names_match_the_reference_walk(sig, genv):
+    memo = {}
+    for seed in range(2000 + 9):
+        e = gen_core_expr(sig, seed, 48)
+        assert set(build_predicate_env(genv, exprs=[e]).preds) == \
+            _reference_pred_names(genv, e, memo), seed
+
+
+# wrap calls idList: its closure reaches a predicate of another function
+CALLER = """
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+idList : List -> List;
+idList (Nil) := lower Sll (Nil);
+idList (Cons h t) := lower Sll (Cons h t);
+wrap : List -> List;
+wrap (Nil) := lower Sll (Nil);
+wrap (Cons h t) := lower Sll (Cons h (instantiate [Sll] Sll idList t));
+"""
+
+
+def test_replaced_translator_gets_fresh_closures(monkeypatch):
+    import pikac.modelcheck as mc
+
+    genv = build_global_env(parse_source(CALLER))
+    e = parse_expr_text("instantiate [Sll] Sll wrap (lower Sll (Nil))")
+
+    def fn_preds(translate):
+        return {p.name: p for p in (
+            translate(genv, fn, genv.layouts["Sll"], S.NamedLayout("Sll"))
+            for fn in ("wrap", "idList"))}
+
+    sound = fn_preds(translate_fn_def_core)
+    broken = fn_preds(_drop_first_heaplet)
+    assert sound != broken
+    for translate, expect in ((translate_fn_def_core, sound),
+                              (_drop_first_heaplet, broken),
+                              (translate_fn_def_core, sound)):
+        monkeypatch.setattr(mc, "translate_fn_def_core", translate)
+        preds = build_predicate_env(genv, exprs=[e]).preds
+        assert {n: preds[n] for n in expect} == expect
 
 
 def test_predicate_env_cache_is_per_global_env(genv):

@@ -8,6 +8,7 @@ import pytest
 from pikac import ssl
 from pikac import syntax as S
 from pikac.errors import SortMismatch, Span
+from pikac.interp import FsVal
 from pikac.translate import compile_directive
 from pikac.types import OPERATOR_TYPES, elaborate
 
@@ -140,12 +141,14 @@ def test_every_ssl_kind_is_traversed(cls):
 
 
 # free_vars, subst, render_pure, render_heaplet, SslAssertion.make,
-# infer_expr and _Elaborator._elab dispatch on the exact class, so a
+# infer_expr, _Elaborator._elab, the machine, the core translation and the
+# checker's instantiation walk dispatch on the exact class, and
+# resolve_layout_ref and core_case key a NamedLayout by its class, so a
 # subclass of a kind they name would miss its case.
 
 
-@pytest.mark.parametrize("cls", PURE_KINDS + ssl.Heaplet + S.Expr,
-                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", PURE_KINDS + ssl.Heaplet + S.Expr
+                         + S.LayoutRef + FsVal, ids=lambda c: c.__name__)
 def test_dispatched_kinds_have_no_subclasses(cls):
     assert cls.__subclasses__() == []
 

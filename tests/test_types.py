@@ -79,7 +79,9 @@ def test_duplicate_names_rejected():
     ("Dup : List >-> layout[x];\nDup (Nil) := emp;\n"
      "Dup (Cons head tail) := x :-> head, x :-> tail;",
      "layout Dup writes x twice in its Cons branch", (4, 37)),
-], ids=["Two", "Self", "Dup"])
+    ("Part : List >-> layout[x];\nPart (Nil) := emp;",
+     "layout Part has no branch for Cons", (2, 1)),
+], ids=["Two", "Self", "Dup", "Part"])
 def test_global_env_rejects_a_branch_it_cannot_write(layout, message, span):
     with pytest.raises(E.UnknownAdtInLayout) as info:
         build_global_env(parse_source(
