@@ -128,9 +128,13 @@ def cmd_soundness(args) -> int:
     from .modelcheck import (
         CoreSignature, Sat, Unknown, check_soundness, gen_core_expr,
     )
-    if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return 2
+    for option, value, least in (("count", args.count, 1),
+                                 ("depth", args.depth, 0),
+                                 ("budget", args.budget, 1)):
+        if value < least:
+            print(f"error: --{option} must be at least {least}",
+                  file=sys.stderr)
+            return 2
     text = _read_source(args.file)
     if text is None:
         return 2

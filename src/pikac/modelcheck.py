@@ -18,15 +18,15 @@ arguments and fresh names (``{name}?{k}``, numbered per check) and builds
 its obligations and constraints from the templates, free variables
 included, without substituting or traversing the branch again.
 
-The search is incremental.  Each pure constraint carries its free
-variables.  A search state keeps the constraints that still have unbound
-variables apart from the ground ones; bindings only grow along a search
-path, so a ground constraint stays ground and is checked once the heap is
-used up.  Equalities are propagated by one worklist, ``_propagate``: dirty
-equalities wait by position, and an index from each variable to the
-equalities that mention it dirties only those a new binding can help.  An
-equality that bound its only unknown holds by construction and is never
-examined again.
+The search is incremental.  It keeps one binding and one set of consumed
+cells, which only grow along a search path and are popped back where a
+trial fails.  Each pure constraint carries its free variables; one is kept
+pending while a variable of it is unbound and checked as soon as it is
+ground, and a ground constraint stays ground.  Equalities are propagated
+by ``_propagate``, in passes in conjunction order over the dirty ones:
+those just conjoined or mentioning a variable bound since they were last
+examined.  An equality that bound its only unknown holds by construction
+and is never examined again.
 
 The verdict is *Sat* when some path consumes the heap and makes every pure
 conjunct true, *Unknown* when none does but some path stopped at a resource
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from heapq import heappop, heappush
 from typing import Optional
 
 from . import ssl
@@ -252,13 +251,10 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
     Equalities are examined in passes, in the order they were conjoined, so
     that the first to determine a variable binds it.  Only the dirty ones
     are examined: those just conjoined or mentioning a variable bound since
-    they were last examined; any other would fail again.  The dirty
-    positions wait in a heap, so a pass takes them in order.  A variable
-    bound at position ``i`` dirties, through an index from variables to the
-    equalities that mention them, each equality that is not solved yet:
-    one after ``i`` in this pass, one before it in the next.  An equality
-    that solved its unknown holds by construction and is never examined
-    again.
+    they were last examined; any other would fail again.  A variable bound
+    at position ``i`` dirties each other equality with it: one after ``i``
+    is examined in this pass, one before it in the next.  An equality that
+    solved its unknown holds by construction and is never examined again.
 
     Returns the constraints still pending and the terms that became
     ground, solved equalities not among them.  Bindings only grow along a
@@ -269,35 +265,20 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
     if new:
         pending = pending + new
     start = len(pending) - len(new)
-    work = [i for i, r in enumerate(pending) if r.lhs_vars is not None
-            and (i >= start or not r.vars.isdisjoint(bound))]
+    dirty = [r.lhs_vars is not None
+             and (i >= start or not r.vars.isdisjoint(bound))
+             for i, r in enumerate(pending)]
     solved = set()
-    if work:
-        queued = set(work)
-        later = []          # dirtied behind the cursor: the next pass
-        watch = None        # variable -> positions of the equalities with it
-        while work:
-            i = heappop(work)
-            queued.discard(i)
-            u = _solve_eq(binding, pending[i])
-            if u is not None:
-                solved.add(i)
-                if watch is None:
-                    watch = {}
-                    for j, r in enumerate(pending):
-                        if r.lhs_vars is not None:
-                            for v in r.vars:
-                                watch.setdefault(v, []).append(j)
-                for j in watch.pop(u):
-                    if j not in queued and j not in solved:
-                        queued.add(j)
-                        if j > i:
-                            heappush(work, j)
-                        else:
-                            later.append(j)
-            if not work and later:
-                later.sort()
-                work, later = later, []
+    while True in dirty:
+        for i, r in enumerate(pending):
+            if dirty[i]:
+                dirty[i] = False
+                u = _solve_eq(binding, r)
+                if u is not None:
+                    solved.add(i)
+                    for j, q in enumerate(pending):
+                        if j != i and u in q.vars and q.lhs_vars is not None:
+                            dirty[j] = True
     keys = binding.keys()
     still = []
     now_ground = []
@@ -484,16 +465,20 @@ def _cell_mismatch(loc: int, actual: Val, expected: Val) -> Optional[str]:
 
 class _Checker:
     """A depth-first search for a partition of the heap across the spatial
-    obligations.  A search state is the obligations left, the pending pure
-    constraints (with unbound variables), the ground ones (checked once the
-    heap is used up), the consumed cells and the binding.  Each call owns
-    the binding it is given and copies it where the search branches."""
+    obligations.  The obligations left and the pending pure constraints
+    (with unbound variables) are passed down the search; the binding and
+    the consumed cells are kept here, as insertion-ordered dicts that only
+    grow along a search path.  Each branch point records their sizes and
+    pops them back when its trial fails.  A pure constraint is checked as
+    soon as it is ground."""
 
     def __init__(self, model: Model, env: PredicateEnv, depth: int):
         self.cells = dict(model.heap)
         self.locs = sorted(self.cells)
         self.env = env
         self.depth = depth
+        self.binding = dict(model.store)
+        self.consumed = {}      # the cells consumed, as keys
         self.gave_up = None     # why some path stopped short of a verdict
         self.failure = "no failure recorded"
         self._fresh = 0         # numbers the variables unfolding introduces
@@ -504,29 +489,47 @@ class _Checker:
         if self.gave_up is None:
             self.gave_up = reason
 
-    def check(self, assertion: ssl.SslAssertion, binding: dict) -> SatResult:
+    def _mark(self) -> tuple:
+        return len(self.binding), len(self.consumed)
+
+    def _undo(self, mark: tuple):
+        """Pop the binding and the consumed cells back to ``mark``."""
+        binding, consumed = self.binding, self.consumed
+        while len(binding) > mark[0]:
+            binding.popitem()
+        while len(consumed) > mark[1]:
+            consumed.popitem()
+
+    def check(self, assertion: ssl.SslAssertion) -> SatResult:
         items = [_item(h, self.depth) for h in assertion.spatial]
-        binding = dict(binding)
-        try:
-            pending, ground = _propagate([], binding,
-                                         [_Pure(p) for p in assertion.pure])
-        except SortMismatch as exc:
-            return Unsat(str(exc))
-        if self._search(items, pending, ground, frozenset(), binding):
+        pending = self._constrain([], [_Pure(p) for p in assertion.pure])
+        if pending is not None and self._search(items, pending):
             return Sat()
         if self.gave_up:
             return Unknown(self.gave_up)
         return Unsat(self.failure)
 
+    def _constrain(self, pending, new=(), bound=()) -> Optional[list]:
+        """Propagate the equalities after conjoining ``new`` and binding
+        ``bound``, and check the constraints that became ground.  Returns
+        the constraints still pending, or None when the path fails."""
+        try:
+            pending, ground = _propagate(pending, self.binding, new, bound)
+        except SortMismatch as exc:
+            self.failure = str(exc)
+            return None
+        return pending if self._holds(ground) else None
+
     # the search returns True on the first completed path
 
-    def _search(self, items, pending, ground, consumed, binding) -> bool:
+    def _search(self, items, pending) -> bool:
         """Take the first ground points-to; else the first ground predicate
         application; else, unless only blocks are left, the first nonground
         points-to against each free cell, then the first nonground
         application against each of its branches."""
         if not items:
-            return self._finish(pending, ground, consumed, binding)
+            return self._finish(pending)
+        binding = self.binding
         keys = binding.keys()
         ground_app = loose_cell = loose_app = no_model = None
         for i, item in enumerate(items):
@@ -534,8 +537,7 @@ class _Checker:
             if kind == _POINTS_TO:
                 if item[1].base in binding:
                     return self._match_points_to(
-                        item, items[:i] + items[i + 1:], pending, ground,
-                        consumed, binding)
+                        item, items[:i] + items[i + 1:], pending)
                 if loose_cell is None:
                     loose_cell = i
             elif kind == _APPLY:
@@ -547,34 +549,32 @@ class _Checker:
             elif kind == _NO_MODEL and no_model is None:
                 no_model = i
         if ground_app is not None:
-            return self._unfold(ground_app, items, pending, ground, consumed,
-                                binding, ground_args=True)
+            return self._unfold(ground_app, items, pending, ground_args=True)
         if loose_cell is not None:
             item = items[loose_cell]
             h = item[1]
             rest = items[:loose_cell] + items[loose_cell + 1:]
+            mark = self._mark()
             for loc in self.locs:
-                if loc in consumed:
+                if loc in self.consumed:
                     continue
-                trial = dict(binding)
-                trial[h.base] = LocVal(loc - h.offset)
-                if self._match_points_to(item, rest, pending, ground,
-                                         consumed, trial, bound=(h.base,)):
+                binding[h.base] = LocVal(loc - h.offset)
+                if self._match_points_to(item, rest, pending, bound=(h.base,)):
                     return True
+                self._undo(mark)
             self.failure = f"no cell matches {ssl.render_heaplet(h)}"
             return False
         if loose_app is not None:
-            return self._unfold(loose_app, items, pending, ground, consumed,
-                                binding, ground_args=False)
+            return self._unfold(loose_app, items, pending, ground_args=False)
         if no_model is not None:
             self.failure = (f"{ssl.render_heaplet(items[no_model][1])} has "
                             "no concrete model semantics")
             return False
-        return self._finish_blocks(items, pending, ground, consumed, binding)
+        return self._finish_blocks(items, pending)
 
-    def _match_points_to(self, item, rest, pending, ground, consumed,
-                         binding, bound=()) -> bool:
+    def _match_points_to(self, item, rest, pending, bound=()) -> bool:
         h = item[1]
+        binding = self.binding
         base = binding[h.base]
         if base.__class__ is not LocVal and base.__class__ is not IntVal:
             self.failure = f"{h.base} is not a location"
@@ -584,7 +584,7 @@ class _Checker:
         if actual is None:
             self.failure = f"missing cell {loc} for {ssl.render_heaplet(h)}"
             return False
-        if loc in consumed:
+        if loc in self.consumed:
             self.failure = f"cell {loc} claimed twice"
             return False
         value = h.value
@@ -611,13 +611,11 @@ class _Checker:
             lit = (ssl.PBool(actual.value) if actual.__class__ is BoolVal
                    else ssl.PInt(_num(actual)))
             new = [_Pure(ssl.PEq(value, lit))]
-        try:
-            pending, now_ground = _propagate(pending, binding, new, bound)
-        except SortMismatch as exc:
-            self.failure = str(exc)
+        pending = self._constrain(pending, new, bound)
+        if pending is None:
             return False
-        return self._search(rest, pending, ground + now_ground,
-                            consumed | {loc}, binding)
+        self.consumed[loc] = None
+        return self._search(rest, pending)
 
     def _consumes(self, h) -> bool:
         """Whether ``h`` is, or can unfold to, a points-to heaplet."""
@@ -637,15 +635,14 @@ class _Checker:
         return h.__class__ is ssl.PointsTo or (
             _KIND[h.__class__] == _APPLY and h.name in self._consumers)
 
-    def _unfold(self, i, items, pending, ground, consumed, binding,
-                ground_args: bool) -> bool:
+    def _unfold(self, i, items, pending, ground_args: bool) -> bool:
         _, h, d, _ = items[i]
         pred = self.env.preds.get(h.name)
         if pred is None:
             self.failure = f"unknown predicate {h.name}"
             return False
         if d <= 0:
-            leftover = sorted(set(self.cells) - consumed)
+            leftover = sorted(self.cells.keys() - self.consumed.keys())
             if leftover and not any(self._consumes(it[1]) for it in items):
                 # no depth would help: nothing left can consume these cells
                 self.failure = (f"heap cells {leftover} are not consumed by "
@@ -659,7 +656,7 @@ class _Checker:
         plans = _plans(pred)
         if ground_args:
             try:
-                args = [eval_pure(binding, a) for a in h.args]
+                args = [eval_pure(self.binding, a) for a in h.args]
             except SortMismatch as exc:
                 self.failure = str(exc)
                 return False
@@ -680,6 +677,7 @@ class _Checker:
         rest = items[:i] + items[i + 1:]
         arg_names = [(a.name,) if a.__class__ is ssl.PVar
                      else tuple(ssl.free_vars(a)) for a in h.args]
+        mark = self._mark()
         for plan in plans:
             terms = list(h.args)
             names = list(arg_names)
@@ -698,18 +696,13 @@ class _Checker:
                     named.append(_Pure(ssl.PEq(var, terms[s])))
                     terms[s], names[s] = var, (var.name,)
             new_items, new = plan.instance(terms, names, d - 1)
-            trial = dict(binding)
-            try:
-                still, now_ground = _propagate(pending, trial, named + new)
-            except SortMismatch as exc:
-                self.failure = str(exc)
-                continue
-            if self._search(rest + new_items, still, ground + now_ground,
-                            consumed, trial):
+            still = self._constrain(pending, named + new)
+            if still is not None and self._search(rest + new_items, still):
                 return True
+            self._undo(mark)
         return False
 
-    def _finish_blocks(self, items, pending, ground, consumed, binding) -> bool:
+    def _finish_blocks(self, items, pending) -> bool:
         blocks = []
         for _, h, _, _ in items:
             if h.__class__ is ssl.HeapEmp:
@@ -717,7 +710,7 @@ class _Checker:
             if h.__class__ is not ssl.Block:
                 self.failure = f"unresolved heaplet {ssl.render_heaplet(h)}"
                 return False
-            base = binding.get(h.base)
+            base = self.binding.get(h.base)
             if base is None:
                 self.failure = f"block base {h.base} is unresolved"
                 return False
@@ -725,11 +718,12 @@ class _Checker:
                 self.failure = f"{h.base} is not a location"
                 return False
             blocks.append((_num(base), h.size))
-        return self._finish(pending, ground, consumed, binding, blocks)
+        return self._finish(pending, blocks)
 
-    def _finish(self, pending, ground, consumed, binding, blocks=()) -> bool:
+    def _finish(self, pending, blocks=()) -> bool:
+        consumed = self.consumed
         if len(consumed) < len(self.cells):     # only cells are consumed
-            leftover = sorted(set(self.cells) - consumed)
+            leftover = sorted(self.cells.keys() - consumed.keys())
             self.failure = f"heap cells {leftover} are not consumed"
             return False
         for base, size in blocks:
@@ -738,9 +732,6 @@ class _Checker:
                     self.failure = (f"block [{base},{size}] covers cell {loc} "
                                     "claimed by no points-to")
                     return False
-        # every ground conjunct must evaluate true
-        if not self._holds(ground, binding):
-            return False
         if not pending:
             return True
         # the remaining unknowns are existentially quantified and constrained
@@ -759,25 +750,25 @@ class _Checker:
                     candidates.append(v)
             self._witnesses = candidates
         candidates = self._witnesses
-        for unknowns, group in _residual_groups(pending, binding):
+        for unknowns, group in _residual_groups(pending, self.binding):
             if not unknowns:
-                if not self._holds([r.term for r in group], binding):
+                if not self._holds([r.term for r in group]):
                     return False
                 continue
             if len(unknowns) > 6:
                 self._give_up(f"too many residual existentials: {unknowns}")
                 return False
-            if not self._assign(unknowns, candidates, group, binding):
+            if not self._assign(unknowns, candidates, group):
                 self._give_up(f"no witness for residual existentials "
                               f"{unknowns} among {len(candidates)} candidates")
                 return False
         return True
 
-    def _holds(self, terms, binding) -> bool:
+    def _holds(self, terms) -> bool:
         """Whether every ground term evaluates true; records the failure."""
         for p in terms:
             try:
-                if not eval_pure_bool(binding, p):
+                if not eval_pure_bool(self.binding, p):
                     self.failure = f"pure conjunct {ssl.render_pure(p)} is false"
                     return False
             except (SortMismatch, UnboundVariable) as exc:
@@ -785,23 +776,20 @@ class _Checker:
                 return False
         return True
 
-    def _assign(self, unknowns, candidates, pending, binding) -> bool:
+    def _assign(self, unknowns, candidates, pending) -> bool:
         """Try each candidate for the first unbound unknown, propagate, and
         check the constraints that became ground."""
+        binding = self.binding
         u = next((u for u in unknowns if u not in binding), None)
         if u is None:
             return True
+        mark = self._mark()
         for cand in candidates:
-            trial = dict(binding)
-            trial[u] = cand
-            try:
-                still, now_ground = _propagate(pending, trial, bound=(u,))
-                if not all(eval_pure_bool(trial, p) for p in now_ground):
-                    continue
-            except (SortMismatch, UnboundVariable):
-                continue
-            if self._assign(unknowns, candidates, still, trial):
+            binding[u] = cand
+            still = self._constrain(pending, bound=(u,))
+            if still is not None and self._assign(unknowns, candidates, still):
                 return True
+            self._undo(mark)
         return False
 
 
@@ -809,8 +797,7 @@ def satisfies(model: Model, assertion: ssl.SslAssertion, env: PredicateEnv,
               depth: int = 64) -> SatResult:
     """Whole-heap satisfaction: Sat iff the heap partitions across the
     spatial conjuncts and the pure part evaluates true."""
-    checker = _Checker(model, env, depth)
-    return checker.check(assertion, dict(model.store))
+    return _Checker(model, env, depth).check(assertion)
 
 
 # ---------------------------------------------------------------------------

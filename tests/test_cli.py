@@ -407,6 +407,16 @@ def test_soundness_zero_count_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option, value, least", [
+    ("--depth", "-1", 0), ("--budget", "0", 1), ("--budget", "-3", 1)])
+def test_soundness_bound_below_its_least_is_a_usage_error(capsys, option,
+                                                          value, least):
+    code, out, err = run(capsys, "soundness",
+                         str(CORPUS / "soundness_sig.pika"), option, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must be at least {least}\n"
+
+
 def test_soundness_reports_counterexample_for_broken_translation(
         capsys, monkeypatch):
     import pikac.modelcheck as mc

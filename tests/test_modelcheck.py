@@ -149,6 +149,48 @@ def test_satisfies_monotone_in_depth(genv):
     assert sat_depths == list(range(first, 16))
 
 
+# the layout predicates compile emits, on hand-built null-terminated heaps:
+# the list [7, 8] at cells 10 and 20, and a two-node tree at 10 whose left
+# child is at 20
+_LIST_7_8 = {10: IntVal(7), 11: LocVal(20), 20: IntVal(8), 21: IntVal(0)}
+_TWO_NODE_TREE = {10: IntVal(1), 11: LocVal(20), 12: IntVal(0),
+                  20: IntVal(2), 21: IntVal(0), 22: IntVal(0)}
+
+
+def _check_layout(pred, root, heap):
+    a = ssl.SslAssertion.make((), (ssl.PredApply(pred.name, (ssl.PVar("x"),)),))
+    return satisfies(Model({"x": LocVal(root)}, heap), a,
+                     PredicateEnv({pred.name: pred}))
+
+
+@pytest.mark.parametrize("layout, root, heap", [
+    ("Sll", 10, _LIST_7_8), ("Sll", 0, {}),
+    ("TreeLayout", 10, _TWO_NODE_TREE)], ids=["list", "empty-list", "tree"])
+def test_layout_predicate_holds_on_a_null_terminated_heap(genv, layout, root,
+                                                          heap):
+    pred = translate_layout_predicate(genv.layouts[layout])
+    assert _check_layout(pred, root, heap) == Sat()
+
+
+def _swap_offsets(spatial):
+    return tuple(ssl.PointsTo(h.base, 1 - h.offset, h.value)
+                 if h.__class__ is ssl.PointsTo else h for h in spatial)
+
+
+@pytest.mark.parametrize("mutate, verdict", [
+    (_swap_offsets, Unsat("missing cell 8 for (tail?2+1) :-> head?3")),
+    (lambda spatial: spatial[:-1],
+     Unsat("heap cells [20, 21] are not consumed")),
+], ids=["offsets-swapped", "last-heaplet-dropped"])
+def test_broken_layout_predicate_is_unsat(genv, mutate, verdict):
+    pred = translate_layout_predicate(genv.layouts["Sll"])
+    nil, cons = pred.branches
+    broken = ssl.PredicateDef(pred.name, pred.params, (nil, ssl.Branch(
+        cons.cond, ssl.SslAssertion.make(cons.body.pure,
+                                         mutate(cons.body.spatial)))))
+    assert _check_layout(broken, 10, _LIST_7_8) == verdict
+
+
 # -- soundness --
 
 def test_soundness_addition(genv):
@@ -191,6 +233,30 @@ def test_soundness_detects_broken_translation(genv, monkeypatch):
     report = check_soundness(genv, e)
     assert not isinstance(report.result, Sat)
     assert report.trace
+
+
+# an instantiate under a constructor argument, which gen_core_expr never
+# draws: the caller's cells hold the callee's result
+_TREE_OF_4 = ("lower TreeLayout (Node 3 (instantiate [Sll] TreeLayout treeOf "
+              "(lower Sll (Cons 4 {}))) (lower TreeLayout (Leaf)))")
+
+
+@pytest.mark.parametrize("text", [
+    "lower Sll (Cons 1 (instantiate [Sll] Sll incAll (lower Sll (Cons 2 "
+    "(lower Sll (Nil))))))",
+    _TREE_OF_4.format("(lower Sll (Nil))"),
+], ids=["incAll-in-Cons", "treeOf-in-Node"])
+def test_instantiate_under_a_constructor_is_sound(genv, text):
+    assert check_soundness(genv, parse_expr_text(text)).result == Sat()
+
+
+def test_broken_callee_under_a_constructor_is_caught(genv, monkeypatch):
+    import pikac.modelcheck as mc
+
+    monkeypatch.setattr(mc, "translate_fn_def_core", _drop_first_heaplet)
+    e = parse_expr_text(_TREE_OF_4.format(
+        "(lower Sll (Cons 6 (lower Sll (Nil))))"))
+    assert check_soundness(genv, e).result == Unsat("no cell matches x5 :-> v3")
 
 
 def test_giving_up_on_residual_existentials_is_not_unsat(sig, genv):
@@ -373,8 +439,15 @@ _HEAPLET = st.one_of(
        pure=st.lists(_PURE, max_size=3))
 def test_satisfies_always_gives_a_verdict(genv, store, heap, spatial, pure):
     a = ssl.SslAssertion.make(tuple(pure), tuple(spatial))
-    assert satisfies(Model(store, heap), a, _sll_env(genv), depth=8).__class__ \
-        in (Sat, Unsat, Unknown)
+    env = _sll_env(genv)
+    model = Model(store, heap)
+    store_before, heap_before = dict(store), dict(heap)
+    verdict = satisfies(model, a, env, depth=8)
+    assert verdict.__class__ in (Sat, Unsat, Unknown)
+    # the search changes its state in place and undoes it: the model is
+    # left as it was, and checking again gives the same verdict
+    assert (model.store, model.heap) == (store_before, heap_before)
+    assert satisfies(model, a, env, depth=8) == verdict
 
 
 def test_propagate_leaves_solved_equalities_out_of_the_ground_terms():
@@ -394,6 +467,12 @@ def test_residual_existentials_are_solved_per_group():
     # eight unknowns, but no constraint links two of them
     assert isinstance(
         _residual_only([f"not (p{i} == 0)" for i in range(8)]), Sat)
+
+
+def test_a_rejected_witness_leaves_no_binding_behind():
+    # u = 0 binds w = 1 through the equality and then fails; u = 1 must be
+    # tried with w unbound again
+    assert isinstance(_residual_only(["w == (u + 1)", "not (u == 0)"]), Sat)
 
 
 def test_too_many_linked_residual_existentials_is_unknown():
