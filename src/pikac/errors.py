@@ -118,10 +118,6 @@ class NotAConstructorValue(PikaError):
     pass
 
 
-class HeapOverlap(PikaError):
-    pass
-
-
 class NoMatchingFnCase(PikaError):
     pass
 

@@ -155,8 +155,8 @@ class Machine:
             return val, name
         if cls is S.IntLit:
             r = self.fresh_var()
-            self.store[r] = IntVal(e.value)
-            return IntVal(e.value), r
+            val = self.store[r] = IntVal(e.value)
+            return val, r
         if cls is S.Instantiate:
             return self._eval_instantiate(e, ren)
         if cls is S.BinOp:
@@ -173,8 +173,8 @@ class Machine:
             return out, r
         if cls is S.BoolLit:
             r = self.fresh_var()
-            self.store[r] = BoolVal(e.value)
-            return BoolVal(e.value), r
+            val = self.store[r] = BoolVal(e.value)
+            return val, r
         raise UnsupportedConstruct(
             f"{type(e).__name__} is outside the machine subset",
             getattr(e, "span", None))

@@ -20,13 +20,17 @@ included, without substituting or traversing the branch again.
 
 The search is incremental.  It keeps one binding and one set of consumed
 cells, which only grow along a search path and are popped back where a
-trial fails.  Each pure constraint carries its free variables; one is kept
-pending while a variable of it is unbound and checked as soon as it is
-ground, and a ground constraint stays ground.  Equalities are propagated
+trial fails.  Points-to heaplets whose base is bound are consumed in a
+loop, one cell per ``_consume`` call, so a ground cell adds no frame to the
+search's recursion.  Each pure constraint carries its free variables; one
+is kept pending while a variable of it is unbound and checked as soon as it
+is ground, and a ground constraint stays ground.  Equalities are propagated
 by ``_propagate``, in passes in conjunction order over the dirty ones:
 those just conjoined or mentioning a variable bound since they were last
-examined.  An equality that bound its only unknown holds by construction
-and is never examined again.
+examined.  A solved variable finds the equalities it dirties through an
+index of where each variable occurs, built at the first solve of a call.
+An equality that bound its only unknown holds by construction and is never
+examined again.
 
 The verdict is *Sat* when some path consumes the heap and makes every pure
 conjunct true, *Unknown* when none does but some path stopped at a resource
@@ -100,6 +104,9 @@ class PredicateEnv(Node):
 # ---------------------------------------------------------------------------
 
 _TRUE, _FALSE = BoolVal(True), BoolVal(False)
+# the value of each small literal, shared by every evaluation of it
+_LEAST_INT, _INT_BOUND = -16, 64
+_INTS = tuple(map(IntVal, range(_LEAST_INT, _INT_BOUND)))
 
 
 def _num(v: Val) -> int:
@@ -127,7 +134,9 @@ def eval_pure(binding: dict, t: ssl.PureTerm) -> Val:
             raise UnboundVariable(f"unbound variable {t.name} in pure term") \
                 from None
     if cls is ssl.PInt:
-        return IntVal(t.value)
+        n = t.value
+        return (_INTS[n - _LEAST_INT] if _LEAST_INT <= n < _INT_BOUND
+                else IntVal(n))
     if cls is ssl.PEq:
         lv = eval_pure(binding, t.lhs)
         rv = eval_pure(binding, t.rhs)
@@ -252,9 +261,10 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
     that the first to determine a variable binds it.  Only the dirty ones
     are examined: those just conjoined or mentioning a variable bound since
     they were last examined; any other would fail again.  A variable bound
-    at position ``i`` dirties each other equality with it: one after ``i``
-    is examined in this pass, one before it in the next.  An equality that
-    solved its unknown holds by construction and is never examined again.
+    at position ``i`` dirties each other equality with it, found through
+    an index built at the first solve: one after ``i`` is examined in this
+    pass, one before it in the next.  An equality that solved its unknown
+    holds by construction and is never examined again.
 
     Returns the constraints still pending and the terms that became
     ground, solved equalities not among them.  Bindings only grow along a
@@ -269,6 +279,7 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
              and (i >= start or not r.vars.isdisjoint(bound))
              for i, r in enumerate(pending)]
     solved = set()
+    uses = None     # variable -> positions of the equalities with it
     while True in dirty:
         for i, r in enumerate(pending):
             if dirty[i]:
@@ -276,9 +287,15 @@ def _propagate(pending: list, binding: dict, new=(), bound=()) -> tuple:
                 u = _solve_eq(binding, r)
                 if u is not None:
                     solved.add(i)
-                    for j, q in enumerate(pending):
-                        if j != i and u in q.vars and q.lhs_vars is not None:
-                            dirty[j] = True
+                    if uses is None:
+                        uses = {}
+                        for j, q in enumerate(pending):
+                            if q.lhs_vars is not None:
+                                for v in q.vars:
+                                    uses.setdefault(v, []).append(j)
+                    for j in uses[u]:
+                        dirty[j] = True
+                    dirty[i] = False
     keys = binding.keys()
     still = []
     now_ground = []
@@ -523,21 +540,29 @@ class _Checker:
     # the search returns True on the first completed path
 
     def _search(self, items, pending) -> bool:
-        """Take the first ground points-to; else the first ground predicate
-        application; else, unless only blocks are left, the first nonground
-        points-to against each free cell, then the first nonground
-        application against each of its branches."""
+        """Consume each ground points-to in turn, the first one first; then
+        take the first ground predicate application; else, unless only
+        blocks are left, the first nonground points-to against each free
+        cell, then the first nonground application against each of its
+        branches."""
+        binding = self.binding
+        while True:
+            for i, item in enumerate(items):
+                if item[0] == _POINTS_TO and item[1].base in binding:
+                    break
+            else:
+                break           # no points-to left is ground
+            pending = self._consume(item, pending)
+            if pending is None:
+                return False
+            items = items[:i] + items[i + 1:]
         if not items:
             return self._finish(pending)
-        binding = self.binding
         keys = binding.keys()
         ground_app = loose_cell = loose_app = no_model = None
         for i, item in enumerate(items):
             kind = item[0]
             if kind == _POINTS_TO:
-                if item[1].base in binding:
-                    return self._match_points_to(
-                        item, items[:i] + items[i + 1:], pending)
                 if loose_cell is None:
                     loose_cell = i
             elif kind == _APPLY:
@@ -559,7 +584,8 @@ class _Checker:
                 if loc in self.consumed:
                     continue
                 binding[h.base] = LocVal(loc - h.offset)
-                if self._match_points_to(item, rest, pending, bound=(h.base,)):
+                still = self._consume(item, pending, bound=(h.base,))
+                if still is not None and self._search(rest, still):
                     return True
                 self._undo(mark)
             self.failure = f"no cell matches {ssl.render_heaplet(h)}"
@@ -572,21 +598,25 @@ class _Checker:
             return False
         return self._finish_blocks(items, pending)
 
-    def _match_points_to(self, item, rest, pending, bound=()) -> bool:
+    def _consume(self, item, pending, bound=()) -> Optional[list]:
+        """Consume the cell of the points-to ``item``, whose base is bound,
+        after the caller bound the names ``bound``: match or bind its value
+        and constrain the path.  Returns the constraints still pending, or
+        None when the path fails."""
         h = item[1]
         binding = self.binding
         base = binding[h.base]
         if base.__class__ is not LocVal and base.__class__ is not IntVal:
             self.failure = f"{h.base} is not a location"
-            return False
+            return None
         loc = _num(base) + h.offset
         actual = self.cells.get(loc)
         if actual is None:
             self.failure = f"missing cell {loc} for {ssl.render_heaplet(h)}"
-            return False
+            return None
         if loc in self.consumed:
             self.failure = f"cell {loc} claimed twice"
-            return False
+            return None
         value = h.value
         new = ()
         if value.__class__ is ssl.PVar:
@@ -597,25 +627,27 @@ class _Checker:
                 bound += (value.name,)
             elif (why := _cell_mismatch(loc, actual, expected)) is not None:
                 self.failure = why
-                return False
+                return None
         elif binding.keys() >= item[3]:
             try:
                 expected = eval_pure(binding, value)
             except (SortMismatch, UnboundVariable) as exc:
                 self.failure = str(exc)
-                return False
+                return None
             if (why := _cell_mismatch(loc, actual, expected)) is not None:
                 self.failure = why
-                return False
+                return None
         else:
             lit = (ssl.PBool(actual.value) if actual.__class__ is BoolVal
                    else ssl.PInt(_num(actual)))
             new = [_Pure(ssl.PEq(value, lit))]
-        pending = self._constrain(pending, new, bound)
-        if pending is None:
-            return False
+        # a binding can only matter to the constraints already pending
+        if new or (bound and pending):
+            pending = self._constrain(pending, new, bound)
+            if pending is None:
+                return None
         self.consumed[loc] = None
-        return self._search(rest, pending)
+        return pending
 
     def _consumes(self, h) -> bool:
         """Whether ``h`` is, or can unfold to, a points-to heaplet."""
@@ -751,10 +783,6 @@ class _Checker:
             self._witnesses = candidates
         candidates = self._witnesses
         for unknowns, group in _residual_groups(pending, self.binding):
-            if not unknowns:
-                if not self._holds([r.term for r in group]):
-                    return False
-                continue
             if len(unknowns) > 6:
                 self._give_up(f"too many residual existentials: {unknowns}")
                 return False
@@ -778,11 +806,12 @@ class _Checker:
 
     def _assign(self, unknowns, candidates, pending) -> bool:
         """Try each candidate for the first unbound unknown, propagate, and
-        check the constraints that became ground."""
+        check the constraints that became ground.  With every unknown bound,
+        check what is pending."""
         binding = self.binding
         u = next((u for u in unknowns if u not in binding), None)
         if u is None:
-            return True
+            return self._holds([r.term for r in pending])
         mark = self._mark()
         for cand in candidates:
             binding[u] = cand

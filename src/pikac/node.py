@@ -11,22 +11,24 @@ assignment and deletion, and hash the tuple of their compared fields.
 
 A kind that adds slots or defaults and writes no ``__init__`` gets one whose
 parameters are its slots in MRO order, ``__dict__`` left out; it stores each
-one, a frozen kind through ``object.__setattr__``.  ``span`` defaults to
-None; other trailing defaults are declared in the kind's ``_defaults``.
+one, a frozen kind by calling the ``__set__`` of the slot's descriptor,
+which is about as cheap as an assignment and skips ``__setattr__``.
+``span`` defaults to None; other trailing defaults are declared in the
+kind's ``_defaults``.
 
 Each kind gets its own copy of the ``__init__``, equality and hash code,
 with the templates' placeholders ``f0``, ``f1``, ... renamed to its fields
-by ``CodeType.replace``; nothing is compiled at import.  A method shared by
-all kinds would be one attribute-load site for the specialising
-interpreter, which then misses whenever kinds alternate, as they do in
-nested terms: that compared and hashed nested terms about 2x slower.
+by ``CodeType.replace``; nothing is compiled at import.  A frozen kind's
+``__init__`` runs with globals of its own, which hold its slots' setters.
+A method shared by all kinds would be one attribute-load site for the
+specialising interpreter, which then misses whenever kinds alternate, as
+they do in nested terms: that compared and hashed nested terms about 2x
+slower.
 """
 
 from __future__ import annotations
 
 from types import FunctionType
-
-_set = object.__setattr__
 
 
 def _init1(self, f0):
@@ -78,26 +80,28 @@ def _init7(self, f0, f1, f2, f3, f4, f5, f6):
     self.f6 = f6
 
 
+# a frozen kind's copy runs with its own globals, in which ``_s0``,
+# ``_s1``, ... are the ``__set__`` of its slot descriptors
 def _frozen_init1(self, f0):
-    _set(self, "f0", f0)
+    _s0(self, f0)
 
 
 def _frozen_init2(self, f0, f1):
-    _set(self, "f0", f0)
-    _set(self, "f1", f1)
+    _s0(self, f0)
+    _s1(self, f1)
 
 
 def _frozen_init3(self, f0, f1, f2):
-    _set(self, "f0", f0)
-    _set(self, "f1", f1)
-    _set(self, "f2", f2)
+    _s0(self, f0)
+    _s1(self, f1)
+    _s2(self, f2)
 
 
 def _frozen_init4(self, f0, f1, f2, f3):
-    _set(self, "f0", f0)
-    _set(self, "f1", f1)
-    _set(self, "f2", f2)
-    _set(self, "f3", f3)
+    _s0(self, f0)
+    _s1(self, f1)
+    _s2(self, f2)
+    _s3(self, f3)
 
 
 def _eq0(self, other):
@@ -148,16 +152,16 @@ _EQ = (_eq0, _eq1, _eq2, _eq3, _eq4)
 _HASH = (_hash0, _hash1, _hash2, _hash3, _hash4)
 _PLACEHOLDERS = ("f0", "f1", "f2", "f3")
 # by arity; each stores its parameters in order, so a kind's copy renames
-# the parameters and the attribute names (mutable) or the name strings that
-# follow None in the constants (frozen) to its slots
+# the parameters, and for a mutable kind the attribute names, to its slots
 _INIT = (None, _init1, _init2, _init3, _init4, _init5, _init6, _init7)
 _FROZEN_INIT = (None, _frozen_init1, _frozen_init2, _frozen_init3,
                 _frozen_init4)
 _OPTIONAL = {"span": None}    # defaults every kind has
 
 
-def _method(code, name: str, cls: type):
-    fn = FunctionType(code, globals(), name)
+def _method(code, name: str, cls: type, namespace=None):
+    fn = FunctionType(code, globals() if namespace is None else namespace,
+                      name)
     fn.__qualname__ = f"{cls.__qualname__}.{name}"
     return fn
 
@@ -179,9 +183,14 @@ def _init(cls: type, slots: tuple, frozen: bool):
                         f"__init__; write one")
     code = templates[len(slots)].__code__
     params = ("self",) + slots
-    code = code.replace(co_varnames=params, co_consts=(None,) + slots) \
-        if frozen else code.replace(co_varnames=params, co_names=slots)
-    fn = _method(code, "__init__", cls)
+    if frozen:
+        # stores through the slot descriptors: ``Frozen.__setattr__``
+        # rejects every write made by assignment
+        fn = _method(code.replace(co_varnames=params), "__init__", cls, {
+            f"_s{i}": getattr(cls, f).__set__ for i, f in enumerate(slots)})
+    else:
+        fn = _method(code.replace(co_varnames=params, co_names=slots),
+                     "__init__", cls)
     declared = {**_OPTIONAL, **cls._defaults}
     defaults = []
     for f in reversed(slots):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
-from string import ascii_letters
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import LexError, ParseError, Span
@@ -57,7 +56,8 @@ _TOKEN_RE = re.compile(
 # follows from its first character, and a character in neither is illegal
 _KINDS = {w: w for w in (*KEYWORDS, *_SYMBOLS, *_CHARS, "%generate")}
 _FIRST_KINDS = (dict.fromkeys("-0123456789", "int")
-                | dict.fromkeys(ascii_letters + "_", "ident"))
+                | dict.fromkeys("abcdefghijklmnopqrstuvwxyz"
+                                "ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "ident"))
 
 # '-' directly before a digit only lexes as a negative literal at expression
 # starts; after one of these kinds the parser wants a binary minus

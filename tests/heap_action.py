@@ -2,9 +2,13 @@
 constructor's cells must do, stated without the machine.  The machine's
 constructor writes are checked against it."""
 
-from pikac.errors import HeapOverlap, UngroundedHeaplet
+from pikac.errors import PikaError, UngroundedHeaplet
 from pikac.interp import Val
 from pikac.node import Frozen
+
+
+class HeapOverlap(PikaError):
+    """A layout body writes a cell that is already on the heap."""
 
 
 class GroundEmp(Frozen):

@@ -458,7 +458,7 @@ def test_compile_and_stages_leave_the_checker_unimported():
         [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
     code = ("import sys; from pikac import cli; rc = cli.main(sys.argv[1:]); "
             "print(rc, [m for m in ('pikac.interp', 'pikac.modelcheck', "
-            "'dataclasses') if m in sys.modules])")
+            "'dataclasses', 'string') if m in sys.modules])")
     for argv in (["compile", str(CORPUS / "filter_lt9.pika"), "--stdout"],
                  ["stages", str(CORPUS / "filter_lt9.pika"), "filterLt9"]):
         proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,

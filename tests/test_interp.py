@@ -4,7 +4,9 @@ import pathlib
 
 import pytest
 
-from heap_action import GroundApply, GroundEmp, GroundPointsTo, act_on_heap
+from heap_action import (
+    GroundApply, GroundEmp, GroundPointsTo, HeapOverlap, act_on_heap,
+)
 from pikac import errors as E
 from pikac.interp import (
     ConstructorVal, IntVal, LocVal, Machine, Model, eval_expr,
@@ -39,7 +41,7 @@ def test_act_skips_value_applications():
 
 
 def test_act_rejects_overlap():
-    with pytest.raises(E.HeapOverlap):
+    with pytest.raises(HeapOverlap):
         act_on_heap({3: IntVal(0)}, [GroundPointsTo(3, IntVal(1))])
 
 

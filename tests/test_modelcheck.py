@@ -3,6 +3,7 @@
 import hashlib
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +192,21 @@ def test_broken_layout_predicate_is_unsat(genv, mutate, verdict):
     assert _check_layout(broken, 10, _LIST_7_8) == verdict
 
 
+def test_long_list_fits_the_default_recursion_limit(genv):
+    # ground cells are consumed in a loop, so a list element costs the
+    # search two frames (an unfolding and the search below it), not four
+    assert sys.getrecursionlimit() == 1000
+    n = 300
+    heap = {}
+    for i in range(n):
+        heap[1 + 2 * i] = IntVal(i)
+        heap[2 + 2 * i] = LocVal(3 + 2 * i) if i < n - 1 else IntVal(0)
+    pred = translate_layout_predicate(genv.layouts["Sll"])
+    a = ssl.SslAssertion.make((), (ssl.PredApply(pred.name, (ssl.PVar("x"),)),))
+    assert satisfies(Model({"x": LocVal(1)}, heap), a,
+                     PredicateEnv({pred.name: pred}), depth=5000) == Sat()
+
+
 # -- soundness --
 
 def test_soundness_addition(genv):
@@ -266,12 +282,6 @@ def test_giving_up_on_residual_existentials_is_not_unsat(sig, genv):
     assert isinstance(check_soundness(genv, e).result, Sat)
 
 
-def test_budget_48_sweep_has_no_unsat(sig, genv):
-    verdicts = {seed: check_soundness(genv, gen_core_expr(sig, seed, 48)).result
-                for seed in range(300)}
-    assert {s for s, r in verdicts.items() if not isinstance(r, Sat)} == set()
-
-
 # a callee body that lowers a field of its argument: the machine's resident
 # lower, and the translation naming that field's variable as the result
 TAIL_OF = """
@@ -304,32 +314,25 @@ def test_callee_body_lowering_a_resident_field_is_sound(budget):
 
 
 # sha256 over each verdict (reason included) and rendered assertion of the
-# sweeps below; a change to the checker that moves any verdict or failure
-# text changes the digest
+# mutant sweep below; a change to the checker that moves any verdict or
+# failure text changes the digest.  The sound instances are pinned by
+# test_benchmark_instances_are_sat_and_pinned.
 _CHECKER_DIGEST = (
-    "b701575e072b4e0d00bcd23097c4ee5c4046076cea95129c3699f56d75df188b")
+    "0ee3a0be1aca7934193ba8c4cdf002eb4e99e805816f7088d3bd8818e4b8e7e7")
 
 
 def test_checker_verdicts_are_pinned(sig, genv, monkeypatch):
     import pikac.modelcheck as mc
 
-    h = hashlib.sha256()
-
-    def sweep(tag, budget, seeds):
-        verdicts = []
-        for seed in seeds:
-            report = check_soundness(genv, gen_core_expr(sig, seed, budget))
-            verdicts.append(report.result)
-            h.update(f"{tag} {budget} {seed} {report.result!r}\n"
-                     f"{ssl.render_assertion(report.assertion)}\n".encode())
-        return verdicts
-
-    sweep("sound", 12, range(2000))
-    sweep("sound", 48, range(300))
     monkeypatch.setattr(mc, "translate_fn_def_core", _drop_first_heaplet)
-    caught = [(seed, r) for seed, r in enumerate(sweep("mutant", 12,
-                                                       range(1000)))
-              if not isinstance(r, Sat)]
+    h = hashlib.sha256()
+    caught = []
+    for seed in range(1000):
+        report = check_soundness(genv, gen_core_expr(sig, seed, 12))
+        if not isinstance(report.result, Sat):
+            caught.append((seed, report.result))
+        h.update(f"mutant 12 {seed} {report.result!r}\n"
+                 f"{ssl.render_assertion(report.assertion)}\n".encode())
     assert len(caught) == 109
     assert caught[0] == (40, Unsat("no cell matches x5 :-> v1"))
     assert h.hexdigest() == _CHECKER_DIGEST
