@@ -375,7 +375,7 @@ def render_assertion(a: SslAssertion) -> str:
 
 def emit_predicate(pred: PredicateDef) -> str:
     """Emit a predicate definition in SuSLik concrete syntax."""
-    params = ", ".join(f"{sort} {name}" for name, sort in pred.params)
+    params = ", ".join([f"{sort} {name}" for name, sort in pred.params])
     lines = [f"predicate {pred.name}({params}) {{"]
     for br in pred.branches:
         lines.append(f"| {render_cond(br.cond)} => {{ {render_assertion(br.body)} }}")
@@ -384,7 +384,7 @@ def emit_predicate(pred: PredicateDef) -> str:
 
 
 def emit_goal_spec(goal: GoalSpec) -> str:
-    params = ", ".join(f"{sort} {name}" for sort, name in goal.params)
+    params = ", ".join([f"{sort} {name}" for sort, name in goal.params])
     return (
         f"void {goal.name}({params})\n"
         f"{{ {render_assertion(goal.pre)} }}\n"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import LexError, ParseError, Span
@@ -44,11 +45,14 @@ _CHARS = "%+-<|:;,()[]{}"
 
 # One match per token: the whitespace and comments before it, then the
 # token itself, any other single character (illegal), or the end of input.
-# The end alternative keeps a trailing comment whole: without it the
-# comment would give back its last character as a token.
+# The skip is unrolled, whitespace then comments each followed by
+# whitespace, so that no character is tried against two alternatives; the
+# identifier, the commonest token, is tried first.  The end alternative
+# keeps a trailing comment whole: without it the comment would give back
+# its last character as a token.
 _TOKEN_RE = re.compile(
-    r"((?:\s+|--[^\n]*)*)"
-    r"(%generate\b|-?[0-9]+|[A-Za-z_][A-Za-z0-9_']*|"
+    r"(\s*(?:--[^\n]*\s*)*)"
+    r"([A-Za-z_][A-Za-z0-9_']*|%generate\b|-?[0-9]+|"
     + "|".join(map(re.escape, _SYMBOLS))
     + f"|[{re.escape(_CHARS)}]" + r"|\S|\Z)")
 
@@ -253,19 +257,26 @@ Expr = (IntLit, BoolLit, Var, ConstructorApp, App, BinOp, Not, Addr,
 # Traversal: the fields of each expression kind that hold subexpressions
 # ---------------------------------------------------------------------------
 
+# the kinds with no subexpression, and those whose subexpressions are args;
+# the walks dispatch on the exact class: the kinds have no subclasses
+_LEAVES = frozenset((IntLit, BoolLit, Var, Addr))
+_APPLICATIONS = frozenset((ConstructorApp, App, Instantiate))
+
+
 def subexprs(e: Expr) -> Sequence[Expr]:
     """The direct subexpressions of ``e``, left to right."""
-    if isinstance(e, (IntLit, BoolLit, Var, Addr)):
+    cls = e.__class__
+    if cls in _LEAVES:
         return ()
-    if isinstance(e, (ConstructorApp, App, Instantiate)):
+    if cls in _APPLICATIONS:
         return e.args
-    if isinstance(e, BinOp):
+    if cls is BinOp:
         return (e.lhs, e.rhs)
-    if isinstance(e, (Not, Lower)):
+    if cls is Not or cls is Lower:
         return (e.arg,)
-    if isinstance(e, IfThenElse):
+    if cls is IfThenElse:
         return (e.cond, e.then, e.els)
-    if isinstance(e, Let):
+    if cls is Let:
         return (e.bound, e.body)
     raise TypeError(e)
 
@@ -278,31 +289,32 @@ def iter_subexprs(e: Expr) -> Iterator[Expr]:
         yield e
         kids = subexprs(e)
         if kids:
-            stack.extend(kids[::-1])
+            stack += kids[::-1]
 
 
 def map_expr(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """``e`` rebuilt with ``f`` applied to each direct subexpression, left to
     right; every other field, the span included, is kept.  A leaf is
     returned as it is."""
-    if isinstance(e, (IntLit, BoolLit, Var, Addr)):
+    cls = e.__class__
+    if cls in _LEAVES:
         return e
-    if isinstance(e, ConstructorApp):
+    if cls is BinOp:
+        return BinOp(e.op, f(e.lhs), f(e.rhs), span=e.span)
+    if cls is ConstructorApp:
         return ConstructorApp(e.name, [f(a) for a in e.args], span=e.span)
-    if isinstance(e, App):
-        return App(e.fn, [f(a) for a in e.args], span=e.span)
-    if isinstance(e, Instantiate):
+    if cls is Instantiate:
         return Instantiate(e.arg_layouts, e.result_layout, e.fn,
                            [f(a) for a in e.args], span=e.span)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, f(e.lhs), f(e.rhs), span=e.span)
-    if isinstance(e, Not):
-        return Not(f(e.arg), span=e.span)
-    if isinstance(e, Lower):
+    if cls is App:
+        return App(e.fn, [f(a) for a in e.args], span=e.span)
+    if cls is Lower:
         return Lower(e.layout, f(e.arg), span=e.span)
-    if isinstance(e, IfThenElse):
+    if cls is Not:
+        return Not(f(e.arg), span=e.span)
+    if cls is IfThenElse:
         return IfThenElse(f(e.cond), f(e.then), f(e.els), span=e.span)
-    if isinstance(e, Let):
+    if cls is Let:
         return Let(e.name, f(e.bound), f(e.body), span=e.span)
     raise TypeError(e)
 
@@ -436,7 +448,7 @@ class _Cursor:
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.kinds = [t.kind for t in tokens]
+        self.kinds = list(map(itemgetter(0), tokens))
         self.kinds.append(None)
         self.pos = 0
 
@@ -488,9 +500,9 @@ class _Cursor:
     def _comma_list(self, item: Callable, close: str) -> list:
         """Items separated by commas, possibly none, then ``close``."""
         items = []
-        if not self.at(close):
+        if not self.kinds[self.pos] == close:
             items.append(item())
-            while self.at(","):
+            while self.kinds[self.pos] == ",":
                 self.next()
                 items.append(item())
         self.expect(close)
@@ -545,7 +557,7 @@ class _Parser(_Cursor):
         self.expect("[")
         args = self._comma_list(self.parse_layout_ref, "]")
         result = self.parse_layout_ref_atom()
-        if self.at(";"):
+        if self.kinds[self.pos] == ";":
             self.next()
         return GenerateDirective(fn, tuple(args), result, span=span)
 
@@ -554,7 +566,7 @@ class _Parser(_Cursor):
         name = self.expect("ident").text
         self.expect(":=")
         alts = [self.parse_data_alt()]
-        while self.at("|"):
+        while self.kinds[self.pos] == "|":
             self.next()
             alts.append(self.parse_data_alt())
         self.expect(";")
@@ -563,7 +575,7 @@ class _Parser(_Cursor):
     def parse_data_alt(self) -> tuple:
         ctor = self.expect("ident").text
         fields = []
-        while self.at("ident", "(") and not self.at(";", "|"):
+        while self.at("ident", "("):
             fields.append(self.parse_type_atom())
         return (ctor, fields)
 
@@ -573,13 +585,13 @@ class _Parser(_Cursor):
         self.expect(":")
         # layout signature: ADT '>->' 'layout' '[' vars ']'
         save = self.pos
-        if self.at("ident") and self.kinds[self.pos + 1] == ">->":
+        if self.kinds[self.pos] == "ident" and self.kinds[self.pos + 1] == ">->":
             adt = self.next().text
             self.next()  # >->
             self.expect("layout")
             self.expect("[")
             params = [self.expect("ident").text]
-            while self.at(","):
+            while self.kinds[self.pos] == ",":
                 self.next()
                 params.append(self.expect("ident").text)
             self.expect("]")
@@ -591,7 +603,7 @@ class _Parser(_Cursor):
         return name, ty
 
     def parse_type_atom(self) -> TypeExpr:
-        if self.at("("):
+        if self.kinds[self.pos] == "(":
             self.next()
             ty = self.parse_type()
             self.expect(")")
@@ -610,7 +622,7 @@ class _Parser(_Cursor):
 
     def parse_type(self) -> TypeExpr:
         left = self.parse_type_atom()
-        if self.at("->"):
+        if self.kinds[self.pos] == "->":
             self.next()
             return TFn(left, self.parse_type())
         return left
@@ -618,7 +630,7 @@ class _Parser(_Cursor):
     # -- layouts --
 
     def parse_layout_ref_atom(self) -> LayoutRef:
-        if self.at("("):
+        if self.kinds[self.pos] == "(":
             self.next()
             ref = self.parse_layout_ref()
             self.expect(")")
@@ -634,7 +646,7 @@ class _Parser(_Cursor):
                 raise ParseError("only 'Ptr Int' is supported", inner.span)
             return PtrIntLayout()
         mode = "readonly"
-        if self.at("["):
+        if self.kinds[self.pos] == "[":
             self.next()
             mode_tok = self.next()
             if mode_tok.kind not in ("readonly", "mutable"):
@@ -645,7 +657,7 @@ class _Parser(_Cursor):
 
     def parse_layout_ref(self) -> LayoutRef:
         left = self.parse_layout_ref_atom()
-        if self.at("->"):
+        if self.kinds[self.pos] == "->":
             self.next()
             return FnLayout(left, self.parse_layout_ref())
         return left
@@ -655,7 +667,7 @@ class _Parser(_Cursor):
         pat = self.parse_pattern()
         self.expect(":=")
         heaplets = [self.parse_layout_heaplet()]
-        while self.at(","):
+        while self.kinds[self.pos] == ",":
             self.next()
             heaplets.append(self.parse_layout_heaplet())
         self.expect(";")
@@ -663,9 +675,9 @@ class _Parser(_Cursor):
 
     def parse_layout_heaplet(self) -> LayoutHeaplet:
         tok = self.peek()
-        if self.at("emp"):
+        if self.kinds[self.pos] == "emp":
             return HEmp(span=self.next().span)
-        if self.at("("):
+        if self.kinds[self.pos] == "(":
             self.next()
             base = self.expect("ident").text
             self.expect("+")
@@ -675,7 +687,7 @@ class _Parser(_Cursor):
             payload = self.expect("ident").text
             return HPointsTo(base, off, payload, span=tok.span)
         base = self.expect("ident").text
-        if self.at(":->"):
+        if self.kinds[self.pos] == ":->":
             self.next()
             payload = self.expect("ident").text
             return HPointsTo(base, 0, payload, span=tok.span)
@@ -686,11 +698,11 @@ class _Parser(_Cursor):
 
     def parse_pattern(self) -> Pattern:
         tok = self.peek()
-        if self.at("("):
+        if self.kinds[self.pos] == "(":
             self.next()
             head = self.expect("ident").text
             vars_ = []
-            while self.at("ident"):
+            while self.kinds[self.pos] == "ident":
                 vars_.append(self.next().text)
             self.expect(")")
             if not _is_ctor_name(head):
@@ -711,13 +723,13 @@ class _Parser(_Cursor):
         while self.at("(", "ident"):
             patterns.append(self.parse_pattern())
         bodies = []
-        if self.at(":="):
+        if self.kinds[self.pos] == ":=":
             self.next()
             body = self.parse_expr()
             self.expect(";")
             bodies.append((None, body))
         else:
-            while self.at("|"):
+            while self.kinds[self.pos] == "|":
                 self.next()
                 guard = self.parse_expr()
                 self.expect(":=")
@@ -750,20 +762,18 @@ class _Parser(_Cursor):
         if self.kinds[start] in _PREFIX_FORMS:
             return self.parse_prefix_form()
         head = self.parse_atom()
-        args = []
-        while self._starts_atom():
-            args.append(self.parse_atom())
-        if not args:
+        kinds = self.kinds
+        if kinds[self.pos] not in _ATOM_STARTS:
             return head
+        args = []
+        while kinds[self.pos] in _ATOM_STARTS:
+            args.append(self.parse_atom())
         if isinstance(head, Var):
             return App(head.name, args, span=head.span)
         if isinstance(head, ConstructorApp) and not head.args:
             return ConstructorApp(head.name, args, span=head.span)
         raise ParseError("only named functions and constructors may be applied",
                          self.tokens[start].span)
-
-    def _starts_atom(self) -> bool:
-        return self.kinds[self.pos] in _ATOM_STARTS
 
     def parse_prefix_form(self) -> Expr:
         tok = self.peek()
@@ -802,28 +812,29 @@ class _Parser(_Cursor):
             result = self.parse_layout_ref_atom()
             fn = self.expect("ident").text
             args = []
-            while self._starts_atom():
+            while self.kinds[self.pos] in _ATOM_STARTS:
                 args.append(self.parse_atom())
             return Instantiate(tuple(arg_layouts), result, fn, args, span=tok.span)
         raise ParseError(f"unexpected token {tok.text!r}", tok.span)
 
     def parse_atom(self) -> Expr:
         tok = self.current()
-        if tok.kind == "int":
-            self.next()
-            return IntLit(int(tok.text), span=tok.span)
-        if tok.kind == "true":
-            self.next()
-            return BoolLit(True, span=tok.span)
-        if tok.kind == "false":
-            self.next()
-            return BoolLit(False, span=tok.span)
-        if tok.kind == "ident":
-            self.next()
+        kind = tok.kind
+        if kind == "ident":
+            self.pos += 1
             if _is_ctor_name(tok.text):
                 return ConstructorApp(tok.text, [], span=tok.span)
             return Var(tok.text, span=tok.span)
-        if tok.kind == "(":
+        if kind == "int":
+            self.next()
+            return IntLit(int(tok.text), span=tok.span)
+        if kind == "true":
+            self.next()
+            return BoolLit(True, span=tok.span)
+        if kind == "false":
+            self.next()
+            return BoolLit(False, span=tok.span)
+        if kind == "(":
             self.next()
             inner = self.parse_expr()
             self.expect(")")

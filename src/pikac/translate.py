@@ -35,6 +35,9 @@ from .types import (
 # Branch discrimination
 # ---------------------------------------------------------------------------
 
+_NULL = ssl.PInt(0)     # terms are immutable, so every null test shares it
+
+
 def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
          allow_guarded: bool = False) -> ssl.PureTerm:
     """The Boolean discriminator for a layout branch under the null
@@ -51,8 +54,9 @@ def cond(layout: S.LayoutDef, ctor: str, var: Optional[str] = None,
     if len(empties) > 1 or (len(non_empties) > 1 and not allow_guarded):
         raise AmbiguousBranches(
             f"layout {layout.name} has indistinguishable branches "
-            f"({', '.join(p.ctor for p in empties + non_empties)})")
-    root_null = ssl.PEq(ssl.PVar(var), ssl.PInt(0))
+            f"({', '.join(p.ctor for p in empties + non_empties)})",
+            layout.span, rule="G-LAYOUT")
+    root_null = ssl.PEq(ssl.PVar(var), _NULL)
     if shape.empty:
         return root_null
     return ssl.PNot(root_null)
@@ -79,7 +83,7 @@ def translate_layout_predicate(layout: S.LayoutDef,
         for var, lname in shape.applies.items():
             target = f"ro_{lname}" if ro else lname
             spatial.append(cls(target, (ssl.PVar(var),)))
-        branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial)))
+        branches.append(ssl.Branch(c, ssl.SslAssertion((), tuple(spatial))))
     return ssl.PredicateDef(pred_name, ((root, "loc"),), tuple(branches))
 
 
@@ -93,8 +97,8 @@ def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
     for ctor, shape in layout.shapes.items():
         c = cond(layout, ctor, var="src")
         if shape.empty:
-            body = ssl.SslAssertion.make(
-                (ssl.PEq(ssl.PVar("dst"), ssl.PInt(0)),), ())
+            body = ssl.SslAssertion(
+                (ssl.PEq(ssl.PVar("dst"), _NULL),), ())
             branches.append(ssl.Branch(c, body))
             continue
         # the copy's cell for a field with a structure below it holds the
@@ -115,7 +119,7 @@ def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
                                                     registry)
             spatial.append(ssl.FuncApply(sub_name,
                                          (ssl.PVar(var), ssl.PVar(dst_sub[var]))))
-        branches.append(ssl.Branch(c, ssl.SslAssertion.make((), spatial)))
+        branches.append(ssl.Branch(c, ssl.SslAssertion((), tuple(spatial))))
     pred = ssl.PredicateDef(name, (("src", "loc"), ("dst", "loc")),
                             tuple(branches))
     registry[name] = pred
@@ -377,11 +381,13 @@ class _Arm(Node):
         self.guard_term = None
 
     def assertion(self) -> ssl.SslAssertion:
-        """The branch body the stages found: stage 6's translation."""
-        return ssl.SslAssertion.make(
+        """The branch body the stages found: stage 6's translation.  The
+        stages write no ``true`` conjunct and no ``emp`` heaplet, so
+        nothing is left for ``SslAssertion.make`` to drop."""
+        return ssl.SslAssertion(
             tuple(self.pure),
-            tuple(self.destructure) + tuple(self.calls)
-            + tuple(self.result_cells) + tuple(self.temps))
+            tuple(self.destructure + self.calls + self.result_cells
+                  + self.temps))
 
 
 class CompileResult(Node):
@@ -399,17 +405,29 @@ class CompileResult(Node):
         return "\n".join(parts)
 
 
-def _expr_vars(e: S.Expr) -> set:
-    """The variables ``e`` reads; a let binds its name in its body."""
-    if isinstance(e, S.Var):
-        return {e.name}
-    if isinstance(e, S.Addr):
-        return {e.var}
-    if isinstance(e, S.Let):
-        return _expr_vars(e.bound) | (_expr_vars(e.body) - {e.name})
-    out = set()
-    for x in S.subexprs(e):
-        out |= _expr_vars(x)
+def _expr_vars(e: S.Expr, out: set, calls: Optional[set] = None,
+               fn: Optional[str] = None) -> set:
+    """``out`` with the variables ``e`` reads added, a let binding its name
+    in its body.  With ``calls``, the variables ``e`` passes directly to an
+    instantiation of a function other than ``fn`` are added there, in the
+    same walk."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        cls = e.__class__
+        if cls is S.Var:
+            out.add(e.name)
+        elif cls is S.Addr:
+            out.add(e.var)
+        elif cls is S.Let:
+            inner = _expr_vars(e.body, set(), calls, fn)
+            inner.discard(e.name)
+            out |= inner
+            stack.append(e.bound)
+        else:
+            if cls is S.Instantiate and calls is not None and e.fn != fn:
+                calls.update([a.name for a in e.args if a.__class__ is S.Var])
+            stack += S.subexprs(e)
     return out
 
 
@@ -458,25 +476,24 @@ class _FnTranslator:
         if isinstance(e, S.Lower) and isinstance(e.arg, S.ConstructorApp) \
                 and not e.arg.args:
             resolved = resolve_layout_ref(self.env, e.layout)
-            if resolved.is_adt:
+            if resolved.kind == "adt":
                 shape = resolved.layout.shapes.get(e.arg.name)
                 if shape is not None and shape.empty:
                     return S.IntLit(0, span=e.span)
         return S.map_expr(e, self._null_empty)
 
     def destructure(self, arm: _Arm):
-        used = _expr_vars(arm.body)
+        # the variables the arm reads, and those it passes directly to
+        # calls of other functions
+        fn_args = set()
+        used = _expr_vars(arm.body, set(), fn_args, self.fn)
         if arm.guard is not None:
-            used |= _expr_vars(arm.guard)
-        # variables passed directly to calls of other functions
-        fn_args = {a.name for x in S.iter_subexprs(arm.body)
-                   if isinstance(x, S.Instantiate) and x.fn != self.fn
-                   for a in x.args if isinstance(a, S.Var)}
+            _expr_vars(arm.guard, used)
         for arg in arm.args:
             arm.destructure.extend(self._destructure(arg, used, fn_args))
 
     def _destructure(self, arg: ElabArg, used: set, fn_args: set) -> list:
-        if arg.pattern is None or not arg.layout.is_adt:
+        if arg.pattern is None or arg.layout.kind != "adt":
             return []
         layout = arg.layout.layout
         ctor, pat_vars = arg.pattern
@@ -504,7 +521,7 @@ class _FnTranslator:
     def insert_copy(self, arm: _Arm):
         if isinstance(arm.body, S.Lower) and isinstance(arm.body.arg, S.Var):
             resolved = resolve_layout_ref(self.env, arm.body.layout)
-            if resolved.is_adt:
+            if resolved.kind == "adt":
                 self.copy_layouts.add(resolved.layout.name)
                 arm.body = _CopyCall(arm.body.arg.name, resolved.layout,
                                      span=arm.body.span)
@@ -533,15 +550,15 @@ class _FnTranslator:
         for arm in self.arms:
             empties, non_empties = [], []
             for arg in arm.args:
-                if arg.pattern is None or not arg.layout.is_adt:
+                if arg.pattern is None or arg.layout.kind != "adt":
                     continue
                 layout = arg.layout.layout
                 ctor, _ = arg.pattern
                 c = cond(layout, ctor, var=arg.ssl_name,
                          allow_guarded=arm.guard is not None)
-                if c == ssl.TRUE:
+                if c is ssl.TRUE:
                     continue
-                (empties if isinstance(c, ssl.PEq) else non_empties).append(c)
+                (empties if c.__class__ is ssl.PEq else non_empties).append(c)
             parts = empties + non_empties
             if arm.guard_term is not None:
                 parts.append(arm.guard_term)
@@ -622,7 +639,7 @@ class _ArmTx:
             return
         if isinstance(e, S.Lower) and isinstance(e.arg, S.ConstructorApp):
             resolved = resolve_layout_ref(self.env, e.layout)
-            if not resolved.is_adt:
+            if resolved.kind != "adt":
                 raise NonConstructibleBody("lowering at a base layout",
                                            e.span)
             self.build_ctor(resolved.layout, e.arg, result)
@@ -693,40 +710,40 @@ class _ArmTx:
     # -- value positions --
 
     def value_of(self, e: S.Expr, spatial_adt: bool) -> ssl.PureTerm:
-        if isinstance(e, S.IntLit):
-            return ssl.PInt(e.value)
-        if isinstance(e, S.BoolLit):
-            return ssl.PBool(e.value)
-        if isinstance(e, S.Var):
+        cls = e.__class__
+        if cls is S.Var:
             if spatial_adt and e.name in self.adt_alias:
                 return ssl.PVar(self.adt_alias[e.name])
             return ssl.PVar(e.name)
-        if isinstance(e, S.Addr):
-            return self.addr_term(e)
-        if isinstance(e, S.BinOp):
+        if cls is S.IntLit:
+            return ssl.PInt(e.value)
+        if cls is S.BinOp:
             lhs, rhs = self.value_of(e.lhs, False), self.value_of(e.rhs, False)
             if e.op == "||":
                 # a || b  ==  not (not a && not b); emitted syntax has no ||
                 return ssl.PNot(ssl.PAnd(ssl.PNot(lhs), ssl.PNot(rhs)))
             return ssl.BINARY_OPS[e.op](lhs, rhs)
-        if isinstance(e, S.Not):
-            return ssl.PNot(self.value_of(e.arg, False))
-        if isinstance(e, S.IfThenElse):
-            return ssl.PTernary(self.value_of(e.cond, False),
-                                self.value_of(e.then, False),
-                                self.value_of(e.els, False))
-        if isinstance(e, S.Instantiate):
-            out = self.emit_call(e)
-            return out
-        if isinstance(e, S.Lower):
-            if isinstance(e.arg, S.ConstructorApp):
+        if cls is S.Instantiate:
+            return self.emit_call(e)
+        if cls is S.Lower:
+            if e.arg.__class__ is S.ConstructorApp:
                 resolved = resolve_layout_ref(self.env, e.layout)
                 root = self.t.fresh_value("adt")
                 self.produced[root] = False   # materialised, not a call output
                 self.build_ctor(resolved.layout, e.arg, root)
                 return ssl.PVar(root)
             return self.value_of(e.arg, spatial_adt)
-        if isinstance(e, _Term):
+        if cls is S.BoolLit:
+            return ssl.PBool(e.value)
+        if cls is S.Addr:
+            return self.addr_term(e)
+        if cls is S.Not:
+            return ssl.PNot(self.value_of(e.arg, False))
+        if cls is S.IfThenElse:
+            return ssl.PTernary(self.value_of(e.cond, False),
+                                self.value_of(e.then, False),
+                                self.value_of(e.els, False))
+        if cls is _Term:
             return e.term
         raise NonConstructibleBody(
             f"cannot translate {type(e).__name__} in value position",
@@ -761,7 +778,7 @@ class _ArmTx:
         self.arm.calls.append(None)
         args = []
         for a, lay in zip(e.args, arg_layouts):
-            if lay.sort == "loc" and lay.is_adt:
+            if lay.kind == "adt":
                 term = self.value_of(a, spatial_adt=True)
             else:
                 term = self.value_of(a, spatial_adt=False)
@@ -773,7 +790,7 @@ class _ArmTx:
             out = out_var
         else:
             loc_sorted = res_layout.sort == "loc"
-            out = self.t.fresh_value("adt" if res_layout.is_adt
+            out = self.t.fresh_value("adt" if res_layout.kind == "adt"
                                      else ("ptr" if loc_sorted else "int"))
             self.produced[out] = loc_sorted
         if recursive:
@@ -857,7 +874,8 @@ def _compile_result(tx: _FnTranslator, predicate: ssl.PredicateDef
     """The translated predicate with the auxiliary predicates it uses and
     its synthesis goal."""
     elab, env = tx.elab, tx.env
-    arg_layouts = [lay.layout.name for lay in elab.arg_layouts if lay.is_adt]
+    arg_layouts = [lay.layout.name for lay in elab.arg_layouts
+                   if lay.kind == "adt"]
     layout_preds = [translate_layout_predicate(env.layouts[name])
                     for name in _applied_closure(env, arg_layouts)]
     ro_preds = [translate_layout_predicate(env.layouts[name], ro=True)
@@ -885,28 +903,28 @@ def _applied_closure(env: GlobalEnv, names) -> list:
 
 
 def make_goal_spec(elab: ElabFn, pred_name: str) -> ssl.GoalSpec:
-    params = []
-    pre = []
-    post = []
-    pred_args = []
-    for i, lay in enumerate(elab.arg_layouts):
-        pname = f"x{i + 1}"
+    params, pre, post, pred_args = [], [], [], []
+    for i, lay in enumerate(elab.arg_layouts, 1):
+        pname = f"x{i}"
         params.append(("loc", pname))
-        if lay.is_adt:
-            pre.append(ssl.PredApply(lay.layout.name, (ssl.PVar(pname),)))
-            pred_args.append(ssl.PVar(pname))
+        if lay.kind == "adt":
+            arg = ssl.PVar(pname)
+            pre.append(ssl.PredApply(lay.layout.name, (arg,)))
         else:
-            content = f"v{i + 1}"
-            pre.append(ssl.PointsTo(pname, 0, ssl.PVar(content)))
-            post.append(ssl.PointsTo(pname, 0, ssl.PVar(content)))
-            pred_args.append(ssl.PVar(content))
+            # a base value is passed in a cell, which it leaves as it was
+            arg = ssl.PVar(f"v{i}")
+            cell = ssl.PointsTo(pname, 0, arg)
+            pre.append(cell)
+            post.append(cell)
+        pred_args.append(arg)
     params.append(("loc", "r"))
-    pre.append(ssl.PointsTo("r", 0, ssl.PInt(0)))
-    post.insert(0, ssl.PredApply(pred_name, tuple(pred_args) + (ssl.PVar("r0"),)))
-    post.append(ssl.PointsTo("r", 0, ssl.PVar("r0")))
+    pre.append(ssl.PointsTo("r", 0, _NULL))
+    result = ssl.PVar("r0")
+    post.insert(0, ssl.PredApply(pred_name, (*pred_args, result)))
+    post.append(ssl.PointsTo("r", 0, result))
     return ssl.GoalSpec(elab.name, tuple(params),
-                        ssl.SslAssertion.make((), pre),
-                        ssl.SslAssertion.make((), post))
+                        ssl.SslAssertion((), tuple(pre)),
+                        ssl.SslAssertion((), tuple(post)))
 
 
 # ---------------------------------------------------------------------------
@@ -927,7 +945,7 @@ def _pattern_text(arg: ElabArg, annotated: bool) -> str:
         return arg.source_name or arg.ssl_name
     ctor, vars_ = arg.pattern
     pat = f"({ctor} {' '.join(vars_)})" if vars_ else f"({ctor})"
-    if annotated and arg.layout.is_adt:
+    if annotated and arg.layout.kind == "adt":
         return f"({arg.layout.layout.name}[{arg.layout.mode} ; " \
                f"{arg.ssl_name}] {pat})"
     return pat
@@ -942,7 +960,7 @@ def _layout_annotation(arm: _Arm) -> str:
     With no binder cells it says only what a null result already says."""
     chunks = []
     for arg in arm.args:
-        if arg.pattern is None or not arg.layout.is_adt:
+        if arg.pattern is None or arg.layout.kind != "adt":
             continue
         layout = arg.layout.layout
         ctor, pat_vars = arg.pattern
@@ -955,7 +973,8 @@ def _layout_annotation(arm: _Arm) -> str:
         for off, payload in shape.cells:
             chunks.append(f"{S.render_loc(root, off)} {arrow} {sub[payload]}")
     if not chunks:
-        if arm.body.__class__ is S.IntLit and arm.result_layout.is_adt:
+        if arm.body.__class__ is S.IntLit \
+                and arm.result_layout.kind == "adt":
             return f"{arm.result_name} == 0 ; emp"
         return "emp"
     return ", ".join(chunks)

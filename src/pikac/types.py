@@ -162,10 +162,16 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
         if d.fn not in unit.fn_defs:
             raise UnboundVariable(f"%generate names undefined function {d.fn}",
                                   d.span)
+        if d.fn in directives:
+            # compile_directive and its callers name a directive by its
+            # function, so a second one would replace the first
+            raise DuplicateName(f"second %generate directive for {d.fn}",
+                                d.span, rule="G-FN")
         directives[d.fn] = d
-    for name in unit.fn_defs:
+    for name, cases in unit.fn_defs.items():
         if name not in fn_sigs:
-            raise UnboundVariable(f"function {name} has no type signature")
+            raise UnboundVariable(f"function {name} has no type signature",
+                                  cases[0].span)
     return GlobalEnv(adts, ctors, layouts, fn_sigs, dict(unit.fn_defs), directives)
 
 
@@ -185,10 +191,6 @@ class ResolvedLayout(Frozen):
     @property
     def sort(self) -> str:
         return "int" if self.kind in ("int", "bool") else "loc"
-
-    @property
-    def is_adt(self) -> bool:
-        return self.kind == "adt"
 
     def tag(self, result: bool = False) -> str:
         if self.kind == "int":
@@ -304,7 +306,7 @@ def layout_for_type(env: GlobalEnv, ty: S.TypeExpr,
         return resolved
     if resolved.kind == "ptr" and isinstance(ty, (S.TPtrInt, S.TInt)):
         return resolved
-    if resolved.is_adt and isinstance(ty, S.TName) \
+    if resolved.kind == "adt" and isinstance(ty, S.TName) \
             and resolved.layout.adt == ty.name:
         return resolved
     raise LayoutAdtMismatch(
@@ -329,138 +331,199 @@ OPERATOR_TYPES = {
 def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
     """Assign a type under the strict rules, or raise a diagnostic."""
     cls = e.__class__
-    if cls is S.IntLit:
-        return S.TInt()
-    if cls is S.BoolLit:
-        return S.TBool()
-    if cls is S.Var:
-        if e.name in gamma:
-            return gamma[e.name]
-        if e.name in env.fn_sigs:
-            return env.fn_sigs[e.name]
-        raise UnboundVariable(f"unbound variable {e.name}", e.span, rule="T-VAR")
-    if cls is S.Addr:
-        inner = infer_expr(env, gamma, S.Var(e.var, span=e.span))
-        if not isinstance(inner, S.TInt):
-            raise TypeMismatch("Int", str(inner), e.span, rule="T-ADDR")
-        return S.TPtrInt()
-    if cls is S.Not:
-        ty = infer_expr(env, gamma, e.arg)
-        if not isinstance(ty, S.TBool):
-            raise TypeMismatch("Bool", str(ty), e.span, rule="T-NOT")
-        return S.TBool()
-    if cls is S.BinOp:
-        lt = infer_expr(env, gamma, e.lhs)
-        rt = infer_expr(env, gamma, e.rhs)
-        operand, result, rule = OPERATOR_TYPES[e.op]
-        for t in (lt, rt):
-            if t != operand:
-                raise TypeMismatch(str(operand), str(t), e.span, rule=rule)
-        return result
-    if cls is S.IfThenElse:
-        ct = infer_expr(env, gamma, e.cond)
-        if not isinstance(ct, S.TBool):
-            raise TypeMismatch("Bool", str(ct), e.span, rule="T-IF")
-        tt = infer_expr(env, gamma, e.then)
-        et = infer_expr(env, gamma, e.els)
-        if tt != et:
-            raise TypeMismatch(str(tt), str(et), e.span, rule="T-IF")
-        return tt
     if cls is S.Let:
-        bt = infer_expr(env, gamma, e.bound)
         inner = dict(gamma)
-        inner[e.name] = bt
+        inner[e.name] = infer_expr(env, gamma, e.bound)
         return infer_expr(env, inner, e.body)
-    if cls is S.ConstructorApp:
-        if e.name not in env.ctors:
-            raise UnboundVariable(f"unknown constructor {e.name}", e.span,
-                                  rule="T-CONSTR")
-        field_tys, adt = env.ctors[e.name]
-        if len(e.args) != len(field_tys):
-            raise ArityMismatch(
-                f"constructor {e.name} expects {len(field_tys)} arguments, "
-                f"got {len(e.args)}", e.span, rule="T-CONSTR")
-        for arg, fty in zip(e.args, field_tys):
-            at = infer_expr(env, gamma, arg)
-            if isinstance(fty, S.TName):
-                if isinstance(at, S.TName) and at.name == fty.name:
-                    continue
-                if isinstance(at, LayoutType) \
-                        and env.layouts[at.name].adt == fty.name:
-                    continue
-                raise TypeMismatch(str(fty), str(at), e.span, rule="T-CONSTR")
-            if at != fty:
-                raise TypeMismatch(str(fty), str(at), e.span, rule="T-CONSTR")
-        return S.TName(adt)
-    if cls is S.Lower:
-        resolved = resolve_layout_ref(env, e.layout, e.span)
-        if not resolved.is_adt:
-            ty = infer_expr(env, gamma, e.arg)
-            if resolved.kind == "ptr":
-                if not isinstance(ty, (S.TInt, S.TPtrInt)):
-                    raise TypeMismatch("Int", str(ty), e.span, rule="T-LOWER-VAR")
-                return S.TPtrInt()
-            if ty != resolved.type():
-                raise TypeMismatch(str(resolved.type()), str(ty), e.span,
-                                   rule="T-LOWER-VAR")
-            return resolved.type()
-        layout = resolved.layout
-        if isinstance(e.arg, S.ConstructorApp):
-            ctor = e.arg
-            if ctor.name not in env.ctors:
-                raise UnboundVariable(f"unknown constructor {ctor.name}",
-                                      e.span, rule="T-CONSTR")
-            field_tys, adt = env.ctors[ctor.name]
-            if adt != layout.adt:
-                raise LayoutAdtMismatch(
-                    f"layout {layout.name} is for {layout.adt}, "
-                    f"constructor {ctor.name} builds {adt}", e.span,
-                    rule="T-LOWER-CONSTR")
-            if len(ctor.args) != len(field_tys):
-                raise ArityMismatch(
-                    f"constructor {ctor.name} expects {len(field_tys)} "
-                    f"arguments, got {len(ctor.args)}", e.span, rule="T-CONSTR")
-            for arg, fty in zip(ctor.args, field_tys):
-                if not check_concrete(env, gamma, arg, fty):
-                    raise NotConcrete(
-                        f"argument of {ctor.name} is not concrete at type {fty}",
-                        e.span, rule="T-LOWER-CONSTR")
-            return LayoutType(layout.name)
-        inner = infer_expr(env, gamma, e.arg)
-        if isinstance(inner, S.TName):
-            if inner.name != layout.adt:
-                raise LayoutAdtMismatch(
-                    f"layout {layout.name} is for {layout.adt}, value has type "
-                    f"{inner.name}", e.span, rule="T-LOWER-VAR")
-            return LayoutType(layout.name)
-        if isinstance(inner, LayoutType):
-            if inner.name != layout.name:
-                raise LayoutAdtMismatch(
-                    f"value already resident at layout {inner.name}", e.span,
-                    rule="T-LOWER-VAR")
-            return inner
-        raise TypeMismatch(layout.adt, str(inner), e.span, rule="T-LOWER-VAR")
-    if cls is S.Instantiate:
-        return _infer_instantiate(env, gamma, e)
-    if cls is S.App:
-        fn_ty = infer_expr(env, gamma, S.Var(e.fn, span=e.span))
-        params, result = uncurry(fn_ty)
-        if len(e.args) != len(params):
-            raise ArityMismatch(
-                f"{e.fn} expects {len(params)} arguments, got {len(e.args)}",
-                e.span, rule="T-FN-GLOBAL")
-        for arg, pty in zip(e.args, params):
-            at = infer_expr(env, gamma, arg)
-            if isinstance(pty, S.TName) and isinstance(at, LayoutType) \
-                    and env.layouts[at.name].adt == pty.name:
+    rule = TYPE_RULES.get(cls)
+    if rule is None:
+        raise TypeMismatch("expression", type(e).__name__,
+                           getattr(e, "span", None))
+    kids = e.arg.args if cls is S.Lower \
+        and e.arg.__class__ is S.ConstructorApp else S.subexprs(e)
+    return rule(env, gamma, e, [_result(env, gamma, k) for k in kids])
+
+
+def _result(env: GlobalEnv, gamma: dict, e: S.Expr):
+    """What ``infer_expr`` makes of ``e``: its type, or the diagnostic it
+    raises."""
+    try:
+        return infer_expr(env, gamma, e)
+    except PikaError as exc:
+        return exc
+
+
+def _typed(rule, env: GlobalEnv, gamma: dict, e: S.Expr, kids: list):
+    """What ``rule`` makes of ``e`` and its kids' results: its type, or the
+    diagnostic it raises."""
+    try:
+        return rule(env, gamma, e, kids)
+    except PikaError as exc:
+        return exc
+
+
+def _ok(result) -> Type:
+    """A kid's type; its diagnostic is raised when typing it failed."""
+    if isinstance(result, PikaError):
+        raise result
+    return result
+
+
+# The rule of each kind but ``Let``, whose body is typed in a larger
+# context.  A rule takes the node and its kids' results, each a type or a
+# diagnostic, in ``S.subexprs`` order; a ``Lower`` of a constructor
+# application takes the application's arguments as its kids.  It raises a
+# kid's diagnostic where it first needs the kid's type, so the diagnostic
+# that wins is the one a walk that types each kid on demand would meet
+# first: ``infer_expr`` types the kids first, the elaborator as it builds
+# them, and both raise the same one.
+
+def _type_int(env, gamma, e, kids) -> Type:
+    return S.TInt()
+
+
+def _type_bool(env, gamma, e, kids) -> Type:
+    return S.TBool()
+
+
+def _lookup(env: GlobalEnv, gamma: dict, name: str, span) -> Type:
+    ty = gamma.get(name)
+    if ty is None:
+        ty = env.fn_sigs.get(name)
+        if ty is None:
+            raise UnboundVariable(f"unbound variable {name}", span,
+                                  rule="T-VAR")
+    return ty
+
+
+def _type_var(env, gamma, e, kids) -> Type:
+    return _lookup(env, gamma, e.name, e.span)
+
+
+def _type_addr(env, gamma, e, kids) -> Type:
+    inner = _lookup(env, gamma, e.var, e.span)
+    if not isinstance(inner, S.TInt):
+        raise TypeMismatch("Int", str(inner), e.span, rule="T-ADDR")
+    return S.TPtrInt()
+
+
+def _type_not(env, gamma, e, kids) -> Type:
+    ty = _ok(kids[0])
+    if not isinstance(ty, S.TBool):
+        raise TypeMismatch("Bool", str(ty), e.span, rule="T-NOT")
+    return S.TBool()
+
+
+def _type_binop(env, gamma, e, kids) -> Type:
+    lt, rt = _ok(kids[0]), _ok(kids[1])
+    operand, result, rule = OPERATOR_TYPES[e.op]
+    for t in (lt, rt):
+        if t != operand:
+            raise TypeMismatch(str(operand), str(t), e.span, rule=rule)
+    return result
+
+
+def _type_if(env, gamma, e, kids) -> Type:
+    ct = _ok(kids[0])
+    if not isinstance(ct, S.TBool):
+        raise TypeMismatch("Bool", str(ct), e.span, rule="T-IF")
+    tt, et = _ok(kids[1]), _ok(kids[2])
+    if tt != et:
+        raise TypeMismatch(str(tt), str(et), e.span, rule="T-IF")
+    return tt
+
+
+def _type_ctor(env, gamma, e, kids) -> Type:
+    if e.name not in env.ctors:
+        raise UnboundVariable(f"unknown constructor {e.name}", e.span,
+                              rule="T-CONSTR")
+    field_tys, adt = env.ctors[e.name]
+    if len(e.args) != len(field_tys):
+        raise ArityMismatch(
+            f"constructor {e.name} expects {len(field_tys)} arguments, "
+            f"got {len(e.args)}", e.span, rule="T-CONSTR")
+    for kid, fty in zip(kids, field_tys):
+        at = _ok(kid)
+        if isinstance(fty, S.TName):
+            if isinstance(at, S.TName) and at.name == fty.name:
                 continue
-            if at != pty:
-                raise TypeMismatch(str(pty), str(at), e.span, rule="T-FN-GLOBAL")
-        return result
-    raise TypeMismatch("expression", type(e).__name__, getattr(e, "span", None))
+            if isinstance(at, LayoutType) \
+                    and env.layouts[at.name].adt == fty.name:
+                continue
+            raise TypeMismatch(str(fty), str(at), e.span, rule="T-CONSTR")
+        if at != fty:
+            raise TypeMismatch(str(fty), str(at), e.span, rule="T-CONSTR")
+    return S.TName(adt)
 
 
-def _infer_instantiate(env: GlobalEnv, gamma: dict, e: S.Instantiate) -> Type:
+def _type_lower(env, gamma, e, kids) -> Type:
+    resolved = resolve_layout_ref(env, e.layout, e.span)
+    ctor = e.arg if e.arg.__class__ is S.ConstructorApp else None
+    if resolved.kind != "adt":
+        ty = _ok(kids[0]) if ctor is None \
+            else _type_ctor(env, gamma, ctor, kids)
+        if resolved.kind == "ptr":
+            if not isinstance(ty, (S.TInt, S.TPtrInt)):
+                raise TypeMismatch("Int", str(ty), e.span, rule="T-LOWER-VAR")
+            return S.TPtrInt()
+        if ty != resolved.type():
+            raise TypeMismatch(str(resolved.type()), str(ty), e.span,
+                               rule="T-LOWER-VAR")
+        return resolved.type()
+    layout = resolved.layout
+    if ctor is not None:
+        if ctor.name not in env.ctors:
+            raise UnboundVariable(f"unknown constructor {ctor.name}",
+                                  e.span, rule="T-CONSTR")
+        field_tys, adt = env.ctors[ctor.name]
+        if adt != layout.adt:
+            raise LayoutAdtMismatch(
+                f"layout {layout.name} is for {layout.adt}, "
+                f"constructor {ctor.name} builds {adt}", e.span,
+                rule="T-LOWER-CONSTR")
+        if len(ctor.args) != len(field_tys):
+            raise ArityMismatch(
+                f"constructor {ctor.name} expects {len(field_tys)} "
+                f"arguments, got {len(ctor.args)}", e.span, rule="T-CONSTR")
+        for kid, fty in zip(kids, field_tys):
+            if not _concrete(env, kid, fty):
+                raise NotConcrete(
+                    f"argument of {ctor.name} is not concrete at type {fty}",
+                    e.span, rule="T-LOWER-CONSTR")
+        return LayoutType(layout.name)
+    inner = _ok(kids[0])
+    if isinstance(inner, S.TName):
+        if inner.name != layout.adt:
+            raise LayoutAdtMismatch(
+                f"layout {layout.name} is for {layout.adt}, value has type "
+                f"{inner.name}", e.span, rule="T-LOWER-VAR")
+        return LayoutType(layout.name)
+    if isinstance(inner, LayoutType):
+        if inner.name != layout.name:
+            raise LayoutAdtMismatch(
+                f"value already resident at layout {inner.name}", e.span,
+                rule="T-LOWER-VAR")
+        return inner
+    raise TypeMismatch(layout.adt, str(inner), e.span, rule="T-LOWER-VAR")
+
+
+def _type_app(env, gamma, e, kids) -> Type:
+    params, result = uncurry(_lookup(env, gamma, e.fn, e.span))
+    if len(e.args) != len(params):
+        raise ArityMismatch(
+            f"{e.fn} expects {len(params)} arguments, got {len(e.args)}",
+            e.span, rule="T-FN-GLOBAL")
+    for kid, pty in zip(kids, params):
+        at = _ok(kid)
+        if isinstance(pty, S.TName) and isinstance(at, LayoutType) \
+                and env.layouts[at.name].adt == pty.name:
+            continue
+        if at != pty:
+            raise TypeMismatch(str(pty), str(at), e.span, rule="T-FN-GLOBAL")
+    return result
+
+
+def _type_instantiate(env, gamma, e, kids) -> Type:
     resolved_args = []
     for ref in e.arg_layouts:
         if isinstance(ref, S.FnLayout):
@@ -489,28 +552,28 @@ def _infer_instantiate(env: GlobalEnv, gamma: dict, e: S.Instantiate) -> Type:
             if not isinstance(ref, S.FnLayout):
                 layout_for_type(env, pty, ref, e.span)
         if isinstance(res, S.TName):
-            if not result.is_adt or result.layout.adt != res.name:
+            if result.kind != "adt" or result.layout.adt != res.name:
                 raise LayoutAdtMismatch(
                     f"result layout does not fit result type {res}", e.span,
                     rule="T-INSTANTIATE")
         else:
             layout_for_type(env, res, e.result_layout, e.span)
     # value arguments must be concrete at their layouts
-    value_args = [a for a, r in zip(e.args, resolved_args)
-                  if isinstance(r, ResolvedLayout)] if sig else list(e.args)
+    value_kids = [k for k, r in zip(kids, resolved_args)
+                  if isinstance(r, ResolvedLayout)] if sig else list(kids)
     layouts = value_layouts if sig else resolved_args
-    if len(value_args) != len(layouts):
+    if len(value_kids) != len(layouts):
         raise ArityMismatch(
-            f"instantiate of {e.fn} applies {len(value_args)} arguments to "
+            f"instantiate of {e.fn} applies {len(value_kids)} arguments to "
             f"{len(layouts)} layouts", e.span, rule="T-INSTANTIATE")
-    for arg, lay in zip(value_args, layouts):
+    for kid, lay in zip(value_kids, layouts):
         if isinstance(lay, S.FnLayout):
             continue
-        at = infer_expr(env, gamma, arg)
+        at = _ok(kid)
         expected = lay.type()
         if isinstance(expected, S.TPtrInt) and isinstance(at, (S.TInt, S.TPtrInt)):
             continue
-        if lay.is_adt:
+        if lay.kind == "adt":
             if isinstance(at, LayoutType) and at.name == lay.layout.name:
                 continue
             raise LayoutAdtMismatch(
@@ -522,21 +585,34 @@ def _infer_instantiate(env: GlobalEnv, gamma: dict, e: S.Instantiate) -> Type:
     return result.type()
 
 
+TYPE_RULES = {
+    S.IntLit: _type_int, S.BoolLit: _type_bool, S.Var: _type_var,
+    S.Addr: _type_addr, S.Not: _type_not, S.BinOp: _type_binop,
+    S.IfThenElse: _type_if, S.ConstructorApp: _type_ctor,
+    S.Lower: _type_lower, S.App: _type_app,
+    S.Instantiate: _type_instantiate,
+}
+
+
 def check_concrete(env: GlobalEnv, gamma: dict, e: S.Expr,
                    adt: S.TypeExpr) -> bool:
     """Concreteness judgment: can this value be represented on the machine?"""
-    try:
-        ty = infer_expr(env, gamma, e)
-    except PikaError:
+    return _concrete(env, _result(env, gamma, e), adt)
+
+
+def _concrete(env: GlobalEnv, result, adt: S.TypeExpr) -> bool:
+    """``check_concrete`` on a typing result."""
+    if isinstance(result, PikaError):
         return False
     if isinstance(adt, S.TInt):
-        return isinstance(ty, S.TInt)
+        return isinstance(result, S.TInt)
     if isinstance(adt, S.TBool):
-        return isinstance(ty, S.TBool)
+        return isinstance(result, S.TBool)
     if isinstance(adt, S.TPtrInt):
-        return isinstance(ty, (S.TPtrInt, S.TInt))
+        return isinstance(result, (S.TPtrInt, S.TInt))
     if isinstance(adt, S.TName):
-        return isinstance(ty, LayoutType) and env.layouts[ty.name].adt == adt.name
+        return isinstance(result, LayoutType) \
+            and env.layouts[result.name].adt == adt.name
     return False
 
 
@@ -570,13 +646,13 @@ class TypedProgram(Node):
 
 
 def _result_name(layout: ResolvedLayout) -> str:
-    if layout.is_adt:
+    if layout.kind == "adt":
         return f"__r_{layout.layout.ssl_params[0]}"
     return "__r"
 
 
 def _param_name(i: int, layout: ResolvedLayout) -> str:
-    return f"__p_x{i}" if layout.is_adt else f"__p_{i}"
+    return f"__p_x{i}" if layout.kind == "adt" else f"__p_{i}"
 
 
 # the kinds _elab rebuilds with no expected layout: literals and operators
@@ -617,14 +693,16 @@ class _Elaborator:
             result_layout = layout_for_type(env, result_ty,
                                             directive.result_layout,
                                             directive.span)
+        # what a recursive call in the bodies is instantiated at
+        self.fn, self.directive = fn, directive
         cases = []
         for case in env.fn_defs[fn]:
-            cases.extend(self._elaborate_case(fn, directive, case, param_tys,
+            cases.extend(self._elaborate_case(fn, case, param_tys,
                                               arg_layouts, result_layout))
         return ElabFn(fn, directive, arg_layouts, result_layout, cases,
                       fresh_base=len(param_tys))
 
-    def _elaborate_case(self, fn, directive, case: S.FnCase, param_tys,
+    def _elaborate_case(self, fn, case: S.FnCase, param_tys,
                         arg_layouts, result_layout) -> ElabCase:
         env = self.env
         if len(case.patterns) != len(arg_layouts):
@@ -643,7 +721,7 @@ class _Elaborator:
                 args.append(ElabArg(name, lay, None, {}, [],
                                     source_name=pat.var))
             else:
-                if not lay.is_adt:
+                if lay.kind != "adt":
                     raise TypeMismatch("ADT layout", lay.tag(), pat.span,
                                        rule="G-FN")
                 layout = lay.layout
@@ -676,18 +754,21 @@ class _Elaborator:
                                     offsets, applies))
 
         elab_cases = []
+        # the typing context of the elaborated code, whose variables are
+        # renamed; each body is typed as it is elaborated
+        typing = gamma_renamed(gamma, rename)
         for guard, body in case.guarded_bodies:
             g2 = None
             if guard is not None:
-                g2 = self._elab(guard, gamma, rename, fn, directive, None)
-                gt = infer_expr(env, gamma_renamed(gamma, rename), g2)
+                g2, gt = self._elab(guard, gamma, rename, typing, None)
+                gt = _ok(gt)
                 if not isinstance(gt, S.TBool):
                     raise TypeMismatch("Bool", str(gt), case.span,
                                        rule="T-GUARD")
-            b2 = self._elab(body, gamma, rename, fn, directive,
-                            result_layout if result_layout.is_adt else None,
-                            at_result=True)
-            bt = infer_expr(env, gamma_renamed(gamma, rename), b2)
+            b2, bt = self._elab(body, gamma, rename, typing,
+                                result_layout if result_layout.kind == "adt"
+                                else None, at_result=True)
+            bt = _ok(bt)
             want = result_layout.type()
             if bt != want and not (result_layout.kind == "ptr"
                                    and isinstance(bt, S.TInt)):
@@ -709,10 +790,15 @@ class _Elaborator:
         return fty
 
     # -- expression elaboration --
+    # Each method returns the elaborated expression and the result of
+    # typing it in ``typing`` under the strict rules: its type, or the
+    # diagnostic ``infer_expr`` would raise on it.  Typing diagnostics wait
+    # until ``_elaborate_case`` reads a body's result, so that every
+    # elaboration diagnostic in the body wins over them.
 
-    def _elab(self, e: S.Expr, gamma, rename, fn, directive,
+    def _elab(self, e: S.Expr, gamma, rename, typing,
               expected: Optional[ResolvedLayout],
-              at_result: bool = False) -> S.Expr:
+              at_result: bool = False) -> tuple:
         env = self.env
         cls = e.__class__
         if cls is S.Var:
@@ -722,10 +808,12 @@ class _Elaborator:
                 raise UnboundVariable(f"unbound variable {e.name}", e.span,
                                       rule="T-VAR")
             out = S.Var(name, span=e.span)
-            if expected is not None and expected.is_adt:
+            result = typing.get(name)
+            if result is None:
+                result = _typed(_type_var, env, typing, out, ())
+            if expected is not None and expected.kind == "adt":
                 if isinstance(ty, S.TName):
-                    return S.Lower(S.NamedLayout(expected.layout.name,
-                                                 expected.mode), out, span=e.span)
+                    return self._lower_at(expected, out, result, typing)
                 if isinstance(ty, LayoutType):
                     if ty.name != expected.layout.name:
                         raise LayoutAdtMismatch(
@@ -734,55 +822,88 @@ class _Elaborator:
                     if at_result:
                         # a returned resident variable is re-lowered at the
                         # result layout; the copy stage keys off this wrapper
-                        return S.Lower(S.NamedLayout(expected.layout.name,
-                                                     expected.mode), out,
-                                       span=e.span)
-            return out
-        if cls is S.Addr:
-            return S.Addr(rename.get(e.var, e.var), span=e.span)
-        if cls in _OPERATOR_KINDS:
-            return S.map_expr(e, lambda x: self._elab(x, gamma, rename, fn,
-                                                      directive, None))
-        if cls is S.IfThenElse:
-            return S.IfThenElse(
-                self._elab(e.cond, gamma, rename, fn, directive, None),
-                self._elab(e.then, gamma, rename, fn, directive, expected,
-                           at_result),
-                self._elab(e.els, gamma, rename, fn, directive, expected,
-                           at_result),
-                span=e.span)
-        if cls is S.Let:
-            bound = self._elab(e.bound, gamma, rename, fn, directive, None)
-            bt = infer_expr(env, gamma_renamed(gamma, rename), bound)
-            inner = dict(gamma)
-            inner[e.name] = bt
-            inner_rename = dict(rename)
-            inner_rename.pop(e.name, None)
-            body = self._elab(e.body, inner, inner_rename, fn, directive,
-                              expected, at_result)
-            return S.Let(e.name, bound, body, span=e.span)
+                        return self._lower_at(expected, out, result, typing)
+            return out, result
+        if cls is S.BinOp:
+            lhs, lt = self._elab(e.lhs, gamma, rename, typing, None)
+            rhs, rt = self._elab(e.rhs, gamma, rename, typing, None)
+            out = S.BinOp(e.op, lhs, rhs, span=e.span)
+            return out, _typed(_type_binop, env, typing, out, [lt, rt])
+        if cls is S.IntLit:
+            return e, _type_int(env, typing, e, ())
         if cls is S.ConstructorApp:
-            return self._elab_ctor(e, gamma, rename, fn, directive, expected)
+            return self._elab_ctor(e, gamma, rename, typing, expected)
+        if cls is S.App:
+            return self._elab_app(e, gamma, rename, typing, expected)
+        if cls is S.Instantiate:
+            return self._elab_instantiate(e, gamma, rename, typing)
+        if cls is S.IfThenElse:
+            c, ct = self._elab(e.cond, gamma, rename, typing, None)
+            then, tt = self._elab(e.then, gamma, rename, typing, expected,
+                                  at_result)
+            els, et = self._elab(e.els, gamma, rename, typing, expected,
+                                 at_result)
+            out = S.IfThenElse(c, then, els, span=e.span)
+            return out, _typed(_type_if, env, typing, out, [ct, tt, et])
         if cls is S.Lower:
             resolved = resolve_layout_ref(env, e.layout, e.span)
-            if expected is not None and expected.is_adt and resolved.is_adt \
+            if expected is not None and expected.kind == "adt" \
+                    and resolved.kind == "adt" \
                     and resolved.layout.name != expected.layout.name:
                 raise LayoutAdtMismatch(
                     f"lowered at {resolved.layout.name}, expected "
                     f"{expected.layout.name}", e.span, rule="T-LOWER-VAR")
-            inner = self._elab(e.arg, gamma, rename, fn, directive, resolved)
-            if isinstance(inner, S.Lower):
-                return inner
-            return S.Lower(e.layout, inner, span=e.span)
-        if cls is S.App:
-            return self._elab_app(e, gamma, rename, fn, directive, expected)
-        if cls is S.Instantiate:
-            return self._elab_instantiate(e, gamma, rename, fn, directive)
+            inner, it = self._elab(e.arg, gamma, rename, typing, resolved)
+            if inner.__class__ is S.Lower:
+                return inner, it
+            out = S.Lower(e.layout, inner, span=e.span)
+            return out, _typed(_type_lower, env, typing, out, [it])
+        if cls is S.Let:
+            return self._elab_let(e, gamma, rename, typing, expected,
+                                  at_result)
+        if cls is S.Not:
+            arg, at = self._elab(e.arg, gamma, rename, typing, None)
+            out = S.Not(arg, span=e.span)
+            return out, _typed(_type_not, env, typing, out, [at])
+        if cls is S.BoolLit:
+            return e, _type_bool(env, typing, e, ())
+        if cls is S.Addr:
+            out = S.Addr(rename.get(e.var, e.var), span=e.span)
+            return out, _typed(_type_addr, env, typing, out, ())
         raise TypeMismatch("expression", type(e).__name__,
                            getattr(e, "span", None))
 
-    def _elab_ctor(self, e: S.ConstructorApp, gamma, rename, fn, directive,
-                   expected) -> S.Expr:
+    def _lower_at(self, expected: ResolvedLayout, var: S.Var, result,
+                  typing) -> tuple:
+        """``var`` lowered at ``expected``, and its typing result."""
+        out = S.Lower(S.NamedLayout(expected.layout.name, expected.mode),
+                      var, span=var.span)
+        return out, _typed(_type_lower, self.env, typing, out, [result])
+
+    def _elab_let(self, e: S.Let, gamma, rename, typing, expected,
+                  at_result) -> tuple:
+        """The bound's type enters ``gamma`` at once, so its diagnostic is
+        raised at once.  It is typed in the renamed ``gamma``, which is
+        ``typing`` unless an outer let's binder is a renamed variable or
+        the name one is renamed to."""
+        bound, result = self._elab(e.bound, gamma, rename, typing, None)
+        renamed = gamma_renamed(gamma, rename)
+        bt = _ok(result) if renamed == typing \
+            else infer_expr(self.env, renamed, bound)
+        inner = dict(gamma)
+        inner[e.name] = bt
+        inner_rename = dict(rename)
+        inner_rename.pop(e.name, None)
+        inner_typing = dict(typing)
+        failed = isinstance(result, PikaError)
+        inner_typing[e.name] = bt if failed else result
+        body, body_result = self._elab(e.body, inner, inner_rename,
+                                       inner_typing, expected, at_result)
+        return (S.Let(e.name, bound, body, span=e.span),
+                result if failed else body_result)
+
+    def _elab_ctor(self, e: S.ConstructorApp, gamma, rename, typing,
+                   expected) -> tuple:
         env = self.env
         if e.name not in env.ctors:
             raise UnboundVariable(f"unknown constructor {e.name}", e.span,
@@ -792,7 +913,7 @@ class _Elaborator:
             raise ArityMismatch(
                 f"constructor {e.name} expects {len(field_tys)} arguments, "
                 f"got {len(e.args)}", e.span, rule="T-CONSTR")
-        if expected is None or not expected.is_adt:
+        if expected is None or expected.kind != "adt":
             raise NotConcrete(
                 f"constructor {e.name} used where no layout is fixed", e.span,
                 rule="T-LOWER-CONSTR")
@@ -805,8 +926,9 @@ class _Elaborator:
         if shape is None:
             raise LayoutAdtMismatch(
                 f"layout {layout.name} has no branch for {e.name}", e.span)
-        new_args = []
+        new_args, kids = [], []
         for var, arg, fty in zip(shape.pattern.vars, e.args, field_tys):
+            sub = None
             if isinstance(fty, S.TName):
                 sub_layout_name = shape.applies.get(
                     var, layout.name if fty.name == layout.adt else None)
@@ -816,23 +938,24 @@ class _Elaborator:
                         rule="T-LOWER-CONSTR")
                 sub = ResolvedLayout("adt", env.layouts[sub_layout_name],
                                      expected.mode)
-                new_args.append(self._elab(arg, gamma, rename, fn, directive,
-                                           sub))
-            else:
-                new_args.append(self._elab(arg, gamma, rename, fn, directive,
-                                           None))
-        return S.Lower(S.NamedLayout(layout.name, expected.mode),
-                       S.ConstructorApp(e.name, new_args, span=e.span),
-                       span=e.span)
+            x, kid = self._elab(arg, gamma, rename, typing, sub)
+            new_args.append(x)
+            kids.append(kid)
+        out = S.Lower(S.NamedLayout(layout.name, expected.mode),
+                      S.ConstructorApp(e.name, new_args, span=e.span),
+                      span=e.span)
+        return out, _typed(_type_lower, env, typing, out, kids)
 
-    def _elab_app(self, e: S.App, gamma, rename, fn, directive, expected):
+    def _elab_app(self, e: S.App, gamma, rename, typing, expected) -> tuple:
         env = self.env
+        fn = self.fn
         if e.fn == fn:
             # recursive call: inherit the enclosing directive's instantiation
+            directive = self.directive
             return self._elab_instantiate(
                 S.Instantiate(directive.arg_layouts, directive.result_layout,
                               fn, list(e.args), span=e.span),
-                gamma, rename, fn, directive)
+                gamma, rename, typing)
         if e.fn in env.fn_sigs:
             params, result = uncurry(env.fn_sigs[e.fn])
             if len(params) != len(e.args):
@@ -843,7 +966,7 @@ class _Elaborator:
             for pty, arg in zip(params, e.args):
                 refs.append(self._default_ref(pty, arg, gamma, e))
             if isinstance(result, S.TName):
-                if expected is not None and expected.is_adt \
+                if expected is not None and expected.kind == "adt" \
                         and env.layouts[expected.layout.name].adt == result.name:
                     res_ref = S.NamedLayout(expected.layout.name, "mutable")
                 else:
@@ -856,7 +979,7 @@ class _Elaborator:
             return self._elab_instantiate(
                 S.Instantiate(tuple(refs), res_ref, e.fn, list(e.args),
                               span=e.span),
-                gamma, rename, fn, directive)
+                gamma, rename, typing)
         raise UnboundVariable(f"unbound function {e.fn}", e.span, rule="T-VAR")
 
     def _base_ref(self, ty: S.TypeExpr, e) -> S.LayoutRef:
@@ -882,12 +1005,13 @@ class _Elaborator:
                 f"use instantiate", e.span, rule="T-INSTANTIATE")
         return self._base_ref(pty, e)
 
-    def _elab_instantiate(self, e: S.Instantiate, gamma, rename, fn, directive):
+    def _elab_instantiate(self, e: S.Instantiate, gamma, rename,
+                          typing) -> tuple:
         env = self.env
         fn_args = [(ref, arg) for ref, arg in zip(e.arg_layouts, e.args)
                    if isinstance(ref, S.FnLayout)]
         if fn_args:
-            return self._specialise(e, gamma, rename, fn, directive)
+            return self._specialise(e, gamma, rename, typing)
         resolved = [resolve_layout_ref(env, r, e.span) for r in e.arg_layouts]
         if e.fn in env.fn_sigs:
             params, _ = uncurry(env.fn_sigs[e.fn])
@@ -897,13 +1021,17 @@ class _Elaborator:
                     f"{len(e.arg_layouts)} layouts", e.span, rule="T-INSTANTIATE")
             for pty, ref in zip(params, e.arg_layouts):
                 layout_for_type(env, pty, ref, e.span)
-        new_args = [self._elab(a, gamma, rename, fn, directive, r if r.is_adt
-                               else None)
-                    for a, r in zip(e.args, resolved)]
-        return S.Instantiate(e.arg_layouts, e.result_layout, e.fn, new_args,
-                             span=e.span)
+        new_args, kids = [], []
+        for a, r in zip(e.args, resolved):
+            x, kid = self._elab(a, gamma, rename, typing,
+                                r if r.kind == "adt" else None)
+            new_args.append(x)
+            kids.append(kid)
+        out = S.Instantiate(e.arg_layouts, e.result_layout, e.fn, new_args,
+                            span=e.span)
+        return out, _typed(_type_instantiate, env, typing, out, kids)
 
-    def _specialise(self, e: S.Instantiate, gamma, rename, fn, directive):
+    def _specialise(self, e: S.Instantiate, gamma, rename, typing) -> tuple:
         """Resolve function-typed instantiate arguments by substituting the
         named function and generating a specialised definition."""
         env = self.env
@@ -929,7 +1057,7 @@ class _Elaborator:
             self._register_specialisation(e.fn, fn_pairs, spec_name, e.span)
         inner = S.Instantiate(tuple(value_refs), e.result_layout, spec_name,
                               value_args, span=e.span)
-        return self._elab_instantiate(inner, gamma, rename, fn, directive)
+        return self._elab_instantiate(inner, gamma, rename, typing)
 
     def _register_specialisation(self, base: str, fn_names: list,
                                  spec_name: str, span):

@@ -181,6 +181,42 @@ def test_compile_names_the_layout_rule(tmp_path, capsys, monkeypatch, text,
     assert (code, out, err) == (1, "", f"error[G-LAYOUT]: {message}\n")
 
 
+REV_SOURCE = """Rev : List >-> layout[x];
+Rev (Nil) := emp;
+Rev (Cons head tail) := (x+1) :-> head, x :-> tail, Rev tail;
+idList : List -> List;
+idList (Nil) := Nil;
+idList (Cons h t) := Cons h (idList t);
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    # compile_directive names a directive by its function: a second one for
+    # the same function used to replace the first, which was never emitted
+    ("%generate idList [Sll] Sll\n%generate idList [Rev] Rev\n"
+     + SLL_SOURCE + REV_SOURCE,
+     "error[G-FN]: second %generate directive for idList at 2:1"),
+    (SLL_SOURCE + "f : Int -> Int;\nf x := x;\n\ng y := y + 1;",
+     "error[T-VAR]: function g has no type signature at 8:1"),
+    ("%generate isRed [CL] Int\ndata Colour := Red | Green;\n"
+     "CL : Colour >-> layout[x];\nCL (Red) := emp;\nCL (Green) := emp;\n"
+     "isRed : Colour -> Int;\nisRed (Red) := 1;\nisRed (Green) := 0;",
+     "error[G-LAYOUT]: layout CL has indistinguishable branches "
+     "(Red, Green) at 3:1"),
+], ids=["second-directive", "missing-signature", "two-empty-branches"])
+def test_global_diagnostics_name_rule_and_place(tmp_path, capsys,
+                                                monkeypatch, text, message):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    bad = tmp_path / "bad.pika"
+    bad.write_text(text + "\n")
+    out_dir = tmp_path / "out"
+    assert run(capsys, "compile", str(bad), "--stdout") \
+        == (1, "", message + "\n")
+    assert run(capsys, "compile", str(bad), "--out", str(out_dir)) \
+        == (1, "", message + "\n")
+    assert not out_dir.exists() or not list(out_dir.iterdir())
+
+
 def test_compile_missing_file(capsys):
     code, out, err = run(capsys, "compile", "/nonexistent/input.pika")
     assert code == 2

@@ -69,6 +69,31 @@ def test_duplicate_names_rejected():
             "data List := Nil;\ndata List := Cons;\n"))
 
 
+def test_second_directive_for_a_function_rejected():
+    unit = parse_source("""
+%generate id [Sll] Sll
+%generate id [Sll[mutable]] Sll
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+id : List -> List;
+id (Nil) := Nil;
+id (Cons h t) := Cons h (id t);
+""")
+    with pytest.raises(E.DuplicateName) as info:
+        build_global_env(unit)
+    assert (info.value.rule, info.value.span) == ("G-FN", (3, 1))
+    assert info.value.message == "second %generate directive for id"
+
+
+def test_missing_signature_is_placed_at_the_first_case():
+    with pytest.raises(E.UnboundVariable) as info:
+        build_global_env(parse_source("f : Int -> Int;\nf x := x;\n"
+                                      "g (Nil) := 0;\ng y := y;\n"))
+    assert (info.value.rule, info.value.span) == ("T-VAR", (3, 1))
+
+
 @pytest.mark.parametrize("layout, message, span", [
     ("Two : List >-> layout[x, y];\nTwo (Nil) := emp;\n"
      "Two (Cons head tail) := x :-> head, y :-> tail;",
