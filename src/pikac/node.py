@@ -14,7 +14,10 @@ parameters are its slots in MRO order, ``__dict__`` left out; it stores each
 one, a frozen kind by calling the ``__set__`` of the slot's descriptor,
 which is about as cheap as an assignment and skips ``__setattr__``.
 ``span`` defaults to None; other trailing defaults are declared in the
-kind's ``_defaults``.
+kind's ``_defaults``.  The front end and the translation pass every field,
+the span included, by position: a keyword argument makes CPython pack the
+keywords into a dict on the way to ``__init__``, which about doubles the
+cost of making a node.
 
 Each kind gets its own copy of the ``__init__``, equality and hash code,
 with the templates' placeholders ``f0``, ``f1``, ... renamed to its fields
@@ -199,6 +202,23 @@ def _init(cls: type, slots: tuple, frozen: bool):
         defaults.append(declared[f])
     fn.__defaults__ = tuple(reversed(defaults)) or None
     return fn
+
+
+class cached:
+    """A value computed on its first read and kept in the instance's
+    ``__dict__``, as ``functools.cached_property`` keeps it, without the
+    lock that Python 3.10 and 3.11 take on each first read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class Node:

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import LexError, ParseError, Span
-from .node import Frozen, Node
+from .node import Frozen, Node, cached
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +299,22 @@ def map_expr(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     if cls in _LEAVES:
         return e
     if cls is BinOp:
-        return BinOp(e.op, f(e.lhs), f(e.rhs), span=e.span)
+        return BinOp(e.op, f(e.lhs), f(e.rhs), e.span)
     if cls is ConstructorApp:
-        return ConstructorApp(e.name, [f(a) for a in e.args], span=e.span)
+        return ConstructorApp(e.name, [f(a) for a in e.args], e.span)
     if cls is Instantiate:
         return Instantiate(e.arg_layouts, e.result_layout, e.fn,
-                           [f(a) for a in e.args], span=e.span)
+                           [f(a) for a in e.args], e.span)
     if cls is App:
-        return App(e.fn, [f(a) for a in e.args], span=e.span)
+        return App(e.fn, [f(a) for a in e.args], e.span)
     if cls is Lower:
-        return Lower(e.layout, f(e.arg), span=e.span)
+        return Lower(e.layout, f(e.arg), e.span)
     if cls is Not:
-        return Not(f(e.arg), span=e.span)
+        return Not(f(e.arg), e.span)
     if cls is IfThenElse:
-        return IfThenElse(f(e.cond), f(e.then), f(e.els), span=e.span)
+        return IfThenElse(f(e.cond), f(e.then), f(e.els), e.span)
     if cls is Let:
-        return Let(e.name, f(e.bound), f(e.body), span=e.span)
+        return Let(e.name, f(e.bound), f(e.body), e.span)
     raise TypeError(e)
 
 
@@ -374,7 +373,7 @@ class LayoutDef(Node):
     # branches: (Pattern, [LayoutHeaplet])
     __slots__ = ("name", "adt", "ssl_params", "branches", "span", "__dict__")
 
-    @cached_property
+    @cached
     def shapes(self) -> dict:
         """Constructor name -> ``CtorShape``, in branch order; the first
         branch for a name wins.  Built on first use: a layout's branches do
@@ -383,23 +382,23 @@ class LayoutDef(Node):
         for pat, heaplets in self.branches:
             if pat.ctor in out:
                 continue
-            cells = tuple((h.offset, h.payload) for h in heaplets
-                          if isinstance(h, HPointsTo))
-            size = max(off for off, _ in cells) + 1 if cells else 0
+            cells = tuple([(h.offset, h.payload) for h in heaplets
+                           if h.__class__ is HPointsTo])
+            applies = {h.arg: h.layout for h in heaplets
+                       if h.__class__ is HApply}
+            size = max([off for off, _ in cells]) + 1 if cells else 0
             out[pat.ctor] = CtorShape(
-                pat, heaplets, cells, size,
-                all(isinstance(h, HEmp) for h in heaplets),
-                {payload: off for off, payload in cells},
-                {h.arg: h.layout for h in heaplets if isinstance(h, HApply)})
+                pat, heaplets, cells, size, not cells and not applies,
+                {payload: off for off, payload in cells}, applies)
         return out
 
-    @cached_property
+    @cached
     def emptiness(self) -> tuple:
         """``(empties, non_empties)``: the branch patterns whose heaplets are
         all ``emp``, and the others, each in branch order."""
         shapes = self.shapes.values()
-        return (tuple(s.pattern for s in shapes if s.empty),
-                tuple(s.pattern for s in shapes if not s.empty))
+        return (tuple([s.pattern for s in shapes if s.empty]),
+                tuple([s.pattern for s in shapes if not s.empty]))
 
 
 class FnCase(Node):
@@ -559,7 +558,7 @@ class _Parser(_Cursor):
         result = self.parse_layout_ref_atom()
         if self.kinds[self.pos] == ";":
             self.next()
-        return GenerateDirective(fn, tuple(args), result, span=span)
+        return GenerateDirective(fn, tuple(args), result, span)
 
     def parse_data_def(self) -> DataDef:
         span = self.expect("data").span
@@ -570,7 +569,7 @@ class _Parser(_Cursor):
             self.next()
             alts.append(self.parse_data_alt())
         self.expect(";")
-        return DataDef(name, alts, span=span)
+        return DataDef(name, alts, span)
 
     def parse_data_alt(self) -> tuple:
         ctor = self.expect("ident").text
@@ -676,7 +675,7 @@ class _Parser(_Cursor):
     def parse_layout_heaplet(self) -> LayoutHeaplet:
         tok = self.peek()
         if self.kinds[self.pos] == "emp":
-            return HEmp(span=self.next().span)
+            return HEmp(self.next().span)
         if self.kinds[self.pos] == "(":
             self.next()
             base = self.expect("ident").text
@@ -685,14 +684,14 @@ class _Parser(_Cursor):
             self.expect(")")
             self.expect(":->")
             payload = self.expect("ident").text
-            return HPointsTo(base, off, payload, span=tok.span)
+            return HPointsTo(base, off, payload, tok.span)
         base = self.expect("ident").text
         if self.kinds[self.pos] == ":->":
             self.next()
             payload = self.expect("ident").text
-            return HPointsTo(base, 0, payload, span=tok.span)
+            return HPointsTo(base, 0, payload, tok.span)
         arg = self.expect("ident").text
-        return HApply(base, arg, span=tok.span)
+        return HApply(base, arg, tok.span)
 
     # -- function cases --
 
@@ -709,12 +708,12 @@ class _Parser(_Cursor):
                 if vars_:
                     raise ParseError("variable patterns take no arguments",
                                      tok.span)
-                return Pattern(None, [head], span=tok.span)
-            return Pattern(head, vars_, span=tok.span)
+                return Pattern(None, [head], tok.span)
+            return Pattern(head, vars_, tok.span)
         name = self.expect("ident").text
         if _is_ctor_name(name):
-            return Pattern(name, [], span=tok.span)
-        return Pattern(None, [name], span=tok.span)
+            return Pattern(name, [], tok.span)
+        return Pattern(None, [name], tok.span)
 
     def parse_fn_case(self) -> FnCase:
         span = self.peek().span
@@ -740,7 +739,7 @@ class _Parser(_Cursor):
                 tok = self.peek()
                 raise ParseError("expected ':=' or '|' in function case",
                                  tok.span if tok else span)
-        return FnCase(name, patterns, bodies, span=span)
+        return FnCase(name, patterns, bodies, span)
 
     # -- expressions --
     # binary operators bind as ``_PREC`` says, application tighter; 'not' and
@@ -754,7 +753,7 @@ class _Parser(_Cursor):
         while _PREC.get(self.kinds[self.pos], 0) >= prec:
             op = self.next()
             left = BinOp(op.kind, left, self.parse_expr(_PREC[op.kind] + 1),
-                         span=op.span)
+                         op.span)
         return left
 
     def parse_app(self) -> Expr:
@@ -769,9 +768,9 @@ class _Parser(_Cursor):
         while kinds[self.pos] in _ATOM_STARTS:
             args.append(self.parse_atom())
         if isinstance(head, Var):
-            return App(head.name, args, span=head.span)
+            return App(head.name, args, head.span)
         if isinstance(head, ConstructorApp) and not head.args:
-            return ConstructorApp(head.name, args, span=head.span)
+            return ConstructorApp(head.name, args, head.span)
         raise ParseError("only named functions and constructors may be applied",
                          self.tokens[start].span)
 
@@ -779,11 +778,11 @@ class _Parser(_Cursor):
         tok = self.peek()
         if tok.kind == "not":
             self.next()
-            return Not(self.parse_atom(), span=tok.span)
+            return Not(self.parse_atom(), tok.span)
         if tok.kind == "addr":
             self.next()
             var = self.expect("ident")
-            return Addr(var.text, span=tok.span)
+            return Addr(var.text, tok.span)
         if tok.kind == "let":
             self.next()
             name = self.expect("ident").text
@@ -791,7 +790,7 @@ class _Parser(_Cursor):
             bound = self.parse_expr()
             self.expect("in")
             body = self.parse_expr()
-            return Let(name, bound, body, span=tok.span)
+            return Let(name, bound, body, tok.span)
         if tok.kind == "if":
             self.next()
             cond = self.parse_expr()
@@ -799,12 +798,12 @@ class _Parser(_Cursor):
             then = self.parse_expr()
             self.expect("else")
             els = self.parse_expr()
-            return IfThenElse(cond, then, els, span=tok.span)
+            return IfThenElse(cond, then, els, tok.span)
         if tok.kind == "lower":
             self.next()
             layout = self.parse_layout_ref_atom()
             arg = self.parse_atom()
-            return Lower(layout, arg, span=tok.span)
+            return Lower(layout, arg, tok.span)
         if tok.kind == "instantiate":
             self.next()
             self.expect("[")
@@ -814,7 +813,7 @@ class _Parser(_Cursor):
             args = []
             while self.kinds[self.pos] in _ATOM_STARTS:
                 args.append(self.parse_atom())
-            return Instantiate(tuple(arg_layouts), result, fn, args, span=tok.span)
+            return Instantiate(tuple(arg_layouts), result, fn, args, tok.span)
         raise ParseError(f"unexpected token {tok.text!r}", tok.span)
 
     def parse_atom(self) -> Expr:
@@ -823,17 +822,17 @@ class _Parser(_Cursor):
         if kind == "ident":
             self.pos += 1
             if _is_ctor_name(tok.text):
-                return ConstructorApp(tok.text, [], span=tok.span)
-            return Var(tok.text, span=tok.span)
+                return ConstructorApp(tok.text, [], tok.span)
+            return Var(tok.text, tok.span)
         if kind == "int":
             self.next()
-            return IntLit(int(tok.text), span=tok.span)
+            return IntLit(int(tok.text), tok.span)
         if kind == "true":
             self.next()
-            return BoolLit(True, span=tok.span)
+            return BoolLit(True, tok.span)
         if kind == "false":
             self.next()
-            return BoolLit(False, span=tok.span)
+            return BoolLit(False, tok.span)
         if kind == "(":
             self.next()
             inner = self.parse_expr()

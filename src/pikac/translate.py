@@ -443,8 +443,13 @@ def _put_terms(e: S.Expr, terms: dict) -> S.Expr:
 
 
 def _has_calls(e: S.Expr) -> bool:
-    return any(isinstance(x, (S.App, S.Instantiate))
+    return any(x.__class__ is S.App or x.__class__ is S.Instantiate
                for x in S.iter_subexprs(e))
+
+
+# the kinds an arm's result translates to a pure term from
+_PURE_KINDS = frozenset((S.IntLit, S.BoolLit, S.Var, S.BinOp, S.Not,
+                         S.IfThenElse, S.Addr))
 
 
 class _FnTranslator:
@@ -473,13 +478,13 @@ class _FnTranslator:
         arm.body = self._null_empty(arm.body)
 
     def _null_empty(self, e: S.Expr) -> S.Expr:
-        if isinstance(e, S.Lower) and isinstance(e.arg, S.ConstructorApp) \
+        if e.__class__ is S.Lower and e.arg.__class__ is S.ConstructorApp \
                 and not e.arg.args:
             resolved = resolve_layout_ref(self.env, e.layout)
             if resolved.kind == "adt":
                 shape = resolved.layout.shapes.get(e.arg.name)
                 if shape is not None and shape.empty:
-                    return S.IntLit(0, span=e.span)
+                    return S.IntLit(0, e.span)
         return S.map_expr(e, self._null_empty)
 
     def destructure(self, arm: _Arm):
@@ -524,7 +529,7 @@ class _FnTranslator:
             if resolved.kind == "adt":
                 self.copy_layouts.add(resolved.layout.name)
                 arm.body = _CopyCall(arm.body.arg.name, resolved.layout,
-                                     span=arm.body.span)
+                                     arm.body.span)
 
     def split_lets(self, arm: _Arm):
         body = arm.body
@@ -631,26 +636,25 @@ class _ArmTx:
     def tx_result(self, e: S.Expr):
         arm = self.arm
         result = arm.result_name
-        rl = arm.result_layout
-        if isinstance(e, _CopyCall):
+        cls = e.__class__
+        if cls is _CopyCall:
             name = f"{e.layout.name}__copy"
             arm.calls.append(ssl.FuncApply(name, (ssl.PVar(e.src),
                                                   ssl.PVar(result))))
             return
-        if isinstance(e, S.Lower) and isinstance(e.arg, S.ConstructorApp):
+        if cls is S.Lower and e.arg.__class__ is S.ConstructorApp:
             resolved = resolve_layout_ref(self.env, e.layout)
             if resolved.kind != "adt":
                 raise NonConstructibleBody("lowering at a base layout",
                                            e.span)
             self.build_ctor(resolved.layout, e.arg, result)
             return
-        if isinstance(e, S.Instantiate):
+        if cls is S.Instantiate:
             out = self.emit_call(e, out_var=result)
             if out is not None:             # the call inlined to a pure term
                 self.tx_result_pure(out)
             return
-        if isinstance(e, (S.IntLit, S.BoolLit, S.Var, S.BinOp, S.Not,
-                          S.IfThenElse, S.Addr)):
+        if cls in _PURE_KINDS:
             self.tx_result_pure(self.value_of(e, spatial_adt=False))
             return
         raise NonConstructibleBody(

@@ -118,10 +118,9 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
                 raise DuplicateName(
                     f"repeated pattern variable in layout {ld.name}", pat.span,
                     rule="G-LAYOUT")
-            allowed = set(pat.vars) | set(ld.ssl_params)
             offsets = set()
             for h in heaplets:
-                if isinstance(h, S.HPointsTo):
+                if h.__class__ is S.HPointsTo:
                     if h.offset < 0:
                         raise UnknownAdtInLayout(
                             f"layout {ld.name} writes at a negative offset",
@@ -142,11 +141,11 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
                             f"{S.render_loc(root, h.offset)} twice in its "
                             f"{pat.ctor} branch", h.span)
                     offsets.add(h.offset)
-                elif isinstance(h, S.HApply):
+                elif h.__class__ is S.HApply:
                     if h.layout not in layout_names:
                         raise UnknownAdtInLayout(
                             f"unknown layout {h.layout} applied in {ld.name}", h.span)
-                    if h.arg not in allowed:
+                    if h.arg not in pat.vars and h.arg not in ld.ssl_params:
                         raise UnknownAdtInLayout(
                             f"layout {ld.name} applies {h.layout} to unknown "
                             f"variable {h.arg}", h.span)
@@ -349,15 +348,6 @@ def _result(env: GlobalEnv, gamma: dict, e: S.Expr):
     raises."""
     try:
         return infer_expr(env, gamma, e)
-    except PikaError as exc:
-        return exc
-
-
-def _typed(rule, env: GlobalEnv, gamma: dict, e: S.Expr, kids: list):
-    """What ``rule`` makes of ``e`` and its kids' results: its type, or the
-    diagnostic it raises."""
-    try:
-        return rule(env, gamma, e, kids)
     except PikaError as exc:
         return exc
 
@@ -700,7 +690,7 @@ class _Elaborator:
             cases.extend(self._elaborate_case(fn, case, param_tys,
                                               arg_layouts, result_layout))
         return ElabFn(fn, directive, arg_layouts, result_layout, cases,
-                      fresh_base=len(param_tys))
+                      len(param_tys))
 
     def _elaborate_case(self, fn, case: S.FnCase, param_tys,
                         arg_layouts, result_layout) -> ElabCase:
@@ -715,11 +705,11 @@ class _Elaborator:
         for i, (pat, lay, pty) in enumerate(zip(case.patterns, arg_layouts,
                                                 param_tys)):
             name = _param_name(i, lay)
-            if pat.is_var:
-                gamma[pat.var] = lay.type()
-                rename[pat.var] = name
-                args.append(ElabArg(name, lay, None, {}, [],
-                                    source_name=pat.var))
+            if pat.ctor is None:
+                var = pat.vars[0]
+                gamma[var] = lay.type()
+                rename[var] = name
+                args.append(ElabArg(name, lay, None, {}, [], var))
             else:
                 if lay.kind != "adt":
                     raise TypeMismatch("ADT layout", lay.tag(), pat.span,
@@ -790,11 +780,12 @@ class _Elaborator:
         return fty
 
     # -- expression elaboration --
-    # Each method returns the elaborated expression and the result of
-    # typing it in ``typing`` under the strict rules: its type, or the
-    # diagnostic ``infer_expr`` would raise on it.  Typing diagnostics wait
-    # until ``_elaborate_case`` reads a body's result, so that every
-    # elaboration diagnostic in the body wins over them.
+    # ``_elab`` returns the elaborated expression and the result of typing
+    # it in ``typing`` under the strict rules: its type, or the diagnostic
+    # ``infer_expr`` would raise on it.  Typing diagnostics wait until
+    # ``_elaborate_case`` reads a body's result, so that every elaboration
+    # diagnostic in the body wins over them.  The helpers that build a node
+    # return it with its rule and its kids' results, for ``_elab`` to apply.
 
     def _elab(self, e: S.Expr, gamma, rename, typing,
               expected: Optional[ResolvedLayout],
@@ -807,45 +798,47 @@ class _Elaborator:
             if ty is None and e.name not in env.fn_sigs and name == e.name:
                 raise UnboundVariable(f"unbound variable {e.name}", e.span,
                                       rule="T-VAR")
-            out = S.Var(name, span=e.span)
-            result = typing.get(name)
-            if result is None:
-                result = _typed(_type_var, env, typing, out, ())
+            out, rule, kids = S.Var(name, e.span), _type_var, ()
             if expected is not None and expected.kind == "adt":
-                if isinstance(ty, S.TName):
-                    return self._lower_at(expected, out, result, typing)
+                lower = isinstance(ty, S.TName)
                 if isinstance(ty, LayoutType):
                     if ty.name != expected.layout.name:
                         raise LayoutAdtMismatch(
                             f"{e.name} is resident at {ty.name}, expected "
                             f"{expected.layout.name}", e.span, rule="T-LOWER-VAR")
-                    if at_result:
-                        # a returned resident variable is re-lowered at the
-                        # result layout; the copy stage keys off this wrapper
-                        return self._lower_at(expected, out, result, typing)
-            return out, result
-        if cls is S.BinOp:
+                    # a returned resident variable is re-lowered at the
+                    # result layout; the copy stage keys off this wrapper
+                    lower = at_result
+                if lower:
+                    var = out
+                    out, rule = S.Lower(S.NamedLayout(expected.layout.name,
+                                                      expected.mode),
+                                        var, e.span), _type_lower
+                    kids = [typing.get(name) or _result(env, typing, var)]
+        elif cls is S.BinOp:
             lhs, lt = self._elab(e.lhs, gamma, rename, typing, None)
             rhs, rt = self._elab(e.rhs, gamma, rename, typing, None)
-            out = S.BinOp(e.op, lhs, rhs, span=e.span)
-            return out, _typed(_type_binop, env, typing, out, [lt, rt])
-        if cls is S.IntLit:
-            return e, _type_int(env, typing, e, ())
-        if cls is S.ConstructorApp:
-            return self._elab_ctor(e, gamma, rename, typing, expected)
-        if cls is S.App:
-            return self._elab_app(e, gamma, rename, typing, expected)
-        if cls is S.Instantiate:
-            return self._elab_instantiate(e, gamma, rename, typing)
-        if cls is S.IfThenElse:
+            out, rule, kids = S.BinOp(e.op, lhs, rhs, e.span), _type_binop, \
+                [lt, rt]
+        elif cls is S.IntLit:
+            out, rule, kids = e, _type_int, ()
+        elif cls is S.ConstructorApp:
+            out, rule, kids = self._elab_ctor(e, gamma, rename, typing,
+                                              expected)
+        elif cls is S.App:
+            out, rule, kids = self._elab_app(e, gamma, rename, typing,
+                                             expected)
+        elif cls is S.Instantiate:
+            out, rule, kids = self._elab_instantiate(e, gamma, rename, typing)
+        elif cls is S.IfThenElse:
             c, ct = self._elab(e.cond, gamma, rename, typing, None)
             then, tt = self._elab(e.then, gamma, rename, typing, expected,
                                   at_result)
             els, et = self._elab(e.els, gamma, rename, typing, expected,
                                  at_result)
-            out = S.IfThenElse(c, then, els, span=e.span)
-            return out, _typed(_type_if, env, typing, out, [ct, tt, et])
-        if cls is S.Lower:
+            out, rule, kids = S.IfThenElse(c, then, els, e.span), _type_if, \
+                [ct, tt, et]
+        elif cls is S.Lower:
             resolved = resolve_layout_ref(env, e.layout, e.span)
             if expected is not None and expected.kind == "adt" \
                     and resolved.kind == "adt" \
@@ -856,29 +849,26 @@ class _Elaborator:
             inner, it = self._elab(e.arg, gamma, rename, typing, resolved)
             if inner.__class__ is S.Lower:
                 return inner, it
-            out = S.Lower(e.layout, inner, span=e.span)
-            return out, _typed(_type_lower, env, typing, out, [it])
-        if cls is S.Let:
+            out, rule, kids = S.Lower(e.layout, inner, e.span), _type_lower, \
+                [it]
+        elif cls is S.Let:
             return self._elab_let(e, gamma, rename, typing, expected,
                                   at_result)
-        if cls is S.Not:
+        elif cls is S.Not:
             arg, at = self._elab(e.arg, gamma, rename, typing, None)
-            out = S.Not(arg, span=e.span)
-            return out, _typed(_type_not, env, typing, out, [at])
-        if cls is S.BoolLit:
-            return e, _type_bool(env, typing, e, ())
-        if cls is S.Addr:
-            out = S.Addr(rename.get(e.var, e.var), span=e.span)
-            return out, _typed(_type_addr, env, typing, out, ())
-        raise TypeMismatch("expression", type(e).__name__,
-                           getattr(e, "span", None))
-
-    def _lower_at(self, expected: ResolvedLayout, var: S.Var, result,
-                  typing) -> tuple:
-        """``var`` lowered at ``expected``, and its typing result."""
-        out = S.Lower(S.NamedLayout(expected.layout.name, expected.mode),
-                      var, span=var.span)
-        return out, _typed(_type_lower, self.env, typing, out, [result])
+            out, rule, kids = S.Not(arg, e.span), _type_not, [at]
+        elif cls is S.BoolLit:
+            out, rule, kids = e, _type_bool, ()
+        elif cls is S.Addr:
+            out, rule, kids = S.Addr(rename.get(e.var, e.var), e.span), \
+                _type_addr, ()
+        else:
+            raise TypeMismatch("expression", type(e).__name__,
+                               getattr(e, "span", None))
+        try:
+            return out, rule(env, typing, out, kids)
+        except PikaError as exc:
+            return out, exc
 
     def _elab_let(self, e: S.Let, gamma, rename, typing, expected,
                   at_result) -> tuple:
@@ -899,7 +889,7 @@ class _Elaborator:
         inner_typing[e.name] = bt if failed else result
         body, body_result = self._elab(e.body, inner, inner_rename,
                                        inner_typing, expected, at_result)
-        return (S.Let(e.name, bound, body, span=e.span),
+        return (S.Let(e.name, bound, body, e.span),
                 result if failed else body_result)
 
     def _elab_ctor(self, e: S.ConstructorApp, gamma, rename, typing,
@@ -941,10 +931,9 @@ class _Elaborator:
             x, kid = self._elab(arg, gamma, rename, typing, sub)
             new_args.append(x)
             kids.append(kid)
-        out = S.Lower(S.NamedLayout(layout.name, expected.mode),
-                      S.ConstructorApp(e.name, new_args, span=e.span),
-                      span=e.span)
-        return out, _typed(_type_lower, env, typing, out, kids)
+        return S.Lower(S.NamedLayout(layout.name, expected.mode),
+                       S.ConstructorApp(e.name, new_args, e.span),
+                       e.span), _type_lower, kids
 
     def _elab_app(self, e: S.App, gamma, rename, typing, expected) -> tuple:
         env = self.env
@@ -954,7 +943,7 @@ class _Elaborator:
             directive = self.directive
             return self._elab_instantiate(
                 S.Instantiate(directive.arg_layouts, directive.result_layout,
-                              fn, list(e.args), span=e.span),
+                              fn, list(e.args), e.span),
                 gamma, rename, typing)
         if e.fn in env.fn_sigs:
             params, result = uncurry(env.fn_sigs[e.fn])
@@ -978,7 +967,7 @@ class _Elaborator:
                 res_ref = self._base_ref(result, e)
             return self._elab_instantiate(
                 S.Instantiate(tuple(refs), res_ref, e.fn, list(e.args),
-                              span=e.span),
+                              e.span),
                 gamma, rename, typing)
         raise UnboundVariable(f"unbound function {e.fn}", e.span, rule="T-VAR")
 
@@ -1027,9 +1016,8 @@ class _Elaborator:
                                 r if r.kind == "adt" else None)
             new_args.append(x)
             kids.append(kid)
-        out = S.Instantiate(e.arg_layouts, e.result_layout, e.fn, new_args,
-                            span=e.span)
-        return out, _typed(_type_instantiate, env, typing, out, kids)
+        return S.Instantiate(e.arg_layouts, e.result_layout, e.fn, new_args,
+                             e.span), _type_instantiate, kids
 
     def _specialise(self, e: S.Instantiate, gamma, rename, typing) -> tuple:
         """Resolve function-typed instantiate arguments by substituting the
@@ -1056,7 +1044,7 @@ class _Elaborator:
         if spec_name not in env.fn_defs:
             self._register_specialisation(e.fn, fn_pairs, spec_name, e.span)
         inner = S.Instantiate(tuple(value_refs), e.result_layout, spec_name,
-                              value_args, span=e.span)
+                              value_args, e.span)
         return self._elab_instantiate(inner, gamma, rename, typing)
 
     def _register_specialisation(self, base: str, fn_names: list,
@@ -1092,7 +1080,7 @@ class _Elaborator:
                        _subst_fn_names(b, sub, base, spec_name))
                       for g, b in case.guarded_bodies]
             new_cases.append(S.FnCase(spec_name, kept_patterns, bodies,
-                                      span=case.span))
+                                      case.span))
         env.fn_sigs[spec_name] = new_sig
         env.fn_defs[spec_name] = new_cases
         self.spec_order.append(spec_name)
@@ -1113,7 +1101,7 @@ def _subst_fn_names(e: S.Expr, sub: dict, old_self: str, new_self: str) -> S.Exp
         return sub.get(name, new_self if name == old_self else name)
 
     if isinstance(e, S.Var):
-        return S.Var(fix(e.name), span=e.span)
+        return S.Var(fix(e.name), e.span)
     if isinstance(e, (S.App, S.Instantiate)):
         args = e.args
         arg_layouts = e.arg_layouts if isinstance(e, S.Instantiate) else None
@@ -1125,10 +1113,10 @@ def _subst_fn_names(e: S.Expr, sub: dict, old_self: str, new_self: str) -> S.Exp
             if arg_layouts is not None and len(arg_layouts) == len(keep):
                 arg_layouts = tuple(l for l, k in zip(arg_layouts, keep) if k)
         if arg_layouts is None:
-            e = S.App(fix(e.fn), args, span=e.span)
+            e = S.App(fix(e.fn), args, e.span)
         else:
             e = S.Instantiate(arg_layouts, e.result_layout, fix(e.fn), args,
-                              span=e.span)
+                              e.span)
     return S.map_expr(e, lambda x: _subst_fn_names(x, sub, old_self, new_self))
 
 
