@@ -11,8 +11,9 @@ under its ``%generate`` directive so that every call is an explicit
 ``instantiate`` (recursive calls receive the enclosing directive's
 instantiation), every ADT-valued result or constructor is wrapped in
 ``lower`` at the appropriate layout, and deterministic machine names are
-attached to parameters and results.  Elaborated code re-checks under the
-strict rules.
+attached to parameters and results.  Elaborated code checks under the
+strict rules: the elaborator types each node it builds by the rule
+``infer_expr`` applies to that node's kind.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
         inner = dict(gamma)
         inner[e.name] = infer_expr(env, gamma, e.bound)
         return infer_expr(env, inner, e.body)
-    rule = TYPE_RULES.get(cls)
+    rule = _TYPE_RULES.get(cls)
     if rule is None:
         raise TypeMismatch("expression", type(e).__name__,
                            getattr(e, "span", None))
@@ -575,7 +576,7 @@ def _type_instantiate(env, gamma, e, kids) -> Type:
     return result.type()
 
 
-TYPE_RULES = {
+_TYPE_RULES = {
     S.IntLit: _type_int, S.BoolLit: _type_bool, S.Var: _type_var,
     S.Addr: _type_addr, S.Not: _type_not, S.BinOp: _type_binop,
     S.IfThenElse: _type_if, S.ConstructorApp: _type_ctor,
