@@ -335,13 +335,12 @@ def infer_expr(env: GlobalEnv, gamma: dict, e: S.Expr) -> Type:
         inner = dict(gamma)
         inner[e.name] = infer_expr(env, gamma, e.bound)
         return infer_expr(env, inner, e.body)
-    rule = _TYPE_RULES.get(cls)
-    if rule is None:
+    if cls not in S.Expr:
         raise TypeMismatch("expression", type(e).__name__,
                            getattr(e, "span", None))
     kids = e.arg.args if cls is S.Lower \
         and e.arg.__class__ is S.ConstructorApp else S.subexprs(e)
-    return rule(env, gamma, e, [_result(env, gamma, k) for k in kids])
+    return _type_node(env, gamma, e, [_result(env, gamma, k) for k in kids])
 
 
 def _result(env: GlobalEnv, gamma: dict, e: S.Expr):
@@ -360,23 +359,6 @@ def _ok(result) -> Type:
     return result
 
 
-# The rule of each kind but ``Let``, whose body is typed in a larger
-# context.  A rule takes the node and its kids' results, each a type or a
-# diagnostic, in ``S.subexprs`` order; a ``Lower`` of a constructor
-# application takes the application's arguments as its kids.  It raises a
-# kid's diagnostic where it first needs the kid's type, so the diagnostic
-# that wins is the one a walk that types each kid on demand would meet
-# first: ``infer_expr`` types the kids first, the elaborator as it builds
-# them, and both raise the same one.
-
-def _type_int(env, gamma, e, kids) -> Type:
-    return S.TInt()
-
-
-def _type_bool(env, gamma, e, kids) -> Type:
-    return S.TBool()
-
-
 def _lookup(env: GlobalEnv, gamma: dict, name: str, span) -> Type:
     ty = gamma.get(name)
     if ty is None:
@@ -387,44 +369,70 @@ def _lookup(env: GlobalEnv, gamma: dict, name: str, span) -> Type:
     return ty
 
 
-def _type_var(env, gamma, e, kids) -> Type:
-    return _lookup(env, gamma, e.name, e.span)
-
-
-def _type_addr(env, gamma, e, kids) -> Type:
-    inner = _lookup(env, gamma, e.var, e.span)
-    if not isinstance(inner, S.TInt):
-        raise TypeMismatch("Int", str(inner), e.span, rule="T-ADDR")
-    return S.TPtrInt()
-
-
-def _type_not(env, gamma, e, kids) -> Type:
-    ty = _ok(kids[0])
-    if not isinstance(ty, S.TBool):
-        raise TypeMismatch("Bool", str(ty), e.span, rule="T-NOT")
-    return S.TBool()
-
-
-def _type_binop(env, gamma, e, kids) -> Type:
-    lt, rt = _ok(kids[0]), _ok(kids[1])
-    operand, result, rule = OPERATOR_TYPES[e.op]
-    for t in (lt, rt):
-        if t != operand:
-            raise TypeMismatch(str(operand), str(t), e.span, rule=rule)
+def _type_node(env: GlobalEnv, gamma: dict, e: S.Expr, kids) -> Type:
+    """The type of ``e`` by its kind's rule, given its kids' results, each
+    a type or a diagnostic, in ``S.subexprs`` order; a ``Lower`` of a
+    constructor application takes the application's arguments as its
+    kids.  ``Let`` has no rule here: its body is typed in a larger
+    context.  A rule raises a kid's diagnostic where it first needs the
+    kid's type, so the diagnostic that wins is the one a walk typing each
+    kid on demand would meet first: ``infer_expr`` types the kids first,
+    the elaborator as it builds them, and both raise the same one."""
+    cls = e.__class__
+    if cls is S.Instantiate:
+        return _type_instantiate(env, gamma, e, kids)
+    if cls is S.Lower:
+        return _type_lower(env, e, kids)
+    if cls is S.Var:
+        return _lookup(env, gamma, e.name, e.span)
+    if cls is S.BinOp:
+        lt, rt = _ok(kids[0]), _ok(kids[1])
+        operand, result, rule = OPERATOR_TYPES[e.op]
+        for t in (lt, rt):
+            if t != operand:
+                raise TypeMismatch(str(operand), str(t), e.span, rule=rule)
+        return result
+    if cls is S.IntLit:
+        return S.TInt()
+    if cls is S.IfThenElse:
+        ct = _ok(kids[0])
+        if not isinstance(ct, S.TBool):
+            raise TypeMismatch("Bool", str(ct), e.span, rule="T-IF")
+        tt, et = _ok(kids[1]), _ok(kids[2])
+        if tt != et:
+            raise TypeMismatch(str(tt), str(et), e.span, rule="T-IF")
+        return tt
+    if cls is S.ConstructorApp:
+        return _type_ctor(env, e, kids)
+    if cls is S.BoolLit:
+        return S.TBool()
+    if cls is S.Not:
+        ty = _ok(kids[0])
+        if not isinstance(ty, S.TBool):
+            raise TypeMismatch("Bool", str(ty), e.span, rule="T-NOT")
+        return S.TBool()
+    if cls is S.Addr:
+        inner = _lookup(env, gamma, e.var, e.span)
+        if not isinstance(inner, S.TInt):
+            raise TypeMismatch("Int", str(inner), e.span, rule="T-ADDR")
+        return S.TPtrInt()
+    assert cls is S.App, cls
+    params, result = uncurry(_lookup(env, gamma, e.fn, e.span))
+    if len(e.args) != len(params):
+        raise ArityMismatch(
+            f"{e.fn} expects {len(params)} arguments, got {len(e.args)}",
+            e.span, rule="T-FN-GLOBAL")
+    for kid, pty in zip(kids, params):
+        at = _ok(kid)
+        if isinstance(pty, S.TName) and isinstance(at, LayoutType) \
+                and env.layouts[at.name].adt == pty.name:
+            continue
+        if at != pty:
+            raise TypeMismatch(str(pty), str(at), e.span, rule="T-FN-GLOBAL")
     return result
 
 
-def _type_if(env, gamma, e, kids) -> Type:
-    ct = _ok(kids[0])
-    if not isinstance(ct, S.TBool):
-        raise TypeMismatch("Bool", str(ct), e.span, rule="T-IF")
-    tt, et = _ok(kids[1]), _ok(kids[2])
-    if tt != et:
-        raise TypeMismatch(str(tt), str(et), e.span, rule="T-IF")
-    return tt
-
-
-def _type_ctor(env, gamma, e, kids) -> Type:
+def _type_ctor(env: GlobalEnv, e: S.ConstructorApp, kids) -> Type:
     if e.name not in env.ctors:
         raise UnboundVariable(f"unknown constructor {e.name}", e.span,
                               rule="T-CONSTR")
@@ -447,12 +455,12 @@ def _type_ctor(env, gamma, e, kids) -> Type:
     return S.TName(adt)
 
 
-def _type_lower(env, gamma, e, kids) -> Type:
+def _type_lower(env: GlobalEnv, e: S.Lower, kids) -> Type:
     resolved = resolve_layout_ref(env, e.layout, e.span)
     ctor = e.arg if e.arg.__class__ is S.ConstructorApp else None
     if resolved.kind != "adt":
         ty = _ok(kids[0]) if ctor is None \
-            else _type_ctor(env, gamma, ctor, kids)
+            else _type_ctor(env, ctor, kids)
         if resolved.kind == "ptr":
             if not isinstance(ty, (S.TInt, S.TPtrInt)):
                 raise TypeMismatch("Int", str(ty), e.span, rule="T-LOWER-VAR")
@@ -498,23 +506,8 @@ def _type_lower(env, gamma, e, kids) -> Type:
     raise TypeMismatch(layout.adt, str(inner), e.span, rule="T-LOWER-VAR")
 
 
-def _type_app(env, gamma, e, kids) -> Type:
-    params, result = uncurry(_lookup(env, gamma, e.fn, e.span))
-    if len(e.args) != len(params):
-        raise ArityMismatch(
-            f"{e.fn} expects {len(params)} arguments, got {len(e.args)}",
-            e.span, rule="T-FN-GLOBAL")
-    for kid, pty in zip(kids, params):
-        at = _ok(kid)
-        if isinstance(pty, S.TName) and isinstance(at, LayoutType) \
-                and env.layouts[at.name].adt == pty.name:
-            continue
-        if at != pty:
-            raise TypeMismatch(str(pty), str(at), e.span, rule="T-FN-GLOBAL")
-    return result
-
-
-def _type_instantiate(env, gamma, e, kids) -> Type:
+def _type_instantiate(env: GlobalEnv, gamma: dict, e: S.Instantiate,
+                      kids) -> Type:
     resolved_args = []
     for ref in e.arg_layouts:
         if isinstance(ref, S.FnLayout):
@@ -574,15 +567,6 @@ def _type_instantiate(env, gamma, e, kids) -> Type:
             raise TypeMismatch(str(expected), str(at), e.span,
                                rule="T-INSTANTIATE")
     return result.type()
-
-
-_TYPE_RULES = {
-    S.IntLit: _type_int, S.BoolLit: _type_bool, S.Var: _type_var,
-    S.Addr: _type_addr, S.Not: _type_not, S.BinOp: _type_binop,
-    S.IfThenElse: _type_if, S.ConstructorApp: _type_ctor,
-    S.Lower: _type_lower, S.App: _type_app,
-    S.Instantiate: _type_instantiate,
-}
 
 
 def check_concrete(env: GlobalEnv, gamma: dict, e: S.Expr,
@@ -786,7 +770,7 @@ class _Elaborator:
     # ``infer_expr`` would raise on it.  Typing diagnostics wait until
     # ``_elaborate_case`` reads a body's result, so that every elaboration
     # diagnostic in the body wins over them.  The helpers that build a node
-    # return it with its rule and its kids' results, for ``_elab`` to apply.
+    # return it with its kids' results, for ``_elab`` to type.
 
     def _elab(self, e: S.Expr, gamma, rename, typing,
               expected: Optional[ResolvedLayout],
@@ -799,7 +783,8 @@ class _Elaborator:
             if ty is None and e.name not in env.fn_sigs and name == e.name:
                 raise UnboundVariable(f"unbound variable {e.name}", e.span,
                                       rule="T-VAR")
-            out, rule, kids = S.Var(name, e.span), _type_var, ()
+            out, kids = S.Var(name, e.span), ()
+            lower = False
             if expected is not None and expected.kind == "adt":
                 lower = isinstance(ty, S.TName)
                 if isinstance(ty, LayoutType):
@@ -810,35 +795,31 @@ class _Elaborator:
                     # a returned resident variable is re-lowered at the
                     # result layout; the copy stage keys off this wrapper
                     lower = at_result
-                if lower:
-                    var = out
-                    out, rule = S.Lower(S.NamedLayout(expected.layout.name,
-                                                      expected.mode),
-                                        var, e.span), _type_lower
-                    kids = [typing.get(name) or _result(env, typing, var)]
+            result = typing.get(name) or _result(env, typing, out)
+            if not lower:
+                return out, result
+            out, kids = S.Lower(S.NamedLayout(expected.layout.name,
+                                              expected.mode),
+                                out, e.span), [result]
         elif cls is S.BinOp:
             lhs, lt = self._elab(e.lhs, gamma, rename, typing, None)
             rhs, rt = self._elab(e.rhs, gamma, rename, typing, None)
-            out, rule, kids = S.BinOp(e.op, lhs, rhs, e.span), _type_binop, \
-                [lt, rt]
+            out, kids = S.BinOp(e.op, lhs, rhs, e.span), [lt, rt]
         elif cls is S.IntLit:
-            out, rule, kids = e, _type_int, ()
+            out, kids = e, ()
         elif cls is S.ConstructorApp:
-            out, rule, kids = self._elab_ctor(e, gamma, rename, typing,
-                                              expected)
+            out, kids = self._elab_ctor(e, gamma, rename, typing, expected)
         elif cls is S.App:
-            out, rule, kids = self._elab_app(e, gamma, rename, typing,
-                                             expected)
+            out, kids = self._elab_app(e, gamma, rename, typing, expected)
         elif cls is S.Instantiate:
-            out, rule, kids = self._elab_instantiate(e, gamma, rename, typing)
+            out, kids = self._elab_instantiate(e, gamma, rename, typing)
         elif cls is S.IfThenElse:
             c, ct = self._elab(e.cond, gamma, rename, typing, None)
             then, tt = self._elab(e.then, gamma, rename, typing, expected,
                                   at_result)
             els, et = self._elab(e.els, gamma, rename, typing, expected,
                                  at_result)
-            out, rule, kids = S.IfThenElse(c, then, els, e.span), _type_if, \
-                [ct, tt, et]
+            out, kids = S.IfThenElse(c, then, els, e.span), [ct, tt, et]
         elif cls is S.Lower:
             resolved = resolve_layout_ref(env, e.layout, e.span)
             if expected is not None and expected.kind == "adt" \
@@ -850,33 +831,32 @@ class _Elaborator:
             inner, it = self._elab(e.arg, gamma, rename, typing, resolved)
             if inner.__class__ is S.Lower:
                 return inner, it
-            out, rule, kids = S.Lower(e.layout, inner, e.span), _type_lower, \
-                [it]
+            out, kids = S.Lower(e.layout, inner, e.span), [it]
         elif cls is S.Let:
             return self._elab_let(e, gamma, rename, typing, expected,
                                   at_result)
         elif cls is S.Not:
             arg, at = self._elab(e.arg, gamma, rename, typing, None)
-            out, rule, kids = S.Not(arg, e.span), _type_not, [at]
+            out, kids = S.Not(arg, e.span), [at]
         elif cls is S.BoolLit:
-            out, rule, kids = e, _type_bool, ()
+            out, kids = e, ()
         elif cls is S.Addr:
-            out, rule, kids = S.Addr(rename.get(e.var, e.var), e.span), \
-                _type_addr, ()
+            out, kids = S.Addr(rename.get(e.var, e.var), e.span), ()
         else:
             raise TypeMismatch("expression", type(e).__name__,
                                getattr(e, "span", None))
         try:
-            return out, rule(env, typing, out, kids)
+            return out, _type_node(env, typing, out, kids)
         except PikaError as exc:
             return out, exc
 
     def _elab_let(self, e: S.Let, gamma, rename, typing, expected,
                   at_result) -> tuple:
-        """The bound's type enters ``gamma`` at once, so its diagnostic is
-        raised at once.  It is typed in the renamed ``gamma``, which is
-        ``typing`` unless an outer let's binder is a renamed variable or
-        the name one is renamed to."""
+        """The let and its typing result, as ``_elab`` gives them.  The
+        bound's type enters ``gamma`` at once, so its diagnostic is raised
+        at once.  It is typed in the renamed ``gamma``, which is ``typing``
+        unless an outer let's binder is a renamed variable or the name one
+        is renamed to."""
         bound, result = self._elab(e.bound, gamma, rename, typing, None)
         renamed = gamma_renamed(gamma, rename)
         bt = _ok(result) if renamed == typing \
@@ -934,7 +914,7 @@ class _Elaborator:
             kids.append(kid)
         return S.Lower(S.NamedLayout(layout.name, expected.mode),
                        S.ConstructorApp(e.name, new_args, e.span),
-                       e.span), _type_lower, kids
+                       e.span), kids
 
     def _elab_app(self, e: S.App, gamma, rename, typing, expected) -> tuple:
         env = self.env
@@ -1018,7 +998,7 @@ class _Elaborator:
             new_args.append(x)
             kids.append(kid)
         return S.Instantiate(e.arg_layouts, e.result_layout, e.fn, new_args,
-                             e.span), _type_instantiate, kids
+                             e.span), kids
 
     def _specialise(self, e: S.Instantiate, gamma, rename, typing) -> tuple:
         """Resolve function-typed instantiate arguments by substituting the
