@@ -630,10 +630,6 @@ def _param_name(i: int, layout: ResolvedLayout) -> str:
     return f"__p_x{i}" if layout.kind == "adt" else f"__p_{i}"
 
 
-# the kinds _elab rebuilds with no expected layout: literals and operators
-_OPERATOR_KINDS = frozenset((S.IntLit, S.BoolLit, S.Not, S.BinOp))
-
-
 class _Elaborator:
     def __init__(self, env: GlobalEnv):
         self.env = env

@@ -69,6 +69,33 @@ def test_duplicate_names_rejected():
             "data List := Nil;\ndata List := Cons;\n"))
 
 
+@pytest.mark.parametrize("body, elaborated, inferred", [
+    # an elaboration diagnostic anywhere in a body wins over a typing one
+    ("(1 + true) + nope", "unbound variable nope",
+     "expected Int, found Bool"),
+    # of two typing diagnostics, the one the rule meets first wins: an
+    # if's condition before its branches, a branch before their agreement
+    ("if n then (1 + true) else 0", "expected Bool, found Int",
+     "expected Bool, found Int"),
+    ("if true then (1 + true) else false", "expected Int, found Bool",
+     "expected Int, found Bool"),
+    # a let's bound is typed before its body is elaborated
+    ("let y := (1 + true) in nope", "expected Int, found Bool",
+     "expected Int, found Bool"),
+], ids=["elaboration-first", "condition-first", "branch-first",
+        "let-bound-first"])
+def test_the_diagnostic_that_wins(body, elaborated, inferred):
+    unit = parse_source(LIST_DEFS + "%generate f [Int] Int\n"
+                        f"f : Int -> Int;\nf n := {body};\n")
+    with pytest.raises(E.PikaError) as info:
+        elaborate(unit)
+    assert info.value.message == elaborated
+    with pytest.raises(E.PikaError) as info:
+        infer_expr(build_global_env(unit), {"n": S.TInt()},
+                   parse_expr_text(body))
+    assert info.value.message == inferred
+
+
 def test_second_directive_for_a_function_rejected():
     unit = parse_source("""
 %generate id [Sll] Sll
