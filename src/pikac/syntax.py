@@ -79,7 +79,9 @@ def lex(source: str) -> list[Token]:
     is the end of input.  A token's kind comes from ``_KINDS``, or else
     from its first character; a token with neither is an illegal
     character.  The column runs on: it restarts after the last newline of
-    a skipped stretch and otherwise advances by the length of each piece."""
+    a skipped stretch and otherwise advances by the length of each piece.
+    An identifier that begins with ``__`` is reserved for generated names
+    (``P-RESERVED``)."""
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__
@@ -107,6 +109,14 @@ def lex(source: str) -> list[Token]:
         kind = k
         append(new(Token, (k, text, new(Span, (line, col)))))
         col += len(text)
+    if "__" in source:
+        # generated names begin with "__", so a source name must not; the
+        # test is here, not in the loop, which runs once per token
+        for k, text, span in tokens:
+            if k == "ident" and text.startswith("__"):
+                raise LexError(f"identifier {text} is reserved: names that "
+                               f"begin with __ are generated", span,
+                               rule="P-RESERVED")
     return tokens
 
 

@@ -611,7 +611,8 @@ class _ArmTx:
         if arm.guard is not None:
             if _has_calls(arm.guard):
                 raise UnsupportedConstruct("calls in guards are not supported",
-                                           getattr(arm.guard, "span", None))
+                                           getattr(arm.guard, "span", None),
+                                           rule="T-GUARD")
             arm.guard_term = self.value_of(arm.guard, spatial_adt=False)
         for binder, bound in arm.lets:
             term = self.value_of(bound, spatial_adt=False)
@@ -760,8 +761,10 @@ class _ArmTx:
                 if off == 0:
                     return ssl.PVar(arg.ssl_name)
                 return ssl.PAdd(ssl.PVar(arg.ssl_name), ssl.PInt(off))
+        name = next((arg.source_name for arg in self.arm.args
+                     if arg.ssl_name == e.var), e.var)
         raise NonConstructibleBody(
-            f"addr {e.var}: variable has no heap cell", e.span)
+            f"addr {name}: variable has no heap cell", e.span, rule="T-ADDR")
 
     # -- calls --
 

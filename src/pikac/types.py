@@ -13,7 +13,12 @@ instantiation), every ADT-valued result or constructor is wrapped in
 ``lower`` at the appropriate layout, and deterministic machine names are
 attached to parameters and results.  Elaborated code checks under the
 strict rules: the elaborator types each node it builds by the rule
-``infer_expr`` applies to that node's kind.
+``infer_expr`` applies to that node's kind, and leaves each typing check
+to that rule.  It keeps one typing context, keyed by the names of the
+elaborated code.  That needs two facts of the front end: ``syntax.lex``
+rejects a source name that begins with ``__``, the prefix of every
+generated name, and ``build_global_env`` rejects a case that binds one
+name twice.
 """
 
 from __future__ import annotations
@@ -172,6 +177,17 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
         if name not in fn_sigs:
             raise UnboundVariable(f"function {name} has no type signature",
                                   cases[0].span)
+        # the elaborator keeps one typing context per case, so each of its
+        # binders must name one value
+        for case in cases:
+            binders = set()
+            for pat in case.patterns:
+                for var in pat.vars:
+                    if var in binders:
+                        raise DuplicateName(
+                            f"a case of {name} binds {var} twice", case.span,
+                            rule="G-FN")
+                    binders.add(var)
     return GlobalEnv(adts, ctors, layouts, fn_sigs, dict(unit.fn_defs), directives)
 
 
@@ -432,15 +448,22 @@ def _type_node(env: GlobalEnv, gamma: dict, e: S.Expr, kids) -> Type:
     return result
 
 
-def _type_ctor(env: GlobalEnv, e: S.ConstructorApp, kids) -> Type:
-    if e.name not in env.ctors:
-        raise UnboundVariable(f"unknown constructor {e.name}", e.span,
+def _ctor_fields(env: GlobalEnv, e: S.ConstructorApp, span) -> tuple:
+    """``(field types, ADT)`` of ``e``'s constructor, which must exist and
+    take as many arguments as ``e`` gives it."""
+    fields = env.ctors.get(e.name)
+    if fields is None:
+        raise UnboundVariable(f"unknown constructor {e.name}", span,
                               rule="T-CONSTR")
-    field_tys, adt = env.ctors[e.name]
-    if len(e.args) != len(field_tys):
+    if len(e.args) != len(fields[0]):
         raise ArityMismatch(
-            f"constructor {e.name} expects {len(field_tys)} arguments, "
-            f"got {len(e.args)}", e.span, rule="T-CONSTR")
+            f"constructor {e.name} expects {len(fields[0])} arguments, "
+            f"got {len(e.args)}", span, rule="T-CONSTR")
+    return fields
+
+
+def _type_ctor(env: GlobalEnv, e: S.ConstructorApp, kids) -> Type:
+    field_tys, adt = _ctor_fields(env, e, e.span)
     for kid, fty in zip(kids, field_tys):
         at = _ok(kid)
         if isinstance(fty, S.TName):
@@ -471,19 +494,12 @@ def _type_lower(env: GlobalEnv, e: S.Lower, kids) -> Type:
         return resolved.type()
     layout = resolved.layout
     if ctor is not None:
-        if ctor.name not in env.ctors:
-            raise UnboundVariable(f"unknown constructor {ctor.name}",
-                                  e.span, rule="T-CONSTR")
-        field_tys, adt = env.ctors[ctor.name]
+        field_tys, adt = _ctor_fields(env, ctor, e.span)
         if adt != layout.adt:
             raise LayoutAdtMismatch(
                 f"layout {layout.name} is for {layout.adt}, "
                 f"constructor {ctor.name} builds {adt}", e.span,
                 rule="T-LOWER-CONSTR")
-        if len(ctor.args) != len(field_tys):
-            raise ArityMismatch(
-                f"constructor {ctor.name} expects {len(field_tys)} "
-                f"arguments, got {len(ctor.args)}", e.span, rule="T-CONSTR")
         for kid, fty in zip(kids, field_tys):
             if not _concrete(env, kid, fty):
                 raise NotConcrete(
@@ -515,7 +531,6 @@ def _type_instantiate(env: GlobalEnv, gamma: dict, e: S.Instantiate,
         else:
             resolved_args.append(resolve_layout_ref(env, ref, e.span))
     result = resolve_layout_ref(env, e.result_layout, e.span)
-    value_layouts = [r for r in resolved_args if isinstance(r, ResolvedLayout)]
 
     sig = None
     if e.fn in gamma and isinstance(gamma[e.fn], S.TFn):
@@ -542,15 +557,12 @@ def _type_instantiate(env: GlobalEnv, gamma: dict, e: S.Instantiate,
                     rule="T-INSTANTIATE")
         else:
             layout_for_type(env, res, e.result_layout, e.span)
-    # value arguments must be concrete at their layouts
-    value_kids = [k for k, r in zip(kids, resolved_args)
-                  if isinstance(r, ResolvedLayout)] if sig else list(kids)
-    layouts = value_layouts if sig else resolved_args
-    if len(value_kids) != len(layouts):
+    if len(kids) != len(resolved_args):
         raise ArityMismatch(
-            f"instantiate of {e.fn} applies {len(value_kids)} arguments to "
-            f"{len(layouts)} layouts", e.span, rule="T-INSTANTIATE")
-    for kid, lay in zip(value_kids, layouts):
+            f"instantiate of {e.fn} applies {len(kids)} arguments to "
+            f"{len(resolved_args)} layouts", e.span, rule="T-INSTANTIATE")
+    # value arguments must be concrete at their layouts
+    for kid, lay in zip(kids, resolved_args):
         if isinstance(lay, S.FnLayout):
             continue
         at = _ok(kid)
@@ -680,7 +692,7 @@ class _Elaborator:
             raise ArityMismatch(
                 f"case of {fn} has {len(case.patterns)} patterns, expected "
                 f"{len(arg_layouts)}", case.span, rule="G-FN")
-        gamma: dict[str, Type] = {}
+        typing: dict[str, Type] = {}        # the one context: see _elab
         rename: dict[str, str] = {}
         args: list[ElabArg] = []
         for i, (pat, lay, pty) in enumerate(zip(case.patterns, arg_layouts,
@@ -688,7 +700,7 @@ class _Elaborator:
             name = _param_name(i, lay)
             if pat.ctor is None:
                 var = pat.vars[0]
-                gamma[var] = lay.type()
+                typing[name] = lay.type()
                 rename[var] = name
                 args.append(ElabArg(name, lay, None, {}, [], var))
             else:
@@ -708,11 +720,7 @@ class _Elaborator:
                     raise ArityMismatch(
                         f"pattern arity mismatch for {pat.ctor}", pat.span,
                         rule="T-CONSTR")
-                shape = layout.shapes.get(pat.ctor)
-                if shape is None:
-                    raise LayoutAdtMismatch(
-                        f"layout {layout.name} has no branch for {pat.ctor}",
-                        pat.span)
+                shape = layout.shapes[pat.ctor]
                 sub = dict(zip(shape.pattern.vars, pat.vars))
                 sub[layout.ssl_params[0]] = name
                 offsets = {sub.get(p, p): off
@@ -720,23 +728,20 @@ class _Elaborator:
                 applies = [(lname, sub.get(v, v))
                            for v, lname in shape.applies.items()]
                 for v, fty in zip(pat.vars, field_tys):
-                    gamma[v] = self._field_type(fty, v, applies)
+                    typing[v] = self._field_type(fty, v, applies)
                 args.append(ElabArg(name, lay, (pat.ctor, list(pat.vars)),
                                     offsets, applies))
 
         elab_cases = []
-        # the typing context of the elaborated code, whose variables are
-        # renamed; each body is typed as it is elaborated
-        typing = gamma_renamed(gamma, rename)
         for guard, body in case.guarded_bodies:
             g2 = None
             if guard is not None:
-                g2, gt = self._elab(guard, gamma, rename, typing, None)
+                g2, gt = self._elab(guard, rename, typing, None)
                 gt = _ok(gt)
                 if not isinstance(gt, S.TBool):
                     raise TypeMismatch("Bool", str(gt), case.span,
                                        rule="T-GUARD")
-            b2, bt = self._elab(body, gamma, rename, typing,
+            b2, bt = self._elab(body, rename, typing,
                                 result_layout if result_layout.kind == "adt"
                                 else None, at_result=True)
             bt = _ok(bt)
@@ -763,20 +768,25 @@ class _Elaborator:
     # -- expression elaboration --
     # ``_elab`` returns the elaborated expression and the result of typing
     # it in ``typing`` under the strict rules: its type, or the diagnostic
-    # ``infer_expr`` would raise on it.  Typing diagnostics wait until
+    # ``infer_expr`` would raise on it.  ``typing`` is the one context: it
+    # is keyed by the names of the elaborated code, and ``rename`` maps a
+    # source parameter to its generated name.  No source name begins with
+    # ``__`` and a case binds each name once, so a source name ``x`` means
+    # ``typing[rename.get(x, x)]``.  Each typing check is made by the rule,
+    # when ``_elab`` types the node it built; typing diagnostics wait until
     # ``_elaborate_case`` reads a body's result, so that every elaboration
     # diagnostic in the body wins over them.  The helpers that build a node
     # return it with its kids' results, for ``_elab`` to type.
 
-    def _elab(self, e: S.Expr, gamma, rename, typing,
+    def _elab(self, e: S.Expr, rename, typing,
               expected: Optional[ResolvedLayout],
               at_result: bool = False) -> tuple:
         env = self.env
         cls = e.__class__
         if cls is S.Var:
             name = rename.get(e.name, e.name)
-            ty = gamma.get(e.name)
-            if ty is None and e.name not in env.fn_sigs and name == e.name:
+            ty = typing.get(name)
+            if ty is None and e.name not in env.fn_sigs:
                 raise UnboundVariable(f"unbound variable {e.name}", e.span,
                                       rule="T-VAR")
             out, kids = S.Var(name, e.span), ()
@@ -791,30 +801,28 @@ class _Elaborator:
                     # a returned resident variable is re-lowered at the
                     # result layout; the copy stage keys off this wrapper
                     lower = at_result
-            result = typing.get(name) or _result(env, typing, out)
+            result = ty or _result(env, typing, out)
             if not lower:
                 return out, result
             out, kids = S.Lower(S.NamedLayout(expected.layout.name,
                                               expected.mode),
                                 out, e.span), [result]
         elif cls is S.BinOp:
-            lhs, lt = self._elab(e.lhs, gamma, rename, typing, None)
-            rhs, rt = self._elab(e.rhs, gamma, rename, typing, None)
+            lhs, lt = self._elab(e.lhs, rename, typing, None)
+            rhs, rt = self._elab(e.rhs, rename, typing, None)
             out, kids = S.BinOp(e.op, lhs, rhs, e.span), [lt, rt]
         elif cls is S.IntLit:
             out, kids = e, ()
         elif cls is S.ConstructorApp:
-            out, kids = self._elab_ctor(e, gamma, rename, typing, expected)
+            out, kids = self._elab_ctor(e, rename, typing, expected)
         elif cls is S.App:
-            out, kids = self._elab_app(e, gamma, rename, typing, expected)
+            out, kids = self._elab_app(e, rename, typing, expected)
         elif cls is S.Instantiate:
-            out, kids = self._elab_instantiate(e, gamma, rename, typing)
+            out, kids = self._elab_instantiate(e, rename, typing)
         elif cls is S.IfThenElse:
-            c, ct = self._elab(e.cond, gamma, rename, typing, None)
-            then, tt = self._elab(e.then, gamma, rename, typing, expected,
-                                  at_result)
-            els, et = self._elab(e.els, gamma, rename, typing, expected,
-                                 at_result)
+            c, ct = self._elab(e.cond, rename, typing, None)
+            then, tt = self._elab(e.then, rename, typing, expected, at_result)
+            els, et = self._elab(e.els, rename, typing, expected, at_result)
             out, kids = S.IfThenElse(c, then, els, e.span), [ct, tt, et]
         elif cls is S.Lower:
             resolved = resolve_layout_ref(env, e.layout, e.span)
@@ -824,15 +832,14 @@ class _Elaborator:
                 raise LayoutAdtMismatch(
                     f"lowered at {resolved.layout.name}, expected "
                     f"{expected.layout.name}", e.span, rule="T-LOWER-VAR")
-            inner, it = self._elab(e.arg, gamma, rename, typing, resolved)
+            inner, it = self._elab(e.arg, rename, typing, resolved)
             if inner.__class__ is S.Lower:
                 return inner, it
             out, kids = S.Lower(e.layout, inner, e.span), [it]
         elif cls is S.Let:
-            return self._elab_let(e, gamma, rename, typing, expected,
-                                  at_result)
+            return self._elab_let(e, rename, typing, expected, at_result)
         elif cls is S.Not:
-            arg, at = self._elab(e.arg, gamma, rename, typing, None)
+            arg, at = self._elab(e.arg, rename, typing, None)
             out, kids = S.Not(arg, e.span), [at]
         elif cls is S.BoolLit:
             out, kids = e, ()
@@ -846,40 +853,25 @@ class _Elaborator:
         except PikaError as exc:
             return out, exc
 
-    def _elab_let(self, e: S.Let, gamma, rename, typing, expected,
+    def _elab_let(self, e: S.Let, rename, typing, expected,
                   at_result) -> tuple:
         """The let and its typing result, as ``_elab`` gives them.  The
-        bound's type enters ``gamma`` at once, so its diagnostic is raised
-        at once.  It is typed in the renamed ``gamma``, which is ``typing``
-        unless an outer let's binder is a renamed variable or the name one
-        is renamed to."""
-        bound, result = self._elab(e.bound, gamma, rename, typing, None)
-        renamed = gamma_renamed(gamma, rename)
-        bt = _ok(result) if renamed == typing \
-            else infer_expr(self.env, renamed, bound)
-        inner = dict(gamma)
-        inner[e.name] = bt
-        inner_rename = dict(rename)
-        inner_rename.pop(e.name, None)
-        inner_typing = dict(typing)
-        failed = isinstance(result, PikaError)
-        inner_typing[e.name] = bt if failed else result
-        body, body_result = self._elab(e.body, inner, inner_rename,
-                                       inner_typing, expected, at_result)
-        return (S.Let(e.name, bound, body, e.span),
-                result if failed else body_result)
+        bound's type enters the context at once, so its diagnostic is
+        raised at once."""
+        bound, result = self._elab(e.bound, rename, typing, None)
+        if e.name in rename:
+            rename = dict(rename)
+            del rename[e.name]
+        inner = dict(typing)
+        inner[e.name] = _ok(result)
+        body, body_result = self._elab(e.body, rename, inner, expected,
+                                       at_result)
+        return S.Let(e.name, bound, body, e.span), body_result
 
-    def _elab_ctor(self, e: S.ConstructorApp, gamma, rename, typing,
+    def _elab_ctor(self, e: S.ConstructorApp, rename, typing,
                    expected) -> tuple:
         env = self.env
-        if e.name not in env.ctors:
-            raise UnboundVariable(f"unknown constructor {e.name}", e.span,
-                                  rule="T-CONSTR")
-        field_tys, adt = env.ctors[e.name]
-        if len(e.args) != len(field_tys):
-            raise ArityMismatch(
-                f"constructor {e.name} expects {len(field_tys)} arguments, "
-                f"got {len(e.args)}", e.span, rule="T-CONSTR")
+        field_tys, adt = _ctor_fields(env, e, e.span)
         if expected is None or expected.kind != "adt":
             raise NotConcrete(
                 f"constructor {e.name} used where no layout is fixed", e.span,
@@ -889,10 +881,7 @@ class _Elaborator:
             raise LayoutAdtMismatch(
                 f"layout {layout.name} is for {layout.adt}, constructor "
                 f"{e.name} builds {adt}", e.span, rule="T-LOWER-CONSTR")
-        shape = layout.shapes.get(e.name)
-        if shape is None:
-            raise LayoutAdtMismatch(
-                f"layout {layout.name} has no branch for {e.name}", e.span)
+        shape = layout.shapes[e.name]
         new_args, kids = [], []
         for var, arg, fty in zip(shape.pattern.vars, e.args, field_tys):
             sub = None
@@ -905,14 +894,14 @@ class _Elaborator:
                         rule="T-LOWER-CONSTR")
                 sub = ResolvedLayout("adt", env.layouts[sub_layout_name],
                                      expected.mode)
-            x, kid = self._elab(arg, gamma, rename, typing, sub)
+            x, kid = self._elab(arg, rename, typing, sub)
             new_args.append(x)
             kids.append(kid)
         return S.Lower(S.NamedLayout(layout.name, expected.mode),
                        S.ConstructorApp(e.name, new_args, e.span),
                        e.span), kids
 
-    def _elab_app(self, e: S.App, gamma, rename, typing, expected) -> tuple:
+    def _elab_app(self, e: S.App, rename, typing, expected) -> tuple:
         env = self.env
         fn = self.fn
         if e.fn == fn:
@@ -921,7 +910,7 @@ class _Elaborator:
             return self._elab_instantiate(
                 S.Instantiate(directive.arg_layouts, directive.result_layout,
                               fn, list(e.args), e.span),
-                gamma, rename, typing)
+                rename, typing)
         if e.fn in env.fn_sigs:
             params, result = uncurry(env.fn_sigs[e.fn])
             if len(params) != len(e.args):
@@ -930,7 +919,7 @@ class _Elaborator:
                     e.span, rule="T-FN-GLOBAL")
             refs = []
             for pty, arg in zip(params, e.args):
-                refs.append(self._default_ref(pty, arg, gamma, e))
+                refs.append(self._default_ref(pty, arg, rename, typing, e))
             if isinstance(result, S.TName):
                 if expected is not None and expected.kind == "adt" \
                         and env.layouts[expected.layout.name].adt == result.name:
@@ -945,7 +934,7 @@ class _Elaborator:
             return self._elab_instantiate(
                 S.Instantiate(tuple(refs), res_ref, e.fn, list(e.args),
                               e.span),
-                gamma, rename, typing)
+                rename, typing)
         raise UnboundVariable(f"unbound function {e.fn}", e.span, rule="T-VAR")
 
     def _base_ref(self, ty: S.TypeExpr, e) -> S.LayoutRef:
@@ -959,11 +948,11 @@ class _Elaborator:
             f"cannot infer a layout for type {ty}; use instantiate", e.span,
             rule="T-INSTANTIATE")
 
-    def _default_ref(self, pty: S.TypeExpr, arg: S.Expr, gamma, e):
+    def _default_ref(self, pty: S.TypeExpr, arg: S.Expr, rename, typing, e):
         if isinstance(pty, S.TName):
             at = None
             if isinstance(arg, S.Var):
-                at = gamma.get(arg.name)
+                at = typing.get(rename.get(arg.name, arg.name))
             if isinstance(at, LayoutType):
                 return S.NamedLayout(at.name, "readonly")
             raise LayoutAdtMismatch(
@@ -971,32 +960,26 @@ class _Elaborator:
                 f"use instantiate", e.span, rule="T-INSTANTIATE")
         return self._base_ref(pty, e)
 
-    def _elab_instantiate(self, e: S.Instantiate, gamma, rename,
-                          typing) -> tuple:
-        env = self.env
-        fn_args = [(ref, arg) for ref, arg in zip(e.arg_layouts, e.args)
-                   if isinstance(ref, S.FnLayout)]
-        if fn_args:
-            return self._specialise(e, gamma, rename, typing)
-        resolved = [resolve_layout_ref(env, r, e.span) for r in e.arg_layouts]
-        if e.fn in env.fn_sigs:
-            params, _ = uncurry(env.fn_sigs[e.fn])
-            if len(params) != len(e.arg_layouts):
-                raise ArityMismatch(
-                    f"{e.fn} expects {len(params)} arguments, got "
-                    f"{len(e.arg_layouts)} layouts", e.span, rule="T-INSTANTIATE")
-            for pty, ref in zip(params, e.arg_layouts):
-                layout_for_type(env, pty, ref, e.span)
+    def _elab_instantiate(self, e: S.Instantiate, rename, typing) -> tuple:
+        """The instantiate with its arguments elaborated, each at its
+        layout; ``_type_instantiate`` checks the layouts against the callee
+        and the arguments against the layouts."""
+        if any(isinstance(ref, S.FnLayout)
+               for ref, _ in zip(e.arg_layouts, e.args)):
+            return self._specialise(e, rename, typing)
+        resolved = [resolve_layout_ref(self.env, ref, e.span)
+                    for ref in e.arg_layouts]
+        # an argument beyond the layouts gets none, for the rule to count
+        resolved += [None] * (len(e.args) - len(resolved))
         new_args, kids = [], []
         for a, r in zip(e.args, resolved):
-            x, kid = self._elab(a, gamma, rename, typing,
-                                r if r.kind == "adt" else None)
+            x, kid = self._elab(a, rename, typing, r)
             new_args.append(x)
             kids.append(kid)
         return S.Instantiate(e.arg_layouts, e.result_layout, e.fn, new_args,
                              e.span), kids
 
-    def _specialise(self, e: S.Instantiate, gamma, rename, typing) -> tuple:
+    def _specialise(self, e: S.Instantiate, rename, typing) -> tuple:
         """Resolve function-typed instantiate arguments by substituting the
         named function and generating a specialised definition."""
         env = self.env
@@ -1017,12 +1000,14 @@ class _Elaborator:
             else:
                 value_refs.append(ref)
                 value_args.append(arg)
+        # arguments beyond the layouts stay, for the rule to count
+        value_args += e.args[len(e.arg_layouts):]
         spec_name = "_".join([e.fn] + fn_pairs)
         if spec_name not in env.fn_defs:
             self._register_specialisation(e.fn, fn_pairs, spec_name, e.span)
         inner = S.Instantiate(tuple(value_refs), e.result_layout, spec_name,
                               value_args, e.span)
-        return self._elab_instantiate(inner, gamma, rename, typing)
+        return self._elab_instantiate(inner, rename, typing)
 
     def _register_specialisation(self, base: str, fn_names: list,
                                  spec_name: str, span):
@@ -1061,14 +1046,6 @@ class _Elaborator:
         env.fn_sigs[spec_name] = new_sig
         env.fn_defs[spec_name] = new_cases
         self.spec_order.append(spec_name)
-
-
-def gamma_renamed(gamma: dict, rename: dict) -> dict:
-    out = dict(gamma)
-    for src, dst in rename.items():
-        if src in out:
-            out[dst] = out.pop(src)
-    return out
 
 
 def _subst_fn_names(e: S.Expr, sub: dict, old_self: str, new_self: str) -> S.Expr:

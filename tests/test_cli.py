@@ -217,6 +217,41 @@ def test_global_diagnostics_name_rule_and_place(tmp_path, capsys,
     assert not out_dir.exists() or not list(out_dir.iterdir())
 
 
+INC_SOURCE = "inc : Int -> Int;\ninc y := y + 1;\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # each of the first three compiled to a wrong predicate: the first to
+    # __p_0 == 7, the other two without their extra argument
+    ("%generate f [Int] Int\nf : Int -> Int;\n"
+     "f x := let __p_0 := 7 in x + 1;",
+     "error[P-RESERVED]: identifier __p_0 is reserved: names that begin "
+     "with __ are generated at 3:12"),
+    ("%generate g [Int] Int\n" + INC_SOURCE
+     + "g : Int -> Int;\ng x := instantiate [Int] Int inc x 99;",
+     "error[T-INSTANTIATE]: instantiate of inc applies 2 arguments to 1 "
+     "layouts at 5:8"),
+    ("%generate len [Sll] Int\n" + SLL_SOURCE
+     + "len : List -> Int;\nlen (Nil) := 0;\nlen (Cons h t) := 1 + len t 42;",
+     "error[T-INSTANTIATE]: instantiate of len applies 2 arguments to 1 "
+     "layouts at 8:23"),
+    ("%generate f [Int] (Ptr Int)\nf : Int -> Ptr Int;\nf n := addr n;",
+     "error[T-ADDR]: addr n: variable has no heap cell at 3:8"),
+    ("%generate f [Int] Int\n" + INC_SOURCE
+     + "f : Int -> Int;\nf x | inc x < 3 := 1;\nf x := 2;",
+     "error[T-GUARD]: calls in guards are not supported at 5:13"),
+], ids=["reserved-name", "extra-argument", "extra-recursive-argument",
+        "addr-without-cell", "call-in-guard"])
+def test_malformed_input_ends_in_a_rule_named_diagnostic(tmp_path, capsys,
+                                                         monkeypatch, text,
+                                                         message):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    bad = tmp_path / "bad.pika"
+    bad.write_text(text + "\n")
+    assert run(capsys, "compile", str(bad), "--stdout") \
+        == (1, "", message + "\n")
+
+
 def test_compile_missing_file(capsys):
     code, out, err = run(capsys, "compile", "/nonexistent/input.pika")
     assert code == 2

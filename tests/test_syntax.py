@@ -63,6 +63,17 @@ def test_lex_illegal_character_position():
     assert exc.value.span == (2, 5)
 
 
+def test_lex_reserves_names_that_begin_with_two_underscores():
+    # generated names (__p_0, __p_x1, __r) begin with "__"; a source name
+    # equal to one would capture the value the compiler gave that name
+    with pytest.raises(LexError) as exc:
+        S.lex("f x :=\n  let __p_0 := 7 in x + 1;")
+    assert (exc.value.rule, exc.value.message, exc.value.span) == (
+        "P-RESERVED", "identifier __p_0 is reserved: names that begin with "
+        "__ are generated", (2, 7))
+    assert [t.text for t in S.lex("_x a__b -- __c")] == ["_x", "a__b"]
+
+
 def test_lex_comments_dropped():
     toks = S.lex("x -- trailing comment\ny")
     assert [t.text for t in toks] == ["x", "y"]

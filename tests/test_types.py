@@ -82,10 +82,18 @@ def test_duplicate_names_rejected():
     # a let's bound is typed before its body is elaborated
     ("let y := (1 + true) in nope", "expected Int, found Bool",
      "expected Int, found Bool"),
+    # an instantiate's layouts are checked against its callee by the rule,
+    # so the elaborator reports a later unbound name first
+    ("(instantiate [Sll] Int f n) + nope", "unbound variable nope",
+     "layout Sll does not fit type Int"),
+    # both check a constructor's arity before its ADT
+    ("lower TreeLayout (Cons 1)", "constructor Cons expects 2 arguments, "
+     "got 1", "constructor Cons expects 2 arguments, got 1"),
 ], ids=["elaboration-first", "condition-first", "branch-first",
-        "let-bound-first"])
+        "let-bound-first", "instantiate-checked-by-the-rule",
+        "constructor-arity-first"])
 def test_the_diagnostic_that_wins(body, elaborated, inferred):
-    unit = parse_source(LIST_DEFS + "%generate f [Int] Int\n"
+    unit = parse_source(FULL_DEFS + "%generate f [Int] Int\n"
                         f"f : Int -> Int;\nf n := {body};\n")
     with pytest.raises(E.PikaError) as info:
         elaborate(unit)
@@ -112,6 +120,21 @@ id (Cons h t) := Cons h (id t);
         build_global_env(unit)
     assert (info.value.rule, info.value.span) == ("G-FN", (3, 1))
     assert info.value.message == "second %generate directive for id"
+
+
+@pytest.mark.parametrize("case", [
+    # the head was dropped: the body read the parameter
+    "f x (Cons x t) := x + 1;",
+    # the Int parameter was passed to g
+    "f x (Cons h x) := instantiate [Sll] Int g x;",
+], ids=["pattern-field", "pattern-tail"])
+def test_a_case_binds_each_name_once(case):
+    unit = parse_source(LIST_DEFS + "g : List -> Int;\n"
+                        "f : Int -> List -> Int;\nf x (Nil) := 0;\n" + case)
+    with pytest.raises(E.DuplicateName) as info:
+        build_global_env(unit)
+    assert (info.value.rule, info.value.message, info.value.span) == (
+        "G-FN", "a case of f binds x twice", (9, 1))
 
 
 def test_missing_signature_is_placed_at_the_first_case():
@@ -161,6 +184,31 @@ def test_infer_instantiate_cross_layout(genv):
     t = infer_expr(genv, gamma,
                    parse_expr_text("instantiate [TreeLayout] Sll leftList t"))
     assert t == LayoutType("Sll")
+
+
+def test_infer_counts_arguments_beyond_the_layouts():
+    genv = build_global_env(parse_source("inc : Int -> Int;\n"))
+    with pytest.raises(E.ArityMismatch) as info:
+        infer_expr(genv, {}, parse_expr_text("instantiate [Int] Int inc 3 99"))
+    assert (info.value.rule, info.value.message) == (
+        "T-INSTANTIATE", "instantiate of inc applies 2 arguments to 1 layouts")
+
+
+def test_specialised_instantiate_counts_arguments_beyond_the_layouts():
+    with pytest.raises(E.ArityMismatch) as info:
+        elaborate(parse_source(LIST_DEFS + """
+%generate mapAdd1 [Sll] Sll
+map : (Int -> Int) -> List -> List;
+map f (Nil) := Nil;
+map f (Cons x xs) := Cons (instantiate [Int] Int f x) (map f xs);
+add1 : Int -> Int;
+add1 x := x + 1;
+mapAdd1 : List -> List;
+mapAdd1 xs := instantiate [Int -> Int, Sll] Sll map add1 xs 5;
+"""))
+    assert (info.value.rule, info.value.message) == (
+        "T-INSTANTIATE",
+        "instantiate of map_add1 applies 2 arguments to 1 layouts")
 
 
 def test_infer_layout_adt_mismatch(genv):
