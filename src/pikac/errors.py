@@ -12,8 +12,9 @@ from collections import namedtuple
 
 
 class Span(namedtuple("Span", ("line", "col"))):
-    """A 1-based source position.  It is a tuple, so ``Span(1, 2) == (1, 2)``;
-    the lexer makes one per token and builds it with ``tuple.__new__``."""
+    """A 1-based source position.  It is a tuple, so ``Span(1, 2) == (1, 2)``.
+    The lexer keeps positions as line and column numbers; the parsers make a
+    span only for a node, pattern, heaplet or diagnostic that keeps one."""
     __slots__ = ()
 
     def __str__(self) -> str:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .errors import ParseError, SortMismatch, Span
 from .node import Frozen
-from .syntax import _FIRST_KINDS, Token, _Cursor, render_loc
+from .syntax import _FIRST_KINDS, Tokens, _Cursor, render_loc
 
 _set = object.__setattr__
 
@@ -413,12 +413,12 @@ _SUS_KINDS = {w: w for w in (*_SUS_SYMBOLS, *_SUS_CHARS)}
 class _SusParser(_Cursor):
     END = "unexpected end of SSL input"
     EOF = "EOF"
-    FOUND = "text"
+    FOUND = "texts"
 
     def __init__(self, text: str):
         """Tokenise as ``syntax.lex`` does: a symbol is its own kind, any
         other token an ``int`` or an ``ident`` by its first character."""
-        tokens = []
+        kinds, texts, lines, cols = [], [], [], []
         line, start, pos = 1, 0, 0     # start: the offset of the line
         for skipped, tok in _SUS_TOKEN.findall(text):
             if "\n" in skipped:
@@ -427,18 +427,21 @@ class _SusParser(_Cursor):
             pos += len(skipped)
             if not tok:
                 break
-            span = Span(line, pos - start + 1)
+            col = pos - start + 1
             kind = _SUS_KINDS.get(tok) or _FIRST_KINDS.get(tok[0])
             if kind is None:
                 raise ParseError(f"bad SSL syntax near {text[pos:pos+10]!r}",
-                                 span)
-            tokens.append(Token(kind, tok, span))
+                                 Span(line, col))
+            kinds.append(kind)
+            texts.append(tok)
+            lines.append(line)
+            cols.append(col)
             pos += len(tok)
-        super().__init__(tokens)
+        kinds.append(None)
+        super().__init__(Tokens(kinds, texts, lines, cols))
 
     def at_text(self, text) -> bool:
-        t = self.peek()
-        return t is not None and t.text == text
+        return self.kinds[self.pos] is not None and self.texts[self.pos] == text
 
     # pure terms: binary operators bind as their kinds' ``prec`` says; a
     # ternary is written in parentheses, (c ? a : b)
@@ -453,7 +456,8 @@ class _SusParser(_Cursor):
             left = cls(left, self.parse_pure(cls.prec + 1))
 
     def _parse_pure_atom(self) -> PureTerm:
-        kind, text, span = self.current()
+        kind = self.current()
+        text = self.texts[self.pos]
         if kind == "int":
             self.next()
             return PInt(int(text))
@@ -479,28 +483,30 @@ class _SusParser(_Cursor):
                 inner = PTernary(inner, then, els)
             self.expect(")")
             return inner
-        raise ParseError(f"unexpected token {text!r} in pure term", span)
+        raise ParseError(f"unexpected token {text!r} in pure term", self.span())
 
     # heaplets / assertions
 
     def parse_heaplet(self) -> Heaplet:
-        kind, text, span = self.current()
+        start = self.pos
+        kind = self.current()
+        text = self.texts[start]
         if kind == "ident" and text == "emp":
             self.next()
             return HeapEmp()
         if kind == "ident" and text == "temploc":
             self.next()
-            return TempLoc(self.expect("ident").text)
+            return TempLoc(self.expect("ident"))
         if kind == "ident" and text == "func":
             self.next()
-            name = self.expect("ident").text
+            name = self.expect("ident")
             args = self._parse_arg_list()
             return FuncApply(name, tuple(args))
         if kind == "[":
             self.next()
-            base = self.expect("ident").text
+            base = self.expect("ident")
             self.expect(",")
-            size = int(self.expect("int").text)
+            size = int(self.expect("int"))
             self.expect("]")
             return Block(base, size)
         # location or predicate application
@@ -514,20 +520,20 @@ class _SusParser(_Cursor):
             if base.startswith("ro_"):
                 return RoApply(base, tuple(args))
             return PredApply(base, tuple(args))
-        raise ParseError(f"expected heaplet near {text!r}", span)
+        raise ParseError(f"expected heaplet near {text!r}", self.span(start))
 
     def _parse_loc(self) -> tuple[str, int]:
         if self.at("("):
             self.next()
-            base = self.expect("ident").text
+            base = self.expect("ident")
             self.expect("+")
-            off = int(self.expect("int").text)
+            off = int(self.expect("int"))
             self.expect(")")
             return base, off
-        base = self.expect("ident").text
+        base = self.expect("ident")
         if self.at("+"):
             self.next()
-            return base, int(self.expect("int").text)
+            return base, int(self.expect("int"))
         return base, 0
 
     def _parse_arg_list(self) -> list[PureTerm]:
@@ -554,10 +560,12 @@ class _SusParser(_Cursor):
         return SslAssertion.make(tuple(pure), tuple(spatial))
 
     def parse_predicate(self) -> PredicateDef:
+        start = self.pos
         kw = self.expect("ident")
-        if kw.text not in ("predicate", "inductive"):
-            raise ParseError(f"expected 'predicate', found {kw.text!r}", kw.span)
-        name = self.expect("ident").text
+        if kw not in ("predicate", "inductive"):
+            raise ParseError(f"expected 'predicate', found {kw!r}",
+                             self.span(start))
+        name = self.expect("ident")
         self.expect("(")
         params = self._comma_list(self._parse_param, ")")
         self.expect("{")
@@ -574,20 +582,22 @@ class _SusParser(_Cursor):
         return PredicateDef(name, tuple(params), tuple(branches))
 
     def _parse_param(self) -> tuple[str, str]:
-        _, sort, span = self.expect("ident")
+        start = self.pos
+        sort = self.expect("ident")
         if sort not in ("int", "loc"):
-            raise ParseError(f"unknown parameter sort {sort!r}", span)
-        name = self.expect("ident").text
+            raise ParseError(f"unknown parameter sort {sort!r}", self.span(start))
+        name = self.expect("ident")
         return (name, sort)
 
     def parse_goal(self) -> GoalSpec:
+        start = self.pos
         kw = self.expect("ident")
-        if kw.text != "void":
-            raise ParseError(f"expected 'void', found {kw.text!r}", kw.span)
-        name = self.expect("ident").text
+        if kw != "void":
+            raise ParseError(f"expected 'void', found {kw!r}", self.span(start))
+        name = self.expect("ident")
         self.expect("(")
         params = self._comma_list(
-            lambda: (self.expect("ident").text, self.expect("ident").text), ")")
+            lambda: (self.expect("ident"), self.expect("ident")), ")")
         self.expect("{")
         pre = self.parse_assertion()
         self.expect("}")

@@ -7,7 +7,10 @@ directives naming the layout instantiation to compile a function at.
 
 Binary operators are declared once, in ``_PREC``: the parser's one
 precedence-climbing loop and the printer's parenthesisation both read it.
-The token cursor, ``_Cursor``, is shared with the SSL re-parser in ``ssl``.
+The lexer fills four columns, the kinds, texts, lines and columns of the
+tokens, and returns them as one ``Tokens``.  The token cursor, ``_Cursor``,
+reads the columns and is shared with the SSL re-parser in ``ssl``; it
+builds a ``Span`` only for a node or diagnostic that keeps one.
 A layout's branches are read once, into ``LayoutDef.shapes``; the layers
 after the front end read the shapes, not the heaplets.  Whether a branch
 can be written is decided once, by ``types.build_global_env``.
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from typing import Optional
 
 from .errors import LexError, ParseError, Span
 from .node import Frozen, Node, cached
@@ -71,7 +74,38 @@ _MINUS_AFTER = frozenset({"int", "ident", ")", "]"})
 Token = namedtuple("Token", ("kind", "text", "span"))
 
 
-def lex(source: str) -> list[Token]:
+class Tokens(Sequence):
+    """The tokens of a source as four columns, one entry per token:
+    ``kinds`` (then a ``None`` sentinel, so that lookahead needs no bounds
+    check), ``texts``, ``lines`` and ``cols``.  Read as a sequence it gives
+    ``Token(kind, text, Span(line, col))`` values, built on demand; the
+    parsers read the columns and build a ``Span`` only where a node or a
+    diagnostic keeps one."""
+    __slots__ = ("kinds", "texts", "lines", "cols")
+
+    def __init__(self, kinds: list, texts: list, lines: list, cols: list):
+        self.kinds, self.texts, self.lines, self.cols = kinds, texts, lines, cols
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i: int) -> Token:
+        i = range(len(self.texts))[i]
+        return Token(self.kinds[i], self.texts[i],
+                     Span(self.lines[i], self.cols[i]))
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(Token, self.kinds, self.texts,
+                   map(Span, self.lines, self.cols))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return f"Tokens({list(self)!r})"
+
+
+def lex(source: str) -> Tokens:
     """Tokenise a source string, dropping whitespace and comments.
 
     One ``_TOKEN_RE.findall`` gives a ``(skipped, token)`` pair per token,
@@ -82,9 +116,12 @@ def lex(source: str) -> list[Token]:
     a skipped stretch and otherwise advances by the length of each piece.
     An identifier that begins with ``__`` is reserved for generated names
     (``P-RESERVED``)."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__
+    kinds: list = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    add_kind, add_text = kinds.append, texts.append
+    add_line, add_col = lines.append, cols.append
     kind_of, first_kind = _KINDS.get, _FIRST_KINDS.get
     line, col = 1, 1
     kind = None     # of the last token, which decides the '-' split
@@ -103,21 +140,28 @@ def lex(source: str) -> list[Token]:
             if k is None:
                 raise LexError(f"illegal character {text!r}", Span(line, col))
             if text[0] == "-" and kind in _MINUS_AFTER:
-                append(new(Token, ("-", "-", new(Span, (line, col)))))
+                add_kind("-")
+                add_text("-")
+                add_line(line)
+                add_col(col)
                 text = text[1:]
                 col += 1
         kind = k
-        append(new(Token, (k, text, new(Span, (line, col)))))
+        add_kind(k)
+        add_text(text)
+        add_line(line)
+        add_col(col)
         col += len(text)
     if "__" in source:
         # generated names begin with "__", so a source name must not; the
         # test is here, not in the loop, which runs once per token
-        for k, text, span in tokens:
-            if k == "ident" and text.startswith("__"):
+        for i, text in enumerate(texts):
+            if kinds[i] == "ident" and text.startswith("__"):
                 raise LexError(f"identifier {text} is reserved: names that "
-                               f"begin with __ are generated", span,
-                               rule="P-RESERVED")
-    return tokens
+                               f"begin with __ are generated",
+                               Span(lines[i], cols[i]), rule="P-RESERVED")
+    add_kind(None)
+    return Tokens(kinds, texts, lines, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -448,62 +492,72 @@ _APP_PREC = 6
 
 class _Cursor:
     """Token plumbing shared by the recursive-descent parsers: a position in
-    a token list whose kinds end in a ``None`` sentinel, so lookahead needs
-    no bounds check.  A subclass names the end of input in its messages."""
+    the columns of a ``Tokens``.  ``next()`` and ``expect()`` return the
+    token's text; ``span()`` builds a ``Span`` for what keeps one.  A
+    subclass names the end of input in its messages."""
 
     END = "unexpected end of input"     # what current() and next() raise
     EOF = "end of input"                # what expect() says it found
-    FOUND = "kind"                      # the field of a token expect() names
+    FOUND = "kinds"                     # the column expect() names a token by
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.kinds = list(map(itemgetter(0), tokens))
-        self.kinds.append(None)
+    def __init__(self, tokens: Tokens):
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.lines = tokens.lines
+        self.cols = tokens.cols
         self.pos = 0
 
-    def peek(self) -> Optional[Token]:
-        return None if self.kinds[self.pos] is None else self.tokens[self.pos]
+    def peek(self) -> Optional[str]:
+        """The kind of the next token, None at the end of input."""
+        return self.kinds[self.pos]
 
     def at(self, *kinds: str) -> bool:
         return self.kinds[self.pos] in kinds
 
+    def span(self, pos: Optional[int] = None) -> Span:
+        """Where the token at ``pos``, by default the next one, begins."""
+        if pos is None:
+            pos = self.pos
+        return Span(self.lines[pos], self.cols[pos])
+
     def _end_span(self) -> Span:
         """Where an unexpected end of input is reported: the last token."""
-        return self.tokens[-1].span if self.tokens else Span(1, 1)
+        return self.span(-1) if self.texts else Span(1, 1)
 
-    def current(self) -> Token:
-        """The next token, not consumed; raises at the end of input."""
-        if self.kinds[self.pos] is None:
+    def current(self) -> str:
+        """The kind of the next token, not consumed; raises at the end of
+        input."""
+        kind = self.kinds[self.pos]
+        if kind is None:
             raise ParseError(self.END, self._end_span())
-        return self.tokens[self.pos]
+        return kind
 
-    def next(self) -> Token:
+    def next(self) -> str:
         pos = self.pos
         if self.kinds[pos] is None:
             raise ParseError(self.END, self._end_span())
         self.pos = pos + 1
-        return self.tokens[pos]
+        return self.texts[pos]
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> str:
         pos = self.pos
         found = self.kinds[pos]
         if found != kind:
             if found is None:
                 span, found = self._end_span(), self.EOF
             else:
-                tok = self.tokens[pos]
-                span, found = tok.span, getattr(tok, self.FOUND)
+                span, found = self.span(pos), getattr(self, self.FOUND)[pos]
             raise ParseError(f"expected {kind!r}, found {found!r}", span,
                              expected={kind})
         self.pos = pos + 1
-        return self.tokens[pos]
+        return self.texts[pos]
 
     def whole(self, parse: Callable):
         """What ``parse()`` returns, once it has read all the input."""
         result = parse()
         if self.kinds[self.pos] is not None:
-            tok = self.tokens[self.pos]
-            raise ParseError(f"trailing input {tok.text!r}", tok.span)
+            raise ParseError(f"trailing input {self.texts[self.pos]!r}",
+                             self.span())
         return result
 
     def _comma_list(self, item: Callable, close: str) -> list:
@@ -528,32 +582,36 @@ class _Parser(_Cursor):
         order: list[str] = []
         kinds = self.kinds
         while kinds[self.pos] is not None:
-            tok = self.tokens[self.pos]
-            if tok.kind == "%generate":
+            pos = self.pos
+            kind = kinds[pos]
+            if kind == "%generate":
                 unit.directives.append(self.parse_directive())
-            elif tok.kind == "data":
+            elif kind == "data":
                 unit.data_defs.append(self.parse_data_def())
-            elif tok.kind == "ident":
-                if kinds[self.pos + 1] == ":":
+            elif kind == "ident":
+                if kinds[pos + 1] == ":":
                     name, decl = self.parse_signature()
                     if isinstance(decl, tuple):
                         if name in layout_sigs:
-                            raise ParseError(f"duplicate layout signature {name}", tok.span)
-                        layout_sigs[name] = (*decl, tok.span)
+                            raise ParseError(f"duplicate layout signature {name}",
+                                             self.span(pos))
+                        layout_sigs[name] = (*decl, self.span(pos))
                         layout_cases.setdefault(name, [])
                         order.append(name)
                     else:
                         if name in unit.fn_sigs:
-                            raise ParseError(f"duplicate signature for {name}", tok.span)
+                            raise ParseError(f"duplicate signature for {name}",
+                                             self.span(pos))
                         unit.fn_sigs[name] = decl
-                elif tok.text in layout_sigs:
+                elif self.texts[pos] in layout_sigs:
                     name, case = self.parse_layout_case()
                     layout_cases[name].append(case)
                 else:
                     case = self.parse_fn_case()
                     unit.fn_defs.setdefault(case.name, []).append(case)
             else:
-                raise ParseError(f"unexpected token {tok.text!r}", tok.span)
+                raise ParseError(f"unexpected token {self.texts[pos]!r}",
+                                 self.span(pos))
         for name in order:
             adt, params, span = layout_sigs[name]
             unit.layout_defs.append(
@@ -561,28 +619,30 @@ class _Parser(_Cursor):
         return unit
 
     def parse_directive(self) -> GenerateDirective:
-        span = self.expect("%generate").span
-        fn = self.expect("ident").text
+        pos = self.pos
+        self.expect("%generate")
+        fn = self.expect("ident")
         self.expect("[")
         args = self._comma_list(self.parse_layout_ref, "]")
         result = self.parse_layout_ref_atom()
         if self.kinds[self.pos] == ";":
             self.next()
-        return GenerateDirective(fn, tuple(args), result, span)
+        return GenerateDirective(fn, tuple(args), result, self.span(pos))
 
     def parse_data_def(self) -> DataDef:
-        span = self.expect("data").span
-        name = self.expect("ident").text
+        pos = self.pos
+        self.expect("data")
+        name = self.expect("ident")
         self.expect(":=")
         alts = [self.parse_data_alt()]
         while self.kinds[self.pos] == "|":
             self.next()
             alts.append(self.parse_data_alt())
         self.expect(";")
-        return DataDef(name, alts, span)
+        return DataDef(name, alts, self.span(pos))
 
     def parse_data_alt(self) -> tuple:
-        ctor = self.expect("ident").text
+        ctor = self.expect("ident")
         fields = []
         while self.at("ident", "("):
             fields.append(self.parse_type_atom())
@@ -590,26 +650,30 @@ class _Parser(_Cursor):
 
     def parse_signature(self):
         """Parse ``name : ...;`` — either a layout signature or a fn signature."""
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect(":")
         # layout signature: ADT '>->' 'layout' '[' vars ']'
-        save = self.pos
         if self.kinds[self.pos] == "ident" and self.kinds[self.pos + 1] == ">->":
-            adt = self.next().text
+            adt = self.next()
             self.next()  # >->
             self.expect("layout")
             self.expect("[")
-            params = [self.expect("ident").text]
+            params = [self.expect("ident")]
             while self.kinds[self.pos] == ",":
                 self.next()
-                params.append(self.expect("ident").text)
+                params.append(self.expect("ident"))
             self.expect("]")
             self.expect(";")
             return name, (adt, params)
-        self.pos = save
         ty = self.parse_type()
         self.expect(";")
         return name, ty
+
+    def _ptr_int(self) -> None:
+        """The ``Int`` after ``Ptr``, the only pointer type."""
+        pos = self.pos
+        if self.expect("ident") != "Int":
+            raise ParseError("only 'Ptr Int' is supported", self.span(pos))
 
     def parse_type_atom(self) -> TypeExpr:
         if self.kinds[self.pos] == "(":
@@ -617,15 +681,13 @@ class _Parser(_Cursor):
             ty = self.parse_type()
             self.expect(")")
             return ty
-        name = self.expect("ident").text
+        name = self.expect("ident")
         if name == "Int":
             return TInt()
         if name == "Bool":
             return TBool()
         if name == "Ptr":
-            inner = self.expect("ident")
-            if inner.text != "Int":
-                raise ParseError("only 'Ptr Int' is supported", inner.span)
+            self._ptr_int()
             return TPtrInt()
         return TName(name)
 
@@ -644,23 +706,22 @@ class _Parser(_Cursor):
             ref = self.parse_layout_ref()
             self.expect(")")
             return ref
-        name = self.expect("ident").text
+        name = self.expect("ident")
         if name == "Int":
             return IntLayout()
         if name == "Bool":
             return BoolLayout()
         if name == "Ptr":
-            inner = self.expect("ident")
-            if inner.text != "Int":
-                raise ParseError("only 'Ptr Int' is supported", inner.span)
+            self._ptr_int()
             return PtrIntLayout()
         mode = "readonly"
         if self.kinds[self.pos] == "[":
             self.next()
-            mode_tok = self.next()
-            if mode_tok.kind not in ("readonly", "mutable"):
-                raise ParseError("expected 'readonly' or 'mutable'", mode_tok.span)
-            mode = mode_tok.kind
+            pos = self.pos
+            self.next()
+            mode = self.kinds[pos]
+            if mode not in ("readonly", "mutable"):
+                raise ParseError("expected 'readonly' or 'mutable'", self.span(pos))
             self.expect("]")
         return NamedLayout(name, mode)
 
@@ -672,7 +733,7 @@ class _Parser(_Cursor):
         return left
 
     def parse_layout_case(self):
-        name = self.expect("ident").text
+        name = self.expect("ident")
         pat = self.parse_pattern()
         self.expect(":=")
         heaplets = [self.parse_layout_heaplet()]
@@ -683,51 +744,52 @@ class _Parser(_Cursor):
         return name, (pat, heaplets)
 
     def parse_layout_heaplet(self) -> LayoutHeaplet:
-        tok = self.peek()
-        if self.kinds[self.pos] == "emp":
-            return HEmp(self.next().span)
-        if self.kinds[self.pos] == "(":
+        pos = self.pos
+        if self.kinds[pos] == "emp":
             self.next()
-            base = self.expect("ident").text
+            return HEmp(self.span(pos))
+        if self.kinds[pos] == "(":
+            self.next()
+            base = self.expect("ident")
             self.expect("+")
-            off = int(self.expect("int").text)
+            off = int(self.expect("int"))
             self.expect(")")
             self.expect(":->")
-            payload = self.expect("ident").text
-            return HPointsTo(base, off, payload, tok.span)
-        base = self.expect("ident").text
+            payload = self.expect("ident")
+            return HPointsTo(base, off, payload, self.span(pos))
+        base = self.expect("ident")
         if self.kinds[self.pos] == ":->":
             self.next()
-            payload = self.expect("ident").text
-            return HPointsTo(base, 0, payload, tok.span)
-        arg = self.expect("ident").text
-        return HApply(base, arg, tok.span)
+            payload = self.expect("ident")
+            return HPointsTo(base, 0, payload, self.span(pos))
+        arg = self.expect("ident")
+        return HApply(base, arg, self.span(pos))
 
     # -- function cases --
 
     def parse_pattern(self) -> Pattern:
-        tok = self.peek()
-        if self.kinds[self.pos] == "(":
+        pos = self.pos
+        if self.kinds[pos] == "(":
             self.next()
-            head = self.expect("ident").text
+            head = self.expect("ident")
             vars_ = []
             while self.kinds[self.pos] == "ident":
-                vars_.append(self.next().text)
+                vars_.append(self.next())
             self.expect(")")
             if not _is_ctor_name(head):
                 if vars_:
                     raise ParseError("variable patterns take no arguments",
-                                     tok.span)
-                return Pattern(None, [head], tok.span)
-            return Pattern(head, vars_, tok.span)
-        name = self.expect("ident").text
+                                     self.span(pos))
+                return Pattern(None, [head], self.span(pos))
+            return Pattern(head, vars_, self.span(pos))
+        name = self.expect("ident")
         if _is_ctor_name(name):
-            return Pattern(name, [], tok.span)
-        return Pattern(None, [name], tok.span)
+            return Pattern(name, [], self.span(pos))
+        return Pattern(None, [name], self.span(pos))
 
     def parse_fn_case(self) -> FnCase:
-        span = self.peek().span
-        name = self.expect("ident").text
+        start = self.pos
+        name = self.expect("ident")
         patterns = []
         while self.at("(", "ident"):
             patterns.append(self.parse_pattern())
@@ -746,10 +808,10 @@ class _Parser(_Cursor):
                 self.expect(";")
                 bodies.append((guard, body))
             if not bodies:
-                tok = self.peek()
+                at = start if self.kinds[self.pos] is None else self.pos
                 raise ParseError("expected ':=' or '|' in function case",
-                                 tok.span if tok else span)
-        return FnCase(name, patterns, bodies, span)
+                                 self.span(at))
+        return FnCase(name, patterns, bodies, self.span(start))
 
     # -- expressions --
     # binary operators bind as ``_PREC`` says, application tighter; 'not' and
@@ -760,10 +822,13 @@ class _Parser(_Cursor):
         """An expression whose binary operators bind at least as tightly as
         ``prec``; each ``BinOp`` has its operator token's span."""
         left = self.parse_app()
-        while _PREC.get(self.kinds[self.pos], 0) >= prec:
-            op = self.next()
-            left = BinOp(op.kind, left, self.parse_expr(_PREC[op.kind] + 1),
-                         op.span)
+        kinds = self.kinds
+        while _PREC.get(kinds[self.pos], 0) >= prec:
+            pos = self.pos
+            op = kinds[pos]
+            self.pos = pos + 1
+            left = BinOp(op, left, self.parse_expr(_PREC[op] + 1),
+                         self.span(pos))
         return left
 
     def parse_app(self) -> Expr:
@@ -782,78 +847,70 @@ class _Parser(_Cursor):
         if isinstance(head, ConstructorApp) and not head.args:
             return ConstructorApp(head.name, args, head.span)
         raise ParseError("only named functions and constructors may be applied",
-                         self.tokens[start].span)
+                         self.span(start))
 
     def parse_prefix_form(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.next()
-            return Not(self.parse_atom(), tok.span)
-        if tok.kind == "addr":
-            self.next()
-            var = self.expect("ident")
-            return Addr(var.text, tok.span)
-        if tok.kind == "let":
-            self.next()
-            name = self.expect("ident").text
+        pos = self.pos
+        kind = self.kinds[pos]
+        self.pos = pos + 1
+        if kind == "not":
+            return Not(self.parse_atom(), self.span(pos))
+        if kind == "addr":
+            return Addr(self.expect("ident"), self.span(pos))
+        if kind == "let":
+            name = self.expect("ident")
             self.expect(":=")
             bound = self.parse_expr()
             self.expect("in")
             body = self.parse_expr()
-            return Let(name, bound, body, tok.span)
-        if tok.kind == "if":
-            self.next()
+            return Let(name, bound, body, self.span(pos))
+        if kind == "if":
             cond = self.parse_expr()
             self.expect("then")
             then = self.parse_expr()
             self.expect("else")
             els = self.parse_expr()
-            return IfThenElse(cond, then, els, tok.span)
-        if tok.kind == "lower":
-            self.next()
+            return IfThenElse(cond, then, els, self.span(pos))
+        if kind == "lower":
             layout = self.parse_layout_ref_atom()
             arg = self.parse_atom()
-            return Lower(layout, arg, tok.span)
-        if tok.kind == "instantiate":
-            self.next()
-            self.expect("[")
-            arg_layouts = self._comma_list(self.parse_layout_ref, "]")
-            result = self.parse_layout_ref_atom()
-            fn = self.expect("ident").text
-            args = []
-            while self.kinds[self.pos] in _ATOM_STARTS:
-                args.append(self.parse_atom())
-            return Instantiate(tuple(arg_layouts), result, fn, args, tok.span)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.span)
+            return Lower(layout, arg, self.span(pos))
+        # instantiate, the last of _PREFIX_FORMS
+        self.expect("[")
+        arg_layouts = self._comma_list(self.parse_layout_ref, "]")
+        result = self.parse_layout_ref_atom()
+        fn = self.expect("ident")
+        args = []
+        while self.kinds[self.pos] in _ATOM_STARTS:
+            args.append(self.parse_atom())
+        return Instantiate(tuple(arg_layouts), result, fn, args, self.span(pos))
 
     def parse_atom(self) -> Expr:
-        tok = self.current()
-        kind = tok.kind
+        kind = self.current()
+        pos = self.pos
         if kind == "ident":
-            self.pos += 1
-            if _is_ctor_name(tok.text):
-                return ConstructorApp(tok.text, [], tok.span)
-            return Var(tok.text, tok.span)
+            self.pos = pos + 1
+            text = self.texts[pos]
+            if _is_ctor_name(text):
+                return ConstructorApp(text, [], self.span(pos))
+            return Var(text, self.span(pos))
         if kind == "int":
-            self.next()
-            return IntLit(int(tok.text), tok.span)
-        if kind == "true":
-            self.next()
-            return BoolLit(True, tok.span)
-        if kind == "false":
-            self.next()
-            return BoolLit(False, tok.span)
+            self.pos = pos + 1
+            return IntLit(int(self.texts[pos]), self.span(pos))
+        if kind == "true" or kind == "false":
+            self.pos = pos + 1
+            return BoolLit(kind == "true", self.span(pos))
         if kind == "(":
-            self.next()
+            self.pos = pos + 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        raise ParseError(f"unexpected token {tok.text!r}", tok.span,
+        raise ParseError(f"unexpected token {self.texts[pos]!r}", self.span(pos),
                          expected={"int", "ident", "("})
 
 
-def parse_program(tokens: list[Token]) -> SourceUnit:
-    """Parse a full source unit from a token stream."""
+def parse_program(tokens: Tokens) -> SourceUnit:
+    """Parse a full source unit from the tokens ``lex`` gives."""
     return _Parser(tokens).parse_unit()
 
 

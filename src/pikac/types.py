@@ -60,10 +60,12 @@ def uncurry(ty: S.TypeExpr) -> tuple[list, S.TypeExpr]:
 class GlobalEnv(Node):
     # per-environment caches, filled on first use and keyed as
     # resolve_layout_ref keys a layout reference: ``resolved`` holds its
-    # answers and ``cases`` those of core_case; ``__dict__`` holds the others
+    # answers and ``cases`` those of core_case; ``__dict__`` holds the others.
+    # ``specialised``: the name of each specialisation the elaborator added
+    # to fn_sigs and fn_defs -> (function, function arguments)
     __slots__ = ("adts", "ctors", "layouts", "fn_sigs", "fn_defs",
-                 "directives", "resolved", "cases", "__dict__")
-    _hidden = Node._hidden | {"resolved", "cases"}
+                 "directives", "resolved", "cases", "specialised", "__dict__")
+    _hidden = Node._hidden | {"resolved", "cases", "specialised"}
 
     def __init__(self, adts: dict, ctors: dict, layouts: dict, fn_sigs: dict,
                  fn_defs: dict, directives: dict):
@@ -75,6 +77,7 @@ class GlobalEnv(Node):
         self.directives = directives    # fn name -> GenerateDirective
         self.resolved = {}
         self.cases = {}
+        self.specialised = {}
 
 
 def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
@@ -501,7 +504,7 @@ def _type_lower(env: GlobalEnv, e: S.Lower, kids) -> Type:
                 f"constructor {ctor.name} builds {adt}", e.span,
                 rule="T-LOWER-CONSTR")
         for kid, fty in zip(kids, field_tys):
-            if not _concrete(env, kid, fty):
+            if not _concrete(env, _ok(kid), fty):
                 raise NotConcrete(
                     f"argument of {ctor.name} is not concrete at type {fty}",
                     e.span, rule="T-LOWER-CONSTR")
@@ -1003,8 +1006,20 @@ class _Elaborator:
         # arguments beyond the layouts stay, for the rule to count
         value_args += e.args[len(e.arg_layouts):]
         spec_name = "_".join([e.fn] + fn_pairs)
-        if spec_name not in env.fn_defs:
+        spec = (e.fn, *fn_pairs)
+        known = env.specialised.get(spec_name)
+        if known is None:
+            if spec_name in env.fn_defs:
+                raise DuplicateName(
+                    f"function {spec_name} has the name of the specialisation "
+                    f"of {e.fn} at {', '.join(fn_pairs)}", e.span, rule="G-FN")
             self._register_specialisation(e.fn, fn_pairs, spec_name, e.span)
+            env.specialised[spec_name] = spec
+        elif known != spec:
+            raise DuplicateName(
+                f"the specialisations of {known[0]} at {', '.join(known[1:])} "
+                f"and of {e.fn} at {', '.join(fn_pairs)} are both named "
+                f"{spec_name}", e.span, rule="G-FN")
         inner = S.Instantiate(tuple(value_refs), e.result_layout, spec_name,
                               value_args, e.span)
         return self._elab_instantiate(inner, rename, typing)

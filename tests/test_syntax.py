@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pikac import syntax as S
-from pikac.errors import LexError, ParseError
+from pikac.errors import LexError, ParseError, Span
 
 CORPUS = sorted(pathlib.Path(__file__).parent.joinpath("corpus").glob("*.pika"))
 
@@ -319,3 +319,74 @@ def test_lex_comment_at_end_of_input():
         toks = S.lex(source)
         assert [(t.kind, t.text, t.span) for t in toks] == [("ident", "x", (1, 1))]
     assert S.lex("-- only") == []
+
+
+# parser pin: the class and span of every node, pattern and heaplet that
+# parse_source builds for each .pika under tests/ and for each string of the
+# lex pin, or the class, message and span of the error it raises
+
+_PARSE_PIN_DIGEST = (
+    "8ffe016d8cc1dfcfdca5d7ae431e2fcb4539438a736e90995f9ff5b7adb4d873")
+
+
+def _nodes(x):
+    """Every node in ``x``, a node or a list or tuple of them, in pre-order."""
+    if isinstance(x, S.Node):
+        yield x
+        for field in x.__class__.__slots__:
+            if field not in ("span", "__dict__"):
+                yield from _nodes(getattr(x, field))
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _nodes(y)
+
+
+def _unit_nodes(unit):
+    return _nodes([unit.data_defs, unit.layout_defs,
+                   list(unit.fn_defs.values()), unit.directives])
+
+
+def _parse_record(source: str) -> str:
+    try:
+        unit = S.parse_source(source)
+    except (LexError, ParseError) as exc:
+        return (f"{exc.__class__.__name__} {exc.message!r} "
+                f"{exc.span and tuple(exc.span)}\n")
+    return "".join(f"{x.__class__.__name__} "
+                   f"{getattr(x, 'span', None) and tuple(x.span)}\n"
+                   for x in _unit_nodes(unit)) or "empty\n"
+
+
+def test_parse_spans_are_pinned():
+    rng = random.Random(14)
+    h = hashlib.sha256()
+    files = sorted(pathlib.Path(__file__).parent.rglob("*.pika"))
+    assert len(files) == 34
+    for path in files:
+        h.update(_parse_record(path.read_text()).encode())
+    for _ in range(5000):
+        pieces = rng.choices(_PIN_PIECES, k=rng.randint(1, 12))
+        h.update(_parse_record("".join(pieces)).encode())
+    assert h.hexdigest() == _PARSE_PIN_DIGEST
+
+
+def test_parse_builds_no_token_and_at_most_a_span_per_node(monkeypatch):
+    # the parser reads the lexer's columns: no Token is built, and a Span
+    # only for a node, pattern, heaplet or layout signature that keeps one
+    made = []
+
+    def span(line, col):
+        made.append((line, col))
+        return Span(line, col)
+
+    def token(*args):
+        raise AssertionError(f"Token{args} built")
+
+    monkeypatch.setattr(S, "Span", span)
+    monkeypatch.setattr(S, "Token", token)
+    for path in sorted(pathlib.Path(__file__).parent.rglob("*.pika")):
+        made.clear()
+        unit = S.parse_source(path.read_text())
+        spans = sum(getattr(x, "span", None) is not None
+                    for x in _unit_nodes(unit))
+        assert 0 < len(made) <= spans, path.name

@@ -89,9 +89,13 @@ def test_duplicate_names_rejected():
     # both check a constructor's arity before its ADT
     ("lower TreeLayout (Cons 1)", "constructor Cons expects 2 arguments, "
      "got 1", "constructor Cons expects 2 arguments, got 1"),
+    # a lowered constructor's argument raises its own diagnostic, which a
+    # concreteness check would read as not concrete
+    ("lower Sll (Cons (1 + true) (lower Sll (Nil)))",
+     "expected Int, found Bool", "expected Int, found Bool"),
 ], ids=["elaboration-first", "condition-first", "branch-first",
         "let-bound-first", "instantiate-checked-by-the-rule",
-        "constructor-arity-first"])
+        "constructor-arity-first", "lowered-argument-first"])
 def test_the_diagnostic_that_wins(body, elaborated, inferred):
     unit = parse_source(FULL_DEFS + "%generate f [Int] Int\n"
                         f"f : Int -> Int;\nf n := {body};\n")
@@ -209,6 +213,43 @@ mapAdd1 xs := instantiate [Int -> Int, Sll] Sll map add1 xs 5;
     assert (info.value.rule, info.value.message) == (
         "T-INSTANTIATE",
         "instantiate of map_add1 applies 2 arguments to 1 layouts")
+
+
+MAP_DEFS = LIST_DEFS + """
+map : (Int -> Int) -> List -> List;
+map f (Nil) := Nil;
+map f (Cons x xs) := Cons (instantiate [Int] Int f x) (map f xs);
+add1 : Int -> Int;
+add1 x := x + 1;
+"""
+
+
+@pytest.mark.parametrize("defs, body, message", [
+    # a source function would silently stand in for map at add1
+    ("map_add1 : List -> List;\nmap_add1 (Nil) := Nil;\n"
+     "map_add1 (Cons x xs) := Cons 0 (map_add1 xs);",
+     "instantiate [Int -> Int, Sll] Sll map add1 xs",
+     "function map_add1 has the name of the specialisation of map at add1"),
+    # map at add1_inc and map_add1 at inc are both map_add1_inc
+    ("add1_inc : Int -> Int;\nadd1_inc x := x + 1;\n"
+     "inc : Int -> Int;\ninc x := x + 1;\n"
+     "map_add1 : (Int -> Int) -> List -> List;\n"
+     "map_add1 f (Nil) := Nil;\n"
+     "map_add1 f (Cons x xs) := Cons (instantiate [Int] Int f x) "
+     "(map_add1 f xs);",
+     "instantiate [Int -> Int, Sll] Sll map add1_inc "
+     "(instantiate [Int -> Int, Sll] Sll map_add1 inc xs)",
+     "the specialisations of map at add1_inc and of map_add1 at inc are "
+     "both named map_add1_inc"),
+], ids=["source-function", "two-specialisations"])
+def test_a_specialisation_name_names_one_function(defs, body, message):
+    with pytest.raises(E.DuplicateName) as info:
+        elaborate(parse_source(MAP_DEFS + defs + f"""
+%generate mapAdd1 [Sll] Sll
+mapAdd1 : List -> List;
+mapAdd1 xs := {body};
+"""))
+    assert (info.value.rule, info.value.message) == ("G-FN", message)
 
 
 def test_infer_layout_adt_mismatch(genv):
