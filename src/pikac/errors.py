@@ -87,10 +87,6 @@ class UnknownAdtInLayout(PikaError):
     rule = "G-LAYOUT"
 
 
-class MissingGenerateDirective(PikaError):
-    pass
-
-
 class NonConstructibleBody(PikaError):
     pass
 

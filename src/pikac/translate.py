@@ -2,10 +2,11 @@
 
 The production pipeline turns an elaborated function and its directive into
 an inductive predicate (plus auxiliary layout / read-only / copy
-predicates and a synthesis goal).  Its stages are declared once, in
-``STAGES``: each row holds a stage's title, its pass over one arm and how
-``pikac stages`` renders the arms after it.  ``_FnTranslator.assemble``
-then generates the branch conditions and assembles the predicate.
+predicates, the specialisations it calls and a synthesis goal).  Its
+stages are declared once, in ``STAGES``: each row holds a stage's title,
+its pass over one arm and how ``pikac stages`` renders the arms after it.
+``_FnTranslator.assemble`` then generates the branch conditions and
+assembles the predicate.
 
 ``translate_expr_core`` / ``translate_fn_def_core`` implement the small
 formal translation used by the soundness harness: every rule is a function
@@ -87,12 +88,9 @@ def translate_layout_predicate(layout: S.LayoutDef,
     return ssl.PredicateDef(pred_name, ((root, "loc"),), tuple(branches))
 
 
-def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
-                   registry: dict) -> ssl.PredicateDef:
-    """A structural deep-copy predicate ``<Layout>__copy(src, dst)``."""
-    name = f"{layout.name}__copy"
-    if name in registry:
-        return registry[name]
+def copy_predicate(layout: S.LayoutDef) -> ssl.PredicateDef:
+    """A structural deep-copy predicate ``<Layout>__copy(src, dst)``; a
+    structure below a field is copied by the copy predicate of its layout."""
     branches = []
     for ctor, shape in layout.shapes.items():
         c = cond(layout, ctor, var="src")
@@ -111,19 +109,12 @@ def copy_predicate(env: GlobalEnv, layout: S.LayoutDef,
                                  ssl.PVar(dst_sub.get(payload, payload)))
                     for off, payload in shape.cells]
         spatial.append(ssl.Block("dst", shape.size))
-        for var, lname in shape.applies.items():
-            sub_name = f"{lname}__copy"
-            if sub_name not in registry:
-                registry[sub_name] = None      # reserve against recursion
-                registry[sub_name] = copy_predicate(env, env.layouts[lname],
-                                                    registry)
-            spatial.append(ssl.FuncApply(sub_name,
-                                         (ssl.PVar(var), ssl.PVar(dst_sub[var]))))
+        spatial += [ssl.FuncApply(f"{lname}__copy",
+                                  (ssl.PVar(var), ssl.PVar(dst_sub[var])))
+                    for var, lname in shape.applies.items()]
         branches.append(ssl.Branch(c, ssl.SslAssertion((), tuple(spatial))))
-    pred = ssl.PredicateDef(name, (("src", "loc"), ("dst", "loc")),
-                            tuple(branches))
-    registry[name] = pred
-    return pred
+    return ssl.PredicateDef(f"{layout.name}__copy",
+                            (("src", "loc"), ("dst", "loc")), tuple(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +444,13 @@ _PURE_KINDS = frozenset((S.IntLit, S.BoolLit, S.Var, S.BinOp, S.Not,
 
 
 class _FnTranslator:
-    """Translates one elaborated function; shared fresh-name counters."""
+    """Translates one elaborated function; shared fresh-name counters.  A
+    translator of a function that ``caller`` calls adds what it uses to the
+    caller's sets, so a directive's translator collects what its output
+    needs."""
 
-    def __init__(self, prog: TypedProgram, elab: ElabFn, registry=None):
+    def __init__(self, prog: TypedProgram, elab: ElabFn,
+                 caller: Optional[_FnTranslator] = None):
         self.prog = prog
         self.env = prog.env
         self.elab = elab
@@ -463,9 +458,13 @@ class _FnTranslator:
         self.counter = elab.fresh_base
         self.temp_counter = 0
         self.pred_name = mangle(elab.name, elab.arg_layouts, elab.result_layout)
-        self.ro_layouts: set = set()
-        self.copy_layouts: set = set()
-        self.extra_fns: dict = registry if registry is not None else {}
+        if caller is None:
+            # extra_fns: mangled name -> predicate of each specialisation
+            self.ro_layouts, self.copy_layouts, self.extra_fns = set(), set(), {}
+        else:
+            self.ro_layouts = caller.ro_layouts
+            self.copy_layouts = caller.copy_layouts
+            self.extra_fns = caller.extra_fns
         self.arms = [
             _Arm(case.args, case.guard, [], case.body, case.result_name,
                  case.result_layout)
@@ -778,8 +777,9 @@ class _ArmTx:
             inline = self._inlinable(e.fn)
             if inline is not None:
                 return self._inline(*inline, e.args)
-            if e.fn in self.t.prog.specialisations:
-                self._ensure_extra(e.fn, e.arg_layouts, e.result_layout)
+            name = mangle(e.fn, arg_layouts, res_layout)
+            if e.fn in env.specialised:
+                self._ensure_extra(name, e)
 
         slot = len(self.arm.calls)
         self.arm.calls.append(None)
@@ -810,7 +810,6 @@ class _ArmTx:
                 heaplet = ssl.PredApply(name, tuple(args) + (ssl.PVar(out),))
             self.produced_kind[out] = "pred"
         else:
-            name = mangle(e.fn, arg_layouts, res_layout)
             heaplet = ssl.FuncApply(name, tuple(args) + (ssl.PVar(out),))
             self.produced_kind[out] = "func"
         self.arm.calls[slot] = heaplet
@@ -847,18 +846,14 @@ class _ArmTx:
         terms = {p: _Term(self.value_of(a, False)) for p, a in zip(params, args)}
         return self.value_of(_put_terms(body, terms), False)
 
-    def _ensure_extra(self, fn, arg_refs, result_ref):
-        key = mangle(fn, [resolve_layout_ref(self.env, r) for r in arg_refs],
-                     resolve_layout_ref(self.env, result_ref))
-        if key in self.t.extra_fns:
+    def _ensure_extra(self, name: str, e: S.Instantiate):
+        """Translate the specialisation ``e`` calls, named ``name``, once."""
+        extra = self.t.extra_fns
+        if name in extra:
             return
-        self.t.extra_fns[key] = None
-        elab = elaborate_fn_at(self.env, fn, arg_refs, result_ref)
-        sub = _FnTranslator(self.t.prog, elab, registry=self.t.extra_fns)
-        pred = sub.run()
-        self.t.ro_layouts |= sub.ro_layouts
-        self.t.copy_layouts |= sub.copy_layouts
-        self.t.extra_fns[key] = pred
+        extra[name] = None              # reserve against recursion
+        elab = elaborate_fn_at(self.env, e.fn, e.arg_layouts, e.result_layout)
+        extra[name] = _FnTranslator(self.t.prog, elab, self.t).run()
 
 
 # ---------------------------------------------------------------------------
@@ -887,14 +882,11 @@ def _compile_result(tx: _FnTranslator, predicate: ssl.PredicateDef
                     for name in _applied_closure(env, arg_layouts)]
     ro_preds = [translate_layout_predicate(env.layouts[name], ro=True)
                 for name in _applied_closure(env, sorted(tx.ro_layouts))]
-    registry: dict = {}
-    for name in sorted(tx.copy_layouts):
-        copy_predicate(env, env.layouts[name], registry)
-    copy_preds = [p for p in registry.values() if p is not None]
-    extra = [p for p in tx.extra_fns.values() if p is not None]
+    copy_preds = [copy_predicate(env.layouts[name])
+                  for name in _applied_closure(env, sorted(tx.copy_layouts))]
     goal = make_goal_spec(elab, predicate.name)
     return CompileResult(predicate.name, predicate, layout_preds, ro_preds,
-                         copy_preds, extra, goal)
+                         copy_preds, list(tx.extra_fns.values()), goal)
 
 
 def _applied_closure(env: GlobalEnv, names) -> list:

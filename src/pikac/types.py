@@ -11,14 +11,17 @@ under its ``%generate`` directive so that every call is an explicit
 ``instantiate`` (recursive calls receive the enclosing directive's
 instantiation), every ADT-valued result or constructor is wrapped in
 ``lower`` at the appropriate layout, and deterministic machine names are
-attached to parameters and results.  Elaborated code checks under the
-strict rules: the elaborator types each node it builds by the rule
-``infer_expr`` applies to that node's kind, and leaves each typing check
-to that rule.  It keeps one typing context, keyed by the names of the
-elaborated code.  That needs two facts of the front end: ``syntax.lex``
-rejects a source name that begins with ``__``, the prefix of every
-generated name, and ``build_global_env`` rejects a case that binds one
-name twice.
+attached to parameters and results.  A call with function arguments is
+specialised: the callee with those functions substituted is added to
+``fn_sigs`` and ``fn_defs`` under a new name, recorded in
+``GlobalEnv.specialised``, which the translator reads to emit it.
+Elaborated code checks under the strict rules: the elaborator types each
+node it builds by the rule ``infer_expr`` applies to that node's kind, and
+leaves each typing check to that rule.  It keeps one typing context, keyed
+by the names of the elaborated code.  That needs two facts of the front
+end: ``syntax.lex`` rejects a source name that begins with ``__``, the
+prefix of every generated name, and ``build_global_env`` rejects a case
+that binds one name twice.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 
 from . import syntax as S
 from .errors import (
-    ArityMismatch, DuplicateName, LayoutAdtMismatch, MissingGenerateDirective,
+    ArityMismatch, DuplicateName, LayoutAdtMismatch,
     NoMatchingFnCase, NotConcrete, PikaError, TypeMismatch, UnboundVariable,
     UnknownAdtInLayout, UnsupportedConstruct,
 )
@@ -630,9 +633,8 @@ class ElabFn(Node):
 
 
 class TypedProgram(Node):
-    # fns: fn name -> ElabFn; specialisations: [(name, GenerateDirective)]
-    # emitted extras
-    __slots__ = ("env", "fns", "specialisations")
+    # fns: fn name -> ElabFn
+    __slots__ = ("env", "fns")
 
 
 def _result_name(layout: ResolvedLayout) -> str:
@@ -648,13 +650,6 @@ def _param_name(i: int, layout: ResolvedLayout) -> str:
 class _Elaborator:
     def __init__(self, env: GlobalEnv):
         self.env = env
-        self.spec_order: list = []        # specialised functions, in order
-
-    def elaborate_fn(self, fn: str) -> ElabFn:
-        """``fn`` at its ``%generate`` directive."""
-        if fn not in self.env.directives:
-            raise MissingGenerateDirective(f"no %generate directive for {fn}")
-        return self.elaborate_at(fn, self.env.directives[fn])
 
     def elaborate_at(self, fn: str,
                      directive: S.GenerateDirective) -> ElabFn:
@@ -1060,7 +1055,6 @@ class _Elaborator:
                                       case.span))
         env.fn_sigs[spec_name] = new_sig
         env.fn_defs[spec_name] = new_cases
-        self.spec_order.append(spec_name)
 
 
 def _subst_fn_names(e: S.Expr, sub: dict, old_self: str, new_self: str) -> S.Expr:
@@ -1096,10 +1090,10 @@ def elaborate(unit: S.SourceUnit) -> TypedProgram:
     elab = _Elaborator(env)
     fns: dict[str, ElabFn] = {}
     for d in unit.directives:
-        fns[d.fn] = elab.elaborate_fn(d.fn)
-    # specialisations registered during elaboration get directives derived
-    # from their call sites and are elaborated on demand by the translator
-    return TypedProgram(env, fns, elab.spec_order)
+        fns[d.fn] = elab.elaborate_at(d.fn, d)
+    # a specialisation the elaboration registers, in ``env.specialised``,
+    # is elaborated by the translator at the layouts of its call site
+    return TypedProgram(env, fns)
 
 
 def elaborate_fn_at(env: GlobalEnv, fn: str, arg_refs, result_ref) -> ElabFn:

@@ -1,11 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name it defines at top level is read somewhere."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pikac"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pikac"
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -51,3 +53,55 @@ def test_module_uses_every_name_it_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert unused == {}
+
+
+def _defined(tree: ast.Module) -> dict:
+    """Each function, class and constant the module defines at top level
+    -> the lines of its definition; dunder names are left out."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("__"):
+                out[name] = range(node.lineno, node.end_lineno + 1)
+    return out
+
+
+def _reads(tree: ast.Module):
+    """``(name, line)`` for each name the module reads: a variable, an
+    attribute, or a string that is a name (as ``getattr`` and
+    ``monkeypatch.setattr`` take one)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_every_top_level_name_is_read():
+    """Each top-level name of the package is read in ``src``, ``tests`` or
+    ``perfbench`` outside its own definition."""
+    reads = {path: list(_reads(ast.parse(path.read_text(), str(path))))
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        defined = _defined(ast.parse(path.read_text(), str(path)))
+        read = {name for other, names in reads.items()
+                for name, line in names
+                if name in defined
+                and not (other == path and line in defined[name])}
+        unread += [f"{path.name}: {name}" for name in defined
+                   if name not in read]
+    assert unread == []

@@ -277,7 +277,7 @@ SIGNATURES = {
     T.ElabArg: "ssl_name, layout, pattern, offsets, applies, source_name=None",
     T.ElabCase: "args, guard, body, result_name, result_layout",
     T.ElabFn: "name, directive, arg_layouts, result_layout, cases, fresh_base",
-    T.TypedProgram: "env, fns, specialisations",
+    T.TypedProgram: "env, fns",
     I.IntVal: "value", I.BoolVal: "value", I.LocVal: "loc",
     I.ConstructorVal: "name, fields",
     I.Model: "store, heap",

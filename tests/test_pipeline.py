@@ -130,6 +130,29 @@ def test_append_emits_copy_auxiliary():
                for h in cons.spatial)
 
 
+def test_copy_of_a_layout_that_applies_another_defines_both_copies():
+    unit = parse_source("""
+%generate idLL [LLayout] LLayout
+data List := Nil | Cons Int List;
+data ListOfLists := LNil | LCons List ListOfLists;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+LLayout : ListOfLists >-> layout[x];
+LLayout (LNil) := emp;
+LLayout (LCons h t) := x :-> h, (x+1) :-> t, Sll h, LLayout t;
+idLL : ListOfLists -> ListOfLists;
+idLL xs := xs;
+""")
+    result = compile_directive(elaborate(unit), "idLL")
+    # the copied layout first, then the layouts it applies
+    assert [p.name for p in result.copy_preds] == ["LLayout__copy",
+                                                   "Sll__copy"]
+    cons = result.copy_preds[0].branches[1].body
+    assert [h.name for h in cons.spatial if isinstance(h, ssl.FuncApply)] \
+        == ["Sll__copy", "LLayout__copy"]
+
+
 def test_take_emits_read_only_auxiliary():
     result = compile_fixture("take")
     assert [p.name for p in result.ro_preds] == ["ro_Sll"]
@@ -226,6 +249,48 @@ predicate map_add1(loc x, loc r) {
   ** r :-> (v+1) ** (r+1) :-> rNxt ** map_add1(xNxt, rNxt) }
 }""")
     assert ssl.structural_equiv(spec, ref)
+
+
+# map2 at add1 calls map at add1: a specialisation that is registered only
+# when the translator elaborates map2's
+MAP2_ADD1 = """
+%generate mapAdd1 [Sll] Sll
+
+data List := Nil | Cons Int List;
+
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+
+map : (Int -> Int) -> List -> List;
+map f (Nil) := Nil;
+map f (Cons x xs) := Cons (instantiate [Int] Int f x) (map f xs);
+
+map2 : (Int -> Int) -> List -> List;
+map2 g (Nil) := Nil;
+map2 g (Cons x xs) :=
+    instantiate [Int -> Int, Sll] Sll map g (lower Sll (Cons x xs));
+
+add1 : Int -> Int;
+add1 x := x + 1;
+
+mapAdd1 : List -> List;
+mapAdd1 xs := instantiate [Int -> Int, Sll] Sll map2 add1 xs;
+"""
+
+
+def test_nested_specialisation_is_emitted():
+    result = compile_directive(elaborate(parse_source(MAP2_ADD1)), "mapAdd1")
+    preds = result.all_predicates()
+    called = {h.name for p in preds for b in p.branches
+              for h in b.body.spatial if isinstance(h, ssl.FuncApply)}
+    assert called == {"map2_add1__rw_Sll__ro_Sll", "map_add1__rw_Sll__ro_Sll"}
+    assert [p.name for p in result.extra_preds] == [
+        "map2_add1__rw_Sll__ro_Sll", "map_add1__rw_Sll__ro_Sll"]
+    # the same predicate as map at add1 called directly, which
+    # test_function_argument_specialisation checks against its reference
+    flat = compile_directive(elaborate(parse_source(MAP_ADD1)), "mapAdd1")
+    assert ssl.structural_equiv(result.extra_preds[1], flat.extra_preds[0])
 
 
 FOLD_SPECIALISED = """
@@ -377,6 +442,7 @@ def _directives():
     sources = [(p.relative_to(HERE).as_posix(), p.read_text())
                for p in sorted(HERE.rglob("*.pika"))]
     for name, text in sources + [("MAP_ADD1", MAP_ADD1),
+                                 ("MAP2_ADD1", MAP2_ADD1),
                                  ("FOLD_SPECIALISED", FOLD_SPECIALISED)]:
         for d in parse_source(text).directives:
             yield pytest.param(text, d.fn, id=f"{name}:{d.fn}")
@@ -456,10 +522,20 @@ def _location(t: ssl.PureTerm):
     return None
 
 
-def _assertion_defects(a: ssl.SslAssertion, arity: dict) -> list:
+def _defined_in_output(func: str, specialised) -> bool:
+    """Whether the output must define the predicate a ``func`` heaplet
+    calls: a copy, or an instantiation of a function in ``specialised``.
+    A function with no definition, such as fold's ``f``, stays a call."""
+    return func.endswith("__copy") or func.split("__")[0] in specialised
+
+
+def _assertion_defects(a: ssl.SslAssertion, arity: dict,
+                       specialised=()) -> list:
     """Applications of predicates not in ``arity`` (name -> arity), and the
-    cells of each block with no points-to.  A cell whose location a pure
-    conjunct equates with a ``func`` output is covered by that output."""
+    cells of each block with no points-to.  A ``func`` heaplet counts as an
+    application when ``_defined_in_output`` says so.  A cell whose location
+    a pure conjunct equates with a ``func`` output is covered by that
+    output."""
     outs = {h.args[-1] for h in a.spatial if isinstance(h, ssl.FuncApply)}
     covered = {_location(q) for p in a.pure if isinstance(p, ssl.PEq)
                for q, other in ((p.lhs, p.rhs), (p.rhs, p.lhs))
@@ -468,8 +544,10 @@ def _assertion_defects(a: ssl.SslAssertion, arity: dict) -> list:
                 if isinstance(h, ssl.PointsTo)}
     out = []
     for h in a.spatial:
-        if isinstance(h, (ssl.PredApply, ssl.RoApply)) \
-                and arity.get(h.name) != len(h.args):
+        applied = isinstance(h, (ssl.PredApply, ssl.RoApply)) or (
+            isinstance(h, ssl.FuncApply)
+            and _defined_in_output(h.name, specialised))
+        if applied and arity.get(h.name) != len(h.args):
             out.append(ssl.render_heaplet(h))
         elif isinstance(h, ssl.Block):
             out += [f"[{h.base},{h.size}] misses {h.base}+{k}"
@@ -494,4 +572,16 @@ def test_emitted_output_is_closed_and_covers_its_blocks():
                             for x in _assertion_defects(a, arity)]
             n += 1
     assert n == 33
+    assert defects == []
+
+
+@pytest.mark.parametrize("text, fn", _directives())
+def test_output_defines_each_copy_and_specialisation_it_calls(text, fn):
+    prog = elaborate(parse_source(text))
+    res = compile_directive(prog, fn)
+    preds = res.all_predicates()
+    arity = {p.name: len(p.params) for p in preds}
+    defects = [x for a in [b.body for p in preds for b in p.branches]
+               + [res.goal.pre, res.goal.post]
+               for x in _assertion_defects(a, arity, prog.env.specialised)]
     assert defects == []

@@ -325,10 +325,10 @@ def test_missing_directive_rejected():
 orphan : List -> List;
 orphan xs := xs;
 """
-    from pikac.types import _Elaborator
-    env = build_global_env(parse_source(prog_src))
-    with pytest.raises(E.MissingGenerateDirective):
-        _Elaborator(env).elaborate_fn("orphan")
+    from pikac.translate import compile_directive
+    prog = elaborate(parse_source(prog_src))
+    with pytest.raises(E.UnboundVariable):
+        compile_directive(prog, "orphan")
 
 
 def test_directive_arity_mismatch():
