@@ -46,9 +46,7 @@ class LexError(PikaError):
 
 
 class ParseError(PikaError):
-    def __init__(self, message, span=None, expected=frozenset(), rule=None):
-        super().__init__(message, span, rule)
-        self.expected = frozenset(expected)
+    pass
 
 
 # --- typing ---
@@ -58,8 +56,6 @@ class TypeMismatch(PikaError):
 
     def __init__(self, expected, found, span=None, rule=None):
         super().__init__(f"expected {expected}, found {found}", span, rule)
-        self.expected = expected
-        self.found = found
 
 
 class UnboundVariable(PikaError):

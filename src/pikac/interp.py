@@ -71,14 +71,8 @@ class ConstructorVal(Frozen):
     def __str__(self):
         if not self.fields:
             return self.name
-        parts = []
-        for f in self.fields:
-            s = str(f)
-            if isinstance(f, ConstructorVal) and f.fields:
-                s = f"({s})"
-            elif isinstance(f, ConstructorVal):
-                s = f"({s})"
-            parts.append(s)
+        parts = [f"({f})" if isinstance(f, ConstructorVal) else str(f)
+                 for f in self.fields]
         return " ".join([self.name] + parts)
 
 

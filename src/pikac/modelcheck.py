@@ -947,7 +947,7 @@ def build_predicate_env(genv: GlobalEnv, exprs=()) -> PredicateEnv:
 # ---------------------------------------------------------------------------
 
 class SoundnessReport(Node):
-    __slots__ = ("result", "expr", "model", "assertion", "trace")
+    __slots__ = ("result", "model", "assertion", "trace")
 
 
 def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessReport:
@@ -967,7 +967,7 @@ def check_soundness(genv: GlobalEnv, e: S.Expr, depth: int = 64) -> SoundnessRep
             model.render(),
             f"verdict: {result}",
         ])
-    return SoundnessReport(result, e, model, assertion, trace)
+    return SoundnessReport(result, model, assertion, trace)
 
 
 # ---------------------------------------------------------------------------

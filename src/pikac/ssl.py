@@ -10,17 +10,18 @@ Emission targets SuSLik's concrete input syntax.  A small parser for that
 syntax is maintained here, on ``syntax``'s token cursor, so tests can check
 that emitted text re-parses to a structurally equivalent definition, and so
 reference outputs can be loaded for golden comparisons.  ``structural_equiv``
-compares predicates up to a bijective renaming of variables and reordering
-of commutative conjuncts.
+compares predicates up to a bijective renaming of variables and a
+reordering of branches, conjuncts, heaplets and the operands of ``==`` and
+``&&``; one matcher, ``_match``, compares pure terms and heaplets alike,
+walking them through ``subterms``.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 
 from .errors import ParseError, SortMismatch, Span
-from .node import Frozen
+from .node import Frozen, cached
 from .syntax import _FIRST_KINDS, Tokens, _Cursor, render_loc
 
 _set = object.__setattr__
@@ -197,7 +198,7 @@ class PredicateDef(Frozen):
     # branches: tuple[Branch, ...]
     __slots__ = ("name", "params", "branches", "__dict__")
 
-    @cached_property
+    @cached
     def existentials(self) -> tuple:
         """Per branch, the sorted names it uses that are not parameters."""
         params = {p for p, _ in self.params}
@@ -639,17 +640,13 @@ def parse_sus_file(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 class _Bij:
-    """A growable bijection between variable names of two predicates."""
+    """A bijection between the variable names of two definitions.  It grows
+    along a match; a trial that fails pops it back to the mark taken before
+    it, ``len(fwd)``, as ``modelcheck._Checker._undo`` pops its binding."""
 
     def __init__(self):
         self.fwd: dict[str, str] = {}
         self.rev: dict[str, str] = {}
-
-    def copy(self) -> "_Bij":
-        b = _Bij()
-        b.fwd = dict(self.fwd)
-        b.rev = dict(self.rev)
-        return b
 
     def unify(self, a: str, b: str) -> bool:
         if a in self.fwd:
@@ -660,126 +657,112 @@ class _Bij:
         self.rev[b] = a
         return True
 
+    def undo(self, mark: int):
+        fwd, rev = self.fwd, self.rev
+        while len(fwd) > mark:
+            del rev[fwd.popitem()[1]]
 
-def _match_pure(a: PureTerm, b: PureTerm, bij: _Bij) -> bool:
-    if type(a) is not type(b):
+
+_COMMUTATIVE = frozenset((PEq, PAnd))
+
+
+def _key(x, rename: dict) -> tuple:
+    """What a match compares of ``x`` besides its kind and subterms: its
+    label (a literal's value, a cell's offset, a block's size, or a call's
+    callee, through ``rename``, and arity) and the variable or location
+    name it is or names; None where it has none."""
+    cls = x.__class__
+    if cls is PVar:
+        return None, x.name
+    if cls is PInt or cls is PBool:
+        return x.value, None
+    if cls is PointsTo:
+        return x.offset, x.base
+    if cls is Block:
+        return x.size, x.base
+    if cls is TempLoc:
+        return None, x.var
+    if cls in _APPLIES:
+        return (rename.get(x.name, x.name), len(x.args)), None
+    return None, None
+
+
+def _match(a, b, bij: _Bij, rename: dict) -> bool:
+    """Whether pure term or heaplet ``a`` matches ``b`` under ``bij``, grown
+    as it goes: one kind and label, names paired by ``bij``, and subterms
+    (``subterms``) matching in order, or in either order for ``==`` and
+    ``&&``.
+    ``rename`` maps ``a``'s callees to ``b``'s.  On failure ``bij`` may
+    hold new pairs, for the caller to pop."""
+    if a.__class__ is not b.__class__:
         return False
-    if isinstance(a, PVar):
-        return bij.unify(a.name, b.name)
-    if isinstance(a, (PInt, PBool)):
-        return a == b
-    if isinstance(a, PNot):
-        return _match_pure(a.arg, b.arg, bij)
-    if isinstance(a, PTernary):
-        return (_match_pure(a.cond, b.cond, bij)
-                and _match_pure(a.then, b.then, bij)
-                and _match_pure(a.els, b.els, bij))
-    if isinstance(a, (PEq, PAnd)):
-        # symmetric operators: try both orientations
-        snapshot = bij.copy()
-        if _match_pure(a.lhs, b.lhs, bij) and _match_pure(a.rhs, b.rhs, bij):
-            return True
-        bij.fwd, bij.rev = snapshot.fwd, snapshot.rev
-        return _match_pure(a.lhs, b.rhs, bij) and _match_pure(a.rhs, b.lhs, bij)
-    return (_match_pure(a.lhs, b.lhs, bij) and _match_pure(a.rhs, b.rhs, bij))
-
-
-def _heaplet_key(h: Heaplet):
-    if isinstance(h, PointsTo):
-        return ("pt", h.offset)
-    if isinstance(h, Block):
-        return ("block", h.size)
-    if isinstance(h, PredApply):
-        return ("pred", len(h.args))
-    if isinstance(h, FuncApply):
-        return ("func", h.name)
-    if isinstance(h, TempLoc):
-        return ("temp",)
-    if isinstance(h, RoApply):
-        return ("ro", h.name)
-    return ("emp",)
-
-
-def _match_heaplet(a: Heaplet, b: Heaplet, bij: _Bij, name_map: dict) -> bool:
-    if type(a) is not type(b):
+    (label, name), (label_b, name_b) = _key(a, rename), _key(b, {})
+    if label != label_b or name is not None and not bij.unify(name, name_b):
         return False
-    if isinstance(a, PointsTo):
-        return (a.offset == b.offset and bij.unify(a.base, b.base)
-                and _match_pure(a.value, b.value, bij))
-    if isinstance(a, Block):
-        return a.size == b.size and bij.unify(a.base, b.base)
-    if isinstance(a, (PredApply, FuncApply, RoApply)):
-        expected = name_map.get(a.name, a.name)
-        if expected != b.name or len(a.args) != len(b.args):
-            return False
-        return all(_match_pure(x, y, bij) for x, y in zip(a.args, b.args))
-    if isinstance(a, TempLoc):
-        return bij.unify(a.var, b.var)
-    return True
+    xs, ys = subterms(a), subterms(b)
+    if a.__class__ in _COMMUTATIVE:
+        return _match_multiset(xs, ys, bij, rename, _match)
+    return all(_match(x, y, bij, rename) for x, y in zip(xs, ys))
 
 
-def _match_multiset(items_a, items_b, bij: _Bij, match) -> bool:
+def _match_multiset(items_a, items_b, bij: _Bij, rename: dict, match) -> bool:
     """Backtracking multiset matcher under a growing bijection."""
     if len(items_a) != len(items_b):
         return False
     if not items_a:
         return True
-    a = items_a[0]
-    rest_a = items_a[1:]
+    a, rest_a = items_a[0], items_a[1:]
+    mark = len(bij.fwd)
     for i, b in enumerate(items_b):
-        snapshot = bij.copy()
-        if match(a, b, bij):
-            if _match_multiset(rest_a, items_b[:i] + items_b[i + 1:], bij, match):
-                return True
-        bij.fwd, bij.rev = snapshot.fwd, snapshot.rev
+        if match(a, b, bij, rename) and _match_multiset(
+                rest_a, items_b[:i] + items_b[i + 1:], bij, rename, match):
+            return True
+        bij.undo(mark)
     return False
 
 
-def _match_assertion(a: SslAssertion, b: SslAssertion, bij: _Bij, name_map) -> bool:
-    def heap_match(x, y, bj):
-        return _heaplet_key(x) == _heaplet_key(y) and _match_heaplet(x, y, bj, name_map)
-
+def _match_assertion(a: SslAssertion, b: SslAssertion, bij: _Bij,
+                     rename: dict) -> bool:
     # heaplets first: they ground most variables
-    if not _match_multiset(list(a.spatial), list(b.spatial), bij, heap_match):
-        return False
-    return _match_multiset(list(a.pure), list(b.pure), bij, _match_pure)
+    return (_match_multiset(a.spatial, b.spatial, bij, rename, _match)
+            and _match_multiset(a.pure, b.pure, bij, rename, _match))
+
+
+def _match_branch(a: Branch, b: Branch, bij: _Bij, rename: dict) -> bool:
+    return (_match(a.cond, b.cond, bij, rename)
+            and _match_assertion(a.body, b.body, bij, rename))
+
+
+def _param_bij(params_a, params_b):
+    """The bijection that pairs two ``(name, sort)`` parameter lists in
+    order, or None when their lengths or sorts differ or it is not one."""
+    if len(params_a) != len(params_b):
+        return None
+    bij = _Bij()
+    for (pa, sa), (pb, sb) in zip(params_a, params_b):
+        if sa != sb or not bij.unify(pa, pb):
+            return None
+    return bij
 
 
 def structural_equiv(a: PredicateDef, b: PredicateDef) -> bool:
     """True iff some bijective renaming of variables plus a reordering of
-    pure conjuncts, heaplets, and branches makes the two predicates equal.
-    Parameter order and sorts are significant; the two definitions' own
-    names map to each other, all other predicate names must match exactly."""
-    if len(a.params) != len(b.params) or len(a.branches) != len(b.branches):
-        return False
-    if [s for _, s in a.params] != [s for _, s in b.params]:
-        return False
-    base = _Bij()
-    for (pa, _), (pb, _) in zip(a.params, b.params):
-        if not base.unify(pa, pb):
-            return False
-    name_map = {a.name: b.name}
-
-    def match_branch(x, y, bij):
-        return (_match_pure(x.cond, y.cond, bij)
-                and _match_assertion(x.body, y.body, bij, name_map))
-
-    return _match_multiset(list(a.branches), list(b.branches), base,
-                           match_branch)
+    pure conjuncts, heaplets, and branches, and of the operands of ``==``
+    and ``&&``, makes the two predicates equal.  Parameter order and sorts
+    are significant; the two definitions' own names map to each other, all
+    other predicate names must match exactly."""
+    bij = _param_bij(a.params, b.params)
+    return bij is not None and _match_multiset(
+        a.branches, b.branches, bij, {a.name: b.name}, _match_branch)
 
 
 def goal_structural_equiv(a: GoalSpec, b: GoalSpec) -> bool:
-    if len(a.params) != len(b.params):
-        return False
-    if [s for s, _ in a.params] != [s for s, _ in b.params]:
-        return False
-    bij = _Bij()
-    for (_, pa), (_, pb) in zip(a.params, b.params):
-        if not bij.unify(pa, pb):
-            return False
-    name_map = {a.name: b.name}
-    return (_match_assertion(a.pre, b.pre, bij, name_map)
-            and _match_assertion(a.post, b.post, bij, name_map))
+    """``structural_equiv`` for goal specifications, pre to pre and post to
+    post."""
+    bij = _param_bij([p[::-1] for p in a.params], [p[::-1] for p in b.params])
+    rename = {a.name: b.name}
+    return (bij is not None and _match_assertion(a.pre, b.pre, bij, rename)
+            and _match_assertion(a.post, b.post, bij, rename))
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,9 @@ class FnLayout(Frozen):
 LayoutRef = (NamedLayout, IntLayout, BoolLayout, PtrIntLayout, FnLayout)
 
 
-def render_layout_ref(ref: LayoutRef, with_mode: bool = True) -> str:
+def render_layout_ref(ref: LayoutRef) -> str:
     if isinstance(ref, NamedLayout):
-        if with_mode and ref.mode == "mutable":
+        if ref.mode == "mutable":
             return f"{ref.name}[mutable]"
         return ref.name
     if isinstance(ref, IntLayout):
@@ -243,11 +243,22 @@ def render_layout_ref(ref: LayoutRef, with_mode: bool = True) -> str:
     if isinstance(ref, PtrIntLayout):
         return "Ptr Int"
     if isinstance(ref, FnLayout):
-        a = render_layout_ref(ref.arg, with_mode)
-        if isinstance(ref.arg, FnLayout):
-            a = f"({a})"
-        return f"{a} -> {render_layout_ref(ref.res, with_mode)}"
+        return f"{_render_layout_atom(ref.arg)} -> {render_layout_ref(ref.res)}"
     raise TypeError(ref)
+
+
+def _render_layout_atom(ref: LayoutRef) -> str:
+    """``ref`` where the parser reads a layout atom: a function layout in
+    parentheses."""
+    s = render_layout_ref(ref)
+    return f"({s})" if isinstance(ref, FnLayout) else s
+
+
+def _render_result_layout(ref: LayoutRef) -> str:
+    """The result layout of an instantiation or a directive; ``Ptr Int`` is
+    parenthesised there too."""
+    s = render_layout_ref(ref)
+    return f"({s})" if isinstance(ref, (FnLayout, PtrIntLayout)) else s
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +421,14 @@ class HApply(Node):
 LayoutHeaplet = (HEmp, HPointsTo, HApply)
 
 
-class CtorShape(namedtuple("CtorShape", ("pattern", "heaplets", "cells",
-                                         "size", "empty", "offsets",
-                                         "applies"))):
-    """A constructor's layout branch and what building it writes: points-to
-    cells through the root as ``(offset, payload)`` pairs and the block
-    size.  ``empty``: every heaplet is ``emp``; ``offsets``: payload ->
-    offset, the last store of a payload winning; ``applies``: applied
-    variable -> layout name, in heaplet order.  ``types.build_global_env``
+class CtorShape(namedtuple("CtorShape", ("pattern", "cells", "size",
+                                         "empty", "offsets", "applies"))):
+    """A constructor's layout branch as what building it writes: its
+    pattern, points-to cells through the root as ``(offset, payload)``
+    pairs and the block size; ``LayoutDef.branches`` keeps the heaplets.
+    ``empty``: every heaplet is ``emp``; ``offsets``: payload -> offset,
+    the last store of a payload winning; ``applies``: applied variable ->
+    layout name, in heaplet order.  ``types.build_global_env``
     rejects a branch that writes through a non-root binder, stores a value
     that is not a field, or writes one offset twice."""
     __slots__ = ()
@@ -442,7 +453,7 @@ class LayoutDef(Node):
                        if h.__class__ is HApply}
             size = max([off for off, _ in cells]) + 1 if cells else 0
             out[pat.ctor] = CtorShape(
-                pat, heaplets, cells, size, not cells and not applies,
+                pat, cells, size, not cells and not applies,
                 {payload: off for off, payload in cells}, applies)
         return out
 
@@ -547,8 +558,7 @@ class _Cursor:
                 span, found = self._end_span(), self.EOF
             else:
                 span, found = self.span(pos), getattr(self, self.FOUND)[pos]
-            raise ParseError(f"expected {kind!r}, found {found!r}", span,
-                             expected={kind})
+            raise ParseError(f"expected {kind!r}, found {found!r}", span)
         self.pos = pos + 1
         return self.texts[pos]
 
@@ -905,8 +915,7 @@ class _Parser(_Cursor):
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        raise ParseError(f"unexpected token {self.texts[pos]!r}", self.span(pos),
-                         expected={"int", "ident", "("})
+        raise ParseError(f"unexpected token {self.texts[pos]!r}", self.span(pos))
 
 
 def parse_program(tokens: Tokens) -> SourceUnit:
@@ -963,13 +972,11 @@ def render_expr(e: Expr, prec: int = 0) -> str:
         s = f"let {e.name} := {render_expr(e.bound)} in {render_expr(e.body)}"
         return wrap(s, 0) if prec > 0 else s
     if isinstance(e, Lower):
-        s = f"lower {render_layout_ref(e.layout)} {render_expr(e.arg, _APP_PREC + 1)}"
+        s = f"lower {_render_layout_atom(e.layout)} {render_expr(e.arg, _APP_PREC + 1)}"
         return wrap(s, _APP_PREC - 1)
     if isinstance(e, Instantiate):
         layouts = ", ".join(render_layout_ref(r) for r in e.arg_layouts)
-        result = render_layout_ref(e.result_layout)
-        if isinstance(e.result_layout, PtrIntLayout):
-            result = f"({result})"
+        result = _render_result_layout(e.result_layout)
         args = " ".join(render_expr(a, _APP_PREC + 1) for a in e.args)
         s = f"instantiate [{layouts}] {result} {e.fn} {args}".rstrip()
         return wrap(s, _APP_PREC - 1)
@@ -982,10 +989,6 @@ def render_pattern(p: Pattern) -> str:
     if p.vars:
         return f"({p.ctor} {' '.join(p.vars)})"
     return f"({p.ctor})"
-
-
-def render_type(ty: TypeExpr) -> str:
-    return str(ty)
 
 
 def render_loc(base: str, offset: int) -> str:
@@ -1006,9 +1009,7 @@ def pretty_print(unit: SourceUnit) -> str:
     chunks: list[str] = []
     for d in unit.directives:
         layouts = ", ".join(render_layout_ref(r) for r in d.arg_layouts)
-        result = render_layout_ref(d.result_layout)
-        if isinstance(d.result_layout, PtrIntLayout):
-            result = f"({result})"
+        result = _render_result_layout(d.result_layout)
         chunks.append(f"%generate {d.fn} [{layouts}] {result}")
     for dd in unit.data_defs:
         alts = " | ".join(
@@ -1023,7 +1024,7 @@ def pretty_print(unit: SourceUnit) -> str:
             chunks.append(f"{ld.name} {render_pattern(pat)} := {rhs};")
     printed_sigs = set()
     for name, ty in unit.fn_sigs.items():
-        chunks.append(f"{name} : {render_type(ty)};")
+        chunks.append(f"{name} : {ty};")
         printed_sigs.add(name)
         for case in unit.fn_defs.get(name, []):
             chunks.extend(_render_fn_case(case))
@@ -1035,8 +1036,7 @@ def pretty_print(unit: SourceUnit) -> str:
 
 
 def _render_type_atom(ty: TypeExpr) -> str:
-    s = render_type(ty)
-    return f"({s})" if isinstance(ty, (TFn, TPtrInt)) else s
+    return f"({ty})" if isinstance(ty, (TFn, TPtrInt)) else str(ty)
 
 
 def _render_fn_case(case: FnCase) -> list[str]:

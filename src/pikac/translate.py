@@ -28,7 +28,7 @@ from .errors import (
 from .node import Node
 from .types import (
     ElabArg, ElabFn, GlobalEnv, ResolvedLayout, TypedProgram, adt_layout,
-    core_case, elaborate_fn_at, resolve_layout_ref, uncurry,
+    core_case, elaborate_fn_at, mangle, resolve_layout_ref, uncurry,
 )
 
 
@@ -118,21 +118,12 @@ def copy_predicate(layout: S.LayoutDef) -> ssl.PredicateDef:
 
 
 # ---------------------------------------------------------------------------
-# Name mangling
-# ---------------------------------------------------------------------------
-
-def mangle(fn: str, arg_layouts, result_layout: ResolvedLayout) -> str:
-    tags = [result_layout.tag(result=True)] + [a.tag() for a in arg_layouts]
-    return "__".join([fn] + tags)
-
-
-# ---------------------------------------------------------------------------
 # Core translation (restricted subset)
 # ---------------------------------------------------------------------------
 
 class CoreTranslationResult(Node):
-    # pure: conjuncts; used_vars: frozenset
-    __slots__ = ("pure", "spatial", "used_vars", "result_var")
+    # pure: conjuncts
+    __slots__ = ("pure", "spatial", "result_var")
 
     def assertion(self) -> ssl.SslAssertion:
         return ssl.SslAssertion.make(self.pure, self.spatial)
@@ -244,7 +235,7 @@ class _CoreTx:
             name = ren.get(arg.name, arg.name)
             self.used.add(name)
             r = self.fresh(res_loc, target)
-            pred = ssl.PredApply(self._pred_name(e.fn, arg_layout, res_layout),
+            pred = ssl.PredApply(mangle(e.fn, [arg_layout], res_layout),
                                  (ssl.PVar(name), ssl.PVar(r)))
             return [], [pred], r
         if arg_cls is S.ConstructorApp:
@@ -253,14 +244,11 @@ class _CoreTx:
         if arg_cls is S.Instantiate:
             p1, s1, r1 = self.tx(arg, ren=ren)
             r2 = self.fresh(res_loc, target)
-            pred = ssl.PredApply(self._pred_name(e.fn, arg_layout, res_layout),
+            pred = ssl.PredApply(mangle(e.fn, [arg_layout], res_layout),
                                  (ssl.PVar(r1), ssl.PVar(r2)))
             return p1, s1 + [pred], r2
         raise UnsupportedConstruct(
             f"cannot instantiate on {type(arg).__name__}", e.span)
-
-    def _pred_name(self, fn, arg_layout, res_layout) -> str:
-        return mangle(fn, [arg_layout], res_layout)
 
     def _inst_ctor(self, fn, result_ref: S.LayoutRef, ctor: S.ConstructorApp,
                    span, target: Optional[str], ren: dict):
@@ -300,8 +288,7 @@ def translate_expr_core(env: GlobalEnv, e: S.Expr, free_vars=(),
     if result_var is not None:
         pure, spatial = _retarget(pure, spatial, r, result_var, tx.seed)
         r = result_var
-    return CoreTranslationResult(tuple(pure), tuple(spatial),
-                                 frozenset(tx.used), r)
+    return CoreTranslationResult(tuple(pure), tuple(spatial), r)
 
 
 def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
@@ -382,8 +369,12 @@ class _Arm(Node):
 
 
 class CompileResult(Node):
-    __slots__ = ("name", "predicate", "layout_preds", "ro_preds",
-                 "copy_preds", "extra_preds", "goal")
+    __slots__ = ("predicate", "layout_preds", "ro_preds", "copy_preds",
+                 "extra_preds", "goal")
+
+    @property
+    def name(self) -> str:
+        return self.predicate.name
 
     def all_predicates(self) -> list:
         return (self.layout_preds + self.ro_preds + self.copy_preds
@@ -455,7 +446,7 @@ class _FnTranslator:
         self.env = prog.env
         self.elab = elab
         self.fn = elab.name
-        self.counter = elab.fresh_base
+        self.counter = len(elab.arg_layouts)    # numbers after the params
         self.temp_counter = 0
         self.pred_name = mangle(elab.name, elab.arg_layouts, elab.result_layout)
         if caller is None:
@@ -885,8 +876,8 @@ def _compile_result(tx: _FnTranslator, predicate: ssl.PredicateDef
     copy_preds = [copy_predicate(env.layouts[name])
                   for name in _applied_closure(env, sorted(tx.copy_layouts))]
     goal = make_goal_spec(elab, predicate.name)
-    return CompileResult(predicate.name, predicate, layout_preds, ro_preds,
-                         copy_preds, list(tx.extra_fns.values()), goal)
+    return CompileResult(predicate, layout_preds, ro_preds, copy_preds,
+                         list(tx.extra_fns.values()), goal)
 
 
 def _applied_closure(env: GlobalEnv, names) -> list:

@@ -65,19 +65,18 @@ class GlobalEnv(Node):
     # resolve_layout_ref keys a layout reference: ``resolved`` holds its
     # answers and ``cases`` those of core_case; ``__dict__`` holds the others.
     # ``specialised``: the name of each specialisation the elaborator added
-    # to fn_sigs and fn_defs -> (function, function arguments)
-    __slots__ = ("adts", "ctors", "layouts", "fn_sigs", "fn_defs",
-                 "directives", "resolved", "cases", "specialised", "__dict__")
+    # to fn_sigs and fn_defs -> (function, function arguments).  The data
+    # definitions and the directives are read from the source unit.
+    __slots__ = ("ctors", "layouts", "fn_sigs", "fn_defs", "resolved",
+                 "cases", "specialised", "__dict__")
     _hidden = Node._hidden | {"resolved", "cases", "specialised"}
 
-    def __init__(self, adts: dict, ctors: dict, layouts: dict, fn_sigs: dict,
-                 fn_defs: dict, directives: dict):
-        self.adts = adts
+    def __init__(self, ctors: dict, layouts: dict, fn_sigs: dict,
+                 fn_defs: dict):
         self.ctors = ctors              # name -> (field types, adt name)
         self.layouts = layouts          # name -> LayoutDef
         self.fn_sigs = fn_sigs
         self.fn_defs = fn_defs
-        self.directives = directives    # fn name -> GenerateDirective
         self.resolved = {}
         self.cases = {}
         self.specialised = {}
@@ -168,7 +167,7 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
         layouts[ld.name] = ld
 
     fn_sigs = dict(unit.fn_sigs)
-    directives: dict[str, S.GenerateDirective] = {}
+    directives = set()
     for d in unit.directives:
         if d.fn not in unit.fn_defs:
             raise UnboundVariable(f"%generate names undefined function {d.fn}",
@@ -178,7 +177,7 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
             # function, so a second one would replace the first
             raise DuplicateName(f"second %generate directive for {d.fn}",
                                 d.span, rule="G-FN")
-        directives[d.fn] = d
+        directives.add(d.fn)
     for name, cases in unit.fn_defs.items():
         if name not in fn_sigs:
             raise UnboundVariable(f"function {name} has no type signature",
@@ -194,7 +193,7 @@ def build_global_env(unit: S.SourceUnit) -> GlobalEnv:
                             f"a case of {name} binds {var} twice", case.span,
                             rule="G-FN")
                     binders.add(var)
-    return GlobalEnv(adts, ctors, layouts, fn_sigs, dict(unit.fn_defs), directives)
+    return GlobalEnv(ctors, layouts, fn_sigs, dict(unit.fn_defs))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +231,12 @@ class ResolvedLayout(Frozen):
         if self.kind == "ptr":
             return S.TPtrInt()
         return LayoutType(self.layout.name)
+
+
+def mangle(fn: str, arg_layouts, result_layout: ResolvedLayout) -> str:
+    """The name of the predicate of ``fn`` at these layouts."""
+    tags = [result_layout.tag(result=True)] + [a.tag() for a in arg_layouts]
+    return "__".join([fn] + tags)
 
 
 def resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
@@ -302,10 +307,6 @@ def _resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
     if isinstance(ref, S.PtrIntLayout):
         return ResolvedLayout("ptr")
     if isinstance(ref, S.NamedLayout):
-        if ref.name == "Int":
-            return ResolvedLayout("int")
-        if ref.name == "Bool":
-            return ResolvedLayout("bool")
         layout = env.layouts.get(ref.name)
         if layout is None:
             raise UnboundVariable(f"unknown layout {ref.name}", span,
@@ -626,10 +627,8 @@ class ElabCase(Node):
 
 
 class ElabFn(Node):
-    # arg_layouts: [ResolvedLayout]; cases: [ElabCase]; fresh_base: the ANF
-    # counter start (the arity)
-    __slots__ = ("name", "directive", "arg_layouts", "result_layout", "cases",
-                 "fresh_base")
+    # arg_layouts: [ResolvedLayout]; cases: [ElabCase]
+    __slots__ = ("name", "arg_layouts", "result_layout", "cases")
 
 
 class TypedProgram(Node):
@@ -680,8 +679,7 @@ class _Elaborator:
         for case in env.fn_defs[fn]:
             cases.extend(self._elaborate_case(fn, case, param_tys,
                                               arg_layouts, result_layout))
-        return ElabFn(fn, directive, arg_layouts, result_layout, cases,
-                      len(param_tys))
+        return ElabFn(fn, arg_layouts, result_layout, cases)
 
     def _elaborate_case(self, fn, case: S.FnCase, param_tys,
                         arg_layouts, result_layout) -> ElabCase:
@@ -1089,8 +1087,15 @@ def elaborate(unit: S.SourceUnit) -> TypedProgram:
     env = build_global_env(unit)
     elab = _Elaborator(env)
     fns: dict[str, ElabFn] = {}
+    predicates = {}         # predicate name -> the function it translates
     for d in unit.directives:
-        fns[d.fn] = elab.elaborate_at(d.fn, d)
+        elab_fn = fns[d.fn] = elab.elaborate_at(d.fn, d)
+        name = mangle(d.fn, elab_fn.arg_layouts, elab_fn.result_layout)
+        if name in predicates:
+            raise DuplicateName(f"the directives for {predicates[name]} and "
+                                f"{d.fn} both compile to predicate {name}",
+                                d.span, rule="G-FN")
+        predicates[name] = d.fn
     # a specialisation the elaboration registers, in ``env.specialised``,
     # is elaborated by the translator at the layouts of its call site
     return TypedProgram(env, fns)

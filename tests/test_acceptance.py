@@ -177,8 +177,14 @@ def _enumerate_values(genv, adt, depth):
     return out
 
 
+def _branch(layout, ctor):
+    """The pattern and heaplets of ``layout``'s branch for ``ctor``, read
+    from the branches as written."""
+    return next((pat, hs) for pat, hs in layout.branches if pat.ctor == ctor)
+
+
 def _layout_for_field(genv, layout, ctor, var, fty):
-    for h in layout.shapes[ctor].heaplets:
+    for h in _branch(layout, ctor)[1]:
         if isinstance(h, S.HApply) and h.arg == var:
             return genv.layouts[h.layout]
     for candidate in genv.layouts.values():
@@ -191,10 +197,9 @@ def _null_encode(genv, layout, value, heap, counter):
     """Encode a constructor tree as a null-encoded heap: empty branches are
     the location 0, non-empty branches allocate a fresh block."""
     _, ctor, fields = value
-    branch = layout.shapes[ctor].heaplets
+    pat, branch = _branch(layout, ctor)
     if all(isinstance(h, S.HEmp) for h in branch):
         return 0
-    pat = layout.shapes[ctor].pattern
     offsets = {h.payload: h.offset for h in branch
                if isinstance(h, S.HPointsTo)}
     size = max(offsets.values()) + 1

@@ -196,6 +196,13 @@ idList (Cons h t) := Cons h (idList t);
     ("%generate idList [Sll] Sll\n%generate idList [Rev] Rev\n"
      + SLL_SOURCE + REV_SOURCE,
      "error[G-FN]: second %generate directive for idList at 2:1"),
+    # both predicates are named f__rw_Sll__rw_Sll: both used to be emitted,
+    # and the second file written over the first
+    ("%generate f [Sll[mutable]] Sll\n%generate f__rw_Sll [] Sll\n"
+     + SLL_SOURCE + "f : List -> List;\nf xs := xs;\n"
+     "f__rw_Sll : List;\nf__rw_Sll := Cons 1 Nil;",
+     "error[G-FN]: the directives for f and f__rw_Sll both compile to "
+     "predicate f__rw_Sll__rw_Sll at 2:1"),
     (SLL_SOURCE + "f : Int -> Int;\nf x := x;\n\ng y := y + 1;",
      "error[T-VAR]: function g has no type signature at 8:1"),
     ("%generate isRed [CL] Int\ndata Colour := Red | Green;\n"
@@ -203,7 +210,8 @@ idList (Cons h t) := Cons h (idList t);
      "isRed : Colour -> Int;\nisRed (Red) := 1;\nisRed (Green) := 0;",
      "error[G-LAYOUT]: layout CL has indistinguishable branches "
      "(Red, Green) at 3:1"),
-], ids=["second-directive", "missing-signature", "two-empty-branches"])
+], ids=["second-directive", "same-predicate-name", "missing-signature",
+        "two-empty-branches"])
 def test_global_diagnostics_name_rule_and_place(tmp_path, capsys,
                                                 monkeypatch, text, message):
     monkeypatch.setenv("PIKA_COLOR", "0")

@@ -220,9 +220,9 @@ def test_keyword_construction_and_defaults():
     assert S.Var(name="x").span is None
     assert S.BinOp(op="+", lhs=S.IntLit(1), rhs=S.IntLit(2), span=SPAN).span == SPAN
     assert M.PredicateEnv({}) == M.PredicateEnv(preds={})
-    env = T.GlobalEnv({}, {}, {}, {}, {}, {})
+    env = T.GlobalEnv({}, {}, {}, {})
     assert env.resolved == {} and env.resolved is not T.GlobalEnv(
-        {}, {}, {}, {}, {}, {}).resolved
+        {}, {}, {}, {}).resolved
 
 
 # Every kind's constructor: parameter names in positional order, and the
@@ -272,11 +272,11 @@ SIGNATURES = {
     ssl.PredicateDef: "name, params, branches",
     ssl.GoalSpec: "name, params, pre, post",
     T.LayoutType: "name",
-    T.GlobalEnv: "adts, ctors, layouts, fn_sigs, fn_defs, directives",
+    T.GlobalEnv: "ctors, layouts, fn_sigs, fn_defs",
     T.ResolvedLayout: "kind, layout=None, mode='readonly'",
     T.ElabArg: "ssl_name, layout, pattern, offsets, applies, source_name=None",
     T.ElabCase: "args, guard, body, result_name, result_layout",
-    T.ElabFn: "name, directive, arg_layouts, result_layout, cases, fresh_base",
+    T.ElabFn: "name, arg_layouts, result_layout, cases",
     T.TypedProgram: "env, fns",
     I.IntVal: "value", I.BoolVal: "value", I.LocVal: "loc",
     I.ConstructorVal: "name, fields",
@@ -286,14 +286,14 @@ SIGNATURES = {
     heap_action.GroundApply: "layout, arg",
     M.Sat: "", M.Unsat: "reason", M.Unknown: "reason",
     M.PredicateEnv: "preds",
-    M.SoundnessReport: "result, expr, model, assertion, trace",
+    M.SoundnessReport: "result, model, assertion, trace",
     M.CoreSignature: "genv, pool, layouts, fns_by_layout, draws",
     X._CopyCall: "src, layout, span=None",
     X._Term: "term",
     X._Arm: "args, guard, lets, body, result_name, result_layout",
-    X.CompileResult: "name, predicate, layout_preds, ro_preds, copy_preds, "
+    X.CompileResult: "predicate, layout_preds, ro_preds, copy_preds, "
                      "extra_preds, goal",
-    X.CoreTranslationResult: "pure, spatial, used_vars, result_var",
+    X.CoreTranslationResult: "pure, spatial, result_var",
 }
 
 

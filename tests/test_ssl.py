@@ -228,6 +228,49 @@ def test_structural_equiv_parameter_order_significant():
     assert not ssl.structural_equiv(a, b)
 
 
+@pytest.mark.parametrize("params, body_a, body_b, equiv", [
+    ("loc x", "| x == 0 => { emp }", "| 0 == x => { emp }", True),
+    ("loc x", "| not (x == 0) => { emp }", "| not (0 == x) => { emp }",
+     True),
+    ("loc x, int i", "| (x == 0) && (i == 1) => { emp }",
+     "| (i == 1) && (x == 0) => { emp }", True),
+    ("int i, int j", "| i < j => { emp }", "| j < i => { emp }", False),
+    ("int i, int j", "| true => { i + 1 == j ; emp }",
+     "| true => { j == 1 + i ; emp }", False),
+    ("loc x", "| x == null => { emp }", "| x == 0 => { emp }", True),
+    ("loc x", "| x == 0 => { emp }", "| x == false => { emp }", False),
+    ("loc x", "| true => { [x,2] }", "| true => { [x,3] }", False),
+    ("loc x", "| true => { (x+1) :-> 0 }", "| true => { x :-> 0 }", False),
+    ("loc x, loc y", "| true => { q(x, y) }", "| true => { q(x, y, y) }",
+     False),
+    ("loc x", "| true => { temploc t ** func f(x, t) }",
+     "| true => { temploc u ** func f(x, u) }", True),
+    ("loc x", "| true => { temploc t ** func f(x, t) }",
+     "| true => { temploc u ** func f(x, t) }", False),
+    ("loc x", "| true => { func f(x) }", "| true => { func g(x) }", False),
+], ids=["eq-swapped", "eq-swapped-under-not", "and-swapped", "lt-ordered",
+        "add-ordered", "null-is-0", "0-is-not-false", "block-size",
+        "offset", "call-arity", "temploc-renamed", "temploc-paired",
+        "callee"])
+def test_structural_equiv_compares(params, body_a, body_b, equiv):
+    a = ssl.parse_predicate(f"predicate p({params}) {{ {body_a} }}")
+    b = ssl.parse_predicate(f"predicate p({params}) {{ {body_b} }}")
+    assert ssl.structural_equiv(a, b) is equiv
+    assert ssl.structural_equiv(b, a) is equiv
+
+
+@pytest.mark.parametrize("params_a, params_b, equiv", [
+    ("loc x, loc r", "loc y, loc s", True),
+    ("loc x, loc r", "loc x, int r", False),
+    ("loc x, loc r", "loc y, loc y", False),
+    ("loc x, loc r", "loc y", False),
+], ids=["renamed", "sort", "non-injective", "count"])
+def test_goal_structural_equiv_pairs_parameters(params_a, params_b, equiv):
+    a = ssl.parse_goal_spec(f"void f({params_a}) {{ emp }} {{ emp }} {{ ?? }}")
+    b = ssl.parse_goal_spec(f"void g({params_b}) {{ emp }} {{ emp }} {{ ?? }}")
+    assert ssl.goal_structural_equiv(a, b) is equiv
+
+
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_emit_reparse_idempotent_on_golden(path):
     pred = ssl.parse_predicate(path.read_text())

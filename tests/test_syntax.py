@@ -187,6 +187,30 @@ singleton x := Cons x (Nil);
     assert "singleton x := Cons x (Nil);" in S.pretty_print(unit)
 
 
+@pytest.mark.parametrize("text", [
+    "instantiate [Sll] (Int -> Int) f x",
+    "instantiate [Int -> Int, Sll] ((Int -> Int) -> Int) f g x",
+    "instantiate [Sll] (Ptr Int) f x",
+    "lower (Int -> Int) x",
+    "lower Ptr Int x",
+])
+def test_layout_atoms_print_as_they_parse(text):
+    # a function layout where the parser reads an atom prints parenthesised
+    e = S.parse_expr_text(text)
+    assert S.render_expr(e) == text
+    assert S.parse_expr_text(S.render_expr(e)) == e
+
+
+@pytest.mark.parametrize("text", [
+    "%generate f [Sll] (Int -> Int)\n",
+    "%generate f [Int -> Int] (Ptr Int)\n",
+])
+def test_directive_result_layout_prints_as_it_parses(text):
+    unit = S.parse_source(text)
+    assert S.pretty_print(unit) == text
+    assert S.parse_source(S.pretty_print(unit)) == unit
+
+
 def test_pretty_print_empty_unit():
     assert S.pretty_print(S.SourceUnit.empty()) == ""
 

@@ -186,7 +186,7 @@ def test_core_targeted_result_is_the_renamed_translation(budget, seeds):
         renamed = CoreTranslationResult(
             tuple(ssl.subst(p, ren) for p in plain.pure),
             tuple(ssl.subst(h, ren) for h in plain.spatial),
-            plain.used_vars, plain.result_var)
+            plain.result_var)
         assert ssl.structural_equiv(_as_predicate(targeted, "r0"),
                                     _as_predicate(renamed, "r0")), seed
 

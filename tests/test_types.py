@@ -51,7 +51,7 @@ def test_global_env_constructor_types(genv):
 
 
 def test_global_env_full_suite(genv):
-    assert len(genv.adts) == 4
+    assert len({adt for _, adt in genv.ctors.values()}) == 4
     assert len(genv.layouts) == 4
 
 
