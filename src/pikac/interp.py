@@ -19,9 +19,11 @@ Design notes, fixed here because the rules leave them open:
   same layout is a no-op.  These choices keep every heap cell described
   exactly once by the symbolic translation, which the soundness harness
   checks.
-* A callee body is evaluated under a renaming of its pattern variables to
-  the store variables of the fields; it is not rebuilt.  The case is found
-  by ``types.core_case``, as in the core translation.  A constructor's
+* A callee's cases are those of ``types.core_cases``, elaborated at the
+  instantiation's layouts (or rejected with the elaborator's diagnostic),
+  as in the core translation.  A body is evaluated under a renaming of its
+  pattern variables to the store variables of the fields; it is not
+  rebuilt.  A constructor's
   cells come from its layout shape (``LayoutDef.shapes``) and are written
   as they are: ``types.build_global_env`` has checked that each branch
   writes distinct offsets of its root, each holding a field.  The tests
@@ -37,7 +39,7 @@ from .errors import (
     UnsupportedConstruct,
 )
 from .node import Frozen, Node
-from .types import GlobalEnv, adt_layout, core_case
+from .types import GlobalEnv, adt_layout, core_cases
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +256,12 @@ class Machine:
                     raise UngroundedHeaplet(f"missing cell {cell} on the heap")
                 field_vals.append(self.heap[cell])
 
-        pat_vars, body = core_case(self.env, e.fn, ctor_name, e.result_layout,
-                                   e.span)
+        case = core_cases(self.env, e.fn, e.arg_layouts[0], e.result_layout,
+                          e.span).get(ctor_name)
+        if case is None:
+            raise NoMatchingFnCase(
+                f"{e.fn} has no case for constructor {ctor_name}", e.span)
+        pat_vars, body = case
         if len(pat_vars) != len(field_vals):
             raise NoMatchingFnCase(
                 f"pattern arity mismatch in {e.fn} for {ctor_name}", e.span)

@@ -67,7 +67,7 @@ from .node import Frozen, Node
 from .translate import (
     translate_expr_core, translate_fn_def_core, translate_layout_predicate,
 )
-from .types import GlobalEnv, elaborate_fn_at
+from .types import GlobalEnv, core_cases
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +834,9 @@ def satisfies(model: Model, assertion: ssl.SslAssertion, env: PredicateEnv,
 # ---------------------------------------------------------------------------
 
 def _instantiations_in(exprs) -> set:
-    """The key ``(fn, arg layout, result layout or None)`` of each
-    single-argument instantiation in ``exprs``, at a named argument layout.
+    """The key ``(fn, arg layout, result layout)`` of each single-argument
+    instantiation in ``exprs``, at a named argument layout; a named layout
+    is keyed by its name and a base-type one by itself.
     One walk with an explicit stack, dispatching on the exact class of the
     core kinds; any other kind's subexpressions come from ``S.subexprs``."""
     keys = set()
@@ -854,7 +855,7 @@ def _instantiations_in(exprs) -> set:
                 res = e.result_layout
                 keys.add((e.fn, arg_layouts[0].name,
                           res.name if res.__class__ is S.NamedLayout
-                          else None))
+                          else res))
             stack += e.args
         elif cls is S.BinOp:
             stack.append(e.lhs)
@@ -868,11 +869,11 @@ class _PredicateCache:
     """The predicates of one ``GlobalEnv``, each translated once, on first
     use, by the translators the cache was made with.
 
-    ``fns`` maps an instantiation ``(fn, arg layout, result layout or
-    None)`` to its predicate and the instantiations its body makes, or to
-    None when the environment defines no such function.  ``closures`` maps
-    an instantiation to the predicates, by name, of every instantiation it
-    reaches, itself included."""
+    ``fns`` maps an instantiation, keyed as ``_instantiations_in`` keys it,
+    to its predicate and the instantiations its elaborated body makes, or
+    to None when the environment defines no such function.  ``closures``
+    maps an instantiation to the predicates, by name, of every
+    instantiation it reaches, itself included."""
 
     def __init__(self, genv: GlobalEnv, translators: tuple):
         self.translators = translators
@@ -885,17 +886,18 @@ class _PredicateCache:
 
     def function(self, genv: GlobalEnv, key):
         if key not in self.fns:
-            fn, arg_layout_name, result_name = key
+            fn, arg_layout_name, result = key
             entry = None
             if fn in genv.fn_defs:
-                result_ref = (S.NamedLayout(result_name) if result_name
-                              else S.IntLayout())
+                result_ref = (S.NamedLayout(result)
+                              if result.__class__ is str else result)
                 pred = self.translators[1](genv, fn,
                                            genv.layouts[arg_layout_name],
                                            result_ref)
+                cases = core_cases(genv, fn, S.NamedLayout(arg_layout_name),
+                                   result_ref)
                 entry = (pred, _instantiations_in(
-                    body for case in genv.fn_defs[fn]
-                    for _, body in case.guarded_bodies))
+                    body for _, body in cases.values()))
             self.fns[key] = entry
         return self.fns[key]
 
@@ -1004,12 +1006,7 @@ class CoreSignature(Node):
             by_adt.setdefault(layout.adt, []).append(layout.name)
         pool, rejected = [], None
         # a snapshot: elaboration may register specialisations
-        for fn, cases in list(genv.fn_defs.items()):
-            if not all(len(c.patterns) == 1 and c.patterns[0].ctor is not None
-                       and len(c.guarded_bodies) == 1
-                       and c.guarded_bodies[0][0] is None
-                       for c in cases):
-                continue
+        for fn in list(genv.fn_defs):
             sig = genv.fn_sigs.get(fn)
             if sig is None or not isinstance(sig, S.TFn) \
                     or not isinstance(sig.arg, S.TName) \
@@ -1018,8 +1015,10 @@ class CoreSignature(Node):
             for arg in by_adt.get(sig.arg.name, ()):
                 for res in by_adt.get(sig.res.name, ()):
                     try:
-                        elaborate_fn_at(genv, fn, (S.NamedLayout(arg),),
-                                        S.NamedLayout(res))
+                        core_cases(genv, fn, S.NamedLayout(arg),
+                                   S.NamedLayout(res))
+                    except UnsupportedConstruct:
+                        continue        # not a core function
                     except PikaError as exc:
                         rejected = rejected or exc
                         continue

@@ -114,7 +114,7 @@ def lex(source: str) -> Tokens:
     from its first character; a token with neither is an illegal
     character.  The column runs on: it restarts after the last newline of
     a skipped stretch and otherwise advances by the length of each piece.
-    An identifier that begins with ``__`` is reserved for generated names
+    An identifier that contains ``__`` is reserved for generated names
     (``P-RESERVED``)."""
     kinds: list = []
     texts: list[str] = []
@@ -153,12 +153,13 @@ def lex(source: str) -> Tokens:
         add_col(col)
         col += len(text)
     if "__" in source:
-        # generated names begin with "__", so a source name must not; the
-        # test is here, not in the loop, which runs once per token
+        # generated names begin with "__" and a predicate name joins its
+        # parts with it, so a source name must not contain it; the test is
+        # here, not in the loop, which runs once per token
         for i, text in enumerate(texts):
-            if kinds[i] == "ident" and text.startswith("__"):
+            if kinds[i] == "ident" and "__" in text:
                 raise LexError(f"identifier {text} is reserved: names that "
-                               f"begin with __ are generated",
+                               f"contain __ are generated",
                                Span(lines[i], cols[i]), rule="P-RESERVED")
     add_kind(None)
     return Tokens(kinds, texts, lines, cols)

@@ -22,13 +22,13 @@ from typing import Optional
 from . import syntax as S
 from . import ssl
 from .errors import (
-    AmbiguousBranches, NonConstructibleBody, NoSuchBranch, UnboundVariable,
-    UnsupportedConstruct,
+    AmbiguousBranches, NoMatchingFnCase, NonConstructibleBody, NoSuchBranch,
+    UnboundVariable, UnsupportedConstruct,
 )
 from .node import Node
 from .types import (
-    ElabArg, ElabFn, GlobalEnv, ResolvedLayout, TypedProgram, adt_layout,
-    core_case, elaborate_fn_at, mangle, resolve_layout_ref, uncurry,
+    ElabArg, ElabFn, GlobalEnv, TypedProgram, adt_layout, core_cases,
+    elaborate_fn_at, mangle, resolve_layout_ref, uncurry,
 )
 
 
@@ -239,8 +239,7 @@ class _CoreTx:
                                  (ssl.PVar(name), ssl.PVar(r)))
             return [], [pred], r
         if arg_cls is S.ConstructorApp:
-            return self._inst_ctor(e.fn, e.result_layout, arg, e.span,
-                                   target, ren)
+            return self._inst_ctor(e, arg, target, ren)
         if arg_cls is S.Instantiate:
             p1, s1, r1 = self.tx(arg, ren=ren)
             r2 = self.fresh(res_loc, target)
@@ -250,9 +249,14 @@ class _CoreTx:
         raise UnsupportedConstruct(
             f"cannot instantiate on {type(arg).__name__}", e.span)
 
-    def _inst_ctor(self, fn, result_ref: S.LayoutRef, ctor: S.ConstructorApp,
-                   span, target: Optional[str], ren: dict):
-        pat_vars, body = core_case(self.env, fn, ctor.name, result_ref, span)
+    def _inst_ctor(self, e: S.Instantiate, ctor: S.ConstructorApp,
+                   target: Optional[str], ren: dict):
+        case = core_cases(self.env, e.fn, e.arg_layouts[0], e.result_layout,
+                          e.span).get(ctor.name)
+        if case is None:
+            raise NoMatchingFnCase(
+                f"{e.fn} has no case for constructor {ctor.name}", e.span)
+        pat_vars, body = case
         pures, spatials, vals = [], [], []
         for sub in ctor.args:
             p, s, v = self.tx(sub, ren=ren)
@@ -295,28 +299,21 @@ def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
                           result_ref: S.LayoutRef) -> ssl.PredicateDef:
     """The function-definition translation: one predicate branch per case,
     discriminated by the layout condition on the argument root."""
-    cases = env.fn_defs.get(fn)
-    if not cases:
-        raise UnboundVariable(f"unknown function {fn}", rule="T-FN-GLOBAL")
+    arg_ref = S.NamedLayout(arg_layout.name)
+    cases = core_cases(env, fn, arg_ref, result_ref)
     res_layout = resolve_layout_ref(env, result_ref)
-    a_res = ResolvedLayout("adt", arg_layout, "readonly")
     x = arg_layout.ssl_params[0]
     r = "r" if x != "r" else "r0"
     branches = []
-    for case in cases:
-        if len(case.patterns) != 1 or case.patterns[0].ctor is None:
-            raise UnsupportedConstruct(
-                f"{fn} is not a single-argument pattern-matching function")
-        ctor = case.patterns[0].ctor
+    for ctor, (pat_vars, body) in cases.items():
         c = cond(arg_layout, ctor, var=x)
-        params = [f"p{i + 1}" for i in range(len(case.patterns[0].vars))]
-        pat_vars, body = core_case(env, fn, ctor, result_ref)
+        params = [f"p{i + 1}" for i in range(len(pat_vars))]
         tx = _CoreTx(env, ())
         tx.used.update([x, r] + params)
         pure, spatial, rv = tx.tx(body, r, dict(zip(pat_vars, params)))
         pure, spatial = _retarget(pure, spatial, rv, r, tx.seed)
         branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial)))
-    name = mangle(fn, [a_res], res_layout)
+    name = mangle(fn, [resolve_layout_ref(env, arg_ref)], res_layout)
     return ssl.PredicateDef(name, ((x, "loc"), (r, res_layout.sort)),
                             tuple(branches))
 
@@ -338,19 +335,15 @@ class _Term(Node):
 
 class _Arm(Node):
     """One guarded body of a function, with what the stages find for it."""
-    __slots__ = ("args", "guard", "lets", "body", "result_name",
-                 "result_layout", "destructure", "pure", "calls",
-                 "result_cells", "temps", "guard_term")
+    __slots__ = ("args", "guard", "lets", "body", "destructure", "pure",
+                 "calls", "result_cells", "temps", "guard_term")
 
     def __init__(self, args: list, guard: Optional[S.Expr], lets: list,
-                 body: S.Expr, result_name: str,
-                 result_layout: ResolvedLayout):
+                 body: S.Expr):
         self.args = args
         self.guard = guard
         self.lets = lets                # [(binder, bound expr)] in order
         self.body = body
-        self.result_name = result_name
-        self.result_layout = result_layout
         self.destructure = []           # spatial heaplets
         self.pure = []
         self.calls = []
@@ -456,11 +449,8 @@ class _FnTranslator:
             self.ro_layouts = caller.ro_layouts
             self.copy_layouts = caller.copy_layouts
             self.extra_fns = caller.extra_fns
-        self.arms = [
-            _Arm(case.args, case.guard, [], case.body, case.result_name,
-                 case.result_layout)
-            for case in elab.cases
-        ]
+        self.arms = [_Arm(case.args, case.guard, [], case.body)
+                     for case in elab.cases]
 
     # -- the per-arm passes of stages 2-6, run in the order of STAGES --
 
@@ -558,8 +548,9 @@ class _FnTranslator:
             if arm.guard_term is not None:
                 parts.append(arm.guard_term)
             branches.append(ssl.Branch(ssl.pand_all(parts), arm.assertion()))
-        params = tuple((a.ssl_name, a.layout.sort) for a in self.elab.cases[0].args) \
-            + ((self.elab.cases[0].result_name, self.elab.result_layout.sort),)
+        elab = self.elab
+        params = tuple((a.ssl_name, a.layout.sort) for a in elab.cases[0].args) \
+            + ((elab.result_name, elab.result_layout.sort),)
         return ssl.PredicateDef(self.pred_name, params, tuple(branches))
 
     def run(self) -> ssl.PredicateDef:
@@ -626,7 +617,7 @@ class _ArmTx:
 
     def tx_result(self, e: S.Expr):
         arm = self.arm
-        result = arm.result_name
+        result = self.t.elab.result_name
         cls = e.__class__
         if cls is _CopyCall:
             name = f"{e.layout.name}__copy"
@@ -653,11 +644,12 @@ class _ArmTx:
             f"({type(e).__name__})", getattr(e, "span", None))
 
     def tx_result_pure(self, term: ssl.PureTerm):
-        arm = self.arm
-        if arm.result_layout.kind == "ptr":
-            arm.result_cells.append(ssl.PointsTo(arm.result_name, 0, term))
+        elab = self.t.elab
+        if elab.result_layout.kind == "ptr":
+            self.arm.result_cells.append(
+                ssl.PointsTo(elab.result_name, 0, term))
         else:
-            self.pure_result.append(ssl.PEq(ssl.PVar(arm.result_name), term))
+            self.pure_result.append(ssl.PEq(ssl.PVar(elab.result_name), term))
 
     def build_ctor(self, layout: S.LayoutDef, ctor: S.ConstructorApp,
                    root: str):
@@ -683,7 +675,7 @@ class _ArmTx:
                  for off, payload in shape.cells
                  if values.get(payload) is not None]
         cells.append(ssl.Block(root, shape.size))
-        if root == arm.result_name:
+        if root == self.t.elab.result_name:
             arm.result_cells.extend(cells)
         else:
             arm.calls.extend(cells)
@@ -945,9 +937,10 @@ def _render_arm_head(fn: str, arm: _Arm, annotated: bool) -> str:
     return " ".join([fn] + [_pattern_text(a, annotated) for a in arm.args])
 
 
-def _layout_annotation(arm: _Arm) -> str:
-    """The stage-3 heaplet annotation, written over the layout binders.
-    With no binder cells it says only what a null result already says."""
+def _layout_annotation(elab: ElabFn, arm: _Arm) -> str:
+    """The stage-3 heaplet annotation of an arm of ``elab``, written over
+    the layout binders.  With no binder cells it says only what a null
+    result already says."""
     chunks = []
     for arg in arm.args:
         if arg.pattern is None or arg.layout.kind != "adt":
@@ -964,8 +957,8 @@ def _layout_annotation(arm: _Arm) -> str:
             chunks.append(f"{S.render_loc(root, off)} {arrow} {sub[payload]}")
     if not chunks:
         if arm.body.__class__ is S.IntLit \
-                and arm.result_layout.kind == "adt":
-            return f"{arm.result_name} == 0 ; emp"
+                and elab.result_layout.kind == "adt":
+            return f"{elab.result_name} == 0 ; emp"
         return "emp"
     return ", ".join(chunks)
 
@@ -996,16 +989,18 @@ class _Stage:
         self.applies = applies          # None, or a test of one arm: if no
                                         # arm passes, "Not applicable."
 
-    def render(self, fn: str, arms: list) -> str:
-        """The snapshot of ``arms`` after this stage's pass."""
+    def render(self, tx: _FnTranslator) -> str:
+        """The snapshot of ``tx``'s arms after this stage's pass."""
+        arms = tx.arms
         if self.applies is not None and not any(map(self.applies, arms)):
             return "Not applicable."
         lines = []
         for arm in arms:
-            head = _render_arm_head(fn, arm, self.annotated)
+            head = _render_arm_head(tx.fn, arm, self.annotated)
             body = self.body_of(arm)
             if self.layout_ann:
-                body = f"layout{{ {_layout_annotation(arm)} }}\n    & {body}"
+                body = (f"layout{{ {_layout_annotation(tx.elab, arm)} }}\n"
+                        f"    & {body}")
             if arm.guard is not None:
                 lines.append(head)
                 lines.append(f"  | {S.render_expr(arm.guard)} := {body};")
@@ -1040,7 +1035,7 @@ def dump_stages(prog: TypedProgram, fn: str) -> list:
     out = []
     for stage in STAGES:
         tx.apply(stage)
-        out.append((stage.title, stage.render(fn, tx.arms)))
+        out.append((stage.title, stage.render(tx)))
     out.append((STAGE_TITLES[-1],
                 _compile_result(tx, tx.assemble()).render()))
     return out

@@ -19,7 +19,7 @@ Elaborated code checks under the strict rules: the elaborator types each
 node it builds by the rule ``infer_expr`` applies to that node's kind, and
 leaves each typing check to that rule.  It keeps one typing context, keyed
 by the names of the elaborated code.  That needs two facts of the front
-end: ``syntax.lex`` rejects a source name that begins with ``__``, the
+end: ``syntax.lex`` rejects a source name that contains ``__``, the
 prefix of every generated name, and ``build_global_env`` rejects a case
 that binds one name twice.
 """
@@ -30,9 +30,8 @@ from typing import Optional
 
 from . import syntax as S
 from .errors import (
-    ArityMismatch, DuplicateName, LayoutAdtMismatch,
-    NoMatchingFnCase, NotConcrete, PikaError, TypeMismatch, UnboundVariable,
-    UnknownAdtInLayout, UnsupportedConstruct,
+    ArityMismatch, DuplicateName, LayoutAdtMismatch, NotConcrete, PikaError,
+    TypeMismatch, UnboundVariable, UnknownAdtInLayout, UnsupportedConstruct,
 )
 from .node import Frozen, Node
 
@@ -61,9 +60,9 @@ def uncurry(ty: S.TypeExpr) -> tuple[list, S.TypeExpr]:
 # ---------------------------------------------------------------------------
 
 class GlobalEnv(Node):
-    # per-environment caches, filled on first use and keyed as
-    # resolve_layout_ref keys a layout reference: ``resolved`` holds its
-    # answers and ``cases`` those of core_case; ``__dict__`` holds the others.
+    # per-environment caches, filled on first use and keyed by _ref_key:
+    # ``resolved`` holds resolve_layout_ref's answers and ``cases`` those of
+    # core_cases; ``__dict__`` holds the others.
     # ``specialised``: the name of each specialisation the elaborator added
     # to fn_sigs and fn_defs -> (function, function arguments).  The data
     # definitions and the directives are read from the source unit.
@@ -239,13 +238,19 @@ def mangle(fn: str, arg_layouts, result_layout: ResolvedLayout) -> str:
     return "__".join([fn] + tags)
 
 
+def _ref_key(ref: S.LayoutRef):
+    """The key a per-environment cache files ``ref`` under: a
+    ``NamedLayout`` by the tuple of its fields, which hashes and compares
+    without calling its Python-level ``__hash__``/``__eq__``; another
+    reference by itself."""
+    return (ref.name, ref.mode) if ref.__class__ is S.NamedLayout else ref
+
+
 def resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
                        span=None) -> ResolvedLayout:
     """The layout ``ref`` names; remembered per environment, since its
-    layouts do not change once it is built.  A ``NamedLayout`` is looked up
-    by the tuple of its fields, which hashes and compares without calling
-    its Python-level ``__hash__``/``__eq__``; another reference by itself."""
-    key = (ref.name, ref.mode) if ref.__class__ is S.NamedLayout else ref
+    layouts do not change once it is built."""
+    key = _ref_key(ref)
     resolved = env.resolved.get(key)
     if resolved is None:
         resolved = env.resolved[key] = _resolve_layout_ref(env, ref, span)
@@ -262,40 +267,33 @@ def adt_layout(env: GlobalEnv, ref: S.LayoutRef, span=None) -> ResolvedLayout:
     return resolved
 
 
-def core_case(env: GlobalEnv, fn: str, ctor: str, result_ref: S.LayoutRef,
-              span=None) -> tuple:
-    """``(pattern variables, body)`` of ``fn``'s case for ``ctor`` in the
-    core subset: the first single-pattern case for it, with no guard.  A
-    bare constructor body is lowered at ``result_ref``.  The answer is
-    remembered per environment, keyed by ``fn``, ``ctor`` and
-    ``result_ref`` as ``resolve_layout_ref`` keys a reference: a function's
-    cases do not change once it is defined."""
-    key = (fn, ctor, result_ref.name, result_ref.mode) \
-        if result_ref.__class__ is S.NamedLayout else (fn, ctor, result_ref)
+def core_cases(env: GlobalEnv, fn: str, arg_ref: S.LayoutRef,
+               result_ref: S.LayoutRef, span=None) -> dict:
+    """constructor -> ``(pattern variables, body)`` of ``fn`` elaborated at
+    ``[arg_ref] result_ref``, for the core subset: the first case for each
+    constructor, where every case matches a constructor and has no guard.
+    The machine and the core translation both run these cases.  The answer
+    is remembered per environment: a function's cases do not change once
+    it is defined."""
+    key = (fn, _ref_key(arg_ref), _ref_key(result_ref))
     found = env.cases.get(key)
     if found is None:
-        found = env.cases[key] = _core_case(env, fn, ctor, result_ref, span)
+        if fn not in env.fn_defs:
+            raise UnboundVariable(f"unknown function {fn}", span,
+                                  rule="T-FN-GLOBAL")
+        found = {}
+        for case in elaborate_fn_at(env, fn, (arg_ref,), result_ref).cases:
+            pattern = case.args[0].pattern
+            if pattern is None:
+                raise UnsupportedConstruct(
+                    f"{fn} is not a single-argument pattern-matching "
+                    f"function", span)
+            if case.guard is not None:
+                raise UnsupportedConstruct(
+                    f"{fn} uses guards, outside the core subset", span)
+            found.setdefault(pattern[0], (pattern[1], case.body))
+        env.cases[key] = found
     return found
-
-
-def _core_case(env: GlobalEnv, fn: str, ctor: str, result_ref: S.LayoutRef,
-               span) -> tuple:
-    cases = env.fn_defs.get(fn)
-    if not cases:
-        raise UnboundVariable(f"unknown function {fn}", span,
-                              rule="T-FN-GLOBAL")
-    case = next((c for c in cases
-                 if len(c.patterns) == 1 and c.patterns[0].ctor == ctor), None)
-    if case is None:
-        raise NoMatchingFnCase(f"{fn} has no case for constructor {ctor}",
-                               span)
-    if len(case.guarded_bodies) != 1 or case.guarded_bodies[0][0] is not None:
-        raise UnsupportedConstruct(
-            f"{fn} uses guards, outside the core subset", span)
-    body = case.guarded_bodies[0][1]
-    if isinstance(body, S.ConstructorApp):
-        body = S.Lower(result_ref, body)
-    return case.patterns[0].vars, body
 
 
 def _resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
@@ -623,23 +621,24 @@ class ElabArg(Node):
 
 
 class ElabCase(Node):
-    __slots__ = ("args", "guard", "body", "result_name", "result_layout")
+    __slots__ = ("args", "guard", "body")
 
 
 class ElabFn(Node):
     # arg_layouts: [ResolvedLayout]; cases: [ElabCase]
     __slots__ = ("name", "arg_layouts", "result_layout", "cases")
 
+    @property
+    def result_name(self) -> str:
+        """The name of the result parameter of the function's predicate."""
+        if self.result_layout.kind == "adt":
+            return f"__r_{self.result_layout.layout.ssl_params[0]}"
+        return "__r"
+
 
 class TypedProgram(Node):
     # fns: fn name -> ElabFn
     __slots__ = ("env", "fns")
-
-
-def _result_name(layout: ResolvedLayout) -> str:
-    if layout.kind == "adt":
-        return f"__r_{layout.layout.ssl_params[0]}"
-    return "__r"
 
 
 def _param_name(i: int, layout: ResolvedLayout) -> str:
@@ -749,9 +748,7 @@ class _Elaborator:
             elab_cases.append((g2, b2))
         # one ElabCase per guarded body keeps the arm list flat; no stage
         # rebinds an ElabArg's fields, so the cases share them
-        return [ElabCase(list(args), g2, b2, _result_name(result_layout),
-                         result_layout)
-                for g2, b2 in elab_cases]
+        return [ElabCase(list(args), g2, b2) for g2, b2 in elab_cases]
 
     def _field_type(self, fty: S.TypeExpr, var: str, applies) -> Type:
         if isinstance(fty, S.TName):
@@ -766,7 +763,7 @@ class _Elaborator:
     # it in ``typing`` under the strict rules: its type, or the diagnostic
     # ``infer_expr`` would raise on it.  ``typing`` is the one context: it
     # is keyed by the names of the elaborated code, and ``rename`` maps a
-    # source parameter to its generated name.  No source name begins with
+    # source parameter to its generated name.  No source name contains
     # ``__`` and a case binds each name once, so a source name ``x`` means
     # ``typing[rename.get(x, x)]``.  Each typing check is made by the rule,
     # when ``_elab`` types the node it built; typing diagnostics wait until
@@ -1086,16 +1083,7 @@ def elaborate(unit: S.SourceUnit) -> TypedProgram:
     same unit always produces the same TypedProgram, including all names."""
     env = build_global_env(unit)
     elab = _Elaborator(env)
-    fns: dict[str, ElabFn] = {}
-    predicates = {}         # predicate name -> the function it translates
-    for d in unit.directives:
-        elab_fn = fns[d.fn] = elab.elaborate_at(d.fn, d)
-        name = mangle(d.fn, elab_fn.arg_layouts, elab_fn.result_layout)
-        if name in predicates:
-            raise DuplicateName(f"the directives for {predicates[name]} and "
-                                f"{d.fn} both compile to predicate {name}",
-                                d.span, rule="G-FN")
-        predicates[name] = d.fn
+    fns = {d.fn: elab.elaborate_at(d.fn, d) for d in unit.directives}
     # a specialisation the elaboration registers, in ``env.specialised``,
     # is elaborated by the translator at the layouts of its call site
     return TypedProgram(env, fns)

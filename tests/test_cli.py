@@ -201,8 +201,19 @@ idList (Cons h t) := Cons h (idList t);
     ("%generate f [Sll[mutable]] Sll\n%generate f__rw_Sll [] Sll\n"
      + SLL_SOURCE + "f : List -> List;\nf xs := xs;\n"
      "f__rw_Sll : List;\nf__rw_Sll := Cons 1 Nil;",
-     "error[G-FN]: the directives for f and f__rw_Sll both compile to "
-     "predicate f__rw_Sll__rw_Sll at 2:1"),
+     "error[P-RESERVED]: identifier f__rw_Sll is reserved: names that "
+     "contain __ are generated at 2:11"),
+    # app at inc is specialised as app_inc, whose predicate at [] Sll is
+    # named app_inc__rw_Sll__rw_Sll, as the second directive's is: both
+    # used to be emitted
+    ("%generate useSpec [Sll] Sll\n%generate app_inc__rw_Sll [] Sll\n"
+     + SLL_SOURCE + "inc : Int -> Int;\ninc y := y + 1;\n"
+     "app : (Int -> Int) -> List -> List;\napp f (Nil) := Nil;\n"
+     "app f (Cons h t) := Cons (f h) (app f t);\nuseSpec : List -> List;\n"
+     "useSpec xs := instantiate [Int -> Int, Sll[mutable]] Sll app inc xs;\n"
+     "app_inc__rw_Sll : List;\napp_inc__rw_Sll := Nil;",
+     "error[P-RESERVED]: identifier app_inc__rw_Sll is reserved: names "
+     "that contain __ are generated at 2:11"),
     (SLL_SOURCE + "f : Int -> Int;\nf x := x;\n\ng y := y + 1;",
      "error[T-VAR]: function g has no type signature at 8:1"),
     ("%generate isRed [CL] Int\ndata Colour := Red | Green;\n"
@@ -210,7 +221,8 @@ idList (Cons h t) := Cons h (idList t);
      "isRed : Colour -> Int;\nisRed (Red) := 1;\nisRed (Green) := 0;",
      "error[G-LAYOUT]: layout CL has indistinguishable branches "
      "(Red, Green) at 3:1"),
-], ids=["second-directive", "same-predicate-name", "missing-signature",
+], ids=["second-directive", "same-predicate-name",
+        "specialisation-predicate-name", "missing-signature",
         "two-empty-branches"])
 def test_global_diagnostics_name_rule_and_place(tmp_path, capsys,
                                                 monkeypatch, text, message):
@@ -233,8 +245,8 @@ INC_SOURCE = "inc : Int -> Int;\ninc y := y + 1;\n"
     # __p_0 == 7, the other two without their extra argument
     ("%generate f [Int] Int\nf : Int -> Int;\n"
      "f x := let __p_0 := 7 in x + 1;",
-     "error[P-RESERVED]: identifier __p_0 is reserved: names that begin "
-     "with __ are generated at 3:12"),
+     "error[P-RESERVED]: identifier __p_0 is reserved: names that contain "
+     "__ are generated at 3:12"),
     ("%generate g [Int] Int\n" + INC_SOURCE
      + "g : Int -> Int;\ng x := instantiate [Int] Int inc x 99;",
      "error[T-INSTANTIATE]: instantiate of inc applies 2 arguments to 1 "
@@ -465,6 +477,28 @@ def test_soundness_draws_each_layout_a_function_elaborates_at(
                          "--budget", budget)
     assert (code, err) == (0, "")
     assert out.startswith("soundness: 2000 instances satisfiable")
+
+
+def test_run_rejects_a_callee_that_does_not_elaborate_at_its_layouts(
+        tmp_path, capsys, monkeypatch):
+    # idList lowers its result at Sll, so it has no instance at [SllR] SllR
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    src = tmp_path / "two.pika"
+    src.write_text(TWO_LAYOUTS)
+    assert run(capsys, "run", str(src), "instantiate [SllR] SllR idList "
+               "(lower SllR (Cons 1 (lower SllR (Nil))))") == (
+        1, "", "error[T-LOWER-VAR]: lowered at Sll, expected SllR at 13:17\n")
+
+
+# their functions call themselves without ``instantiate``
+@pytest.mark.parametrize("path", [
+    HERE / "benchmarks" / "left_list.pika", HERE / "benchmarks" / "list_id.pika",
+    HERE / "benchmarks" / "map_add.pika", CORPUS / "left_list.pika",
+], ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_soundness_runs_functions_with_implicit_calls(capsys, path):
+    code, out, err = run(capsys, "soundness", str(path), "--count", "50")
+    assert (code, err) == (0, "")
+    assert out.startswith("soundness: 50 instances satisfiable")
 
 
 def test_soundness_ill_typed_draw_is_a_diagnostic(capsys, monkeypatch):

@@ -89,12 +89,12 @@ def _reads(tree: ast.Module):
             yield node.value, node.lineno
 
 
-def test_every_top_level_name_is_read():
-    """Each top-level name of the package is read in ``src``, ``tests`` or
-    ``perfbench`` outside its own definition."""
+def _unread(folders) -> list:
+    """``module: name`` for each top-level name of the package that no
+    module under ``folders`` reads outside the name's own definition."""
     reads = {path: list(_reads(ast.parse(path.read_text(), str(path))))
-             for folder in ("src", "tests", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))}
+             for folder in folders
+             for path in sorted(folder.rglob("*.py"))}
     unread = []
     for path in sorted(SRC.glob("*.py")):
         defined = _defined(ast.parse(path.read_text(), str(path)))
@@ -104,4 +104,32 @@ def test_every_top_level_name_is_read():
                 and not (other == path and line in defined[name])}
         unread += [f"{path.name}: {name}" for name in defined
                    if name not in read]
-    assert unread == []
+    return unread
+
+
+def test_every_top_level_name_is_read():
+    """Each top-level name of the package is read in ``src``, ``tests`` or
+    ``perfbench`` outside its own definition."""
+    assert _unread([ROOT / "src", ROOT / "tests", ROOT / "perfbench"]) == []
+
+
+# the names of the package that only the tests and the benchmark read; a
+# name may leave this list, once a command reads it or it moves out of the
+# package, but none may join it
+READ_OUTSIDE_THE_PACKAGE = [
+    "modelcheck.py: check_otimes",
+    "ssl.py: EMPTY_ASSERTION",
+    "ssl.py: count_goal_nodes",
+    "ssl.py: count_predicate_nodes",
+    "ssl.py: goal_structural_equiv",
+    "ssl.py: parse_goal_spec",
+    "ssl.py: parse_sus_file",
+    "ssl.py: structural_equiv",
+    "syntax.py: count_unit_nodes",
+    "syntax.py: pretty_print",
+    "types.py: check_concrete",
+]
+
+
+def test_names_the_package_does_not_read_are_listed():
+    assert sorted(_unread([SRC])) == READ_OUTSIDE_THE_PACKAGE

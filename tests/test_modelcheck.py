@@ -227,6 +227,24 @@ def test_soundness_single_case_function(genv):
     assert isinstance(check_soundness(genv, e).result, Sat)
 
 
+@pytest.mark.parametrize("ctor", ["lower Sll (Nil)",
+                                  "lower Sll (Cons 1 (lower Sll (Nil)))"])
+def test_soundness_of_a_call_at_a_base_result_layout(ctor):
+    # the callee's predicate is translated at the call's result layout,
+    # Bool, not at Int
+    genv = build_global_env(parse_source("""
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+isNil : List -> Bool;
+isNil (Nil) := true;
+isNil (Cons h t) := false;
+"""))
+    e = parse_expr_text(f"instantiate [Sll] Bool isNil ({ctor})")
+    assert isinstance(check_soundness(genv, e).result, Sat)
+
+
 def _drop_first_heaplet(env, fn, layout, result_ref):
     """The function translation with the first heaplet of each branch
     dropped: a broken translation the soundness suite must catch."""

@@ -275,7 +275,7 @@ SIGNATURES = {
     T.GlobalEnv: "ctors, layouts, fn_sigs, fn_defs",
     T.ResolvedLayout: "kind, layout=None, mode='readonly'",
     T.ElabArg: "ssl_name, layout, pattern, offsets, applies, source_name=None",
-    T.ElabCase: "args, guard, body, result_name, result_layout",
+    T.ElabCase: "args, guard, body",
     T.ElabFn: "name, arg_layouts, result_layout, cases",
     T.TypedProgram: "env, fns",
     I.IntVal: "value", I.BoolVal: "value", I.LocVal: "loc",
@@ -290,7 +290,7 @@ SIGNATURES = {
     M.CoreSignature: "genv, pool, layouts, fns_by_layout, draws",
     X._CopyCall: "src, layout, span=None",
     X._Term: "term",
-    X._Arm: "args, guard, lets, body, result_name, result_layout",
+    X._Arm: "args, guard, lets, body",
     X.CompileResult: "predicate, layout_preds, ro_preds, copy_preds, "
                      "extra_preds, goal",
     X.CoreTranslationResult: "pure, spatial, result_var",

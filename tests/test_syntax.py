@@ -69,9 +69,14 @@ def test_lex_reserves_names_that_begin_with_two_underscores():
     with pytest.raises(LexError) as exc:
         S.lex("f x :=\n  let __p_0 := 7 in x + 1;")
     assert (exc.value.rule, exc.value.message, exc.value.span) == (
-        "P-RESERVED", "identifier __p_0 is reserved: names that begin with "
+        "P-RESERVED", "identifier __p_0 is reserved: names that contain "
         "__ are generated", (2, 7))
-    assert [t.text for t in S.lex("_x a__b -- __c")] == ["_x", "a__b"]
+    # a predicate name joins its parts with "__" (types.mangle), so a name
+    # that contains it anywhere could be a part of another's
+    with pytest.raises(LexError) as exc:
+        S.lex("x a__b")
+    assert (exc.value.rule, exc.value.span) == ("P-RESERVED", (1, 3))
+    assert [t.text for t in S.lex("_x a_b_ -- __c")] == ["_x", "a_b_"]
 
 
 def test_lex_comments_dropped():

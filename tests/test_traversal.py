@@ -144,8 +144,8 @@ def test_every_ssl_kind_is_traversed(cls):
 # subexprs, iter_subexprs, map_expr, infer_expr, _Elaborator._elab,
 # translate._expr_vars, the machine, the core translation and the checker's
 # instantiation walk dispatch on the exact class, and resolve_layout_ref and
-# core_case key a NamedLayout by its class, so a subclass of a kind they
-# name would miss its case.
+# core_cases key a NamedLayout by its class (types._ref_key), so a subclass
+# of a kind they name would miss its case.
 
 
 @pytest.mark.parametrize("cls", PURE_KINDS + ssl.Heaplet + S.Expr

@@ -303,10 +303,10 @@ def test_elaborate_parameter_names():
         (HERE / "corpus" / "fold.pika").read_text()))
     fn = prog.fns["fold_List"]
     assert [a.ssl_name for a in fn.cases[0].args] == ["__p_0", "__p_x1"]
-    assert fn.cases[0].result_name == "__r"
+    assert fn.result_name == "__r"
     prog2 = elaborate(parse_source(
         (HERE / "corpus" / "filter_lt9.pika").read_text()))
-    assert prog2.fns["filterLt9"].cases[0].result_name == "__r_x"
+    assert prog2.fns["filterLt9"].result_name == "__r_x"
 
 
 def test_elaborate_deterministic():
