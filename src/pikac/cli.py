@@ -90,19 +90,14 @@ def cmd_stages(args) -> int:
     text = _read_source(args.file)
     if text is None:
         return 2
-    try:
-        prog = elaborate(parse_source(text))
-        if args.fn not in prog.fns:
-            print(f"error: no %generate directive for {args.fn}",
-                  file=sys.stderr)
-            return 1
-        for i, (title, body) in enumerate(dump_stages(prog, args.fn), 1):
-            print(f"{i}. {title}")
-            print(body)
-            print()
-    except PikaError as exc:
-        print(_diagnostic(exc), file=sys.stderr)
+    prog = elaborate(parse_source(text))
+    if args.fn not in prog.fns:
+        print(f"error: no %generate directive for {args.fn}", file=sys.stderr)
         return 1
+    for i, (title, body) in enumerate(dump_stages(prog, args.fn), 1):
+        print(f"{i}. {title}")
+        print(body)
+        print()
     return 0
 
 
@@ -111,16 +106,12 @@ def cmd_run(args) -> int:
     text = _read_source(args.file)
     if text is None:
         return 2
-    try:
-        genv = build_global_env(parse_source(text))
-        expr = parse_expr_text(args.expr)
-        infer_expr(genv, {}, expr)
-        val, store, heap, fs, var = eval_expr(genv, expr)
-        print(val)
-        print(Model(store, heap).render())
-    except PikaError as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return 1
+    genv = build_global_env(parse_source(text))
+    expr = parse_expr_text(args.expr)
+    infer_expr(genv, {}, expr)
+    val, store, heap, fs, var = eval_expr(genv, expr)
+    print(val)
+    print(Model(store, heap).render())
     return 0
 
 
@@ -138,33 +129,28 @@ def cmd_soundness(args) -> int:
     text = _read_source(args.file)
     if text is None:
         return 2
-    try:
-        genv = build_global_env(parse_source(text))
-        sig = CoreSignature.from_env(genv)
-        if not sig.pool:
-            print("error: the file defines no core test functions",
-                  file=sys.stderr)
-            return 1
-        for i in range(args.count):
-            expr = gen_core_expr(sig, args.seed + i, args.budget)
-            infer_expr(genv, {}, expr)      # a generator defect, if it fails
-            report = check_soundness(genv, expr, depth=args.depth)
-            if isinstance(report.result, Unknown):
-                print(f"unknown (seed {args.seed + i}): "
-                      f"{report.result.reason}")
-                return 3
-            if not isinstance(report.result, Sat):
-                expr = _shrink_failure(genv, expr, args.depth)
-                report = check_soundness(genv, expr, depth=args.depth)
-                print(f"counterexample (seed {args.seed + i}):")
-                print(f"  {render_expr(expr)}")
-                print(report.trace)
-                return 1
-        print(f"soundness: {args.count} instances satisfiable "
-              f"(seed {args.seed}, budget {args.budget}, depth {args.depth})")
-    except PikaError as exc:
-        print(_diagnostic(exc), file=sys.stderr)
+    genv = build_global_env(parse_source(text))
+    sig = CoreSignature.from_env(genv)
+    if not sig.pool:
+        print("error: the file defines no core test functions",
+              file=sys.stderr)
         return 1
+    for i in range(args.count):
+        expr = gen_core_expr(sig, args.seed + i, args.budget)
+        infer_expr(genv, {}, expr)      # a generator defect, if it fails
+        report = check_soundness(genv, expr, depth=args.depth)
+        if isinstance(report.result, Unknown):
+            print(f"unknown (seed {args.seed + i}): {report.result.reason}")
+            return 3
+        if not isinstance(report.result, Sat):
+            expr = _shrink_failure(genv, expr, args.depth)
+            report = check_soundness(genv, expr, depth=args.depth)
+            print(f"counterexample (seed {args.seed + i}):")
+            print(f"  {render_expr(expr)}")
+            print(report.trace)
+            return 1
+    print(f"soundness: {args.count} instances satisfiable "
+          f"(seed {args.seed}, budget {args.budget}, depth {args.depth})")
     return 0
 
 
@@ -228,6 +214,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except PikaError as exc:
+        # ``compile`` reports its own, to go on to the next file
+        print(_diagnostic(exc), file=sys.stderr)
+        return 1
     except RecursionError:
         # the front end and the translation recurse on the syntax tree
         limit = sys.getrecursionlimit()

@@ -42,12 +42,14 @@ solved apart, each group over its own witness domain.
 ``check_soundness`` ties the machine to the translation: it evaluates an
 expression from the empty state, translates the same expression targeting
 the machine's result variable, and checks the final machine model against
-the translated assertion.  ``build_predicate_env`` translates each layout
-predicate and each function instantiation once per ``GlobalEnv`` (and per
-translator), on first use, and remembers for each instantiation the
-predicates of every instantiation it reaches.  A call walks its
-expressions once for their instantiations and copies those closures into
-a fresh environment, which the caller owns.
+the translated assertion.  ``build_predicate_env`` keeps one memo per
+``GlobalEnv`` (and per translator), ``GlobalEnv.predicates``: the layout
+predicates, and for each instantiation, under the key ``core_cases`` files
+its cases under (``types.instantiation_key``: the function and its
+layouts as written, mode included), the predicates of every instantiation
+it reaches, each translated at its layouts as written.  A call walks its expressions once
+for their instantiations and copies those closures into a fresh
+environment, which the caller owns.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .node import Frozen, Node
 from .translate import (
     translate_expr_core, translate_fn_def_core, translate_layout_predicate,
 )
-from .types import GlobalEnv, core_cases
+from .types import GlobalEnv, core_cases, instantiation_key
 
 
 # ---------------------------------------------------------------------------
@@ -833,13 +835,12 @@ def satisfies(model: Model, assertion: ssl.SslAssertion, env: PredicateEnv,
 # Predicate environments for the harness
 # ---------------------------------------------------------------------------
 
-def _instantiations_in(exprs) -> set:
-    """The key ``(fn, arg layout, result layout)`` of each single-argument
-    instantiation in ``exprs``, at a named argument layout; a named layout
-    is keyed by its name and a base-type one by itself.
-    One walk with an explicit stack, dispatching on the exact class of the
-    core kinds; any other kind's subexpressions come from ``S.subexprs``."""
-    keys = set()
+def _instantiations_in(exprs) -> dict:
+    """Each single-argument instantiation in ``exprs`` at a named argument
+    layout, under its ``instantiation_key``.  One walk with an explicit
+    stack, dispatching on the exact class of the core kinds; any other
+    kind's subexpressions come from ``S.subexprs``."""
+    found = {}
     stack = list(exprs)
     while stack:
         e = stack.pop()
@@ -852,95 +853,53 @@ def _instantiations_in(exprs) -> set:
             arg_layouts = e.arg_layouts
             if len(arg_layouts) == 1 \
                     and arg_layouts[0].__class__ is S.NamedLayout:
-                res = e.result_layout
-                keys.add((e.fn, arg_layouts[0].name,
-                          res.name if res.__class__ is S.NamedLayout
-                          else res))
+                found[instantiation_key(e.fn, arg_layouts[0],
+                                        e.result_layout)] = e
             stack += e.args
         elif cls is S.BinOp:
             stack.append(e.lhs)
             stack.append(e.rhs)
         elif cls is not S.IntLit and cls is not S.Var:
             stack += S.subexprs(e)
-    return keys
+    return found
 
 
-class _PredicateCache:
-    """The predicates of one ``GlobalEnv``, each translated once, on first
-    use, by the translators the cache was made with.
-
-    ``fns`` maps an instantiation, keyed as ``_instantiations_in`` keys it,
-    to its predicate and the instantiations its elaborated body makes, or
-    to None when the environment defines no such function.  ``closures``
-    maps an instantiation to the predicates, by name, of every
-    instantiation it reaches, itself included."""
-
-    def __init__(self, genv: GlobalEnv, translators: tuple):
-        self.translators = translators
-        self.layouts = {}
-        for layout in genv.layouts.values():
-            p = translators[0](layout)
-            self.layouts[p.name] = p
-        self.fns = {}
-        self.closures = {}
-
-    def function(self, genv: GlobalEnv, key):
-        if key not in self.fns:
-            fn, arg_layout_name, result = key
-            entry = None
-            if fn in genv.fn_defs:
-                result_ref = (S.NamedLayout(result)
-                              if result.__class__ is str else result)
-                pred = self.translators[1](genv, fn,
-                                           genv.layouts[arg_layout_name],
-                                           result_ref)
-                cases = core_cases(genv, fn, S.NamedLayout(arg_layout_name),
-                                   result_ref)
-                entry = (pred, _instantiations_in(
-                    body for _, body in cases.values()))
-            self.fns[key] = entry
-        return self.fns[key]
-
-    def closure(self, genv: GlobalEnv, key) -> dict:
-        closure = self.closures.get(key)
-        if closure is None:
-            closure = {}
-            work, done = [key], set()
-            while work:
-                k = work.pop()
-                if k in done:
-                    continue
-                done.add(k)
-                entry = self.function(genv, k)
-                if entry is not None:
-                    pred, calls = entry
-                    closure[pred.name] = pred
-                    work += calls
-            self.closures[key] = closure
-        return closure
-
-
-def _predicate_cache(genv: GlobalEnv) -> _PredicateCache:
-    """The cache of ``genv``, kept on the environment itself so that it
-    lives as long as the environment and is never shared with another one.
-    It is remade when a translator has been replaced since it was filled."""
-    translators = (translate_layout_predicate, translate_fn_def_core)
-    cache = getattr(genv, "_predicate_cache", None)
-    if cache is None or cache.translators != translators:
-        cache = _PredicateCache(genv, translators)
-        genv._predicate_cache = cache
-    return cache
+def _closure(genv: GlobalEnv, key, e: S.Instantiate) -> dict:
+    """The predicates, by name, of the instantiation ``e`` and of every
+    instantiation its cases reach, each at its layouts as written; a call
+    of a function the environment does not define reaches nothing."""
+    closure, done, work = {}, set(), [(key, e)]
+    while work:
+        key, e = work.pop()
+        if key in done or e.fn not in genv.fn_defs:
+            continue
+        done.add(key)
+        arg_ref, result_ref = e.arg_layouts[0], e.result_layout
+        pred = translate_fn_def_core(genv, e.fn, arg_ref, result_ref)
+        closure[pred.name] = pred
+        cases = core_cases(genv, e.fn, arg_ref, result_ref)
+        work += _instantiations_in(body for _, body in cases.values()).items()
+    return closure
 
 
 def build_predicate_env(genv: GlobalEnv, exprs=()) -> PredicateEnv:
     """Layout predicates for every layout plus function predicates for every
-    instantiation reachable from the given expressions.  Each predicate is
-    translated once per environment; every call returns a fresh
-    ``PredicateEnv`` with its own ``preds`` dict."""
-    cache = _predicate_cache(genv)
-    preds = dict(cache.layouts)
-    for key in _instantiations_in(exprs):
-        preds.update(cache.closure(genv, key))
+    instantiation reachable from the given expressions.  Each is translated
+    once per environment and translators, into ``genv.predicates``; every
+    call returns a fresh ``PredicateEnv`` with its own ``preds`` dict."""
+    translators = (translate_layout_predicate, translate_fn_def_core)
+    memo = genv.predicates
+    if memo.get("translators") != translators:
+        memo.clear()
+        memo["translators"] = translators
+        memo["layouts"] = {p.name: p for p in map(translate_layout_predicate,
+                                                  genv.layouts.values())}
+    preds = dict(memo["layouts"])
+    for key, e in _instantiations_in(exprs).items():
+        closure = memo.get(key)
+        if closure is None:
+            closure = memo[key] = _closure(genv, key, e)
+        preds.update(closure)
     return PredicateEnv(preds)
 
 

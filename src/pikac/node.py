@@ -73,16 +73,6 @@ def _init6(self, f0, f1, f2, f3, f4, f5):
     self.f5 = f5
 
 
-def _init7(self, f0, f1, f2, f3, f4, f5, f6):
-    self.f0 = f0
-    self.f1 = f1
-    self.f2 = f2
-    self.f3 = f3
-    self.f4 = f4
-    self.f5 = f5
-    self.f6 = f6
-
-
 # a frozen kind's copy runs with its own globals, in which ``_s0``,
 # ``_s1``, ... are the ``__set__`` of its slot descriptors
 def _frozen_init1(self, f0):
@@ -156,7 +146,7 @@ _HASH = (_hash0, _hash1, _hash2, _hash3, _hash4)
 _PLACEHOLDERS = ("f0", "f1", "f2", "f3")
 # by arity; each stores its parameters in order, so a kind's copy renames
 # the parameters, and for a mutable kind the attribute names, to its slots
-_INIT = (None, _init1, _init2, _init3, _init4, _init5, _init6, _init7)
+_INIT = (None, _init1, _init2, _init3, _init4, _init5, _init6)
 _FROZEN_INIT = (None, _frozen_init1, _frozen_init2, _frozen_init3,
                 _frozen_init4)
 _OPTIONAL = {"span": None}    # defaults every kind has

@@ -231,23 +231,18 @@ class _CoreTx:
             if inner.__class__ is S.ConstructorApp or inner.__class__ is S.Var:
                 arg = inner
         arg_cls = arg.__class__
-        if arg_cls is S.Var:
-            name = ren.get(arg.name, arg.name)
-            self.used.add(name)
-            r = self.fresh(res_loc, target)
-            pred = ssl.PredApply(mangle(e.fn, [arg_layout], res_layout),
-                                 (ssl.PVar(name), ssl.PVar(r)))
-            return [], [pred], r
         if arg_cls is S.ConstructorApp:
             return self._inst_ctor(e, arg, target, ren)
-        if arg_cls is S.Instantiate:
-            p1, s1, r1 = self.tx(arg, ren=ren)
-            r2 = self.fresh(res_loc, target)
-            pred = ssl.PredApply(mangle(e.fn, [arg_layout], res_layout),
-                                 (ssl.PVar(r1), ssl.PVar(r2)))
-            return p1, s1 + [pred], r2
-        raise UnsupportedConstruct(
-            f"cannot instantiate on {type(arg).__name__}", e.span)
+        if arg_cls is not S.Var and arg_cls is not S.Instantiate:
+            raise UnsupportedConstruct(
+                f"cannot instantiate on {type(arg).__name__}", e.span)
+        # a resident argument: the callee's predicate relates its root to
+        # the result
+        p, s, v = self.tx(arg, ren=ren)
+        r = self.fresh(res_loc, target)
+        pred = ssl.PredApply(mangle(e.fn, [arg_layout], res_layout),
+                             (ssl.PVar(v), ssl.PVar(r)))
+        return p, s + [pred], r
 
     def _inst_ctor(self, e: S.Instantiate, ctor: S.ConstructorApp,
                    target: Optional[str], ren: dict):
@@ -295,25 +290,26 @@ def translate_expr_core(env: GlobalEnv, e: S.Expr, free_vars=(),
     return CoreTranslationResult(tuple(pure), tuple(spatial), r)
 
 
-def translate_fn_def_core(env: GlobalEnv, fn: str, arg_layout: S.LayoutDef,
+def translate_fn_def_core(env: GlobalEnv, fn: str, arg_ref: S.LayoutRef,
                           result_ref: S.LayoutRef) -> ssl.PredicateDef:
-    """The function-definition translation: one predicate branch per case,
-    discriminated by the layout condition on the argument root."""
-    arg_ref = S.NamedLayout(arg_layout.name)
+    """The function-definition translation of ``fn`` at
+    ``[arg_ref] result_ref``: one predicate branch per case, discriminated
+    by the layout condition on the argument root."""
     cases = core_cases(env, fn, arg_ref, result_ref)
+    arg_layout = adt_layout(env, arg_ref)
     res_layout = resolve_layout_ref(env, result_ref)
-    x = arg_layout.ssl_params[0]
+    x = arg_layout.layout.ssl_params[0]
     r = "r" if x != "r" else "r0"
     branches = []
     for ctor, (pat_vars, body) in cases.items():
-        c = cond(arg_layout, ctor, var=x)
+        c = cond(arg_layout.layout, ctor, var=x)
         params = [f"p{i + 1}" for i in range(len(pat_vars))]
         tx = _CoreTx(env, ())
         tx.used.update([x, r] + params)
         pure, spatial, rv = tx.tx(body, r, dict(zip(pat_vars, params)))
         pure, spatial = _retarget(pure, spatial, rv, r, tx.seed)
         branches.append(ssl.Branch(c, ssl.SslAssertion.make(pure, spatial)))
-    name = mangle(fn, [resolve_layout_ref(env, arg_ref)], res_layout)
+    name = mangle(fn, [arg_layout], res_layout)
     return ssl.PredicateDef(name, ((x, "loc"), (r, res_layout.sort)),
                             tuple(branches))
 

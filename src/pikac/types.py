@@ -62,13 +62,17 @@ def uncurry(ty: S.TypeExpr) -> tuple[list, S.TypeExpr]:
 class GlobalEnv(Node):
     # per-environment caches, filled on first use and keyed by _ref_key:
     # ``resolved`` holds resolve_layout_ref's answers and ``cases`` those of
-    # core_cases; ``__dict__`` holds the others.
+    # core_cases, under an instantiation_key.  ``predicates`` is
+    # build_predicate_env's memo: the translators that filled it, the
+    # layout predicates, and under an instantiation_key the predicates of
+    # every instantiation that instantiation reaches.
     # ``specialised``: the name of each specialisation the elaborator added
     # to fn_sigs and fn_defs -> (function, function arguments).  The data
     # definitions and the directives are read from the source unit.
     __slots__ = ("ctors", "layouts", "fn_sigs", "fn_defs", "resolved",
-                 "cases", "specialised", "__dict__")
-    _hidden = Node._hidden | {"resolved", "cases", "specialised"}
+                 "cases", "predicates", "specialised")
+    _hidden = Node._hidden | {"resolved", "cases", "predicates",
+                              "specialised"}
 
     def __init__(self, ctors: dict, layouts: dict, fn_sigs: dict,
                  fn_defs: dict):
@@ -78,6 +82,7 @@ class GlobalEnv(Node):
         self.fn_defs = fn_defs
         self.resolved = {}
         self.cases = {}
+        self.predicates = {}
         self.specialised = {}
 
 
@@ -246,6 +251,14 @@ def _ref_key(ref: S.LayoutRef):
     return (ref.name, ref.mode) if ref.__class__ is S.NamedLayout else ref
 
 
+def instantiation_key(fn: str, arg_ref: S.LayoutRef,
+                      result_ref: S.LayoutRef) -> tuple:
+    """The key of ``fn`` instantiated at ``[arg_ref] result_ref``, the
+    layouts as written, mode included: ``core_cases`` files the cases under
+    it, and the soundness harness the predicates it reaches."""
+    return (fn, _ref_key(arg_ref), _ref_key(result_ref))
+
+
 def resolve_layout_ref(env: GlobalEnv, ref: S.LayoutRef,
                        span=None) -> ResolvedLayout:
     """The layout ``ref`` names; remembered per environment, since its
@@ -275,7 +288,7 @@ def core_cases(env: GlobalEnv, fn: str, arg_ref: S.LayoutRef,
     The machine and the core translation both run these cases.  The answer
     is remembered per environment: a function's cases do not change once
     it is defined."""
-    key = (fn, _ref_key(arg_ref), _ref_key(result_ref))
+    key = instantiation_key(fn, arg_ref, result_ref)
     found = env.cases.get(key)
     if found is None:
         if fn not in env.fn_defs:

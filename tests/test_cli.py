@@ -1,5 +1,6 @@
 """Command-line driver tests: exit codes, outputs, and diagnostics."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -38,6 +39,15 @@ def test_compile_empty_program(tmp_path, capsys):
     code, _, _ = run(capsys, "compile", str(empty), "--out", str(out_dir))
     assert code == 0
     assert not out_dir.exists() or not list(out_dir.glob("*.sus"))
+
+
+def test_compile_unwritable_output_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "compile", str(CORPUS / "singleton.pika"),
+                         "--out", str(blocker / "sub"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: ")
 
 
 def test_compile_deterministic(capsys):
@@ -338,6 +348,17 @@ def test_stages_unknown_function(capsys):
     assert code == 1
 
 
+def test_stages_reports_a_type_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    src = tmp_path / "bad.pika"
+    src.write_text("%generate f [Int] Int\n"
+                   "f : Int -> Int;\n"
+                   "f x := x + true;\n")
+    code, out, err = run(capsys, "stages", str(src), "f")
+    assert (code, out) == (1, "")
+    assert err == "error[T-ADD]: expected Int, found Bool at 3:10\n"
+
+
 def test_run_addition(capsys):
     code, out, err = run(capsys, "run", str(CORPUS / "filter_lt9.pika"),
                          "3 + 4")
@@ -514,6 +535,31 @@ def test_soundness_ill_typed_draw_is_a_diagnostic(capsys, monkeypatch):
     assert err.startswith("error[T-LOWER-CONSTR]: ")
 
 
+# sha256 over each source's path under tests/, and the exit code and first
+# line of output (stdout, else stderr) of ``soundness FILE --count 20`` on
+# it; a change to which sources the harness runs on, or to what it reports
+# for one, changes the digest
+_SOUNDNESS_OUTCOME_DIGEST = (
+    "49b1594cc882da48cf46f22f6ff47ec3a2282f5b2bc3406ba9184cb463e4c0d0")
+
+
+def test_soundness_outcomes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("PIKA_COLOR", "0")
+    h = hashlib.sha256()
+    firsts = []
+    for path in sorted(HERE.rglob("*.pika")):
+        code, out, err = run(capsys, "soundness", str(path), "--count", "20")
+        firsts.append((out or err).split("\n", 1)[0])
+        h.update(f"{path.relative_to(HERE).as_posix()} {code} {firsts[-1]}\n"
+                 .encode())
+    assert len(firsts) == 34
+    assert firsts.count(
+        "error: the file defines no core test functions") == 24
+    assert sum(f.startswith("soundness: 20 instances satisfiable")
+               for f in firsts) == 7
+    assert h.hexdigest() == _SOUNDNESS_OUTCOME_DIGEST
+
+
 def test_soundness_zero_count_usage_error(capsys):
     code, out, err = run(capsys, "soundness",
                          str(CORPUS / "soundness_sig.pika"), "--count", "0")
@@ -535,8 +581,8 @@ def test_soundness_reports_counterexample_for_broken_translation(
     import pikac.modelcheck as mc
     real = mc.translate_fn_def_core
 
-    def broken(env, fn, layout, result_ref):
-        pred = real(env, fn, layout, result_ref)
+    def broken(env, fn, arg_ref, result_ref):
+        pred = real(env, fn, arg_ref, result_ref)
         branches = []
         for b in pred.branches:
             spatial = tuple(h for h in b.body.spatial
@@ -551,6 +597,32 @@ def test_soundness_reports_counterexample_for_broken_translation(
                          "--count", "200", "--seed", "0")
     assert code == 1
     assert "counterexample" in out
+
+
+# wrap instantiates incAll at a mutable argument layout, which names a
+# predicate of its own
+MUTABLE_CALL = """
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+incAll : List -> List;
+incAll (Nil) := lower Sll (Nil);
+incAll (Cons h t) := lower Sll (Cons (h + 1) (instantiate [Sll] Sll incAll t));
+wrap : List -> List;
+wrap (Nil) := lower Sll (Nil);
+wrap (Cons h t) :=
+  lower Sll (Cons h (instantiate [Sll[mutable]] Sll incAll t));
+"""
+
+
+def test_soundness_of_a_call_at_a_mutable_layout(tmp_path, capsys):
+    src = tmp_path / "wrap.pika"
+    src.write_text(MUTABLE_CALL)
+    code, out, err = run(capsys, "soundness", str(src), "--count", "300")
+    assert (code, err) == (0, "")
+    assert out == ("soundness: 300 instances satisfiable "
+                   "(seed 0, budget 12, depth 64)\n")
 
 
 def test_color_control(capsys, monkeypatch, tmp_path):

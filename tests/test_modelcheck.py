@@ -245,10 +245,10 @@ isNil (Cons h t) := false;
     assert isinstance(check_soundness(genv, e).result, Sat)
 
 
-def _drop_first_heaplet(env, fn, layout, result_ref):
+def _drop_first_heaplet(env, fn, arg_ref, result_ref):
     """The function translation with the first heaplet of each branch
     dropped: a broken translation the soundness suite must catch."""
-    pred = translate_fn_def_core(env, fn, layout, result_ref)
+    pred = translate_fn_def_core(env, fn, arg_ref, result_ref)
     branches = []
     for b in pred.branches:
         spatial = b.body.spatial[1:] if b.body.spatial else ()
@@ -580,7 +580,7 @@ def test_predicate_env_build_matches_fresh_translation(genv):
     env = build_predicate_env(genv, exprs=[e])     # served from the cache
     for name, layout in genv.layouts.items():
         assert env.preds[name] == translate_layout_predicate(layout)
-    fresh = translate_fn_def_core(genv, "incAll", genv.layouts["Sll"],
+    fresh = translate_fn_def_core(genv, "incAll", S.NamedLayout("Sll"),
                                   S.NamedLayout("Sll"))
     assert env.preds[fresh.name] == fresh
 
@@ -589,7 +589,7 @@ def test_predicate_env_builds_do_not_share_preds(genv):
     e = parse_expr_text("instantiate [Sll] Sll idList (lower Sll (Nil))")
     first = build_predicate_env(genv, exprs=[e])
     names = set(first.preds)
-    fn_name = translate_fn_def_core(genv, "idList", genv.layouts["Sll"],
+    fn_name = translate_fn_def_core(genv, "idList", S.NamedLayout("Sll"),
                                     S.NamedLayout("Sll")).name
     assert fn_name in names
     first.preds.clear()
@@ -600,20 +600,19 @@ def test_predicate_env_builds_do_not_share_preds(genv):
     assert second.preds["Sll"] == translate_layout_predicate(
         genv.layouts["Sll"])
     assert second.preds[fn_name] == translate_fn_def_core(
-        genv, "idList", genv.layouts["Sll"], S.NamedLayout("Sll"))
+        genv, "idList", S.NamedLayout("Sll"), S.NamedLayout("Sll"))
 
 
 def _reference_pred_names(genv, e, memo):
     """The predicate names the worklist over instantiations reaches from
-    ``e``, each walked with ``S.iter_subexprs`` and translated afresh
-    (``memo`` keeps the translations of one environment)."""
+    ``e``, each walked with ``S.iter_subexprs`` and translated afresh at
+    its layouts as written (``memo`` keeps the translations of one
+    environment)."""
     def calls(expr):
         for x in S.iter_subexprs(expr):
             if isinstance(x, S.Instantiate) and len(x.arg_layouts) == 1 \
                     and isinstance(x.arg_layouts[0], S.NamedLayout):
-                res = x.result_layout
-                yield (x.fn, x.arg_layouts[0].name,
-                       res.name if isinstance(res, S.NamedLayout) else None)
+                yield (x.fn, x.arg_layouts[0], x.result_layout)
 
     names = {translate_layout_predicate(l).name for l in genv.layouts.values()}
     work, done = list(calls(e)), set()
@@ -624,9 +623,7 @@ def _reference_pred_names(genv, e, memo):
         done.add(key)
         if key not in memo:
             fn, arg, res = key
-            pred = translate_fn_def_core(
-                genv, fn, genv.layouts[arg],
-                S.NamedLayout(res) if res else S.IntLayout())
+            pred = translate_fn_def_core(genv, fn, arg, res)
             memo[key] = (pred.name, [k for case in genv.fn_defs[fn]
                                      for _, body in case.guarded_bodies
                                      for k in calls(body)])
@@ -667,7 +664,7 @@ def test_replaced_translator_gets_fresh_closures(monkeypatch):
 
     def fn_preds(translate):
         return {p.name: p for p in (
-            translate(genv, fn, genv.layouts["Sll"], S.NamedLayout("Sll"))
+            translate(genv, fn, S.NamedLayout("Sll"), S.NamedLayout("Sll"))
             for fn in ("wrap", "idList"))}
 
     sound = fn_preds(translate_fn_def_core)
@@ -679,6 +676,37 @@ def test_replaced_translator_gets_fresh_closures(monkeypatch):
         monkeypatch.setattr(mc, "translate_fn_def_core", translate)
         preds = build_predicate_env(genv, exprs=[e]).preds
         assert {n: preds[n] for n in expect} == expect
+
+
+# wrap instantiates incAll at a mutable argument layout, which names a
+# predicate of its own
+MUTABLE_CALL = """
+data List := Nil | Cons Int List;
+Sll : List >-> layout[x];
+Sll (Nil) := emp;
+Sll (Cons head tail) := x :-> head, (x+1) :-> tail, Sll tail;
+incAll : List -> List;
+incAll (Nil) := lower Sll (Nil);
+incAll (Cons h t) := lower Sll (Cons (h + 1) (instantiate [Sll] Sll incAll t));
+wrap : List -> List;
+wrap (Nil) := lower Sll (Nil);
+wrap (Cons h t) :=
+  lower Sll (Cons h (instantiate [Sll[mutable]] Sll incAll t));
+"""
+
+
+@pytest.mark.parametrize("text", [
+    "instantiate [Sll] Sll wrap (lower Sll (Cons 0 (lower Sll (Nil))))",
+    "instantiate [Sll[mutable]] Sll incAll (instantiate [Sll] Sll incAll "
+    "(lower Sll (Cons 2 (lower Sll (Nil)))))",
+], ids=["in-a-callee", "outermost"])
+def test_instantiation_at_a_mutable_layout_is_sound(text):
+    genv = build_global_env(parse_source(MUTABLE_CALL))
+    e = parse_expr_text(text)
+    assert check_soundness(genv, e).result == Sat()
+    names = set(build_predicate_env(genv, exprs=[e]).preds)
+    assert {"incAll__rw_Sll__ro_Sll", "incAll__rw_Sll__rw_Sll"} <= names
+    assert names == _reference_pred_names(genv, e, {})
 
 
 def test_predicate_env_cache_is_per_global_env(genv):

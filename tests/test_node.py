@@ -353,6 +353,12 @@ def test_no_kind_writes_an_init_that_only_stores_its_parameters():
     assert found == [], found
 
 
+def test_a_kind_with_seven_fields_writes_its_own_init():
+    with pytest.raises(TypeError, match="write one"):
+        class Wide(Node):
+            __slots__ = tuple("abcdefg")
+
+
 def _package_modules() -> dict:
     return {name: module for name, module in sys.modules.items()
             if name == "pikac" or name.startswith("pikac.")}

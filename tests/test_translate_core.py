@@ -202,7 +202,7 @@ def test_core_seed_variable_result_is_not_retargeted(genv, text):
 # -- function definition translation --
 
 def test_fndef_identity_restates_cells_at_result(genv):
-    pred = translate_fn_def_core(genv, "idf", genv.layouts["Sll"],
+    pred = translate_fn_def_core(genv, "idf", S.NamedLayout("Sll"),
                                  S.NamedLayout("Sll"))
     assert [s for _, s in pred.params] == ["loc", "loc"]
     nil, cons = pred.branches
@@ -214,7 +214,7 @@ def test_fndef_identity_restates_cells_at_result(genv):
 
 
 def test_fndef_recursive_case_applies_predicate(genv):
-    pred = translate_fn_def_core(genv, "recf", genv.layouts["Sll"],
+    pred = translate_fn_def_core(genv, "recf", S.NamedLayout("Sll"),
                                  S.NamedLayout("Sll"))
     nil, cons = pred.branches
     rec = [h for h in cons.body.spatial if isinstance(h, ssl.PredApply)]
@@ -281,7 +281,7 @@ def test_pipeline_core_agreement():
     genv = build_global_env(unit)
     prog = elaborate(unit)
     production = compile_directive(prog, "recf").predicate
-    core = translate_fn_def_core(genv, "recf", genv.layouts["Sll"],
+    core = translate_fn_def_core(genv, "recf", S.NamedLayout("Sll"),
                                  S.NamedLayout("Sll"))
     stripped = _strip_production_extras(production, {"__p_x0"})
     core_stripped = _strip_production_extras(core, {"x"})
